@@ -12,8 +12,8 @@ from .doi import (Decomposition, ExperimentReport, SpectralPair, SymbolGrid,
                   make_spectral_pair, peller_bound, sampled_transformer_norm,
                   symbol_from_decomposition, symbol_from_function,
                   triangular_truncation)
-from .errors import (ConfigError, ConvergenceError, EvaluationError,
-                     IllPosedError, InputDomainError)
+from .errors import (ConfigError, EvaluationError, IllPosedError,
+                     InputDomainError)
 from .linalg import (EigenSystem, apply_function, as_complex_matrix,
                      as_hermitian, dft_unitary, eig_hermitian,
                      hermitian_eigenvalues, load_matrix, operator_norm,

@@ -5,14 +5,6 @@ class InputDomainError(ValueError):
     """An argument is outside the domain an operation is defined on."""
 
 
-class ConvergenceError(RuntimeError):
-    """An iteration exhausted its budget; carries the final residual."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(message)
-        self.residual = residual
-
-
 class EvaluationError(ValueError):
     """A user-supplied function returned a non-finite or undefined value."""
 

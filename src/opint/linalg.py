@@ -1,11 +1,12 @@
 """Dense complex/hermitian matrix algebra.
 
 Everything downstream (operator integrals, shift functions, quantization)
-runs through the primitives here: a self-contained cyclic Jacobi
-eigensolver for hermitian matrices, functional calculus on the resulting
-eigensystems, Schatten norms taken through the singular values, and the
-unitary DFT matrix.  Matrices are plain complex ndarrays treated as
-immutable values; every operation returns a fresh array.
+runs through the primitives here: hermitian eigendecompositions and
+singular values from LAPACK (through numpy) with a deterministic
+eigenvector phase convention, functional calculus on the resulting
+eigensystems, overflow-safe Schatten norms taken through the singular
+values, and the unitary DFT matrix.  Matrices are plain complex ndarrays
+treated as immutable values; every operation returns a fresh array.
 """
 
 from __future__ import annotations
@@ -15,11 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, EvaluationError, InputDomainError
+from .errors import EvaluationError, InputDomainError
 
 HERMITIAN_TOL = 1e-12
-JACOBI_OFF_TOL = 1e-13
-JACOBI_MAX_SWEEPS = 100
 PHASE_TOL = 1e-8
 
 
@@ -73,65 +72,6 @@ class EigenSystem:
         return u @ u.conj().T
 
 
-def _jacobi(h: np.ndarray, want_vectors: bool):
-    n = h.shape[0]
-    a = h.copy()
-    v = np.eye(n, dtype=np.complex128) if want_vectors else None
-    scale = float(np.linalg.norm(a))
-    if scale == 0.0 or n == 1:
-        return np.diag(a).real.copy(), v, 0.0
-
-    def off_norm():
-        # measured directly (not by subtracting diagonal mass from the total,
-        # which cancels catastrophically near convergence)
-        off = a.copy()
-        np.fill_diagonal(off, 0.0)
-        return float(np.linalg.norm(off))
-
-    # rotations below this size cannot move the off-diagonal residual past
-    # the convergence threshold and may overflow the tangent formula
-    skip = 1e-18 * scale
-    for _ in range(JACOBI_MAX_SWEEPS):
-        off = off_norm()
-        if off <= JACOBI_OFF_TOL * scale:
-            return np.diag(a).real.copy(), v, off
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                ab = abs(apq)
-                if ab <= skip:
-                    continue
-                phase = apq / ab
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * ab)
-                t = (1.0 if tau >= 0 else -1.0) / (abs(tau) + np.hypot(1.0, tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c * phase
-                sc = s.conjugate()
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = sc * rp + c * rq
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - sc * cq
-                a[:, q] = s * cp + c * cq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-                if want_vectors:
-                    vp = v[:, p].copy()
-                    vq = v[:, q].copy()
-                    v[:, p] = c * vp - sc * vq
-                    v[:, q] = s * vp + c * vq
-    off = off_norm()
-    raise ConvergenceError(
-        f"Jacobi sweeps did not converge in {JACOBI_MAX_SWEEPS} sweeps: "
-        f"off-diagonal residual {off:.3e} (threshold {JACOBI_OFF_TOL * scale:.3e})",
-        residual=off,
-    )
-
-
 def _fix_phases(u: np.ndarray) -> np.ndarray:
     # first component of each column with modulus > PHASE_TOL is made real > 0
     n = u.shape[1]
@@ -147,27 +87,19 @@ def _fix_phases(u: np.ndarray) -> np.ndarray:
 
 
 def eig_hermitian(h) -> EigenSystem:
-    """Diagonalize a hermitian matrix by cyclic Jacobi sweeps.
+    """Diagonalize a hermitian matrix with LAPACK (`numpy.linalg.eigh`).
 
-    Deterministic: fixed sweep order, ascending eigenvalues with stable tie
-    order, and each eigenvector's first component of modulus > 1e-8 made
-    real and positive.  Raises ConvergenceError (with the off-diagonal
-    residual) if 100 sweeps do not reach the 1e-13 relative threshold,
-    which does not happen for finite hermitian input in practice.
+    Eigenvalues come out ascending.  Each eigenvector's first component of
+    modulus > 1e-8 is made real and positive, so the unitary is fixed up
+    to the choice of basis inside repeated eigenvalues.
     """
-    hm = as_hermitian(h)
-    w, v, _ = _jacobi(hm, want_vectors=True)
-    order = np.argsort(w, kind="stable")
-    w = w[order]
-    v = _fix_phases(v[:, order])
-    return EigenSystem(eigenvalues=w, unitary=v)
+    w, v = np.linalg.eigh(as_hermitian(h))
+    return EigenSystem(eigenvalues=w, unitary=_fix_phases(v))
 
 
 def hermitian_eigenvalues(h) -> np.ndarray:
-    """Ascending eigenvalues only (no eigenvector accumulation)."""
-    hm = as_hermitian(h)
-    w, _, _ = _jacobi(hm, want_vectors=False)
-    return np.sort(w, kind="stable")
+    """Ascending eigenvalues only, from LAPACK (`numpy.linalg.eigvalsh`)."""
+    return np.linalg.eigvalsh(as_hermitian(h))
 
 
 def apply_function(eig: EigenSystem, f) -> np.ndarray:
@@ -203,25 +135,27 @@ def _eval_on_spectrum(f, w: np.ndarray) -> np.ndarray:
 
 
 def singular_values(m) -> np.ndarray:
-    """Singular values (descending) via the eigenvalues of M*M."""
-    a = as_complex_matrix(m)
-    w = hermitian_eigenvalues(a.conj().T @ a)
-    return np.sqrt(np.clip(w, 0.0, None))[::-1]
+    """The min(rows, cols) singular values, descending, from LAPACK
+    (`numpy.linalg.svd`)."""
+    return np.linalg.svd(as_complex_matrix(m), compute_uv=False)
 
 
 def schatten_norm(m, p) -> float:
     """Schatten p-norm: the l^p norm of the singular values; p=inf gives
-    the operator norm."""
-    if p != np.inf and p < 1:
+    the operator norm.
+
+    For other p the singular values are scaled by the largest one before
+    the power is taken (Blue's overflow-safe norm), so large p or large
+    entries do not overflow to inf.
+    """
+    if not (p == np.inf or p >= 1):  # also rejects nan
         raise InputDomainError(f"Schatten norm needs p >= 1 or p = inf, got {p}")
     s = singular_values(m)
-    if p == np.inf:
+    if p == np.inf or s[0] == 0.0:
         return float(s[0])
     if p == 1:
         return float(s.sum())
-    if p == 2:
-        return float(np.sqrt((s * s).sum()))
-    return float((s**p).sum() ** (1.0 / p))
+    return float(s[0] * ((s / s[0]) ** p).sum() ** (1.0 / p))
 
 
 def operator_norm(m) -> float:

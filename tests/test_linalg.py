@@ -20,6 +20,16 @@ def test_eig_pauli_x():
     np.testing.assert_allclose(e.eigenvalues, [-1.0, 1.0], atol=1e-14)
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-170])
+def test_eig_extreme_scales(scale):
+    h = np.array([[scale, scale], [scale, -scale]])
+    np.testing.assert_allclose(linalg.eig_hermitian(h).eigenvalues,
+                               [-np.sqrt(2) * scale, np.sqrt(2) * scale], rtol=1e-14, atol=0)
+    off = np.array([[0.0, scale], [scale, 0.0]])
+    np.testing.assert_allclose(linalg.hermitian_eigenvalues(off), [-scale, scale],
+                               rtol=1e-14, atol=0)
+
+
 def test_eig_reconstruction_random_6x6():
     h = random_hermitian(substream(123, "linalg-eig"), 6)
     e = linalg.eig_hermitian(h)
@@ -137,6 +147,27 @@ def test_schatten_rejects_small_p():
         linalg.schatten_norm(np.eye(2), 0.5)
 
 
+def test_schatten_rejects_nan_p():
+    with pytest.raises(errors.InputDomainError):
+        linalg.schatten_norm(np.eye(2), np.nan)
+
+
+def test_schatten_large_p_does_not_overflow():
+    # 10**400 overflows a double
+    assert linalg.schatten_norm(np.diag([10.0, 1.0]), 400) == 10.0
+    assert linalg.schatten_norm(np.zeros((3, 3)), 400) == 0.0
+
+
+def test_trace_norm_graded_singular_values():
+    s = np.logspace(0, -12, 8)
+    for trial in range(10):
+        rng = substream(14, "linalg-graded", trial)
+        u, _ = np.linalg.qr(random_complex(rng, (8, 8)))
+        v, _ = np.linalg.qr(random_complex(rng, (8, 8)))
+        m = (u * s) @ v.conj().T
+        assert abs(linalg.trace_norm(m) - s.sum()) <= 1e-12
+
+
 def test_dft_small_cases():
     np.testing.assert_allclose(linalg.dft_unitary(1), [[1.0]], atol=0)
     f2 = linalg.dft_unitary(2)
@@ -164,6 +195,21 @@ def test_reconstruction_property(dim, seed):
     scale = max(np.linalg.norm(h), 1.0)
     assert np.linalg.norm(e.reconstruct() - h) / scale <= 1e-10
     assert (np.diff(e.eigenvalues) >= 0).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**31 - 1),
+       st.integers(min_value=-150, max_value=150))
+def test_scale_equivariance_property(dim, seed, k):
+    h = random_hermitian(substream(seed, "linalg-scale"), dim)
+    c = 10.0**k
+    w = linalg.hermitian_eigenvalues(h)
+    size = np.abs(w).max()
+    np.testing.assert_allclose(linalg.eig_hermitian(c * h).eigenvalues / c, w,
+                               rtol=0, atol=1e-12 * size)
+    for p in (1, 2, 3, 400, np.inf):
+        assert linalg.schatten_norm(c * h, p) / c == pytest.approx(
+            linalg.schatten_norm(h, p), rel=1e-12)
 
 
 def test_matrix_json_round_trip(tmp_path):

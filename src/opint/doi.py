@@ -153,9 +153,12 @@ def hs_multiplier_norm(pair: SpectralPair, sym: SymbolGrid) -> float:
 def doi_fourier(pair: SpectralPair, f, t, quad: QuadratureRule | None = None) -> np.ndarray:
     """Time-integral route: sum_m w_m e^{-i t_m A} T e^{i t_m B} f(t_m).
 
-    For integrable f this approximates the integral whose symbol is the
-    Fourier transform fhat(lambda - mu), fhat(x) = int e^{-i x s} f(s) ds;
-    it must agree with `doi_apply` on that symbol to quadrature tolerance.
+    In the joint eigenbases this sum is the Schur multiplier with symbol
+    sum_m w_m f(t_m) e^{-i t_m (lambda - mu)}, built here as one product
+    of two (dim x nodes) exponential tables.  For integrable f it
+    approximates the integral whose symbol is the Fourier transform
+    fhat(lambda - mu), fhat(x) = int e^{-i x s} f(s) ds; it must agree
+    with `doi_apply` on that symbol to quadrature tolerance.
     """
     if quad is None:
         quad = trapezoid_rule(*DEFAULT_FOURIER_QUAD)
@@ -167,14 +170,12 @@ def doi_fourier(pair: SpectralPair, f, t, quad: QuadratureRule | None = None) ->
         raise InputDomainError("integrand sampler must be vectorized over nodes")
     if not np.isfinite(samples).all():
         raise InputDomainError("integrand returned non-finite samples")
-    acc = np.zeros_like(tm)
-    for s, w, fs in zip(quad.nodes, quad.weights, samples):
-        if fs == 0.0:
-            continue
-        ea = apply_function(pair.left, lambda x: np.exp(-1j * s * x))
-        eb = apply_function(pair.right, lambda x: np.exp(1j * s * x))
-        acc += (w * fs) * (ea @ tm @ eb)
-    return acc
+    lam = pair.left.eigenvalues
+    mu = pair.right.eigenvalues
+    left = np.exp(-1j * np.outer(lam, quad.nodes))
+    right = np.exp(-1j * np.outer(mu, quad.nodes))
+    values = (left * (quad.weights * samples)) @ right.conj().T
+    return doi_apply(pair, SymbolGrid(values=values, left_nodes=lam, right_nodes=mu), tm)
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ DEFAULT_FOURIER_QUAD = (200.0, 8000)   # half-width, node count
 DEFAULT_ARCTAN_QUAD = (40.0, 32000)
 DEFAULT_EPSILON = 1e-2
 DEFAULT_ETA = 1e-6
+FOURIER_BLOCK_ELEMENTS = 1 << 20  # grid x nodes exponentials built per block
 
 
 @dataclass(frozen=True)
@@ -247,7 +248,9 @@ def xi_fourier(a, b, epsilon: float, grid, quad: QuadratureRule | None = None) -
     tr_diff = (np.exp(1j * np.outer(x, wa)).sum(axis=1)
                - np.exp(1j * np.outer(x, wb)).sum(axis=1))
     coeff = quad.weights * np.exp(-epsilon * np.abs(x)) * tr_diff / x
-    ords = (np.exp(-1j * np.outer(g, x)) @ coeff) / (2j * np.pi)
+    rows = max(1, FOURIER_BLOCK_ELEMENTS // x.size)
+    ords = np.concatenate([np.exp(-1j * np.outer(g[i:i + rows], x)) @ coeff
+                           for i in range(0, g.size, rows)]) / (2j * np.pi)
     return SampledCurve(abscissae=g, ordinates=ords.real)
 
 

@@ -64,8 +64,23 @@ def test_eig_deterministic():
 
 
 def test_eig_rejects_non_hermitian_and_reports_asymmetry():
-    with pytest.raises(errors.InputDomainError, match="asymmetry"):
-        linalg.eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    for c in (1e-6, 1.0, 1e6):
+        with pytest.raises(errors.InputDomainError, match="asymmetry"):
+            linalg.eig_hermitian(c * np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_eig_accepts_rounded_hermitian_product_at_scale():
+    # the product's rounding asymmetry grows with its entries (~8e-12 at
+    # scale 100, ~1e-9 at 1e4): the tolerance must be relative to them
+    rng = substream(14, "linalg-herm-scale")
+    a = random_complex(rng, (32, 32))
+    m = a @ random_hermitian(rng, 32) @ a.conj().T
+    for c in (100.0, 1e4):
+        h = c * m
+        assert np.abs(h - h.conj().T).max() > linalg.HERMITIAN_TOL
+        w = linalg.eig_hermitian(h).eigenvalues
+        np.testing.assert_allclose(w, np.linalg.eigvalsh((h + h.conj().T) / 2),
+                                   rtol=0, atol=1e-12 * np.abs(w).max())
 
 
 def test_eig_rejects_non_finite():

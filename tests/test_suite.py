@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -48,3 +49,22 @@ def test_cli_suite_seed_15_passes_and_is_byte_stable_across_blas_threads(tmp_pat
 def test_cli_usage_error_exits_2(capsys):
     assert cli.main(["--command", "suite", "--dims", "0"]) == 2
     assert "dims" in capsys.readouterr().err
+
+
+def test_cli_suite_seed_13_passes(tmp_path):
+    assert cli.main(["--command", "suite", "--seed", "13", "--out", str(tmp_path)]) == 0
+
+
+def test_cli_failed_check_exits_1(tmp_path, capsys):
+    config = tmp_path / "tol.json"
+    config.write_text(json.dumps({"tolerances": {"boundary": 1e-9}}), encoding="utf-8")
+    code = cli.main(["--command", "shift", "--route", "arctan", "--config", str(config),
+                     "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "failed checks: route_agreement_vs_counting" in capsys.readouterr().err
+
+
+def test_cli_missing_input_exits_3(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert cli.main(["--command", "shift", "--a", str(missing)]) == 3
+    assert "file not found" in capsys.readouterr().err

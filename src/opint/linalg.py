@@ -174,8 +174,9 @@ def dft_unitary(n: int) -> np.ndarray:
     """Unitary DFT matrix F[j,k] = exp(-2 pi i jk/n)/sqrt(n)."""
     if n < 1:
         raise InputDomainError(f"DFT size must be >= 1, got {n}")
-    j, k = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    return np.exp(-2j * np.pi * (j * k % n) / n) / np.sqrt(n)
+    k = np.arange(n)
+    roots = np.exp(-2j * np.pi * k / n) / np.sqrt(n)  # the n distinct entries
+    return roots[np.outer(k, k) % n]
 
 
 def matrix_to_json_dict(m) -> dict:

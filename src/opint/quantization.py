@@ -40,38 +40,50 @@ def cycle_space(n: int) -> CycleSpace:
     return CycleSpace(n=n, dft=dft_unitary(n))
 
 
-def _index_set(space: CycleSpace, subset, name: str) -> np.ndarray:
+def _indicator(space: CycleSpace, subset, name: str) -> np.ndarray:
+    """The 0/1 vector of a subset of Z_n."""
     idx = np.unique(np.asarray(list(subset), dtype=np.int64)) if subset is not None else np.zeros(0, np.int64)
     if idx.size and (idx.min() < 0 or idx.max() >= space.n):
         raise InputDomainError(f"{name} contains indices outside 0..{space.n - 1}")
-    return idx
+    d = np.zeros(space.n)
+    d[idx] = 1.0
+    return d
+
+
+def _symbol_vector(space: CycleSpace, v, name: str) -> np.ndarray:
+    v = np.asarray(v, dtype=np.complex128)
+    if v.shape != (space.n,):
+        raise InputDomainError(f"{name} must be a length-{space.n} vector, got {v.shape}")
+    return v
+
+
+def _circulant(n: int, c: np.ndarray) -> np.ndarray:
+    """M[x, y] = c[x, (x - y) mod n]; a single row c serves every x."""
+    x = np.arange(n)
+    shift = x[:, None] - x
+    shift[shift < 0] += n  # (x - y) mod n without an integer division
+    return np.broadcast_to(c, (n, n))[x[:, None], shift]
 
 
 def position_projector(space: CycleSpace, e) -> np.ndarray:
     """Q(E): the diagonal 0/1 matrix of the subset E of Z_n."""
-    idx = _index_set(space, e, "E")
-    d = np.zeros(space.n)
-    d[idx] = 1.0
-    return np.diag(d).astype(np.complex128)
+    return np.diag(_indicator(space, e, "E")).astype(np.complex128)
 
 
 def momentum_projector(space: CycleSpace, f) -> np.ndarray:
-    """P(F) = F* Q(F) F: the DFT conjugate of a position projector."""
-    q = position_projector(space, f)
-    return space.dft.conj().T @ q @ space.dft
+    """P(F) = F* Q(F) F: the DFT conjugate of a position projector, i.e.
+    the circulant of the inverse DFT of the indicator of F."""
+    return _circulant(space.n, np.fft.ifft(_indicator(space, f, "F")))
 
 
 def position_operator(space: CycleSpace, f) -> np.ndarray:
     """Multiplication operator Q(f) = diag(f) for an arbitrary symbol f."""
-    f = np.asarray(f, dtype=np.complex128)
-    if f.shape != (space.n,):
-        raise InputDomainError(f"f must be a length-{space.n} vector, got {f.shape}")
-    return np.diag(f)
+    return np.diag(_symbol_vector(space, f, "f"))
 
 
 def momentum_operator(space: CycleSpace, g) -> np.ndarray:
-    """P(g) = F* diag(g) F."""
-    return space.dft.conj().T @ position_operator(space, g) @ space.dft
+    """P(g) = F* diag(g) F, the circulant of the inverse DFT of g."""
+    return _circulant(space.n, np.fft.ifft(_symbol_vector(space, g, "g")))
 
 
 def quantize(space: CycleSpace, sigma) -> np.ndarray:
@@ -79,17 +91,16 @@ def quantize(space: CycleSpace, sigma) -> np.ndarray:
 
         M[x, y] = (1/n) sum_xi sigma(x, xi) e^{2 pi i xi (x - y)/n}.
 
-    Linear in sigma; sigma = f (x) g gives diag(f) . F* diag(g) F.
+    Each row of sigma goes through one inverse FFT, c[x, :] = ifft(sigma[x, :]),
+    and M[x, y] = c[x, (x - y) mod n] gathers the rows into M, in
+    O(n^2 log n).  Linear in sigma; sigma = f (x) g gives
+    diag(f) . F* diag(g) F.
     """
     s = as_complex_matrix(sigma, "sigma")
     n = space.n
     if s.shape != (n, n):
         raise InputDomainError(f"sigma must be {n}x{n}, got {s.shape}")
-    xi, d = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    phases = np.exp(2j * np.pi * (xi * d % n) / n)
-    c = s @ phases / n
-    x, y = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    return c[x, (x - y) % n]
+    return _circulant(n, np.fft.ifft(s, axis=1))
 
 
 @dataclass(frozen=True)
@@ -121,17 +132,14 @@ def cotlar_stein_bound(space: CycleSpace, terms) -> CotlarReport:
         raise InputDomainError(f"term vectors must have length {n}")
     k = fs.shape[0]
     a = np.zeros((k, k))
-    fdft = space.dft  # fixed; P(|g|^2) = F* diag(|g|^2) F
-    rotated = [(np.abs(g) ** 2)[:, None] * fdft for g in gs]  # diag(|g_j|^2) F
+    fsq = np.abs(fs) ** 2
+    momenta = [_circulant(n, c) for c in np.fft.ifft(np.abs(gs) ** 2, axis=1)]  # P(|g_j|^2)
     for i in range(k):
-        qi = (np.abs(fs[i]) ** 2)[:, None] * fdft.conj().T    # diag(|f_i|^2) F*
         for j in range(k):
-            a[i, j] = np.sqrt(operator_norm(qi @ rotated[j]))
+            a[i, j] = np.sqrt(operator_norm(fsq[i][:, None] * momenta[j]))
     bound = float(max(a.sum(axis=1).max(), a.sum(axis=0).max()))
-    total = np.zeros((n, n), dtype=np.complex128)
-    for i in range(k):
-        total += (fs[i][:, None] * fdft.conj().T) @ (gs[i][:, None] * fdft)
-    actual = operator_norm(total)
+    # sum_k diag(f_k) P(g_k)[x, y] = sum_k f_k[x] ifft(g_k)[(x - y) mod n]
+    actual = operator_norm(_circulant(n, fs.T @ np.fft.ifft(gs, axis=1)))
     return CotlarReport(bound=bound, actual=actual, holds=bool(actual <= bound * (1 + 1e-9)))
 
 

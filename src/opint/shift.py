@@ -175,15 +175,14 @@ def harmonic_h(a, b, x: float, y: float) -> float:
     """Harmonic extension h(x, y) = (1/pi) tr[arctan((A-x)/y) - arctan((B-x)/y)]."""
     if y <= 0:
         raise InputDomainError(f"need y > 0, got {y}")
-    ea = eig_hermitian(as_hermitian(a, "A"))
-    eb = eig_hermitian(as_hermitian(b, "B"))
-    return _arctan_trace(ea, eb, float(x), float(y))
+    wa = eig_hermitian(as_hermitian(a, "A")).eigenvalues
+    wb = eig_hermitian(as_hermitian(b, "B")).eigenvalues
+    return _arctan_trace(wa, wb, float(x), float(y))
 
 
-def _arctan_trace(ea: EigenSystem, eb: EigenSystem, s: float, eps: float) -> float:
-    ma = apply_function(ea, lambda t: np.arctan((t - s) / eps))
-    mb = apply_function(eb, lambda t: np.arctan((t - s) / eps))
-    return float(np.trace(ma - mb).real) / np.pi
+def _arctan_trace(wa: np.ndarray, wb: np.ndarray, s: float, eps: float) -> float:
+    """(1/pi) tr[arctan((A-s)/eps) - arctan((B-s)/eps)] from the eigenvalues."""
+    return float(np.arctan((wa - s) / eps).sum() - np.arctan((wb - s) / eps).sum()) / np.pi
 
 
 def xi_arctan(a, b, epsilon: float, grid) -> SampledCurve:
@@ -191,9 +190,9 @@ def xi_arctan(a, b, epsilon: float, grid) -> SampledCurve:
     if epsilon <= 0:
         raise InputDomainError(f"need epsilon > 0, got {epsilon}")
     g = _as_grid(grid)
-    ea = eig_hermitian(as_hermitian(a, "A"))
-    eb = eig_hermitian(as_hermitian(b, "B"))
-    ords = np.array([_arctan_trace(ea, eb, s, epsilon) for s in g])
+    wa = eig_hermitian(as_hermitian(a, "A")).eigenvalues
+    wb = eig_hermitian(as_hermitian(b, "B")).eigenvalues
+    ords = np.array([_arctan_trace(wa, wb, s, epsilon) for s in g])
     return SampledCurve(abscissae=g, ordinates=ords)
 
 

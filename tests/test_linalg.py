@@ -197,6 +197,13 @@ def test_dft_unitary_and_order_four(n):
     np.testing.assert_allclose(f4, np.eye(n), atol=1e-10)
 
 
+@pytest.mark.parametrize("n", [1, 7, 64, 1031])
+def test_dft_unitary_equals_meshgrid_formula_bitwise(n):
+    j, k = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    dense = np.exp(-2j * np.pi * (j * k % n) / n) / np.sqrt(n)
+    assert np.array_equal(linalg.dft_unitary(n), dense)
+
+
 def test_dft_rejects_zero():
     with pytest.raises(errors.InputDomainError):
         linalg.dft_unitary(0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import opint.quantization as qz
-from opint import errors
+from opint import errors, linalg
 from opint.doi import Decomposition
 from opint.linalg import operator_norm
 from opint.rng import random_complex, random_hermitian, substream
@@ -55,6 +55,76 @@ def test_momentum_projector_rank_equals_size():
         p = qz.momentum_projector(space, list(range(size)))
         assert np.trace(p).real == pytest.approx(size, abs=1e-10)
         np.testing.assert_allclose(p @ p, p, atol=1e-12)
+
+
+def test_momentum_projector_hermitian_idempotent_n257():
+    space = qz.cycle_space(257)
+    in_f = substream(20, "quant-p257").random(257) < 0.5
+    p = qz.momentum_projector(space, np.flatnonzero(in_f))
+    np.testing.assert_allclose(p, p.conj().T, atol=1e-12)
+    np.testing.assert_allclose(p @ p, p, atol=1e-12)
+    assert np.trace(p).real == pytest.approx(in_f.sum(), abs=1e-10)
+
+
+def test_momentum_operator_wrong_length_names_g():
+    space = qz.cycle_space(4)
+    with pytest.raises(errors.InputDomainError, match=r"^g must be a length-4 vector"):
+        qz.momentum_operator(space, np.ones(3))
+    with pytest.raises(errors.InputDomainError, match=r"^f must be a length-4 vector"):
+        qz.position_operator(space, np.ones(5))
+
+
+# ------------------------------------------------- dense DFT definitions
+# Each FFT/circulant operator against its definition as products with the
+# unitary DFT matrix, at odd, even and prime n.
+
+DENSE_SIZES = [1, 2, 3, 5, 8, 17, 64]
+
+
+def _dense_inputs(n):
+    rng = substream(21, "quant-dense", n)
+    return (qz.cycle_space(n), linalg.dft_unitary(n), random_complex(rng, (n, n)),
+            random_complex(rng, n), rng.random(n) < 0.5, rng)
+
+
+@pytest.mark.parametrize("n", DENSE_SIZES)
+def test_quantize_matches_dense_dft_definition(n):
+    # M = sum_xi diag(sigma[:, xi]) F* e_xi e_xi^T F = (sigma o F*) F, o entrywise
+    space, f, sigma, _, _, _ = _dense_inputs(n)
+    np.testing.assert_allclose(qz.quantize(space, sigma), (sigma * f.conj().T) @ f,
+                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", DENSE_SIZES)
+def test_momentum_operators_match_dense_dft_definition(n):
+    space, f, _, g, in_f, _ = _dense_inputs(n)
+    np.testing.assert_allclose(qz.momentum_operator(space, g), f.conj().T @ np.diag(g) @ f,
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(qz.momentum_projector(space, np.flatnonzero(in_f)),
+                               f.conj().T @ np.diag(in_f.astype(complex)) @ f,
+                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", DENSE_SIZES)
+def test_momentum_operator_is_quantized_momentum_symbol(n):
+    space, _, _, g, _, _ = _dense_inputs(n)
+    assert np.array_equal(qz.momentum_operator(space, g),
+                          qz.quantize(space, np.outer(np.ones(n), g)))
+
+
+@pytest.mark.parametrize("n", DENSE_SIZES)
+def test_cotlar_matches_dense_dft_definition(n):
+    space, f, _, _, _, rng = _dense_inputs(n)
+    terms = [(random_complex(rng, n), random_complex(rng, n)) for _ in range(3)]
+    fstar = f.conj().T
+    a = np.array([[np.sqrt(np.linalg.norm(np.diag(np.abs(fi) ** 2) @ fstar
+                                          @ np.diag(np.abs(gj) ** 2) @ f, 2))
+                   for _, gj in terms] for fi, _ in terms])
+    total = sum(np.diag(fi) @ fstar @ np.diag(gi) @ f for fi, gi in terms)
+    report = qz.cotlar_stein_bound(space, terms)
+    assert report.bound == pytest.approx(max(a.sum(axis=1).max(), a.sum(axis=0).max()),
+                                         rel=1e-12)
+    assert report.actual == pytest.approx(np.linalg.norm(total, 2), rel=1e-12)
 
 
 # ---------------------------------------------------------------- quantize

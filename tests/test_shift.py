@@ -125,6 +125,21 @@ def test_xi_arctan_trace_bound():
         assert abs(val) <= trace_norm(a - b) / (np.pi * eps) + 1e-12
 
 
+def test_arctan_trace_matches_functional_calculus_trace():
+    # the eigenvalue sum against tr[arctan((A-s)/eps) - arctan((B-s)/eps)]
+    # built as full matrices by functional calculus
+    from opint.linalg import apply_function
+    for trial in range(20):
+        rng = substream(27, "shift-arctrace", trial)
+        a, b = seeded_pair(27, 1 + trial % 8, trial)
+        ea, eb = eig_hermitian(a), eig_hermitian(b)
+        s, eps = float(rng.uniform(-3, 3)), float(rng.uniform(1e-3, 0.5))
+        arctan = lambda t: np.arctan((t - s) / eps)  # noqa: E731
+        dense = float(np.trace(apply_function(ea, arctan) - apply_function(eb, arctan)).real) / np.pi
+        val = shift._arctan_trace(ea.eigenvalues, eb.eigenvalues, s, eps)
+        assert abs(val - dense) <= 1e-12
+
+
 def test_harmonic_h_equals_arctan_route():
     a, b = seeded_pair(8, 4)
     val = shift.harmonic_h(a, b, 0.3, 0.05)

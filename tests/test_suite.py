@@ -30,20 +30,27 @@ def test_suite_check_passes_at_default_config(default_report, check):
     assert record.passed, record
 
 
-def _cli_suite(tmp_path, threads: int) -> bytes:
-    out = tmp_path / f"threads{threads}"
+def _cli_report(tmp_path, threads: int, command: str, *args: str) -> bytes:
+    out = tmp_path / f"{command}-threads{threads}"
     env = dict(os.environ, OMP_NUM_THREADS=str(threads), OPENBLAS_NUM_THREADS=str(threads),
                MKL_NUM_THREADS=str(threads),
                PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "opint.cli", "--command", "suite",
-                           "--seed", "15", "--out", str(out)],
+    proc = subprocess.run([sys.executable, "-m", "opint.cli", "--command", command,
+                           *args, "--out", str(out)],
                           env=env, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
-    return (out / "suite_report.json").read_bytes()
+    return (out / f"{command}_report.json").read_bytes()
 
 
 def test_cli_suite_seed_15_passes_and_is_byte_stable_across_blas_threads(tmp_path):
-    assert _cli_suite(tmp_path, 1) == _cli_suite(tmp_path, 2)
+    assert (_cli_report(tmp_path, 1, "suite", "--seed", "15")
+            == _cli_report(tmp_path, 2, "suite", "--seed", "15"))
+
+
+@pytest.mark.parametrize("command, n", [("quantize", "8"), ("cotlar", "16")])
+def test_cli_quantization_is_byte_stable_across_blas_threads(tmp_path, command, n):
+    assert (_cli_report(tmp_path, 1, command, "--n", n)
+            == _cli_report(tmp_path, 2, command, "--n", n))
 
 
 def test_cli_usage_error_exits_2(capsys):

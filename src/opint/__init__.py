@@ -3,7 +3,9 @@
 Double operator integrals as Schur multipliers, gapped Sylvester solves
 with the pi/(2 delta) certificate, Krein-type spectral shift functions by
 four independent routes, and discrete position/momentum quantization with
-Cotlar-Stein and Grothendieck-style norm checks.
+Cotlar-Stein and Grothendieck-style norm checks.  Each operand is
+diagonalized once: the DOI and spectral shift routes take one `SpectralPair`
+(the rank-one shift route takes only B's `EigenSystem`).
 """
 
 from .doi import (Decomposition, ExperimentReport, SpectralPair, SymbolGrid,

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import doi, quantization, shift, suite as suite_mod, sylvester
 from .errors import ConfigError, IllPosedError, InputDomainError
-from .linalg import eig_hermitian, load_matrix, operator_norm
+from .linalg import hermitian_eigenvalues, load_matrix, operator_norm, trace_norm
 from .quadrature import symmetric_open_rule
 from .rng import random_complex, random_hermitian, random_unit_vector, substream
 from .suite import CheckRecord, Report, ScenarioConfig
@@ -122,30 +122,27 @@ def _load_pair(cfg: ScenarioConfig, tag: str):
 
 def run_shift(cfg: ScenarioConfig) -> Report:
     a, b = _load_pair(cfg, "cli-shift")
+    if cfg.route == "rank1":  # treat A as B + alpha w w* with a seeded unit vector
+        w = random_unit_vector(substream(cfg.seed, "cli-shift-w"), b.shape[0])
+        a = b + cfg.alpha * np.outer(w, w.conj())
+    pair = doi.make_spectral_pair(a, b)
     grid = cfg.grid_array()
-    xi_exact = shift.xi_counting(a, b)
+    xi_exact = shift.xi_counting(pair)
     truth = xi_exact(grid)
     if cfg.route == "counting":
         curve = shift.SampledCurve(abscissae=grid, ordinates=truth.astype(float))
     elif cfg.route == "arctan":
         maker = shift.xi_arctan_extrapolated if cfg.extrapolated else shift.xi_arctan
-        curve = maker(a, b, cfg.epsilon, grid)
+        curve = maker(pair, cfg.epsilon, grid)
     elif cfg.route == "fourier":
         half_width = cfg.quad_half_width or shift.DEFAULT_FOURIER_QUAD[0]
         nodes = cfg.quad_nodes or shift.DEFAULT_FOURIER_QUAD[1]
-        curve = shift.xi_fourier(a, b, cfg.epsilon, grid,
-                                 symmetric_open_rule(half_width, nodes))
-    else:  # rank1: treat A as B + alpha w w* with a seeded unit vector
-        w = random_unit_vector(substream(cfg.seed, "cli-shift-w"), b.shape[0])
-        a = b + cfg.alpha * np.outer(w, w.conj())
-        xi_exact = shift.xi_counting(a, b)
-        truth = xi_exact(grid)
-        curve = shift.xi_rank_one(b, w, cfg.alpha, grid, eta=cfg.eta)
+        curve = shift.xi_fourier(pair, cfg.epsilon, grid, symmetric_open_rule(half_width, nodes))
+    else:
+        curve = shift.xi_rank_one(pair.right, w, cfg.alpha, grid, eta=cfg.eta)
 
     checks = []
-    wa = eig_hermitian(a).eigenvalues
-    wb = eig_hermitian(b).eigenvalues
-    from .linalg import trace_norm
+    wa, wb = pair.left.eigenvalues, pair.right.eigenvalues
     checks.append(CheckRecord(
         name="property_a_trace_equals_integral",
         expected=float(np.trace(a - b).real), observed=xi_exact.integral(),
@@ -157,8 +154,7 @@ def run_shift(cfg: ScenarioConfig) -> Report:
         name="property_b_l1_bounded_by_trace_norm",
         expected=l1_bound, observed=xi_exact.l1(), tolerance=cfg.tolerance("algebraic"),
         passed=bool(xi_exact.l1() <= l1_bound + cfg.tolerance("algebraic"))))
-    diff_eigs = eig_hermitian(a - b).eigenvalues
-    if diff_eigs.min() >= -1e-12:
+    if hermitian_eigenvalues(a - b).min() >= -1e-12:
         nonneg = xi_exact.is_zero or xi_exact.values.min() >= 0
         checks.append(CheckRecord(name="property_c_monotone_pair_nonnegative",
                                   expected=0.0, observed=0.0 if nonneg else -1.0,

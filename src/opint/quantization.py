@@ -24,20 +24,23 @@ from .rng import substream
 
 @dataclass(frozen=True)
 class CycleSpace:
-    """Z_n with its unitary DFT matrix."""
+    """Z_n; its dense unitary DFT matrix is built only when `dft` is read."""
 
     n: int
-    dft: np.ndarray
 
     @property
     def dim(self) -> int:
         return self.n
 
+    @property
+    def dft(self) -> np.ndarray:
+        return dft_unitary(self.n)
+
 
 def cycle_space(n: int) -> CycleSpace:
     if n < 1:
         raise InputDomainError(f"cycle space needs n >= 1, got {n}")
-    return CycleSpace(n=n, dft=dft_unitary(n))
+    return CycleSpace(n=n)
 
 
 def _indicator(space: CycleSpace, subset, name: str) -> np.ndarray:
@@ -126,10 +129,8 @@ def cotlar_stein_bound(space: CycleSpace, terms) -> CotlarReport:
     if not terms:
         raise InputDomainError("need at least one (f, g) term")
     n = space.n
-    fs = np.stack([np.asarray(f, dtype=np.complex128) for f, _ in terms])
-    gs = np.stack([np.asarray(g, dtype=np.complex128) for _, g in terms])
-    if fs.shape[1] != n or gs.shape[1] != n:
-        raise InputDomainError(f"term vectors must have length {n}")
+    fs = np.stack([_symbol_vector(space, f, f"f_{k}") for k, (f, _) in enumerate(terms)])
+    gs = np.stack([_symbol_vector(space, g, f"g_{k}") for k, (_, g) in enumerate(terms)])
     k = fs.shape[0]
     a = np.zeros((k, k))
     fsq = np.abs(fs) ** 2

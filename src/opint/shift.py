@@ -7,6 +7,10 @@ identity tr(f(A) - f(B)) = int f' xi exact.  The other three routes -- a
 regularized arctan trace, an oscillatory Fourier integral, and the
 argument of a rank-one Cauchy transform -- approximate the same xi and
 converge to it as their regularization parameters shrink.
+
+Every route takes (A, B) diagonalized once, as one `doi.SpectralPair`
+(from `doi.make_spectral_pair`), which the double operator integrals take
+too; the rank-one route needs only B and takes B's `EigenSystem`.
 """
 
 from __future__ import annotations
@@ -15,8 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .doi import SpectralPair
 from .errors import InputDomainError
-from .linalg import EigenSystem, apply_function, as_hermitian, eig_hermitian
+from .linalg import EigenSystem, apply_function
 from .quadrature import QuadratureRule, symmetric_open_rule
 
 DEFAULT_FOURIER_QUAD = (200.0, 8000)   # half-width, node count
@@ -129,12 +134,9 @@ def _canonical_shift(breakpoints: np.ndarray, values: np.ndarray) -> ShiftFuncti
     return ShiftFunction(np.asarray(bp), np.asarray(vals, dtype=np.int64))
 
 
-def xi_counting(a, b) -> ShiftFunction:
+def xi_counting(pair: SpectralPair) -> ShiftFunction:
     """Exact shift function: xi(l) = #{eigs of B <= l} - #{eigs of A <= l}."""
-    wa = eig_hermitian(as_hermitian(a, "A")).eigenvalues
-    wb = eig_hermitian(as_hermitian(b, "B")).eigenvalues
-    if wa.size != wb.size:
-        raise InputDomainError(f"dimension mismatch: {wa.size} vs {wb.size}")
+    wa, wb = pair.left.eigenvalues, pair.right.eigenvalues
     bp = np.unique(np.concatenate([wa, wb]))
     counts_b = np.searchsorted(wb, bp[:-1], side="right")
     counts_a = np.searchsorted(wa, bp[:-1], side="right")
@@ -171,13 +173,11 @@ def _as_grid(grid) -> np.ndarray:
     return g
 
 
-def harmonic_h(a, b, x: float, y: float) -> float:
+def harmonic_h(pair: SpectralPair, x: float, y: float) -> float:
     """Harmonic extension h(x, y) = (1/pi) tr[arctan((A-x)/y) - arctan((B-x)/y)]."""
     if y <= 0:
         raise InputDomainError(f"need y > 0, got {y}")
-    wa = eig_hermitian(as_hermitian(a, "A")).eigenvalues
-    wb = eig_hermitian(as_hermitian(b, "B")).eigenvalues
-    return _arctan_trace(wa, wb, float(x), float(y))
+    return _arctan_trace(pair.left.eigenvalues, pair.right.eigenvalues, float(x), float(y))
 
 
 def _arctan_trace(wa: np.ndarray, wb: np.ndarray, s: float, eps: float) -> float:
@@ -185,36 +185,30 @@ def _arctan_trace(wa: np.ndarray, wb: np.ndarray, s: float, eps: float) -> float
     return float(np.arctan((wa - s) / eps).sum() - np.arctan((wb - s) / eps).sum()) / np.pi
 
 
-def xi_arctan(a, b, epsilon: float, grid) -> SampledCurve:
+def xi_arctan(pair: SpectralPair, epsilon: float, grid) -> SampledCurve:
     """Regularized route: (1/pi) tr[arctan((A-s)/eps) - arctan((B-s)/eps)]."""
     if epsilon <= 0:
         raise InputDomainError(f"need epsilon > 0, got {epsilon}")
     g = _as_grid(grid)
-    wa = eig_hermitian(as_hermitian(a, "A")).eigenvalues
-    wb = eig_hermitian(as_hermitian(b, "B")).eigenvalues
+    wa, wb = pair.left.eigenvalues, pair.right.eigenvalues
     ords = np.array([_arctan_trace(wa, wb, s, epsilon) for s in g])
     return SampledCurve(abscissae=g, ordinates=ords)
 
 
-def xi_arctan_extrapolated(a, b, epsilon: float, grid) -> SampledCurve:
+def xi_arctan_extrapolated(pair: SpectralPair, epsilon: float, grid) -> SampledCurve:
     """Two-term Richardson extrapolation of the arctan route over the
     geometric ladder (eps, eps/2); first-order in eps, so 2 xi_{e/2} - xi_e."""
-    coarse = xi_arctan(a, b, epsilon, grid)
-    fine = xi_arctan(a, b, epsilon / 2.0, grid)
+    coarse = xi_arctan(pair, epsilon, grid)
+    fine = xi_arctan(pair, epsilon / 2.0, grid)
     return SampledCurve(abscissae=coarse.abscissae,
                         ordinates=2.0 * fine.ordinates - coarse.ordinates)
 
 
-def xi_fourier_integrand(a, b, s: float, epsilon: float, x) -> np.ndarray:
-    """Integrand of the Fourier route at frequency x (continuous at 0,
-    where it takes the value i tr(A - B))."""
-    ea = eig_hermitian(as_hermitian(a, "A"))
-    eb = eig_hermitian(as_hermitian(b, "B"))
-    x = np.asarray(x, dtype=float)
-    return _fourier_integrand(ea.eigenvalues, eb.eigenvalues, s, epsilon, x)
-
-
-def _fourier_integrand(wa, wb, s, epsilon, x):
+def xi_fourier_integrand(pair: SpectralPair, s: float, epsilon: float, x) -> np.ndarray:
+    """Integrand e^{-isx - eps|x|} tr(e^{ixA} - e^{ixB}) / x of the Fourier
+    route at frequencies x (continuous at 0, where it takes the value
+    i tr(A - B))."""
+    wa, wb = pair.left.eigenvalues, pair.right.eigenvalues
     x = np.atleast_1d(np.asarray(x, dtype=float))
     tr_diff = (np.exp(1j * np.outer(x, wa)).sum(axis=1)
                - np.exp(1j * np.outer(x, wb)).sum(axis=1))
@@ -225,7 +219,8 @@ def _fourier_integrand(wa, wb, s, epsilon, x):
     return np.exp(-1j * s * x - epsilon * np.abs(x)) * core
 
 
-def xi_fourier(a, b, epsilon: float, grid, quad: QuadratureRule | None = None) -> SampledCurve:
+def xi_fourier(pair: SpectralPair, epsilon: float, grid,
+               quad: QuadratureRule | None = None) -> SampledCurve:
     """Oscillatory-integral route:
 
         xi_eps(s) = (1/2 pi i) int e^{-i s x - eps|x|} tr(e^{i x A} - e^{i x B}) / x dx.
@@ -241,27 +236,28 @@ def xi_fourier(a, b, epsilon: float, grid, quad: QuadratureRule | None = None) -
         quad = symmetric_open_rule(*DEFAULT_FOURIER_QUAD)
     quad.require_zero_free()
     g = _as_grid(grid)
-    wa = eig_hermitian(as_hermitian(a, "A")).eigenvalues
-    wb = eig_hermitian(as_hermitian(b, "B")).eigenvalues
     x = quad.nodes
-    tr_diff = (np.exp(1j * np.outer(x, wa)).sum(axis=1)
-               - np.exp(1j * np.outer(x, wb)).sum(axis=1))
-    coeff = quad.weights * np.exp(-epsilon * np.abs(x)) * tr_diff / x
+    coeff = quad.weights * xi_fourier_integrand(pair, 0.0, epsilon, x)
     rows = max(1, FOURIER_BLOCK_ELEMENTS // x.size)
     ords = np.concatenate([np.exp(-1j * np.outer(g[i:i + rows], x)) @ coeff
                            for i in range(0, g.size, rows)]) / (2j * np.pi)
     return SampledCurve(abscissae=g, ordinates=ords.real)
 
 
-def rank_one_cauchy_transform(eb: EigenSystem, w, z: complex) -> complex:
-    """F(z) = sum_i |<v_i, w>|^2 / (mu_i - z) over the eigenpairs of B."""
+def rank_one_cauchy_transform(eb: EigenSystem, w, z):
+    """F(z) = sum_i |<v_i, w>|^2 / (mu_i - z) over the eigenpairs of B:
+    a complex number for scalar z, an array of the shape of z otherwise."""
     w = np.asarray(w, dtype=np.complex128)
     weights = np.abs(eb.unitary.conj().T @ w) ** 2
-    return complex(np.sum(weights / (eb.eigenvalues - z)))
+    z = np.asarray(z)
+    f = np.sum(weights / (eb.eigenvalues - z[..., None]), axis=-1)
+    return complex(f) if f.ndim == 0 else f
 
 
-def xi_rank_one(b, w, alpha: float, grid, eta: float = DEFAULT_ETA) -> SampledCurve:
-    """Boundary-argument route for A = B + alpha (., w) w:
+def xi_rank_one(eb: EigenSystem, w, alpha: float, grid,
+                eta: float = DEFAULT_ETA) -> SampledCurve:
+    """Boundary-argument route for A = B + alpha (., w) w, from the
+    eigensystem `eb` of B:
 
         xi(x) ~= (1/pi) Arg(1 + alpha F(x + i eta)),  Arg in [0, 2 pi),
 
@@ -277,11 +273,7 @@ def xi_rank_one(b, w, alpha: float, grid, eta: float = DEFAULT_ETA) -> SampledCu
     if abs(norm - 1.0) > 1e-10:
         raise InputDomainError(f"w must be a unit vector, |w| = {norm!r}")
     g = _as_grid(grid)
-    eb = eig_hermitian(as_hermitian(b, "B"))
-    weights = np.abs(eb.unitary.conj().T @ w) ** 2
-    f_vals = np.sum(weights[None, :] / (eb.eigenvalues[None, :] - g[:, None] - 1j * eta),
-                    axis=1)
-    ang = np.angle(1.0 + alpha * f_vals)
+    ang = np.angle(1.0 + alpha * rank_one_cauchy_transform(eb, w, g + 1j * eta))
     ang = np.where(ang < 0, ang + 2.0 * np.pi, ang)
     return SampledCurve(abscissae=g, ordinates=ang / np.pi)
 
@@ -340,28 +332,22 @@ class TraceFormulaResult:
         return abs(self.lhs - self.rhs)
 
 
-def trace_formula_check(a, b, f, f_prime=None) -> TraceFormulaResult:
+def trace_formula_check(pair: SpectralPair, f) -> TraceFormulaResult:
     """Compare tr(f(A) - f(B)) with the exact integral of f' against the
-    counting-function xi (computed from the antiderivative f, so f_prime
-    is accepted for signature symmetry but not needed)."""
-    ea = eig_hermitian(as_hermitian(a, "A"))
-    eb = eig_hermitian(as_hermitian(b, "B"))
-    lhs = complex(np.trace(apply_function(ea, f) - apply_function(eb, f)))
-    xi = xi_counting(a, b)
-    rhs = xi.integrate_derivative(f)
-    return TraceFormulaResult(lhs=lhs, rhs=rhs)
+    counting-function xi, computed from the antiderivative f itself."""
+    lhs = complex(np.trace(apply_function(pair.left, f) - apply_function(pair.right, f)))
+    return TraceFormulaResult(lhs=lhs, rhs=xi_counting(pair).integrate_derivative(f))
 
 
-def resolvent_identity_check(a, b, z: complex) -> float:
+def resolvent_identity_check(pair: SpectralPair, z: complex) -> float:
     """Gap in tr((A-z)^-1 - (B-z)^-1) = -int xi(l)/(l-z)^2 dl, both sides
     in closed form.  Requires Im z != 0."""
     z = complex(z)
     if z.imag == 0.0:
         raise InputDomainError("z must have nonzero imaginary part")
-    wa = eig_hermitian(as_hermitian(a, "A")).eigenvalues
-    wb = eig_hermitian(as_hermitian(b, "B")).eigenvalues
+    wa, wb = pair.left.eigenvalues, pair.right.eigenvalues
     lhs = np.sum(1.0 / (wa - z)) - np.sum(1.0 / (wb - z))
-    rhs = -xi_counting(a, b).resolvent_integral(z)
+    rhs = -xi_counting(pair).resolvent_integral(z)
     return float(abs(lhs - rhs))
 
 

@@ -11,7 +11,9 @@ reported on stderr, not in the file.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -56,15 +58,26 @@ class ScenarioConfig:
         if self.command not in COMMANDS:
             raise ConfigError(f"command: unknown command {self.command!r}, "
                               f"expected one of {', '.join(COMMANDS)}")
+        if not isinstance(self.dims, (list, tuple)) or not self.dims:
+            raise ConfigError(f"dims: expected a non-empty list of integers, got {self.dims!r}")
+        counts = [("trials", self.trials), ("n", self.n), ("terms", self.terms),
+                  *(("dims", d) for d in self.dims)]
+        for key, value in counts:
+            if not isinstance(value, Integral) or isinstance(value, bool) or value < 1:
+                raise ConfigError(f"{key}: expected an integer >= 1, got {value!r}")
         self.dims = [int(d) for d in self.dims]
-        if not self.dims or min(self.dims) < 1:
-            raise ConfigError("dims: every dimension must be >= 1")
         self.seed = int(self.seed) & (2**64 - 1)
-        if self.trials < 1:
-            raise ConfigError("trials: must be >= 1")
+        if not isinstance(self.tolerances, dict):
+            raise ConfigError(f"tolerances: expected an object, got {self.tolerances!r}")
         unknown_tols = set(self.tolerances) - set(TOLERANCE_DEFAULTS)
         if unknown_tols:
             raise ConfigError(f"tolerances: unknown names {sorted(unknown_tols)}")
+        scales = [("epsilon", self.epsilon), ("eta", self.eta), ("alpha", self.alpha),
+                  *((f"tolerances.{k}", v) for k, v in self.tolerances.items())]
+        for key, value in scales:
+            if (not isinstance(value, Real) or isinstance(value, bool)
+                    or not (value > 0 and math.isfinite(value))):
+                raise ConfigError(f"{key}: expected a finite number > 0, got {value!r}")
 
     @classmethod
     def from_dict(cls, raw: dict, overrides: dict | None = None) -> "ScenarioConfig":
@@ -200,7 +213,7 @@ def check_apply_function_additive(cfg):
 def check_doi_identity_transformer(cfg):
     worst = 0.0
     for _, rng, a, b in _pairs(cfg, "suite-doi-id"):
-        pair = doi.SpectralPair(eig_hermitian(a), eig_hermitian(b))
+        pair = doi.make_spectral_pair(a, b)
         sym = doi.symbol_from_function(pair, lambda lam, mu: np.ones_like(lam * mu, dtype=complex))
         t = random_complex(rng, (pair.dim, pair.dim))
         worst = max(worst, np.abs(doi.doi_apply(pair, sym, t) - t).max())
@@ -210,7 +223,7 @@ def check_doi_identity_transformer(cfg):
 def check_doi_localization(cfg):
     worst = 0.0
     for _, rng, a, b in _pairs(cfg, "suite-doi-loc"):
-        pair = doi.SpectralPair(eig_hermitian(a), eig_hermitian(b))
+        pair = doi.make_spectral_pair(a, b)
         sym = doi.symbol_from_function(pair, lambda lam, mu: np.sin(lam) + 1j * np.cos(mu))
         mask_l = pair.left.eigenvalues <= float(rng.uniform(-1, 1))
         mask_r = pair.right.eigenvalues > float(rng.uniform(-1, 1))
@@ -227,7 +240,7 @@ def check_doi_localization(cfg):
 def check_doi_divided_difference(cfg):
     worst = 0.0
     for _, rng, a, b in _pairs(cfg, "suite-doi-dd"):
-        pair = doi.SpectralPair(eig_hermitian(a), eig_hermitian(b))
+        pair = doi.make_spectral_pair(a, b)
         sym = doi.divided_difference_symbol(pair, lambda x: x**2, lambda x: 2 * x)
         lhs = doi.doi_apply(pair, sym, a - b)
         scale = max(np.abs(a @ a - b @ b).max(), 1.0)
@@ -242,8 +255,7 @@ def check_doi_hs_norm(cfg):
     for trial in range(trials):
         rng = substream(cfg.seed, "suite-doi-hs", trial)
         dim = min(cfg.dims[trial % len(cfg.dims)], 8)
-        pair = doi.SpectralPair(eig_hermitian(random_hermitian(rng, dim)),
-                                eig_hermitian(random_hermitian(rng, dim)))
+        pair = doi.make_spectral_pair(random_hermitian(rng, dim), random_hermitian(rng, dim))
         sym = doi.SymbolGrid(values=random_complex(rng, (dim, dim)),
                              left_nodes=pair.left.eigenvalues,
                              right_nodes=pair.right.eigenvalues)
@@ -267,7 +279,7 @@ def check_doi_fourier_cross_route(cfg):
     rng = substream(cfg.seed, "suite-doi-fourier")
     dim = min(max(cfg.dims), 6)
     a, b = random_hermitian(rng, dim), random_hermitian(rng, dim)
-    pair = doi.SpectralPair(eig_hermitian(a), eig_hermitian(b))
+    pair = doi.make_spectral_pair(a, b)
     t = random_complex(rng, (dim, dim))
     quad = trapezoid_rule(cfg.quad_half_width or 40.0, cfg.quad_nodes or 4000)
     via_time = doi.doi_fourier(pair, lambda s: np.exp(-np.abs(s)), t, quad)
@@ -281,7 +293,7 @@ def check_doi_fourier_norm_mass(cfg):
     quad = trapezoid_rule(40.0, 2000)
     worst = 0.0
     for _, rng, a, b in _pairs(cfg, "suite-doi-mass"):
-        pair = doi.SpectralPair(eig_hermitian(a), eig_hermitian(b))
+        pair = doi.make_spectral_pair(a, b)
         t = random_complex(rng, (pair.dim, pair.dim))
         t /= operator_norm(t)
         out = doi.doi_fourier(pair, lambda s: np.exp(-np.abs(s)), t, quad)
@@ -293,7 +305,7 @@ def check_doi_fourier_norm_mass(cfg):
 def check_peller_bound(cfg):
     worst = -np.inf
     for _, rng, a, b in _pairs(cfg, "suite-peller"):
-        pair = doi.SpectralPair(eig_hermitian(a), eig_hermitian(b))
+        pair = doi.make_spectral_pair(a, b)
         k = int(rng.integers(1, 4))
         d = doi.Decomposition(alphas=random_complex(rng, (k, pair.dim)),
                               betas=random_complex(rng, (k, pair.dim)),
@@ -312,8 +324,8 @@ def check_triangular_truncation(cfg):
     for dim in cfg.dims:
         if dim < 2:
             continue
-        pair = doi.SpectralPair(eig_hermitian(np.diag(np.arange(1.0, dim + 1))),
-                                eig_hermitian(np.diag(np.arange(1.0, dim + 1))))
+        d = np.diag(np.arange(1.0, dim + 1))
+        pair = doi.make_spectral_pair(d, d)
         sym = doi.triangular_truncation_symbol(pair)
         worst = max(worst, abs(doi.hs_multiplier_norm(pair, sym) - 1.0))
         rng = substream(cfg.seed, "suite-tri", dim)
@@ -360,7 +372,7 @@ def check_trace_formula(cfg):
         mu = shift.AtomicMeasure(points=rng.uniform(0.3, 2.5, 3) * rng.choice([-1, 1], 3),
                                  weights=rng.uniform(0.2, 1.5, 3))
         f, _ = shift.admissible_f(mu)
-        res = shift.trace_formula_check(a, b, f)
+        res = shift.trace_formula_check(doi.make_spectral_pair(a, b), f)
         worst = max(worst, res.gap / (1.0 + abs(res.lhs)))
     return _bounded("shift.krein_trace_formula", worst, 1e-9)
 
@@ -368,36 +380,35 @@ def check_trace_formula(cfg):
 def check_shift_properties(cfg):
     worst = 0.0
     for trial, rng, a, b in _pairs(cfg, "suite-props"):
-        xi = shift.xi_counting(a, b)
+        pair = doi.make_spectral_pair(a, b)
+        xi = shift.xi_counting(pair)
         worst = max(worst, abs(xi.integral() - np.trace(a - b).real))
         worst = max(worst, xi.l1() - trace_norm(a - b))
         g = random_complex(rng, a.shape)
         a_pos = b + g @ g.conj().T
-        xi_pos = shift.xi_counting(a_pos, b)
+        xi_pos = shift.xi_counting(doi.SpectralPair(eig_hermitian(a_pos), pair.right))
         if not xi_pos.is_zero and xi_pos.values.min() < 0:
             worst = np.inf
         sup = xi.support()
         if sup is not None:
-            wa = eig_hermitian(a).eigenvalues
-            wb = eig_hermitian(b).eigenvalues
+            wa, wb = pair.left.eigenvalues, pair.right.eigenvalues
             worst = max(worst, min(wa.min(), wb.min()) - sup[0])
             worst = max(worst, sup[1] - max(wa.max(), wb.max()))
     return _bounded("shift.properties_a_to_d", worst, cfg.tolerance("algebraic"))
 
 
 def check_route_agreement(cfg):
-    a = np.array([[1.0]])
-    b = np.array([[0.0]])
+    pair = doi.make_spectral_pair(np.array([[1.0]]), np.array([[0.0]]))
     grid = cfg.grid_array()
     eps = cfg.epsilon
     evs = np.array([0.0, 1.0])
     keep = np.abs(grid[:, None] - evs[None, :]).min(axis=1) >= 2 * cfg.tolerance("boundary")
     grid = grid[keep]
-    truth = shift.xi_counting(a, b)(grid)
-    arc = shift.xi_arctan(a, b, eps, grid).ordinates
+    truth = shift.xi_counting(pair)(grid)
+    arc = shift.xi_arctan(pair, eps, grid).ordinates
     half_width = max(200.0, 6.0 / eps)
     nodes = cfg.quad_nodes or 2 * int(half_width / 0.025)  # ~0.025 node spacing
-    fou = shift.xi_fourier(a, b, eps, grid, symmetric_open_rule(half_width, nodes)).ordinates
+    fou = shift.xi_fourier(pair, eps, grid, symmetric_open_rule(half_width, nodes)).ordinates
     err = max(np.abs(arc - truth).max(), np.abs(fou - truth).max())
     return _bounded("shift.route_agreement_canonical_pair", err, cfg.tolerance("boundary"),
                     note=f"epsilon={eps}, grid points >= 2x boundary tol from eigenvalues")
@@ -409,12 +420,12 @@ def check_rank_one_route(cfg):
     b = random_hermitian(rng, dim)
     w = random_unit_vector(rng, dim)
     alpha = float(rng.uniform(0.3, 2.0))
-    a = b + alpha * np.outer(w, w.conj())
-    evs = np.concatenate([eig_hermitian(a).eigenvalues, eig_hermitian(b).eigenvalues])
+    pair = doi.make_spectral_pair(b + alpha * np.outer(w, w.conj()), b)
+    evs = np.concatenate([pair.left.eigenvalues, pair.right.eigenvalues])
     grid = np.linspace(evs.min() - 1, evs.max() + 1, 60)
     grid = grid[np.abs(grid[:, None] - evs[None, :]).min(axis=1) >= cfg.tolerance("boundary")]
-    curve = shift.xi_rank_one(b, w, alpha, grid, eta=cfg.eta)
-    truth = shift.xi_counting(a, b)(grid)
+    curve = shift.xi_rank_one(pair.right, w, alpha, grid, eta=cfg.eta)
+    truth = shift.xi_counting(pair)(grid)
     return _bounded("shift.rank_one_argument_route", np.abs(curve.ordinates - truth).max(),
                     cfg.tolerance("boundary"))
 
@@ -422,7 +433,8 @@ def check_rank_one_route(cfg):
 def check_resolvent_identity(cfg):
     worst = 0.0
     for _, rng, a, b in _pairs(cfg, "suite-resolvent"):
-        worst = max(worst, shift.resolvent_identity_check(a, b, 0.3 + 0.7j))
+        worst = max(worst, shift.resolvent_identity_check(doi.make_spectral_pair(a, b),
+                                                          0.3 + 0.7j))
     return _bounded("shift.resolvent_trace_identity", worst, 1e-12)
 
 

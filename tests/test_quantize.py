@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -209,6 +210,21 @@ def test_cotlar_seeded_decompositions_hold():
         terms = [(random_complex(rng, n), random_complex(rng, n)) for _ in range(k)]
         report = qz.cotlar_stein_bound(qz.cycle_space(n), terms)
         assert report.holds
+
+
+@pytest.mark.parametrize("terms, name", [
+    ([(np.ones(4), np.ones(4)), (np.ones(3), np.ones(4))], "f_1"),
+    ([(np.ones(4), np.ones((4, 2)))], "g_0"),
+])
+def test_cotlar_rejects_malformed_terms(terms, name):
+    with pytest.raises(errors.InputDomainError, match=rf"^{name} must be a length-4 vector"):
+        qz.cotlar_stein_bound(qz.cycle_space(4), terms)
+
+
+def test_cycle_space_builds_dft_on_demand():
+    space = qz.cycle_space(4)
+    assert [f.name for f in dataclasses.fields(space)] == ["n"]
+    assert np.array_equal(space.dft, linalg.dft_unitary(4))
 
 
 def test_cotlar_report_json():

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opint import errors, shift
+from opint.doi import make_spectral_pair
 from opint.linalg import eig_hermitian, schatten_norm, trace_norm
 from opint.quadrature import symmetric_open_rule, trapezoid_rule
 from opint.rng import random_complex, random_hermitian, random_unit_vector, substream
@@ -25,13 +26,13 @@ def seeded_measure(seed, trial=0, atoms=3):
 
 def test_xi_counting_equal_pair_is_zero():
     h = random_hermitian(substream(1, "shift-eq"), 4)
-    xi = shift.xi_counting(h, h)
+    xi = shift.xi_counting(make_spectral_pair(h, h))
     assert xi.is_zero
     assert xi.integral() == 0.0
 
 
 def test_xi_counting_scalar_interval():
-    xi = shift.xi_counting(np.array([[1.0]]), np.array([[0.0]]))
+    xi = shift.xi_counting(make_spectral_pair(np.array([[1.0]]), np.array([[0.0]])))
     np.testing.assert_allclose(xi.breakpoints, [0.0, 1.0], atol=0)
     np.testing.assert_allclose(xi.values, [1], atol=0)
     assert xi(np.array([0.5]))[0] == 1
@@ -43,7 +44,7 @@ def test_xi_counting_integral_is_trace_difference():
     for trial in range(200):
         dim = 2 + trial % 5
         a, b = seeded_pair(2, dim, trial)
-        xi = shift.xi_counting(a, b)
+        xi = shift.xi_counting(make_spectral_pair(a, b))
         assert abs(xi.integral() - np.trace(a - b).real) <= 1e-10
 
 
@@ -53,7 +54,7 @@ def test_xi_counting_l1_is_sorted_pairing_distance():
         a, b = seeded_pair(3, dim, trial)
         wa = eig_hermitian(a).eigenvalues
         wb = eig_hermitian(b).eigenvalues
-        xi = shift.xi_counting(a, b)
+        xi = shift.xi_counting(make_spectral_pair(a, b))
         assert xi.l1() == pytest.approx(np.abs(wa - wb).sum(), abs=1e-9)
         assert xi.l1() <= trace_norm(a - b) + 1e-9
 
@@ -65,7 +66,7 @@ def test_xi_counting_positive_perturbation_nonnegative():
         b = random_hermitian(rng, dim)
         g = random_complex(rng, (dim, dim))
         a = b + g @ g.conj().T  # PSD bump, so B <= A
-        xi = shift.xi_counting(a, b)
+        xi = shift.xi_counting(make_spectral_pair(a, b))
         assert (xi.values >= 0).all()
 
 
@@ -73,7 +74,7 @@ def test_xi_counting_support_inside_joint_interval():
     for trial in range(50):
         dim = 2 + trial % 5
         a, b = seeded_pair(5, dim, trial)
-        xi = shift.xi_counting(a, b)
+        xi = shift.xi_counting(make_spectral_pair(a, b))
         wa = eig_hermitian(a).eigenvalues
         wb = eig_hermitian(b).eigenvalues
         lo, hi = xi.support()
@@ -103,12 +104,13 @@ def test_shift_function_l1_distance():
 
 def test_xi_arctan_equal_pair_zero():
     h = random_hermitian(substream(6, "shift-arceq"), 3)
-    curve = shift.xi_arctan(h, h, 1e-2, np.linspace(-2, 2, 11))
+    curve = shift.xi_arctan(make_spectral_pair(h, h), 1e-2, np.linspace(-2, 2, 11))
     np.testing.assert_allclose(curve.ordinates, 0.0, atol=1e-13)
 
 
 def test_xi_arctan_scalar_sharp_limit():
-    curve = shift.xi_arctan(np.array([[1.0]]), np.array([[0.0]]), 1e-3, np.array([0.5]))
+    curve = shift.xi_arctan(make_spectral_pair(np.array([[1.0]]), np.array([[0.0]])), 1e-3,
+                            np.array([0.5]))
     expected = (np.arctan(500.0) - np.arctan(-500.0)) / np.pi
     assert curve.ordinates[0] == pytest.approx(expected, abs=1e-15)
     assert abs(curve.ordinates[0] - 1.0) <= 2e-3
@@ -121,7 +123,7 @@ def test_xi_arctan_trace_bound():
         a, b = seeded_pair(7, dim, trial)
         eps = float(rng.uniform(0.01, 0.5))
         s = float(rng.uniform(-3, 3))
-        val = shift.xi_arctan(a, b, eps, np.array([s])).ordinates[0]
+        val = shift.xi_arctan(make_spectral_pair(a, b), eps, np.array([s])).ordinates[0]
         assert abs(val) <= trace_norm(a - b) / (np.pi * eps) + 1e-12
 
 
@@ -142,8 +144,8 @@ def test_arctan_trace_matches_functional_calculus_trace():
 
 def test_harmonic_h_equals_arctan_route():
     a, b = seeded_pair(8, 4)
-    val = shift.harmonic_h(a, b, 0.3, 0.05)
-    curve = shift.xi_arctan(a, b, 0.05, np.array([0.3]))
+    val = shift.harmonic_h(make_spectral_pair(a, b), 0.3, 0.05)
+    curve = shift.xi_arctan(make_spectral_pair(a, b), 0.05, np.array([0.3]))
     assert val == pytest.approx(curve.ordinates[0], abs=1e-14)
 
 
@@ -153,11 +155,11 @@ def test_harmonic_h_large_y_integral_limit():
         a, b = seeded_pair(9, dim, trial)
         scale = max(np.abs(eig_hermitian(a).eigenvalues).max(),
                     np.abs(eig_hermitian(b).eigenvalues).max(), 1e-9)
-        xi_int = shift.xi_counting(a, b).integral()
+        xi_int = shift.xi_counting(make_spectral_pair(a, b)).integral()
         rng = substream(9, "shift-largey", trial)
         x = float(rng.uniform(-scale, scale))
         for y in (100.0 * scale, 300.0 * scale):
-            h = shift.harmonic_h(a, b, x, y)
+            h = shift.harmonic_h(make_spectral_pair(a, b), x, y)
             assert abs(np.pi * y * h - xi_int) <= 10.0 * scale**2 / y
 
 
@@ -171,25 +173,25 @@ def test_harmonic_h_rank_one_in_unit_interval():
         a = b + alpha * np.outer(w, w.conj())
         x = float(rng.uniform(-4, 4))
         y = float(rng.uniform(0.05, 5.0))
-        h = shift.harmonic_h(a, b, x, y)
+        h = shift.harmonic_h(make_spectral_pair(a, b), x, y)
         assert 0.0 < h < 1.0
 
 
 def test_harmonic_h_rejects_bad_y():
     with pytest.raises(errors.InputDomainError):
-        shift.harmonic_h(np.eye(2), np.eye(2), 0.0, 0.0)
+        shift.harmonic_h(make_spectral_pair(np.eye(2), np.eye(2)), 0.0, 0.0)
 
 
 def test_harmonic_h_five_point_laplacian_quartic_decay():
-    a, b = seeded_pair(11, 4)
+    pair = make_spectral_pair(*seeded_pair(11, 4))
     centers = [(x, y) for x in np.linspace(-1.5, 1.5, 5) for y in (1.0, 1.6)]
 
     def residual_sum(dg):
         tot = 0.0
         for x, y in centers:
-            stencil = (shift.harmonic_h(a, b, x + dg, y) + shift.harmonic_h(a, b, x - dg, y)
-                       + shift.harmonic_h(a, b, x, y + dg) + shift.harmonic_h(a, b, x, y - dg)
-                       - 4.0 * shift.harmonic_h(a, b, x, y))
+            stencil = (shift.harmonic_h(pair, x + dg, y) + shift.harmonic_h(pair, x - dg, y)
+                       + shift.harmonic_h(pair, x, y + dg) + shift.harmonic_h(pair, x, y - dg)
+                       - 4.0 * shift.harmonic_h(pair, x, y))
             tot += abs(stencil)
         return tot
 
@@ -202,9 +204,9 @@ def test_xi_arctan_extrapolated_beats_plain():
     a = np.array([[1.0]])
     b = np.array([[0.0]])
     grid = np.array([-0.4, 0.3, 0.62, 1.5])
-    truth = shift.xi_counting(a, b)(grid)
-    plain = shift.xi_arctan(a, b, 0.02, grid).ordinates
-    extra = shift.xi_arctan_extrapolated(a, b, 0.02, grid).ordinates
+    truth = shift.xi_counting(make_spectral_pair(a, b))(grid)
+    plain = shift.xi_arctan(make_spectral_pair(a, b), 0.02, grid).ordinates
+    extra = shift.xi_arctan_extrapolated(make_spectral_pair(a, b), 0.02, grid).ordinates
     assert np.abs(extra - truth).max() < np.abs(plain - truth).max()
 
 
@@ -213,13 +215,13 @@ def test_xi_arctan_extrapolated_beats_plain():
 
 def test_xi_fourier_equal_pair_zero():
     h = random_hermitian(substream(12, "shift-feq"), 3)
-    curve = shift.xi_fourier(h, h, 0.01, np.linspace(-2, 2, 7))
+    curve = shift.xi_fourier(make_spectral_pair(h, h), 0.01, np.linspace(-2, 2, 7))
     np.testing.assert_allclose(curve.ordinates, 0.0, atol=1e-12)
 
 
 def test_xi_fourier_scalar_matches_counting():
     grid = np.array([-0.5, -0.15, 0.2, 0.5, 0.8, 1.15, 1.5])
-    curve = shift.xi_fourier(np.array([[1.0]]), np.array([[0.0]]), 0.01, grid,
+    curve = shift.xi_fourier(make_spectral_pair(np.array([[1.0]]), np.array([[0.0]])), 0.01, grid,
                              symmetric_open_rule(200.0, 8000))
     truth = np.array([0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0])
     assert np.abs(curve.ordinates - truth).max() <= 0.05
@@ -227,16 +229,17 @@ def test_xi_fourier_scalar_matches_counting():
 
 def test_xi_fourier_integrand_continuous_at_zero():
     a, b = seeded_pair(13, 3)
+    pair = make_spectral_pair(a, b)
     limit = 1j * np.trace(a - b)
-    val = shift.xi_fourier_integrand(a, b, s=0.7, epsilon=0.01, x=np.array([1e-6]))[0]
+    val = shift.xi_fourier_integrand(pair, s=0.7, epsilon=0.01, x=np.array([1e-6]))[0]
     assert abs(val - limit) <= 1e-4
-    at_zero = shift.xi_fourier_integrand(a, b, s=0.7, epsilon=0.01, x=np.array([0.0]))[0]
+    at_zero = shift.xi_fourier_integrand(pair, s=0.7, epsilon=0.01, x=np.array([0.0]))[0]
     assert at_zero == pytest.approx(limit, abs=1e-14)
 
 
 def test_xi_fourier_rejects_zero_node():
     with pytest.raises(errors.ConfigError, match="node at exactly 0"):
-        shift.xi_fourier(np.eye(2), np.zeros((2, 2)), 0.01, np.array([0.0]),
+        shift.xi_fourier(make_spectral_pair(np.eye(2), np.zeros((2, 2))), 0.01, np.array([0.0]),
                          trapezoid_rule(10.0, 21))  # odd count puts a node at 0
 
 
@@ -244,8 +247,9 @@ def test_xi_fourier_agrees_with_arctan_route():
     a, b = seeded_pair(14, 4)
     grid = np.linspace(-3, 3, 31)
     eps = 0.05
-    arc = shift.xi_arctan(a, b, eps, grid).ordinates
-    fou = shift.xi_fourier(a, b, eps, grid, symmetric_open_rule(400.0, 32000)).ordinates
+    pair = make_spectral_pair(a, b)
+    arc = shift.xi_arctan(pair, eps, grid).ordinates
+    fou = shift.xi_fourier(pair, eps, grid, symmetric_open_rule(400.0, 32000)).ordinates
     assert np.abs(arc - fou).max() <= 5e-4
 
 
@@ -253,7 +257,7 @@ def test_xi_fourier_agrees_with_arctan_route():
 
 
 def test_xi_rank_one_scalar_closed_form():
-    curve = shift.xi_rank_one(np.array([[0.0]]), np.array([1.0 + 0j]), 1.0,
+    curve = shift.xi_rank_one(eig_hermitian(np.array([[0.0]])), np.array([1.0 + 0j]), 1.0,
                               np.array([0.5]), eta=1e-9)
     assert curve.ordinates[0] == pytest.approx(1.0, abs=1e-6)
 
@@ -269,8 +273,8 @@ def test_xi_rank_one_matches_counting():
         evs = np.concatenate([eig_hermitian(a).eigenvalues, eig_hermitian(b).eigenvalues])
         grid = np.linspace(evs.min() - 1, evs.max() + 1, 80)
         grid = grid[np.abs(grid[:, None] - evs[None, :]).min(axis=1) >= 0.05]
-        curve = shift.xi_rank_one(b, w, alpha, grid, eta=1e-6)
-        truth = shift.xi_counting(a, b)(grid)
+        curve = shift.xi_rank_one(eig_hermitian(b), w, alpha, grid, eta=1e-6)
+        truth = shift.xi_counting(make_spectral_pair(a, b))(grid)
         assert np.abs(curve.ordinates - truth).max() <= 0.05
 
 
@@ -280,12 +284,12 @@ def test_xi_rank_one_small_alpha_vanishes():
     w = random_unit_vector(rng, 4)
     grid = np.linspace(-3, 3, 21)
     grid = grid[np.abs(grid[:, None] - eig_hermitian(b).eigenvalues[None, :]).min(axis=1) > 0.2]
-    curve = shift.xi_rank_one(b, w, 1e-9, grid, eta=1e-4)
+    curve = shift.xi_rank_one(eig_hermitian(b), w, 1e-9, grid, eta=1e-4)
     assert np.abs(curve.ordinates).max() <= 1e-3
 
 
 def test_xi_rank_one_validates_input():
-    b = np.zeros((2, 2))
+    b = eig_hermitian(np.zeros((2, 2)))
     with pytest.raises(errors.InputDomainError, match="unit"):
         shift.xi_rank_one(b, np.array([1.0, 1.0]), 1.0, np.array([0.0]))
     with pytest.raises(errors.InputDomainError, match="eta"):
@@ -334,9 +338,9 @@ def test_rank_k_truncation_l1_convergence():
     ws = [random_unit_vector(rng, dim) for _ in range(k)]
     alphas = rng.uniform(-1.5, 1.5, k)
     perturbations = [al * np.outer(w, w.conj()) for al, w in zip(alphas, ws)]
-    xi_full = shift.xi_counting(b + sum(perturbations), b)
+    xi_full = shift.xi_counting(make_spectral_pair(b + sum(perturbations), b))
     for j in range(k):
-        xi_j = shift.xi_counting(b + sum(perturbations[: j + 1]), b)
+        xi_j = shift.xi_counting(make_spectral_pair(b + sum(perturbations[: j + 1]), b))
         tail = np.abs(alphas[j + 1:]).sum()
         assert xi_j.l1_distance(xi_full) <= tail + 1e-9
 
@@ -390,20 +394,21 @@ def test_trace_class_bound_for_admissible_f():
 
 def test_trace_formula_identity_function():
     a, b = seeded_pair(23, 5)
-    res = shift.trace_formula_check(a, b, lambda x: x.astype(complex))
+    res = shift.trace_formula_check(make_spectral_pair(a, b), lambda x: x.astype(complex))
     assert res.lhs == pytest.approx(np.trace(a - b), abs=1e-12)
     assert res.gap <= 1e-11
 
 
 def test_trace_formula_constant_function():
     a, b = seeded_pair(24, 4)
-    res = shift.trace_formula_check(a, b, lambda x: np.full_like(x, 3.7, dtype=complex))
+    res = shift.trace_formula_check(make_spectral_pair(a, b),
+                                    lambda x: np.full_like(x, 3.7, dtype=complex))
     assert abs(res.lhs) <= 1e-12
     assert abs(res.rhs) <= 1e-12
 
 
 def test_trace_formula_square_example():
-    res = shift.trace_formula_check(np.diag([1.0, 2.0]), np.diag([0.0, 1.0]),
+    res = shift.trace_formula_check(make_spectral_pair(np.diag([1.0, 2.0]), np.diag([0.0, 1.0])),
                                     lambda x: x.astype(complex) ** 2)
     assert res.lhs == pytest.approx(4.0, abs=1e-12)
     assert res.rhs == pytest.approx(4.0, abs=1e-12)
@@ -418,7 +423,7 @@ def test_trace_formula_admissible_f_property(seed):
     b = random_hermitian(rng, dim)
     mu = shift.AtomicMeasure(points=rng.uniform(0.3, 2.0, 2), weights=rng.uniform(0.2, 1.0, 2))
     f, _ = shift.admissible_f(mu)
-    res = shift.trace_formula_check(a, b, f)
+    res = shift.trace_formula_check(make_spectral_pair(a, b), f)
     assert res.gap <= 1e-9 * (1.0 + abs(res.lhs))
 
 
@@ -427,23 +432,25 @@ def test_trace_formula_admissible_f_property(seed):
 
 def test_resolvent_identity_equal_pair():
     h = random_hermitian(substream(25, "shift-res"), 3)
-    assert shift.resolvent_identity_check(h, h, 0.5 + 0.5j) == pytest.approx(0.0, abs=1e-14)
+    gap = shift.resolvent_identity_check(make_spectral_pair(h, h), 0.5 + 0.5j)
+    assert gap == pytest.approx(0.0, abs=1e-14)
 
 
 def test_resolvent_identity_scalar():
-    assert shift.resolvent_identity_check(np.array([[1.0]]), np.array([[0.0]]), 1j) <= 1e-14
+    pair = make_spectral_pair(np.array([[1.0]]), np.array([[0.0]]))
+    assert shift.resolvent_identity_check(pair, 1j) <= 1e-14
 
 
 def test_resolvent_identity_seeded():
     for trial in range(50):
         a, b = seeded_pair(26, 5, trial)
-        gap = shift.resolvent_identity_check(a, b, 0.3 + 0.7j)
+        gap = shift.resolvent_identity_check(make_spectral_pair(a, b), 0.3 + 0.7j)
         assert gap <= 1e-12
 
 
 def test_resolvent_identity_rejects_real_z():
     with pytest.raises(errors.InputDomainError):
-        shift.resolvent_identity_check(np.eye(2), np.eye(2), 1.0)
+        shift.resolvent_identity_check(make_spectral_pair(np.eye(2), np.eye(2)), 1.0)
 
 
 # ---------------------------------------------------------------- arctan rep

@@ -4,10 +4,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import opint
 from opint import cli
+from opint.linalg import save_matrix
+from opint.rng import random_hermitian, substream
 from opint.suite import SUITE_CHECKS, ScenarioConfig, run_suite
 
 SRC = str(Path(opint.__file__).resolve().parent.parent)
@@ -75,3 +78,66 @@ def test_cli_missing_input_exits_3(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     assert cli.main(["--command", "shift", "--a", str(missing)]) == 3
     assert "file not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw, key", [
+    ({"trials": "3"}, "trials"),
+    ({"trials": True}, "trials"),
+    ({"n": 2.5}, "n"),
+    ({"terms": 0}, "terms"),
+    ({"dims": "42"}, "dims"),
+    ({"dims": [4, "2"]}, "dims"),
+    ({"tolerances": {"algebraic": -1}}, "tolerances.algebraic"),
+    ({"tolerances": {"boundary": float("nan")}}, "tolerances.boundary"),
+    ({"epsilon": 0}, "epsilon"),
+    ({"eta": "1e-6"}, "eta"),
+    ({"alpha": float("inf")}, "alpha"),
+])
+def test_cli_bad_config_value_exits_2_and_names_key(tmp_path, capsys, raw, key):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    assert cli.main(["--command", "shift", "--config", str(config)]) == 2
+    assert f"usage error: {key}: expected" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def shift_pair_files(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("shift-pair")
+    rng = substream(6, "test-cli-shift")
+    paths = [str(folder / "a.json"), str(folder / "b.json")]
+    for path in paths:
+        save_matrix(path, random_hermitian(rng, 6))
+    return paths
+
+
+@pytest.mark.parametrize("route", ["counting", "arctan", "fourier", "rank1"])
+def test_cli_shift_route_passes_and_diagonalizes_each_matrix_once(
+        tmp_path, monkeypatch, shift_pair_files, route):
+    # one eigendecomposition each for A and B, and one for A - B
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(*args, _original=getattr(np.linalg, name), **kwargs):
+            calls.append(_original.__name__)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    a, b = shift_pair_files
+    code = cli.main(["--command", "shift", "--route", route, "--a", a, "--b", b,
+                     "--eps", "0.002", "--quad-half-width", "4000", "--quad-nodes", "40000",
+                     "--out", str(tmp_path)])
+    assert code == 0
+    assert len(calls) <= 3, calls
+
+
+def test_package_and_suite_run_without_scipy(tmp_path):
+    # scipy may be installed, but the package is numpy-only
+    argv = ["--command", "suite", "--trials", "1", "--out", str(tmp_path)]
+    script = ("import sys, opint, opint.cli, opint.suite\n"
+              f"code = opint.cli.main({argv!r})\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+              "sys.exit(code)\n")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

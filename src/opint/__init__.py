@@ -34,7 +34,8 @@ from .shift import (AtomicMeasure, SampledCurve, ShiftFunction, admissible_f,
                     rank_one_cauchy_transform, resolvent_identity_check,
                     trace_formula_check, xi_arctan, xi_arctan_extrapolated,
                     xi_counting, xi_fourier, xi_fourier_integrand, xi_rank_one)
-from .sylvester import GapReport, kron_oracle, solve_gap, spectral_gap
+from .sylvester import (GapReport, GapSolution, gapped_solution, kron_oracle,
+                        solve_gap, spectral_gap)
 
 __version__ = "0.1.0"
 

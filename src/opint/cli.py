@@ -89,9 +89,16 @@ def _resolve_config(args) -> ScenarioConfig:
         "terms": args.terms,
     }
     if args.dims is not None:
-        overrides["dims"] = [int(d) for d in args.dims.split(",") if d]
+        try:
+            overrides["dims"] = [int(d) for d in args.dims.split(",") if d]
+        except ValueError as exc:
+            raise ConfigError(f"--dims: expected comma-separated integers, "
+                              f"got {args.dims!r}") from exc
     if args.p is not None:
-        overrides["p"] = float("inf") if args.p == "inf" else float(args.p)
+        try:
+            overrides["p"] = float(args.p)
+        except ValueError as exc:
+            raise ConfigError(f"--p: expected a number or 'inf', got {args.p!r}") from exc
     inputs = dict(raw.get("inputs", {}))
     for key, value in (("a", args.a), ("b", args.b), ("y", args.y)):
         if value is not None:

@@ -41,6 +41,19 @@ class QuadratureRule:
         if np.abs(self.nodes).min() == 0.0:
             raise ConfigError("quadrature places a node at exactly 0")
 
+    def require_uniform(self) -> tuple[float, float]:
+        """(x0, h) such that nodes[m] = x0 + h m to within 16 ulps of the
+        largest |node|, else `ConfigError`.  Both rules of this module build
+        such nodes, to within 2 ulps."""
+        x = self.nodes
+        x0 = float(x[0])
+        h = float(x[-1] - x0) / (x.size - 1) if x.size > 1 else 0.0
+        deviation = np.abs(x - (x0 + h * np.arange(x.size))).max()
+        if deviation > 16 * np.finfo(float).eps * np.abs(x).max():
+            raise ConfigError("quadrature nodes are not an arithmetic progression "
+                              f"(off by {deviation:.3e})")
+        return x0, h
+
     def integrate(self, sampler) -> complex:
         values = np.asarray(sampler(self.nodes))
         if not np.isfinite(values).all():

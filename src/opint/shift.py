@@ -11,10 +11,17 @@ converge to it as their regularization parameters shrink.
 Every route takes (A, B) diagonalized once, as one `doi.SpectralPair`
 (from `doi.make_spectral_pair`), which the double operator integrals take
 too; the rank-one route needs only B and takes B's `EigenSystem`.
+
+The Fourier route needs quadrature nodes in arithmetic progression,
+x_m = x0 + h m, and refuses others with `ConfigError`.  It splits each
+node index as m = B j + r with B = ceil(sqrt(M)), so every e^{i phi x_m}
+is a product of two factors from tables of about sqrt(M) columns, and
+its sums over the M nodes are matrix products.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +35,6 @@ DEFAULT_FOURIER_QUAD = (200.0, 8000)   # half-width, node count
 DEFAULT_ARCTAN_QUAD = (40.0, 32000)
 DEFAULT_EPSILON = 1e-2
 DEFAULT_ETA = 1e-6
-FOURIER_BLOCK_ELEMENTS = 1 << 20  # grid x nodes exponentials built per block
 
 
 @dataclass(frozen=True)
@@ -219,28 +225,60 @@ def xi_fourier_integrand(pair: SpectralPair, s: float, epsilon: float, x) -> np.
     return np.exp(-1j * s * x - epsilon * np.abs(x)) * core
 
 
+def _phase_split(phi: np.ndarray, x0: float, h: float, rows: int, cols: int):
+    """Factor tables of e^{i phi x_m} on the nodes x_m = x0 + h m, m = cols j + r:
+    e^{i phi x_m} = P[:, j] Q[:, r] with P = e^{i phi (x0 + h cols j)} and
+    Q = e^{i phi h r}, of shapes (len(phi), rows) and (len(phi), cols)."""
+    p = np.exp(1j * np.outer(phi, x0 + h * cols * np.arange(rows)))
+    q = np.exp(1j * np.outer(phi, h * np.arange(cols)))
+    return p, q
+
+
 def xi_fourier(pair: SpectralPair, epsilon: float, grid,
                quad: QuadratureRule | None = None) -> SampledCurve:
     """Oscillatory-integral route:
 
-        xi_eps(s) = (1/2 pi i) int e^{-i s x - eps|x|} tr(e^{i x A} - e^{i x B}) / x dx.
+        xi_eps(s) = (1/2 pi i) int e^{-i s x - eps|x|} tr(e^{i x A} - e^{i x B}) / x dx,
 
-    The quadrature must not place a node at 0 (the integrand is defined
-    there only by continuous extension).  Note the kernel orientation:
-    pairing e^{-isx} with tr(e^{+ixA} - e^{+ixB}) is what reproduces the
-    counting function; flipping both signs reproduces -xi.
+    summed over the M nodes of `quad`, which must be an arithmetic
+    progression x_m = x0 + h m (as both rules of `quadrature` are) and must
+    not place a node at 0 (the integrand is defined there only by
+    continuous extension); either fault raises `ConfigError`.  Note the
+    kernel orientation: pairing e^{-isx} with tr(e^{+ixA} - e^{+ixB}) is
+    what reproduces the counting function; flipping both signs
+    reproduces -xi.
+
+    Square-root phase split: with B = ceil(sqrt(M)) and m = B j + r,
+    e^{i phi x_m} = e^{i phi (x0 + h B j)} e^{i phi h r}.  The node traces
+    are then one (J x n)(n x B) product per operand and the grid sum one
+    (J x B)(B x G) product, and only O((G + n) sqrt(M)) exponentials are
+    formed.  With u the unit roundoff and X = max|x_m|, each exponential
+    has a phase error of at most about 4u|phi|X, phi a grid point or an
+    eigenvalue (2u from rounding, and for the rules of `quadrature` 2u
+    from the nodes' distance to the progression), so the ordinates are within
+    (4uX / 2 pi) [|s| sum_m |c_m| + (sum|eig A| + sum|eig B|) sum_m w_m / |x_m|]
+    of the exact node sum, where c_m = w_m xi_fourier_integrand(pair, 0,
+    eps, x_m).  The errors do not align: at n = 32, X = 4000 and
+    M = 40,000 the observed difference is 3e-14 to 5e-14.
     """
     if epsilon <= 0:
         raise InputDomainError(f"need epsilon > 0, got {epsilon}")
     if quad is None:
         quad = symmetric_open_rule(*DEFAULT_FOURIER_QUAD)
     quad.require_zero_free()
+    x0, h = quad.require_uniform()
     g = _as_grid(grid)
     x = quad.nodes
-    coeff = quad.weights * xi_fourier_integrand(pair, 0.0, epsilon, x)
-    rows = max(1, FOURIER_BLOCK_ELEMENTS // x.size)
-    ords = np.concatenate([np.exp(-1j * np.outer(g[i:i + rows], x)) @ coeff
-                           for i in range(0, g.size, rows)]) / (2j * np.pi)
+    cols = math.isqrt(x.size - 1) + 1  # B = ceil(sqrt(M))
+    rows = -(-x.size // cols)          # J = ceil(M / B); coeff is zero-padded to J B
+    pa, qa = _phase_split(pair.left.eigenvalues, x0, h, rows, cols)
+    pb, qb = _phase_split(pair.right.eigenvalues, x0, h, rows, cols)
+    tr_diff = (pa.T @ qa - pb.T @ qb).ravel()[:x.size]
+    coeff = np.zeros(rows * cols, dtype=np.complex128)
+    coeff[:x.size] = quad.weights * np.exp(-epsilon * np.abs(x)) * tr_diff / x
+    pg, qg = _phase_split(-g, x0, h, rows, cols)
+    partial = coeff.reshape(rows, cols) @ qg.T
+    ords = np.einsum("kj,jk->k", pg, partial) / (2j * np.pi)
     return SampledCurve(abscissae=g, ordinates=ords.real)
 
 

@@ -32,6 +32,11 @@ TOLERANCE_DEFAULTS = {
 
 COMMANDS = ("shift", "doi", "sylvester", "quantize", "cotlar", "peller", "suite")
 
+# Size caps, refused before anything is allocated.  At both caps the Fourier
+# shift route holds three 10,000 x 1,000 complex tables (about 0.5 GB).
+MAX_GRID_POINTS = 10_000
+MAX_QUAD_NODES = 1_000_000
+
 
 @dataclass
 class ScenarioConfig:
@@ -62,9 +67,15 @@ class ScenarioConfig:
             raise ConfigError(f"dims: expected a non-empty list of integers, got {self.dims!r}")
         counts = [("trials", self.trials), ("n", self.n), ("terms", self.terms),
                   *(("dims", d) for d in self.dims)]
+        if self.quad_nodes is not None:
+            counts.append(("quad_nodes", self.quad_nodes))
         for key, value in counts:
             if not isinstance(value, Integral) or isinstance(value, bool) or value < 1:
                 raise ConfigError(f"{key}: expected an integer >= 1, got {value!r}")
+        if self.quad_nodes is not None and self.quad_nodes > MAX_QUAD_NODES:
+            raise ConfigError(f"quad_nodes: {self.quad_nodes} exceeds the cap of "
+                              f"{MAX_QUAD_NODES} nodes")
+        self._grid_spec()  # refuses a malformed or oversized grid before grid_array
         self.dims = [int(d) for d in self.dims]
         self.seed = int(self.seed) & (2**64 - 1)
         if not isinstance(self.tolerances, dict):
@@ -94,15 +105,20 @@ class ScenarioConfig:
     def tolerance(self, name: str) -> float:
         return float(self.tolerances.get(name, TOLERANCE_DEFAULTS[name]))
 
-    def grid_array(self) -> np.ndarray:
+    def _grid_spec(self) -> tuple[float, float, int]:
         try:
             lo, hi, count = self.grid.split(":")
             lo, hi, count = float(lo), float(hi), int(count)
-        except ValueError as exc:
+        except (AttributeError, ValueError) as exc:
             raise ConfigError(f"grid: expected min:max:count, got {self.grid!r}") from exc
-        if count < 1 or hi <= lo:
+        if count < 1 or not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ConfigError(f"grid: degenerate specification {self.grid!r}")
-        return np.linspace(lo, hi, count)
+        if count > MAX_GRID_POINTS:
+            raise ConfigError(f"grid: {count} points exceed the cap of {MAX_GRID_POINTS}")
+        return lo, hi, count
+
+    def grid_array(self) -> np.ndarray:
+        return np.linspace(*self._grid_spec())
 
     def to_json_dict(self) -> dict:
         d = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -360,8 +376,9 @@ def check_sylvester_bound_all_p(cfg):
         a = random_hermitian(rng, dim) + 3.5 * np.eye(dim)
         b = random_hermitian(rng, dim) - 3.5 * np.eye(dim)
         y = random_complex(rng, (dim, dim))
+        solution = sylvester.gapped_solution(a, b, y)
         for p in (1, 2, np.inf):
-            _, report = sylvester.solve_gap(a, b, y, p)
+            report = solution.report(p)
             worst = max(worst, report.x_norm - report.bound)
     return _bounded("sylvester.pi_over_two_delta_bound", worst, cfg.tolerance("algebraic"))
 

@@ -19,6 +19,9 @@ from .linalg import as_complex_matrix, as_hermitian, hermitian_eigenvalues, scha
 from .doi import SpectralPair, SymbolGrid, doi_apply, make_spectral_pair
 
 GAP_FLOOR_FACTOR = 1e-8  # refuse gaps below this times the spectral scale
+# largest n for kron_oracle: its n^2 x n^2 complex system is 85 MB and its
+# LU about 1 s at n = 48, and grows as n^4 in memory and n^6 in time
+KRON_MAX_DIM = 48
 
 
 @dataclass(frozen=True)
@@ -55,12 +58,33 @@ def _gap_of_pair(pair: SpectralPair):
                                float(pair.right.eigenvalues[j]))
 
 
-def solve_gap(a, b, y, p=np.inf):
-    """Solve AX - XB = Y through the resolvent-symbol operator integral.
+@dataclass(frozen=True)
+class GapSolution:
+    """A solve of AX - XB = Y before any norm is taken: the symmetrized A
+    and B, Y, the solution X and the spectral gap delta."""
 
-    Returns (X, GapReport).  Refuses gaps below 1e-8 times the spectral
-    scale: the symbol entries blow up like 1/delta and the certificate
-    would be meaningless.
+    a: np.ndarray
+    b: np.ndarray
+    y: np.ndarray
+    x: np.ndarray
+    delta: float
+
+    def report(self, p=np.inf) -> GapReport:
+        """The certificate in the Schatten p-norm; no eigendecomposition."""
+        residual = schatten_norm(self.a @ self.x - self.x @ self.b - self.y, p)
+        y_norm = schatten_norm(self.y, p)
+        return GapReport(delta=self.delta, p=p, x_norm=schatten_norm(self.x, p),
+                         y_norm=y_norm, bound=float(np.pi / (2.0 * self.delta) * y_norm),
+                         residual=residual)
+
+
+def gapped_solution(a, b, y) -> GapSolution:
+    """Solve AX - XB = Y through the resolvent-symbol operator integral,
+    diagonalizing A and B once; `GapSolution.report(p)` then gives the
+    certificate for any number of p.
+
+    Refuses gaps below 1e-8 times the spectral scale: the symbol entries
+    blow up like 1/delta and the certificate would be meaningless.
     """
     pair = make_spectral_pair(a, b)
     ym = as_complex_matrix(y, "Y")
@@ -77,25 +101,34 @@ def solve_gap(a, b, y, p=np.inf):
     sym = SymbolGrid(values=1.0 / (lam - mu),
                      left_nodes=pair.left.eigenvalues,
                      right_nodes=pair.right.eigenvalues)
-    x = doi_apply(pair, sym, ym)
-    am = as_hermitian(a, "A")
-    bm = as_hermitian(b, "B")
-    residual = schatten_norm(am @ x - x @ bm - ym, p)
-    y_norm = schatten_norm(ym, p)
-    report = GapReport(delta=delta, p=p, x_norm=schatten_norm(x, p), y_norm=y_norm,
-                       bound=float(np.pi / (2.0 * delta) * y_norm), residual=residual)
-    return x, report
+    return GapSolution(a=as_hermitian(a, "A"), b=as_hermitian(b, "B"), y=ym,
+                       x=doi_apply(pair, sym, ym), delta=delta)
+
+
+def solve_gap(a, b, y, p=np.inf):
+    """Solve AX - XB = Y and certify it in the Schatten p-norm.
+
+    Returns (X, GapReport); see `gapped_solution` for the refusals.
+    """
+    solution = gapped_solution(a, b, y)
+    return solution.x, solution.report(p)
 
 
 def kron_oracle(a, b, y) -> np.ndarray:
     """Independent route: vectorize AX - XB = Y to an n^2 x n^2 dense
-    linear system and solve it by LU with partial pivoting."""
+    linear system and solve it by LU with partial pivoting.
+
+    Refuses n above `KRON_MAX_DIM` with `IllPosedError` before the system
+    is formed."""
     am = as_hermitian(a, "A")
     bm = as_hermitian(b, "B")
     ym = as_complex_matrix(y, "Y")
     n = am.shape[0]
     if bm.shape != (n, n) or ym.shape != (n, n):
         raise IllPosedError(f"shape mismatch: A {am.shape}, B {bm.shape}, Y {ym.shape}")
+    if n > KRON_MAX_DIM:
+        raise IllPosedError(f"Kronecker oracle refuses n = {n} > {KRON_MAX_DIM}: "
+                            f"its system would be {n * n} x {n * n}")
     eye = np.eye(n)
     # column-stacking convention: vec(AX) = (I (x) A) vec(X), vec(XB) = (B^T (x) I) vec(X)
     system = np.kron(eye, am) - np.kron(bm.T, eye)

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 from opint import errors, shift
 from opint.doi import make_spectral_pair
 from opint.linalg import eig_hermitian, schatten_norm, trace_norm
-from opint.quadrature import symmetric_open_rule, trapezoid_rule
+from opint.quadrature import QuadratureRule, symmetric_open_rule, trapezoid_rule
 from opint.rng import random_complex, random_hermitian, random_unit_vector, substream
 
 
@@ -251,6 +253,69 @@ def test_xi_fourier_agrees_with_arctan_route():
     arc = shift.xi_arctan(pair, eps, grid).ordinates
     fou = shift.xi_fourier(pair, eps, grid, symmetric_open_rule(400.0, 32000)).ordinates
     assert np.abs(arc - fou).max() <= 5e-4
+
+
+def _blocked_fourier(pair, eps, grid, quad):
+    """The direct node sum, with the grid x nodes exponential table built in
+    row blocks and the node coefficients from `xi_fourier_integrand`."""
+    x = quad.nodes
+    coeff = quad.weights * shift.xi_fourier_integrand(pair, 0.0, eps, x)
+    rows = max(1, (1 << 20) // x.size)
+    ords = np.concatenate([np.exp(-1j * np.outer(grid[i:i + rows], x)) @ coeff
+                           for i in range(0, grid.size, rows)]) / (2j * np.pi)
+    return ords.real
+
+
+def _canonical_setting():
+    # the suite's route-agreement check: scalar pair, grid kept 0.1 from {0, 1}
+    grid = np.linspace(-4, 4, 161)
+    grid = grid[np.abs(grid[:, None] - np.array([0.0, 1.0])).min(axis=1) >= 0.1]
+    pair = make_spectral_pair(np.array([[1.0]]), np.array([[0.0]]))
+    return pair, 0.01, grid, symmetric_open_rule(600.0, 48000)
+
+
+def _cli_default_setting():
+    a = random_hermitian(substream(42, "cli-shift-A"), 8)
+    b = random_hermitian(substream(42, "cli-shift-B"), 8)
+    return (make_spectral_pair(a, b), 0.01, np.linspace(-4, 4, 161),
+            symmetric_open_rule(*shift.DEFAULT_FOURIER_QUAD))
+
+
+def _dense_setting():
+    a, b = seeded_pair(16, 32)
+    return (make_spectral_pair(a, b), 0.002, np.linspace(-4, 4, 161),
+            symmetric_open_rule(4000.0, 40000))
+
+
+def _small_rule_setting(nodes):
+    # tiny rules; at 10 and 14 nodes the last row of the square-root split is short
+    a, b = seeded_pair(17, 3)
+    quad = (QuadratureRule(np.array([0.7]), np.array([1.0])) if nodes == 1
+            else symmetric_open_rule(3.0, nodes))
+    return make_spectral_pair(a, b), 0.05, np.linspace(-2, 2, 9), quad
+
+
+@pytest.mark.parametrize("setting", [
+    _canonical_setting, _cli_default_setting, _dense_setting,
+    *(functools.partial(_small_rule_setting, m) for m in (1, 2, 10, 14)),
+], ids=["suite-canonical", "cli-default-n8", "dense-n32", "m1", "m2", "m10", "m14"])
+def test_xi_fourier_matches_blocked_node_sum(setting):
+    # both evaluations round each phase by about u|phi|X, which xi_fourier's
+    # docstring bounds; at X = 4000 the observed gap is 5e-14
+    pair, eps, grid, quad = setting()
+    ords = shift.xi_fourier(pair, eps, grid, quad).ordinates
+    assert np.abs(ords - _blocked_fourier(pair, eps, grid, quad)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("nodes", [
+    np.array([-3.0, -1.0, 1.0, 2.0, 4.0]),
+    symmetric_open_rule(10.0, 20).nodes + np.eye(20)[7] * 1e-9,
+], ids=["geometric", "one-node-moved"])
+def test_xi_fourier_rejects_non_uniform_rule(nodes):
+    quad = QuadratureRule(nodes, np.ones_like(nodes))
+    with pytest.raises(errors.ConfigError, match="not an arithmetic progression"):
+        shift.xi_fourier(make_spectral_pair(np.eye(2), np.zeros((2, 2))), 0.01,
+                         np.array([0.5]), quad)
 
 
 # ---------------------------------------------------------------- rank one

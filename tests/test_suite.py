@@ -11,7 +11,7 @@ import opint
 from opint import cli
 from opint.linalg import save_matrix
 from opint.rng import random_hermitian, substream
-from opint.suite import SUITE_CHECKS, ScenarioConfig, run_suite
+from opint.suite import SUITE_CHECKS, ScenarioConfig, check_sylvester_bound_all_p, run_suite
 
 SRC = str(Path(opint.__file__).resolve().parent.parent)
 
@@ -100,6 +100,40 @@ def test_cli_bad_config_value_exits_2_and_names_key(tmp_path, capsys, raw, key):
     assert f"usage error: {key}: expected" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["--dims", "x"], "--dims"),
+    (["--dims", "4,,x"], "--dims"),
+    (["--p", "x"], "--p"),
+])
+def test_cli_non_numeric_flag_exits_2_and_names_flag(capsys, argv, flag):
+    assert cli.main(["--command", "suite", *argv]) == 2
+    assert f"usage error: {flag}: expected" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["--grid=-4:4:1000000000"], "grid"),
+    (["--quad-nodes", "1000000000"], "quad_nodes"),
+])
+def test_cli_oversized_grid_or_rule_is_refused_before_allocating(monkeypatch, capsys, argv, key):
+    def no_linspace(*args, **kwargs):
+        raise AssertionError(f"np.linspace called with {args} {kwargs}")
+    monkeypatch.setattr(np, "linspace", no_linspace)
+    assert cli.main(["--command", "shift", "--route", "fourier", *argv]) == 2
+    assert f"usage error: {key}: " in capsys.readouterr().err
+
+
+def test_sylvester_bound_check_diagonalizes_each_pair_once(monkeypatch):
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(*args, _original=getattr(np.linalg, name), **kwargs):
+            calls.append(_original.__name__)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    record = check_sylvester_bound_all_p(ScenarioConfig(trials=3))
+    assert record.passed
+    assert calls == ["eigh"] * 6  # A and B of each trial, for all three p
+
+
 @pytest.fixture(scope="module")
 def shift_pair_files(tmp_path_factory):
     folder = tmp_path_factory.mktemp("shift-pair")
@@ -126,6 +160,26 @@ def test_cli_shift_route_passes_and_diagonalizes_each_matrix_once(
                      "--out", str(tmp_path)])
     assert code == 0
     assert len(calls) <= 3, calls
+
+
+def test_cli_fourier_route_builds_no_grid_by_nodes_exponential_table(
+        tmp_path, monkeypatch):
+    # the dense settings: n = 32, 161 grid points, 40,000 nodes
+    rng = substream(7, "test-cli-fourier-exp")
+    paths = [str(tmp_path / "a.json"), str(tmp_path / "b.json")]
+    for path in paths:
+        save_matrix(path, random_hermitian(rng, 32))
+    sizes = []
+
+    def recorded(x, *args, _original=np.exp, **kwargs):
+        sizes.append(np.size(x))
+        return _original(x, *args, **kwargs)
+    monkeypatch.setattr(np, "exp", recorded)
+    code = cli.main(["--command", "shift", "--route", "fourier", "--a", paths[0],
+                     "--b", paths[1], "--eps", "0.002", "--quad-half-width", "4000",
+                     "--quad-nodes", "40000", "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert sizes and max(sizes) < 161 * 40000 // 10, sizes
 
 
 def test_package_and_suite_run_without_scipy(tmp_path):

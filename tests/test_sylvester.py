@@ -113,3 +113,23 @@ def test_operator_equation_scaling_consistency():
     x, report = sylvester.solve_gap(a, b, y, p=2)
     direct = schatten_norm(a @ x - x @ b - y, 2)
     assert direct == pytest.approx(report.residual, abs=1e-12)
+
+
+def test_kron_oracle_refuses_n_above_cap_before_forming_system(monkeypatch):
+    def no_kron(*args, **kwargs):
+        raise AssertionError("np.kron called")
+    monkeypatch.setattr(np, "kron", no_kron)
+    n = sylvester.KRON_MAX_DIM + 1
+    with pytest.raises(errors.IllPosedError, match=f"n = {n} > {sylvester.KRON_MAX_DIM}"):
+        sylvester.kron_oracle(np.eye(n), -np.eye(n), np.eye(n))
+
+
+def test_kron_oracle_cap_admits_n_48(monkeypatch):
+    class Reached(Exception):
+        pass
+
+    def reached(*args, **kwargs):
+        raise Reached
+    monkeypatch.setattr(np, "kron", reached)
+    with pytest.raises(Reached):
+        sylvester.kron_oracle(np.eye(48), -np.eye(48), np.eye(48))

@@ -4,8 +4,10 @@ Double operator integrals as Schur multipliers, gapped Sylvester solves
 with the pi/(2 delta) certificate, Krein-type spectral shift functions by
 four independent routes, and discrete position/momentum quantization with
 Cotlar-Stein and Grothendieck-style norm checks.  Each operand is
-diagonalized once: the DOI and spectral shift routes take one `SpectralPair`
-(the rank-one shift route takes only B's `EigenSystem`).
+diagonalized once: the DOI, Sylvester-gap and spectral shift routes take
+one `SpectralPair` (the rank-one shift route takes only B's `EigenSystem`,
+and `polymeasure_eval` only H's).  The pair's eigensystems are the only
+copy of its spectra: a `SymbolGrid` holds symbol values alone.
 """
 
 from .doi import (Decomposition, ExperimentReport, SpectralPair, SymbolGrid,

@@ -190,7 +190,7 @@ def run_shift(cfg: ScenarioConfig) -> Report:
 
 def run_doi(cfg: ScenarioConfig) -> Report:
     f, lip = F_PRESETS[cfg.f]
-    p = cfg.p if 1 < cfg.p < float("inf") else 4.0
+    p = 4.0 if cfg.p == float("inf") else cfg.p  # p unset: the default 4
     exp = doi.lipschitz_ratio_experiment(f, lip, p=p, trials=cfg.trials, seed=cfg.seed,
                                          dim=max(cfg.dims), f_name=cfg.f)
     ok = bool(np.isfinite(exp.max_ratio))

@@ -6,7 +6,9 @@ measures acts on a matrix T as
 
     U (Phi .* (U* T V)) V*,        Phi[i, j] = phi(w_A[i], w_B[j]),
 
-i.e. entrywise multiplication in the rotated coordinates.  This module
+i.e. entrywise multiplication in the rotated coordinates.  A symbol
+(`SymbolGrid`) is the matrix Phi alone: it carries no copy of the
+eigenvalues, which live only in the pair's two `EigenSystem`s.  This module
 holds that transformer together with the routes that feed it: divided
 difference symbols, the Fourier-kernel route through a time integral,
 finite decompositions phi = sum_t w_t a_t(x) b_t(y), triangular
@@ -24,7 +26,7 @@ from .errors import InputDomainError
 from .linalg import (EigenSystem, apply_function, as_complex_matrix,
                      as_hermitian, eig_hermitian, schatten_norm)
 from .quadrature import QuadratureRule, trapezoid_rule
-from .rng import random_complex, substream
+from .rng import random_complex, random_hermitian, substream
 
 DEFAULT_FOURIER_QUAD = (40.0, 4000)  # half-width, node count
 
@@ -61,50 +63,32 @@ def make_spectral_pair(a, b) -> SpectralPair:
 
 @dataclass(frozen=True)
 class SymbolGrid:
-    """Values of a symbol on the product of the two spectra."""
+    """Values of a symbol on the product of a pair's two spectra.
+
+    Row i belongs to the i-th eigenvalue of the left operand and column j
+    to the j-th of the right one; the eigenvalues themselves live only in
+    the pair's `EigenSystem`s.
+    """
 
     values: np.ndarray
-    left_nodes: np.ndarray
-    right_nodes: np.ndarray
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.complex128)
-        ln = np.asarray(self.left_nodes, dtype=float)
-        rn = np.asarray(self.right_nodes, dtype=float)
-        if v.size == 0:
-            raise InputDomainError("empty symbol grid")
-        if v.shape != (ln.size, rn.size):
-            raise InputDomainError(
-                f"symbol grid shape {v.shape} does not match nodes ({ln.size}, {rn.size})")
+        if v.ndim != 2 or v.size == 0:
+            raise InputDomainError(f"symbol grid must be a non-empty 2-D array, got {v.shape}")
         if not np.isfinite(v.real).all() or not np.isfinite(v.imag).all():
             raise InputDomainError("symbol grid has non-finite values")
         object.__setattr__(self, "values", v)
-        object.__setattr__(self, "left_nodes", ln)
-        object.__setattr__(self, "right_nodes", rn)
 
     def sup_norm(self) -> float:
         return float(np.abs(self.values).max())
-
-    def to_csv(self) -> str:
-        """Grid as CSV: header row of right nodes, first column of left nodes."""
-        lines = ["," + ",".join(repr(float(x)) for x in self.right_nodes)]
-        for i, lam in enumerate(self.left_nodes):
-            row = ",".join(_fmt_complex(z) for z in self.values[i])
-            lines.append(f"{float(lam)!r},{row}")
-        return "\n".join(lines) + "\n"
-
-
-def _fmt_complex(z: complex) -> str:
-    sign = "+" if z.imag >= 0 else "-"
-    return f"{z.real!r}{sign}{abs(z.imag)!r}j"
 
 
 def symbol_from_function(pair: SpectralPair, phi) -> SymbolGrid:
     """Sample a closed-form symbol phi(lambda, mu) on the spectra."""
     lam = pair.left.eigenvalues
     mu = pair.right.eigenvalues
-    values = np.asarray(phi(lam[:, None], mu[None, :]), dtype=np.complex128)
-    return SymbolGrid(values=values, left_nodes=lam, right_nodes=mu)
+    return SymbolGrid(values=phi(lam[:, None], mu[None, :]))
 
 
 def divided_difference_symbol(pair: SpectralPair, f, f_prime) -> SymbolGrid:
@@ -122,9 +106,7 @@ def divided_difference_symbol(pair: SpectralPair, f, f_prime) -> SymbolGrid:
     values = np.where(near, diag, quotient)
     if not np.isfinite(values).all():
         raise InputDomainError("divided difference not finite on the spectra")
-    return SymbolGrid(values=values,
-                      left_nodes=pair.left.eigenvalues,
-                      right_nodes=pair.right.eigenvalues)
+    return SymbolGrid(values=values)
 
 
 def _check_grid(pair: SpectralPair, sym: SymbolGrid):
@@ -175,7 +157,7 @@ def doi_fourier(pair: SpectralPair, f, t, quad: QuadratureRule | None = None) ->
     left = np.exp(-1j * np.outer(lam, quad.nodes))
     right = np.exp(-1j * np.outer(mu, quad.nodes))
     values = (left * (quad.weights * samples)) @ right.conj().T
-    return doi_apply(pair, SymbolGrid(values=values, left_nodes=lam, right_nodes=mu), tm)
+    return doi_apply(pair, SymbolGrid(values=values), tm)
 
 
 @dataclass(frozen=True)
@@ -227,18 +209,11 @@ def symbol_from_decomposition(pair: SpectralPair, d: Decomposition) -> SymbolGri
             f"decomposition vectors sized ({d.alphas.shape[1]}, {d.betas.shape[1]}), "
             f"pair dimension is {pair.dim}")
     values = np.einsum("t,ti,tj->ij", d.weights.astype(np.complex128), d.alphas, d.betas)
-    return SymbolGrid(values=values,
-                      left_nodes=pair.left.eigenvalues,
-                      right_nodes=pair.right.eigenvalues)
+    return SymbolGrid(values=values)
 
 
 def triangular_truncation_symbol(pair: SpectralPair) -> SymbolGrid:
-    lam = pair.left.eigenvalues[:, None]
-    mu = pair.right.eigenvalues[None, :]
-    values = (lam > mu).astype(np.complex128)  # strict: ties map to 0
-    return SymbolGrid(values=values,
-                      left_nodes=pair.left.eigenvalues,
-                      right_nodes=pair.right.eigenvalues)
+    return symbol_from_function(pair, lambda lam, mu: lam > mu)  # strict: ties map to 0
 
 
 def triangular_truncation(pair: SpectralPair, t) -> np.ndarray:
@@ -313,10 +288,7 @@ def lipschitz_ratio_experiment(f, lip_const: float, p: float, trials: int, seed:
     for trial in range(trials):
         if pair_sampler is None:
             rng = substream(seed, "lipschitz", trial)
-            ga = random_complex(rng, (dim, dim))
-            gb = random_complex(rng, (dim, dim))
-            a = (ga + ga.conj().T) / 2
-            b = (gb + gb.conj().T) / 2
+            a, b = random_hermitian(rng, dim), random_hermitian(rng, dim)
         else:
             a, b = pair_sampler(trial)
         diff_norm = schatten_norm(np.asarray(a) - np.asarray(b), p)

@@ -17,8 +17,8 @@ import numpy as np
 
 from .doi import Decomposition
 from .errors import InputDomainError
-from .linalg import apply_function, as_complex_matrix, as_hermitian, dft_unitary, \
-    eig_hermitian, operator_norm
+from .linalg import EigenSystem, apply_function, as_complex_matrix, dft_unitary, \
+    operator_norm
 from .rng import substream
 
 
@@ -282,13 +282,13 @@ def grothendieck_norm(d: Decomposition) -> float:
     return float(wa.max() * wb.max())
 
 
-def polymeasure_eval(f_list, times, h) -> np.ndarray:
+def polymeasure_eval(f_list, times, eh: EigenSystem) -> np.ndarray:
     """Alternating multiplication/evolution product
 
         diag(f_n) e^{-i (t_n - t_{n-1}) H} ... diag(f_1) e^{-i t_1 H} diag(f_0)
 
-    for strictly increasing positive times; separately additive in every
-    multiplication slot.
+    for strictly increasing positive times, from the eigensystem `eh` of H;
+    separately additive in every multiplication slot.
     """
     f_list = [np.asarray(f, dtype=np.complex128) for f in f_list]
     times = np.asarray(times, dtype=float)
@@ -298,18 +298,13 @@ def polymeasure_eval(f_list, times, h) -> np.ndarray:
         raise InputDomainError(f"{len(f_list)} slots need {len(f_list) - 1} times, got {times.size}")
     if times.size and (times[0] <= 0 or (np.diff(times) <= 0).any()):
         raise InputDomainError("times must be strictly increasing and positive")
-    hm = as_hermitian(h, "H")
-    n = hm.shape[0]
     for f in f_list:
-        if f.shape != (n,):
-            raise InputDomainError(f"slot vectors must have length {n}")
+        if f.shape != (eh.dim,):
+            raise InputDomainError(f"slot vectors must have length {eh.dim}")
     out = np.diag(f_list[0])
-    if times.size == 0:
-        return out
-    eig = eig_hermitian(hm)
     gaps = np.diff(np.concatenate([[0.0], times]))
     for f, dt in zip(f_list[1:], gaps):
-        evolution = apply_function(eig, lambda x: np.exp(-1j * dt * x))
+        evolution = apply_function(eh, lambda x: np.exp(-1j * dt * x))
         out = np.diag(f) @ evolution @ out
     return out
 

@@ -89,6 +89,15 @@ class ScenarioConfig:
             if (not isinstance(value, Real) or isinstance(value, bool)
                     or not (value > 0 and math.isfinite(value))):
                 raise ConfigError(f"{key}: expected a finite number > 0, got {value!r}")
+        if self.p == "inf":  # the spelling a report's config block uses
+            self.p = float("inf")
+        if not isinstance(self.p, Real) or isinstance(self.p, bool) or not self.p >= 1:
+            raise ConfigError(f"p: expected a number >= 1 or 'inf', got {self.p!r}")
+        nodes = self.route_agreement_rule()[1]
+        if self.command == "suite" and nodes > MAX_QUAD_NODES:
+            raise ConfigError(f"epsilon: {self.epsilon!r} gives the suite's Fourier rule "
+                              f"{nodes} nodes, above the cap of {MAX_QUAD_NODES} "
+                              f"(set quad_nodes)")
 
     @classmethod
     def from_dict(cls, raw: dict, overrides: dict | None = None) -> "ScenarioConfig":
@@ -101,6 +110,15 @@ class ScenarioConfig:
             if value is not None:
                 merged[key] = value
         return cls(**merged)
+
+    def route_agreement_rule(self) -> tuple[float, int]:
+        """Half-width and node count of the suite's canonical-pair Fourier
+        rule: 6/epsilon wide, so e^{-epsilon |x|} is down to e^{-6} at its
+        ends, with ~0.025 node spacing unless quad_nodes is set."""
+        half_width = max(200.0, 6.0 / self.epsilon)
+        # min() keeps int() finite where 6/epsilon overflows; a count it
+        # clips is above MAX_QUAD_NODES either way
+        return half_width, self.quad_nodes or 2 * int(min(half_width / 0.025, MAX_QUAD_NODES))
 
     def tolerance(self, name: str) -> float:
         return float(self.tolerances.get(name, TOLERANCE_DEFAULTS[name]))
@@ -243,8 +261,7 @@ def check_doi_localization(cfg):
         sym = doi.symbol_from_function(pair, lambda lam, mu: np.sin(lam) + 1j * np.cos(mu))
         mask_l = pair.left.eigenvalues <= float(rng.uniform(-1, 1))
         mask_r = pair.right.eigenvalues > float(rng.uniform(-1, 1))
-        cut = doi.SymbolGrid(values=sym.values * np.outer(mask_l, mask_r),
-                             left_nodes=sym.left_nodes, right_nodes=sym.right_nodes)
+        cut = doi.SymbolGrid(values=sym.values * np.outer(mask_l, mask_r))
         t = random_complex(rng, (pair.dim, pair.dim))
         lhs = doi.doi_apply(pair, cut, t)
         rhs = (pair.left.projector(mask_l) @ doi.doi_apply(pair, sym, t)
@@ -272,9 +289,7 @@ def check_doi_hs_norm(cfg):
         rng = substream(cfg.seed, "suite-doi-hs", trial)
         dim = min(cfg.dims[trial % len(cfg.dims)], 8)
         pair = doi.make_spectral_pair(random_hermitian(rng, dim), random_hermitian(rng, dim))
-        sym = doi.SymbolGrid(values=random_complex(rng, (dim, dim)),
-                             left_nodes=pair.left.eigenvalues,
-                             right_nodes=pair.right.eigenvalues)
+        sym = doi.SymbolGrid(values=random_complex(rng, (dim, dim)))
         claimed = doi.hs_multiplier_norm(pair, sym)
         # the transformer as an n^2 x n^2 matrix K, one column per matrix
         # unit; repeated squaring of K*K drives every column of it onto the
@@ -423,9 +438,8 @@ def check_route_agreement(cfg):
     grid = grid[keep]
     truth = shift.xi_counting(pair)(grid)
     arc = shift.xi_arctan(pair, eps, grid).ordinates
-    half_width = max(200.0, 6.0 / eps)
-    nodes = cfg.quad_nodes or 2 * int(half_width / 0.025)  # ~0.025 node spacing
-    fou = shift.xi_fourier(pair, eps, grid, symmetric_open_rule(half_width, nodes)).ordinates
+    fou = shift.xi_fourier(pair, eps, grid,
+                           symmetric_open_rule(*cfg.route_agreement_rule())).ordinates
     err = max(np.abs(arc - truth).max(), np.abs(fou - truth).max())
     return _bounded("shift.route_agreement_canonical_pair", err, cfg.tolerance("boundary"),
                     note=f"epsilon={eps}, grid points >= 2x boundary tol from eigenvalues")
@@ -531,18 +545,18 @@ def check_polymeasure(cfg):
     for trial in range(max(2, cfg.trials // 4)):
         rng = substream(cfg.seed, "suite-poly", trial)
         dim = cfg.dims[trial % len(cfg.dims)]
-        h = random_hermitian(rng, dim)
+        eh = eig_hermitian(random_hermitian(rng, dim))
         f0, f2 = random_complex(rng, dim), random_complex(rng, dim)
         e = (rng.random(dim) < 0.5).astype(complex)
         e_prime = 1.0 - e
         times = [0.6, 1.4]
-        combined = quantization.polymeasure_eval([f0, e + e_prime, f2], times, h)
-        split = (quantization.polymeasure_eval([f0, e, f2], times, h)
-                 + quantization.polymeasure_eval([f0, e_prime, f2], times, h))
+        combined = quantization.polymeasure_eval([f0, e + e_prime, f2], times, eh)
+        split = (quantization.polymeasure_eval([f0, e, f2], times, eh)
+                 + quantization.polymeasure_eval([f0, e_prime, f2], times, eh))
         worst = max(worst, np.abs(combined - split).max())
         ones = np.ones(dim)
-        direct = quantization.polymeasure_eval([f0, f2], [1.7], h)
-        threaded = quantization.polymeasure_eval([f0, ones, f2], [0.5, 1.7], h)
+        direct = quantization.polymeasure_eval([f0, f2], [1.7], eh)
+        threaded = quantization.polymeasure_eval([f0, ones, f2], [0.5, 1.7], eh)
         worst = max(worst, np.abs(threaded - direct).max())
     return _bounded("quantization.polymeasure_additivity_and_concatenation", worst,
                     cfg.tolerance("algebraic"))

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IllPosedError
-from .linalg import as_complex_matrix, as_hermitian, hermitian_eigenvalues, schatten_norm
-from .doi import SpectralPair, SymbolGrid, doi_apply, make_spectral_pair
+from .linalg import as_complex_matrix, as_hermitian, schatten_norm
+from .doi import SpectralPair, doi_apply, make_spectral_pair, symbol_from_function
 
 GAP_FLOOR_FACTOR = 1e-8  # refuse gaps below this times the spectral scale
 # largest n for kron_oracle: its n^2 x n^2 complex system is 85 MB and its
@@ -42,20 +42,9 @@ class GapReport:
                 "bound_holds": bool(self.x_norm <= self.bound * (1 + 1e-12))}
 
 
-def spectral_gap(a, b) -> float:
-    """Minimum distance between the spectra of two hermitian matrices."""
-    wa = hermitian_eigenvalues(as_hermitian(a, "A"))
-    wb = hermitian_eigenvalues(as_hermitian(b, "B"))
-    if wa.size != wb.size:
-        raise IllPosedError(f"dimension mismatch: {wa.size} vs {wb.size}")
-    return float(np.abs(wa[:, None] - wb[None, :]).min())
-
-
-def _gap_of_pair(pair: SpectralPair):
-    diff = np.abs(pair.left.eigenvalues[:, None] - pair.right.eigenvalues[None, :])
-    i, j = np.unravel_index(np.argmin(diff), diff.shape)
-    return float(diff[i, j]), (float(pair.left.eigenvalues[i]),
-                               float(pair.right.eigenvalues[j]))
+def spectral_gap(pair: SpectralPair) -> float:
+    """Minimum distance between the spectra of the pair's two operands."""
+    return float(np.abs(np.subtract.outer(pair.left.eigenvalues, pair.right.eigenvalues)).min())
 
 
 @dataclass(frozen=True)
@@ -90,17 +79,17 @@ def gapped_solution(a, b, y) -> GapSolution:
     ym = as_complex_matrix(y, "Y")
     if ym.shape != (pair.dim, pair.dim):
         raise IllPosedError(f"Y has shape {ym.shape}, expected {(pair.dim, pair.dim)}")
-    delta, offending = _gap_of_pair(pair)
+    delta = spectral_gap(pair)
     scale = max(pair.spectral_scale, 1e-300)
     if delta <= GAP_FLOOR_FACTOR * scale:
+        lam, mu = pair.left.eigenvalues, pair.right.eigenvalues
+        dist = np.abs(np.subtract.outer(lam, mu))
+        i, j = np.unravel_index(dist.argmin(), dist.shape)
+        offending = (float(lam[i]), float(mu[j]))
         raise IllPosedError(
             f"spectral gap {delta:.3e} is below {GAP_FLOOR_FACTOR:.0e} x scale; "
             f"closest eigenvalue pair {offending}", detail=offending)
-    lam = pair.left.eigenvalues[:, None]
-    mu = pair.right.eigenvalues[None, :]
-    sym = SymbolGrid(values=1.0 / (lam - mu),
-                     left_nodes=pair.left.eigenvalues,
-                     right_nodes=pair.right.eigenvalues)
+    sym = symbol_from_function(pair, lambda lam, mu: 1.0 / (lam - mu))
     return GapSolution(a=as_hermitian(a, "A"), b=as_hermitian(b, "B"), y=ym,
                        x=doi_apply(pair, sym, ym), delta=delta)
 

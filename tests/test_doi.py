@@ -69,8 +69,7 @@ def test_doi_apply_linear_in_symbol_and_argument():
     rng = substream(6, "doi-lin")
     s1 = doi.symbol_from_function(pair, lambda lam, mu: lam + 1j * mu)
     s2 = doi.symbol_from_function(pair, lambda lam, mu: np.cos(lam - mu) + 0j)
-    both = doi.SymbolGrid(values=s1.values + s2.values,
-                          left_nodes=s1.left_nodes, right_nodes=s1.right_nodes)
+    both = doi.SymbolGrid(values=s1.values + s2.values)
     t1 = random_complex(rng, (4, 4))
     t2 = random_complex(rng, (4, 4))
     np.testing.assert_allclose(
@@ -93,9 +92,7 @@ def test_localization_identity():
         thr_r = float(rng.uniform(-1, 1))
         mask_l = pair.left.eigenvalues <= thr_l
         mask_r = pair.right.eigenvalues > thr_r
-        cut = doi.SymbolGrid(
-            values=sym.values * np.outer(mask_l, mask_r),
-            left_nodes=sym.left_nodes, right_nodes=sym.right_nodes)
+        cut = doi.SymbolGrid(values=sym.values * np.outer(mask_l, mask_r))
         t = random_complex(rng, (dim, dim))
         lhs = doi.doi_apply(pair, cut, t)
         rhs = pair.left.projector(mask_l) @ doi.doi_apply(pair, sym, t) @ pair.right.projector(mask_r)
@@ -137,8 +134,7 @@ def test_hs_multiplier_norm_grid_max():
 def power_iteration_hs_norm(pair, sym, seed, iters=6000, tol=1e-14):
     """Frobenius->Frobenius operator norm of T -> doi_apply(pair, sym, T),
     via power iteration on the composition with its adjoint."""
-    conj_sym = doi.SymbolGrid(values=np.conj(sym.values),
-                              left_nodes=sym.left_nodes, right_nodes=sym.right_nodes)
+    conj_sym = doi.SymbolGrid(values=np.conj(sym.values))
     rng = substream(seed, "hs-power")
     x = random_complex(rng, sym.values.shape)
     est = 0.0
@@ -157,9 +153,7 @@ def test_hs_multiplier_norm_matches_power_iteration():
         rng = substream(10, "doi-hs", trial)
         dim = int(rng.integers(2, 9))
         pair = doi.make_spectral_pair(random_hermitian(rng, dim), random_hermitian(rng, dim))
-        sym = doi.SymbolGrid(values=random_complex(rng, (dim, dim)),
-                             left_nodes=pair.left.eigenvalues,
-                             right_nodes=pair.right.eigenvalues)
+        sym = doi.SymbolGrid(values=random_complex(rng, (dim, dim)))
         claimed = doi.hs_multiplier_norm(pair, sym)
         observed = power_iteration_hs_norm(pair, sym, seed=trial)
         assert abs(claimed - observed) <= 1e-6
@@ -334,9 +328,7 @@ def test_duality_sampled_lower_bounds_consistent():
     a, b = seeded_pair(20, 3)
     pair = doi.make_spectral_pair(a, b)
     rng = substream(20, "doi-dualsym")
-    sym = doi.SymbolGrid(values=random_complex(rng, (3, 3)),
-                         left_nodes=pair.left.eigenvalues,
-                         right_nodes=pair.right.eigenvalues)
+    sym = doi.SymbolGrid(values=random_complex(rng, (3, 3)))
     for p, q in [(1, np.inf), (4, 4 / 3)]:
         np_est = doi.sampled_transformer_norm(pair, sym, p, trials=300, seed=21)
         nq_est = doi.sampled_transformer_norm(pair, sym, q, trials=300, seed=22)
@@ -383,16 +375,6 @@ def test_lipschitz_rejects_bad_p():
         doi.lipschitz_ratio_experiment(np.arctan, 1.0, p=1, trials=1, seed=0)
 
 
-def test_symbol_grid_csv_layout():
-    pair = doi.make_spectral_pair(np.diag([0.0, 1.0]), np.diag([2.0, 3.0]))
-    sym = doi.symbol_from_function(pair, lambda lam, mu: lam + mu + 0j)
-    csv = sym.to_csv()
-    lines = csv.strip().split("\n")
-    assert lines[0] == ",2.0,3.0"
-    assert lines[1].startswith("0.0,")
-    assert len(lines) == 3
-
-
 def test_symbol_grid_rejects_non_finite():
     with pytest.raises(errors.InputDomainError):
-        doi.SymbolGrid(values=np.array([[np.inf]]), left_nodes=[0.0], right_nodes=[0.0])
+        doi.SymbolGrid(values=np.array([[np.inf]]))

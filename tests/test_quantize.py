@@ -7,7 +7,7 @@ import pytest
 import opint.quantization as qz
 from opint import errors, linalg
 from opint.doi import Decomposition
-from opint.linalg import operator_norm
+from opint.linalg import apply_function, eig_hermitian, operator_norm
 from opint.rng import random_complex, random_hermitian, substream
 
 
@@ -401,47 +401,47 @@ def test_grothendieck_ratio_experiment_reports_only():
 def test_polymeasure_single_slot():
     rng = substream(16, "quant-poly")
     f0 = random_complex(rng, 4)
-    h = random_hermitian(rng, 4)
-    np.testing.assert_allclose(qz.polymeasure_eval([f0], [], h), np.diag(f0), atol=0)
+    eh = eig_hermitian(random_hermitian(rng, 4))
+    np.testing.assert_allclose(qz.polymeasure_eval([f0], [], eh), np.diag(f0), atol=0)
 
 
 def test_polymeasure_all_ones_telescopes():
     rng = substream(17, "quant-poly2")
-    h = random_hermitian(rng, 4)
+    eh = eig_hermitian(random_hermitian(rng, 4))
     ones = np.ones(4)
-    out = qz.polymeasure_eval([ones, ones, ones], [0.7, 1.9], h)
-    from opint.linalg import apply_function, eig_hermitian
-    expected = apply_function(eig_hermitian(h), lambda x: np.exp(-1.9j * x))
+    out = qz.polymeasure_eval([ones, ones, ones], [0.7, 1.9], eh)
+    expected = apply_function(eh, lambda x: np.exp(-1.9j * x))
     np.testing.assert_allclose(out, expected, atol=1e-11)
 
 
 def test_polymeasure_separately_additive():
     rng = substream(18, "quant-poly3")
-    h = random_hermitian(rng, 5)
+    eh = eig_hermitian(random_hermitian(rng, 5))
     f0 = random_complex(rng, 5)
     f2 = random_complex(rng, 5)
     e = np.isin(np.arange(5), [0, 3]).astype(complex)
     e_prime = np.isin(np.arange(5), [1, 4]).astype(complex)
     times = [0.5, 1.2]
-    combined = qz.polymeasure_eval([f0, e + e_prime, f2], times, h)
-    split = (qz.polymeasure_eval([f0, e, f2], times, h)
-             + qz.polymeasure_eval([f0, e_prime, f2], times, h))
+    combined = qz.polymeasure_eval([f0, e + e_prime, f2], times, eh)
+    split = (qz.polymeasure_eval([f0, e, f2], times, eh)
+             + qz.polymeasure_eval([f0, e_prime, f2], times, eh))
     assert np.abs(combined - split).max() <= 1e-12
 
 
 def test_polymeasure_concatenates_time_intervals():
     rng = substream(19, "quant-poly4")
-    h = random_hermitian(rng, 4)
+    eh = eig_hermitian(random_hermitian(rng, 4))
     f0 = random_complex(rng, 4)
     f_end = random_complex(rng, 4)
     ones = np.ones(4)
-    direct = qz.polymeasure_eval([f0, f_end], [2.0], h)
-    threaded = qz.polymeasure_eval([f0, ones, f_end], [0.8, 2.0], h)
+    direct = qz.polymeasure_eval([f0, f_end], [2.0], eh)
+    threaded = qz.polymeasure_eval([f0, ones, f_end], [0.8, 2.0], eh)
     np.testing.assert_allclose(threaded, direct, atol=1e-11)
 
 
 def test_polymeasure_rejects_bad_times():
+    eh = eig_hermitian(np.eye(2))
     with pytest.raises(errors.InputDomainError, match="increasing"):
-        qz.polymeasure_eval([np.ones(2), np.ones(2)], [-1.0], np.eye(2))
+        qz.polymeasure_eval([np.ones(2), np.ones(2)], [-1.0], eh)
     with pytest.raises(errors.InputDomainError, match="increasing"):
-        qz.polymeasure_eval([np.ones(2), np.ones(2), np.ones(2)], [1.0, 1.0], np.eye(2))
+        qz.polymeasure_eval([np.ones(2), np.ones(2), np.ones(2)], [1.0, 1.0], eh)

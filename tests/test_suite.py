@@ -9,9 +9,11 @@ import pytest
 
 import opint
 from opint import cli
+from opint import suite as suite_mod
 from opint.linalg import save_matrix
 from opint.rng import random_hermitian, substream
-from opint.suite import SUITE_CHECKS, ScenarioConfig, check_sylvester_bound_all_p, run_suite
+from opint.suite import (SUITE_CHECKS, ScenarioConfig, check_polymeasure,
+                         check_sylvester_bound_all_p, run_suite)
 
 SRC = str(Path(opint.__file__).resolve().parent.parent)
 
@@ -92,6 +94,8 @@ def test_cli_missing_input_exits_3(tmp_path, capsys):
     ({"epsilon": 0}, "epsilon"),
     ({"eta": "1e-6"}, "eta"),
     ({"alpha": float("inf")}, "alpha"),
+    ({"p": "x"}, "p"),
+    ({"p": 0.5}, "p"),
 ])
 def test_cli_bad_config_value_exits_2_and_names_key(tmp_path, capsys, raw, key):
     config = tmp_path / "bad.json"
@@ -110,6 +114,41 @@ def test_cli_non_numeric_flag_exits_2_and_names_flag(capsys, argv, flag):
     assert f"usage error: {flag}: expected" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("p", ["nan", "0.5", "-inf"])
+def test_cli_p_below_one_or_nan_exits_2_and_names_p(tmp_path, capsys, p):
+    assert cli.main(["--command", "doi", f"--p={p}", "--out", str(tmp_path)]) == 2
+    assert "usage error: p: expected a number >= 1 or 'inf'" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_cli_doi_refuses_p_one_instead_of_running_at_p_4(capsys):
+    assert cli.main(["--command", "doi", "--p", "1"]) == 2
+    assert "p must lie in the open interval (1, inf)" in capsys.readouterr().err
+
+
+def test_cli_config_copied_from_a_report_reruns_to_the_same_report(tmp_path):
+    # the report's config block spells p = inf as the string "inf"
+    assert cli.main(["--command", "doi", "--trials", "2", "--out", str(tmp_path / "a")]) == 0
+    first = (tmp_path / "a" / "doi_report.json").read_bytes()
+    config = json.loads(first)["config"]
+    assert config["p"] == "inf"
+    (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    assert cli.main(["--config", str(tmp_path / "config.json"),
+                     "--out", str(tmp_path / "b")]) == 0
+    assert (tmp_path / "b" / "doi_report.json").read_bytes() == first
+
+
+@pytest.mark.parametrize("eps", ["1e-6", "1e-310"])
+def test_cli_suite_small_eps_is_refused_before_building_the_fourier_rule(
+        monkeypatch, capsys, eps):
+    # the suite's rule has 2 int(max(200, 6/eps) / 0.025) nodes: 4.8e8 at 1e-6
+    def no_rule(*args, **kwargs):
+        raise AssertionError(f"symmetric_open_rule called with {args}")
+    monkeypatch.setattr(suite_mod, "symmetric_open_rule", no_rule)
+    assert cli.main(["--command", "suite", "--eps", eps]) == 2
+    assert "usage error: epsilon: " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv, key", [
     (["--grid=-4:4:1000000000"], "grid"),
     (["--quad-nodes", "1000000000"], "quad_nodes"),
@@ -122,16 +161,35 @@ def test_cli_oversized_grid_or_rule_is_refused_before_allocating(monkeypatch, ca
     assert f"usage error: {key}: " in capsys.readouterr().err
 
 
-def test_sylvester_bound_check_diagonalizes_each_pair_once(monkeypatch):
+def _count_eigensolver_calls(monkeypatch) -> list:
+    """Record the name of every numpy eigensolver call from here on."""
     calls = []
     for name in ("eigh", "eigvalsh"):
         def counted(*args, _original=getattr(np.linalg, name), **kwargs):
             calls.append(_original.__name__)
             return _original(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_sylvester_bound_check_diagonalizes_each_pair_once(monkeypatch):
+    calls = _count_eigensolver_calls(monkeypatch)
     record = check_sylvester_bound_all_p(ScenarioConfig(trials=3))
     assert record.passed
     assert calls == ["eigh"] * 6  # A and B of each trial, for all three p
+
+
+def test_polymeasure_check_diagonalizes_h_once_per_trial(monkeypatch):
+    calls = _count_eigensolver_calls(monkeypatch)
+    record = check_polymeasure(ScenarioConfig())
+    assert record.passed
+    assert calls == ["eigh"] * 5  # max(2, 20 // 4) trials at the default config
+
+
+def test_default_suite_pass_eigendecomposition_count(monkeypatch):
+    calls = _count_eigensolver_calls(monkeypatch)
+    assert run_suite(ScenarioConfig()).passed
+    assert len(calls) <= 489, len(calls)
 
 
 @pytest.fixture(scope="module")
@@ -148,12 +206,7 @@ def shift_pair_files(tmp_path_factory):
 def test_cli_shift_route_passes_and_diagonalizes_each_matrix_once(
         tmp_path, monkeypatch, shift_pair_files, route):
     # one eigendecomposition each for A and B, and one for A - B
-    calls = []
-    for name in ("eigh", "eigvalsh"):
-        def counted(*args, _original=getattr(np.linalg, name), **kwargs):
-            calls.append(_original.__name__)
-            return _original(*args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, counted)
+    calls = _count_eigensolver_calls(monkeypatch)
     a, b = shift_pair_files
     code = cli.main(["--command", "shift", "--route", route, "--a", a, "--b", b,
                      "--eps", "0.002", "--quad-half-width", "4000", "--quad-nodes", "40000",

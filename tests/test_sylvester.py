@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from opint import errors, sylvester
+from opint.doi import make_spectral_pair
 from opint.linalg import schatten_norm
 from opint.rng import random_complex, random_hermitian, substream
 
@@ -14,12 +15,13 @@ def gapped_pair(seed, dim, trial=0, shift=4.0):
 
 
 def test_spectral_gap_diagonal():
-    assert sylvester.spectral_gap(np.diag([2.0, 3.0]), np.diag([0.0, 1.0])) == pytest.approx(1.0)
+    pair = make_spectral_pair(np.diag([2.0, 3.0]), np.diag([0.0, 1.0]))
+    assert sylvester.spectral_gap(pair) == pytest.approx(1.0)
 
 
 def test_spectral_gap_same_matrix_is_zero():
     h = random_hermitian(substream(1, "sylv-same"), 3)
-    assert sylvester.spectral_gap(h, h) == pytest.approx(0.0, abs=0)
+    assert sylvester.spectral_gap(make_spectral_pair(h, h)) == pytest.approx(0.0, abs=0)
 
 
 def test_spectral_gap_shifted_pair_lower_bound():
@@ -28,7 +30,7 @@ def test_spectral_gap_shifted_pair_lower_bound():
     radius = max(np.abs(np.linalg.eigvalsh(a)))
     b = a - 10.0 * radius * np.eye(4)
     radius_b = max(np.abs(np.linalg.eigvalsh(b)))
-    gap = sylvester.spectral_gap(a, b)
+    gap = sylvester.spectral_gap(make_spectral_pair(a, b))
     assert gap >= 10.0 * radius - (radius + radius_b) - 1e-9
 
 
@@ -63,6 +65,14 @@ def test_solve_gap_refuses_zero_gap():
     h = random_hermitian(substream(5, "sylv-refuse"), 3)
     with pytest.raises(errors.IllPosedError, match="gap"):
         sylvester.solve_gap(h, h, np.eye(3))
+
+
+def test_solve_gap_refusal_names_the_closest_eigenvalue_pair():
+    a, b = np.diag([0.0, 5.0, 9.0]), np.diag([5.0, 12.0, 20.0])
+    closest = r"closest eigenvalue pair \(5\.0, 5\.0\)"
+    with pytest.raises(errors.IllPosedError, match=closest) as info:
+        sylvester.solve_gap(a, b, np.eye(3))
+    assert info.value.detail == (5.0, 5.0)
 
 
 def test_solve_gap_report_json_fields():

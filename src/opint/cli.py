@@ -2,11 +2,11 @@
 
     opint --command suite --dims 2,4,6,8 --seed 42 --out results/
 
-Commands: shift, doi, sylvester, quantize, cotlar, peller, suite.  A JSON
-config (--config) provides the same keys as the flags; flags win.  Exit
-codes: 0 all checks passed, 1 a check failed, 2 usage error, 3 I/O error.
-Reports are byte-identical for identical (config, seed); timing goes to
-stderr only.
+Commands: shift, doi, sylvester, quantize, cotlar, peller, suite (the
+default).  A JSON config (--config) provides the same keys as the flags;
+flags win.  Exit codes: 0 all checks passed, 1 a check failed, 2 usage
+error, 3 I/O error.  Reports are byte-identical for identical (config,
+seed); timing goes to stderr only.
 """
 
 from __future__ import annotations
@@ -24,13 +24,7 @@ from .errors import ConfigError, IllPosedError, InputDomainError
 from .linalg import hermitian_eigenvalues, load_matrix, operator_norm, trace_norm
 from .quadrature import symmetric_open_rule
 from .rng import random_complex, random_hermitian, random_unit_vector, substream
-from .suite import CheckRecord, Report, ScenarioConfig
-
-F_PRESETS = {
-    "identity": (lambda x: np.asarray(x, dtype=complex), 1.0),
-    "arctan": (np.arctan, 1.0),
-    "abs": (np.abs, 1.0),
-}
+from .suite import F_PRESETS, ROUTES, CheckRecord, Report, ScenarioConfig
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -42,7 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, default=None, help="output directory")
     p.add_argument("--dims", type=str, default=None, help="comma-separated dimensions")
     p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--route", choices=("counting", "arctan", "fourier", "rank1"), default=None)
+    p.add_argument("--route", choices=ROUTES, default=None)
     p.add_argument("--eps", type=float, default=None, dest="epsilon")
     p.add_argument("--eta", type=float, default=None)
     p.add_argument("--alpha", type=float, default=None)
@@ -99,15 +93,12 @@ def _resolve_config(args) -> ScenarioConfig:
             overrides["p"] = float(args.p)
         except ValueError as exc:
             raise ConfigError(f"--p: expected a number or 'inf', got {args.p!r}") from exc
-    inputs = dict(raw.get("inputs", {}))
-    for key, value in (("a", args.a), ("b", args.b), ("y", args.y)):
-        if value is not None:
-            inputs[key] = str(value)
-    if inputs:
-        overrides["inputs"] = inputs
+    flagged = {key: str(value) for key, value in (("a", args.a), ("b", args.b), ("y", args.y))
+               if value is not None}
+    inputs = raw.get("inputs", {})
+    if flagged and isinstance(inputs, dict):  # ScenarioConfig refuses any other inputs
+        overrides["inputs"] = {**inputs, **flagged}
     cfg = ScenarioConfig.from_dict(raw, overrides)
-    if cfg.command is None:
-        raise ConfigError("command: required (flag --command or config key)")
     for key, path in cfg.inputs.items():
         if not Path(path).exists():
             raise OSError(f"input {key}: file not found: {path}")
@@ -233,15 +224,16 @@ def run_sylvester(cfg: ScenarioConfig) -> Report:
 
 def _load_symbol(cfg: ScenarioConfig, n: int) -> np.ndarray:
     if "symbol" in cfg.inputs:
-        rows = []
-        with open(cfg.inputs["symbol"], "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    rows.append([complex(cell) for cell in line.split(",")])
-        sigma = np.asarray(rows, dtype=complex)
+        path = cfg.inputs["symbol"]
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [line.strip() for line in fh if line.strip()]
+        try:  # a bad cell or ragged rows
+            sigma = np.asarray([[complex(cell) for cell in line.split(",")] for line in lines],
+                               dtype=complex)
+        except ValueError as exc:
+            raise InputDomainError(f"symbol CSV {path}: malformed ({exc})") from exc
         if sigma.shape != (n, n):
-            raise InputDomainError(f"symbol CSV must be {n}x{n}, got {sigma.shape}")
+            raise InputDomainError(f"symbol CSV {path} must be {n}x{n}, got {sigma.shape}")
         return sigma
     return random_complex(substream(cfg.seed, "cli-symbol"), (n, n))
 

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputDomainError
-from .linalg import (EigenSystem, apply_function, as_complex_matrix,
-                     as_hermitian, eig_hermitian, schatten_norm)
+from .linalg import (EigenSystem, apply_function, as_complex_matrix, eig_hermitian,
+                     schatten_norm)
 from .quadrature import QuadratureRule, trapezoid_rule
 from .rng import random_complex, random_hermitian, substream
 
@@ -41,7 +41,7 @@ class SpectralPair:
     def __post_init__(self):
         if self.left.dim != self.right.dim:
             raise InputDomainError(
-                f"spectral pair dimensions differ: {self.left.dim} vs {self.right.dim}")
+                f"spectral pair dimension mismatch: {self.left.dim} vs {self.right.dim}")
 
     @property
     def dim(self) -> int:
@@ -54,11 +54,7 @@ class SpectralPair:
 
 
 def make_spectral_pair(a, b) -> SpectralPair:
-    am = as_hermitian(a, "A")
-    bm = as_hermitian(b, "B")
-    if am.shape != bm.shape:
-        raise InputDomainError(f"dimension mismatch: {am.shape} vs {bm.shape}")
-    return SpectralPair(left=eig_hermitian(am), right=eig_hermitian(bm))
+    return SpectralPair(left=eig_hermitian(a, "A"), right=eig_hermitian(b, "B"))
 
 
 @dataclass(frozen=True)
@@ -223,8 +219,7 @@ def triangular_truncation(pair: SpectralPair, t) -> np.ndarray:
 
 
 def sampled_transformer_norm(pair: SpectralPair, sym: SymbolGrid, p, trials: int,
-                             seed: int, tag: str = "transformer-norm",
-                             extra_candidates=()) -> float:
+                             seed: int, tag: str = "transformer-norm") -> float:
     """Sampled lower bound of the C_p -> C_p norm of the multiplier.
 
     Exact C_p transformer norms are not computable for p != 2; this is a
@@ -238,8 +233,6 @@ def sampled_transformer_norm(pair: SpectralPair, sym: SymbolGrid, p, trials: int
         rng = substream(seed, tag, trial)
         t = random_complex(rng, (n, n))
         best = max(best, _normalized_image_norm(pair, sym, t, p))
-    for t in extra_candidates:
-        best = max(best, _normalized_image_norm(pair, sym, np.asarray(t, dtype=np.complex128), p))
     return best
 
 

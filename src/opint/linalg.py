@@ -77,27 +77,25 @@ class EigenSystem:
 
 
 def _fix_phases(u: np.ndarray) -> np.ndarray:
-    # first component of each column with modulus > PHASE_TOL is made real > 0
-    n = u.shape[1]
-    for j in range(n):
-        col = u[:, j]
-        idx = np.flatnonzero(np.abs(col) > PHASE_TOL)
-        k = idx[0] if idx.size else int(np.argmax(np.abs(col)))
-        pivot = col[k]
-        if pivot != 0.0:
-            u[:, j] = col * (abs(pivot) / pivot)
-            u[k, j] = u[k, j].real
+    # first component of each column with modulus > PHASE_TOL is made real > 0;
+    # an eigh column has unit norm, so some entry is >= 1/sqrt(n) > PHASE_TOL
+    rows = (np.abs(u) > PHASE_TOL).argmax(axis=0)
+    cols = np.arange(u.shape[1])
+    pivot = u[rows, cols]
+    u *= np.abs(pivot) / pivot
+    u[rows, cols] = u[rows, cols].real
     return u
 
 
-def eig_hermitian(h) -> EigenSystem:
+def eig_hermitian(h, name: str = "matrix") -> EigenSystem:
     """Diagonalize a hermitian matrix with LAPACK (`numpy.linalg.eigh`).
 
     Eigenvalues come out ascending.  Each eigenvector's first component of
     modulus > 1e-8 is made real and positive, so the unitary is fixed up
-    to the choice of basis inside repeated eigenvalues.
+    to the choice of basis inside repeated eigenvalues.  `name` labels
+    the matrix in validation errors.
     """
-    w, v = np.linalg.eigh(as_hermitian(h))
+    w, v = np.linalg.eigh(as_hermitian(h, name))
     return EigenSystem(eigenvalues=w, unitary=_fix_phases(v))
 
 

@@ -57,6 +57,8 @@ def _symbol_vector(space: CycleSpace, v, name: str) -> np.ndarray:
     v = np.asarray(v, dtype=np.complex128)
     if v.shape != (space.n,):
         raise InputDomainError(f"{name} must be a length-{space.n} vector, got {v.shape}")
+    if not np.isfinite(v).all():
+        raise InputDomainError(f"{name} has non-finite entries")
     return v
 
 
@@ -131,13 +133,14 @@ def cotlar_stein_bound(space: CycleSpace, terms) -> CotlarReport:
     n = space.n
     fs = np.stack([_symbol_vector(space, f, f"f_{k}") for k, (f, _) in enumerate(terms)])
     gs = np.stack([_symbol_vector(space, g, f"g_{k}") for k, (_, g) in enumerate(terms)])
-    k = fs.shape[0]
-    a = np.zeros((k, k))
-    fsq = np.abs(fs) ** 2
-    momenta = [_circulant(n, c) for c in np.fft.ifft(np.abs(gs) ** 2, axis=1)]  # P(|g_j|^2)
-    for i in range(k):
-        for j in range(k):
-            a[i, j] = np.sqrt(operator_norm(fsq[i][:, None] * momenta[j]))
+    # P(|g_j|^2), stacked: k n^2 entries, where the pairwise products would hold k^2 n^2
+    momenta = np.stack([_circulant(n, c) for c in np.fft.ifft(np.abs(gs) ** 2, axis=1)])
+    a = np.empty((len(terms), len(terms)))
+    for k, f_sq in enumerate(np.abs(fs) ** 2):  # row k: one stacked SVD over every j
+        products = f_sq[:, None] * momenta
+        if not np.isfinite(products).all():
+            raise InputDomainError(f"term products of f_{k} overflow")
+        a[k] = np.sqrt(np.linalg.svd(products, compute_uv=False)[:, 0])
     bound = float(max(a.sum(axis=1).max(), a.sum(axis=0).max()))
     # sum_k diag(f_k) P(g_k)[x, y] = sum_k f_k[x] ifft(g_k)[(x - y) mod n]
     actual = operator_norm(_circulant(n, fs.T @ np.fft.ifft(gs, axis=1)))

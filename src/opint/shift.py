@@ -119,34 +119,16 @@ class ShiftFunction:
         return float(np.sum(np.abs(diff) * np.diff(grid)))
 
 
-def _canonical_shift(breakpoints: np.ndarray, values: np.ndarray) -> ShiftFunction:
-    bp = [float(breakpoints[0])] if breakpoints.size else []
-    vals: list[int] = []
-    for k, v in enumerate(values):
-        v = int(v)
-        if vals and v == vals[-1]:
-            bp[-1] = float(breakpoints[k + 1])
-        else:
-            vals.append(v)
-            bp.append(float(breakpoints[k + 1]))
-    while vals and vals[0] == 0:
-        vals.pop(0)
-        bp.pop(0)
-    while vals and vals[-1] == 0:
-        vals.pop()
-        bp.pop()
-    if not vals:
-        return ShiftFunction(np.zeros(0), np.zeros(0, dtype=np.int64))
-    return ShiftFunction(np.asarray(bp), np.asarray(vals, dtype=np.int64))
-
-
 def xi_counting(pair: SpectralPair) -> ShiftFunction:
-    """Exact shift function: xi(l) = #{eigs of B <= l} - #{eigs of A <= l}."""
+    """Exact shift function: xi(l) = #{eigs of B <= l} - #{eigs of A <= l},
+    kept at the points where it changes value (none for the zero function)."""
     wa, wb = pair.left.eigenvalues, pair.right.eigenvalues
     bp = np.unique(np.concatenate([wa, wb]))
-    counts_b = np.searchsorted(wb, bp[:-1], side="right")
-    counts_a = np.searchsorted(wa, bp[:-1], side="right")
-    return _canonical_shift(bp, counts_b - counts_a)
+    counts = (np.searchsorted(wb, bp[:-1], side="right")
+              - np.searchsorted(wa, bp[:-1], side="right"))
+    padded = np.concatenate([[0], counts, [0]])  # xi = 0 outside the spectra
+    change = np.flatnonzero(np.diff(padded))
+    return ShiftFunction(bp[change], padded[change[:-1] + 1])
 
 
 @dataclass(frozen=True)
@@ -183,12 +165,14 @@ def harmonic_h(pair: SpectralPair, x: float, y: float) -> float:
     """Harmonic extension h(x, y) = (1/pi) tr[arctan((A-x)/y) - arctan((B-x)/y)]."""
     if y <= 0:
         raise InputDomainError(f"need y > 0, got {y}")
-    return _arctan_trace(pair.left.eigenvalues, pair.right.eigenvalues, float(x), float(y))
+    return float(_arctan_trace(pair.left.eigenvalues, pair.right.eigenvalues, float(x), float(y)))
 
 
-def _arctan_trace(wa: np.ndarray, wb: np.ndarray, s: float, eps: float) -> float:
-    """(1/pi) tr[arctan((A-s)/eps) - arctan((B-s)/eps)] from the eigenvalues."""
-    return float(np.arctan((wa - s) / eps).sum() - np.arctan((wb - s) / eps).sum()) / np.pi
+def _arctan_trace(wa: np.ndarray, wb: np.ndarray, s, eps: float):
+    """(1/pi) tr[arctan((A-s)/eps) - arctan((B-s)/eps)] from the eigenvalues,
+    at a scalar s or at each entry of a column s of shape (G, 1)."""
+    return (np.arctan((wa - s) / eps).sum(axis=-1)
+            - np.arctan((wb - s) / eps).sum(axis=-1)) / np.pi
 
 
 def xi_arctan(pair: SpectralPair, epsilon: float, grid) -> SampledCurve:
@@ -196,8 +180,7 @@ def xi_arctan(pair: SpectralPair, epsilon: float, grid) -> SampledCurve:
     if epsilon <= 0:
         raise InputDomainError(f"need epsilon > 0, got {epsilon}")
     g = _as_grid(grid)
-    wa, wb = pair.left.eigenvalues, pair.right.eigenvalues
-    ords = np.array([_arctan_trace(wa, wb, s, epsilon) for s in g])
+    ords = _arctan_trace(pair.left.eigenvalues, pair.right.eigenvalues, g[:, None], epsilon)
     return SampledCurve(abscissae=g, ordinates=ords)
 
 

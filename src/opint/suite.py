@@ -31,6 +31,15 @@ TOLERANCE_DEFAULTS = {
 }
 
 COMMANDS = ("shift", "doi", "sylvester", "quantize", "cotlar", "peller", "suite")
+ROUTES = ("counting", "arctan", "fourier", "rank1")
+INPUT_NAMES = ("a", "b", "y", "symbol")  # the files a command can read instead of drawing
+
+# functions f of the doi command's Lipschitz experiment, with their Lipschitz constants
+F_PRESETS = {
+    "identity": (lambda x: np.asarray(x, dtype=complex), 1.0),
+    "arctan": (np.arctan, 1.0),
+    "abs": (np.abs, 1.0),
+}
 
 # Size caps, refused before anything is allocated.  At both caps the Fourier
 # shift route holds three 10,000 x 1,000 complex tables (about 0.5 GB).
@@ -77,7 +86,20 @@ class ScenarioConfig:
                               f"{MAX_QUAD_NODES} nodes")
         self._grid_spec()  # refuses a malformed or oversized grid before grid_array
         self.dims = [int(d) for d in self.dims]
+        if not isinstance(self.seed, Integral) or isinstance(self.seed, bool):
+            raise ConfigError(f"seed: expected an integer, got {self.seed!r}")
         self.seed = int(self.seed) & (2**64 - 1)
+        for key, value, allowed in (("route", self.route, ROUTES),
+                                    ("f", self.f, tuple(F_PRESETS))):
+            if not isinstance(value, str) or value not in allowed:
+                raise ConfigError(f"{key}: expected one of {', '.join(allowed)}, got {value!r}")
+        if not isinstance(self.extrapolated, bool):
+            raise ConfigError(f"extrapolated: expected true or false, got {self.extrapolated!r}")
+        if (not isinstance(self.inputs, dict)
+                or not all(name in INPUT_NAMES and isinstance(path, str)
+                           for name, path in self.inputs.items())):
+            raise ConfigError(f"inputs: expected an object of file paths named "
+                              f"{', '.join(INPUT_NAMES)}, got {self.inputs!r}")
         if not isinstance(self.tolerances, dict):
             raise ConfigError(f"tolerances: expected an object, got {self.tolerances!r}")
         unknown_tols = set(self.tolerances) - set(TOLERANCE_DEFAULTS)
@@ -85,6 +107,8 @@ class ScenarioConfig:
             raise ConfigError(f"tolerances: unknown names {sorted(unknown_tols)}")
         scales = [("epsilon", self.epsilon), ("eta", self.eta), ("alpha", self.alpha),
                   *((f"tolerances.{k}", v) for k, v in self.tolerances.items())]
+        if self.quad_half_width is not None:
+            scales.append(("quad_half_width", self.quad_half_width))
         for key, value in scales:
             if (not isinstance(value, Real) or isinstance(value, bool)
                     or not (value > 0 and math.isfinite(value))):

@@ -378,3 +378,22 @@ def test_lipschitz_rejects_bad_p():
 def test_symbol_grid_rejects_non_finite():
     with pytest.raises(errors.InputDomainError):
         doi.SymbolGrid(values=np.array([[np.inf]]))
+
+
+def test_make_spectral_pair_validates_each_operand_once(monkeypatch):
+    calls = []
+    original = linalg.as_hermitian
+
+    def counted(m, name="matrix", *args, **kwargs):
+        calls.append(name)
+        return original(m, name, *args, **kwargs)
+    for module in (linalg, doi):
+        if getattr(module, "as_hermitian", None) is original:
+            monkeypatch.setattr(module, "as_hermitian", counted)
+    doi.make_spectral_pair(*seeded_pair(4, 3))
+    assert calls == ["A", "B"]
+
+
+def test_make_spectral_pair_names_the_operand_it_refuses():
+    with pytest.raises(errors.InputDomainError, match="^B is not hermitian"):
+        doi.make_spectral_pair(np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]))

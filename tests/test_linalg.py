@@ -264,3 +264,56 @@ def test_projector_from_mask():
     np.testing.assert_allclose(p @ p, p, atol=1e-12)
     np.testing.assert_allclose(p, p.conj().T, atol=1e-14)
     assert np.trace(p).real == pytest.approx(mask.sum(), abs=1e-10)
+
+
+def _fix_phases_per_column(u):
+    """The per-column phase convention that `_fix_phases` vectorizes, kept
+    as the reference: each column's first entry of modulus > PHASE_TOL is
+    made real and positive."""
+    u = u.copy()
+    for j in range(u.shape[1]):
+        col = u[:, j]
+        idx = np.flatnonzero(np.abs(col) > linalg.PHASE_TOL)
+        k = idx[0] if idx.size else int(np.argmax(np.abs(col)))
+        pivot = col[k]
+        if pivot != 0.0:
+            u[:, j] = col * (abs(pivot) / pivot)
+            u[k, j] = u[k, j].real
+    return u
+
+
+def _phase_test_matrices():
+    for n in (1, 2, 3, 5, 8, 17, 64, 128):
+        rng = substream(21, "phase-reference", n)
+        h = random_hermitian(rng, n)
+        zero_row = h.copy()
+        zero_row[0, :] = zero_row[:, 0] = 0.0
+        yield from (h, zero_row)
+        for k in (-150, -10, 0, 10, 150):
+            yield np.diag(rng.standard_normal(n) * 10.0 ** k)
+
+
+def test_eig_hermitian_unitary_matches_per_column_phase_loop_bit_for_bit():
+    # eigh's first row is real for these families, so every pivot is real
+    for h in _phase_test_matrices():
+        _, v = np.linalg.eigh(linalg.as_hermitian(h))
+        expected = _fix_phases_per_column(v)
+        assert linalg.eig_hermitian(h).unitary.tobytes() == expected.tobytes()
+
+
+def test_eig_hermitian_unitary_matches_phase_loop_for_complex_pivots():
+    # a first row below PHASE_TOL moves the pivots to complex entries, where
+    # numpy's array division |p|/p may round the last bit unlike its scalar one
+    for n in (2, 5, 17, 64):
+        h = random_hermitian(substream(22, "phase-reference-tiny-row", n), n)
+        h[0, 1:] *= 1e-12
+        h[1:, 0] *= 1e-12
+        _, v = np.linalg.eigh(linalg.as_hermitian(h))
+        assert (np.abs(v[0]) <= linalg.PHASE_TOL).any()
+        np.testing.assert_allclose(linalg.eig_hermitian(h).unitary, _fix_phases_per_column(v),
+                                   rtol=0, atol=4 * np.finfo(float).eps)
+
+
+def test_eig_hermitian_names_the_matrix_in_errors():
+    with pytest.raises(errors.InputDomainError, match="^H is not hermitian"):
+        linalg.eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]), name="H")

@@ -221,6 +221,46 @@ def test_cotlar_rejects_malformed_terms(terms, name):
         qz.cotlar_stein_bound(qz.cycle_space(4), terms)
 
 
+def _pairwise_norms_per_pair(space, terms):
+    """Reference for the Cotlar-Stein array: one operator norm per (k, j)."""
+    fsq = [np.abs(np.asarray(f, dtype=complex)) ** 2 for f, _ in terms]
+    momenta = [qz.momentum_operator(space, np.abs(np.asarray(g, dtype=complex)) ** 2)
+               for _, g in terms]
+    return np.array([[np.sqrt(operator_norm(f[:, None] * m)) for m in momenta] for f in fsq])
+
+
+@pytest.mark.parametrize("n, k", [(1, 1), (4, 3), (8, 1), (16, 5), (32, 8)])
+def test_cotlar_bound_matches_per_pair_norms_bit_for_bit(n, k):
+    rng = substream(8, "quant-cotlar-pairs", n)
+    terms = [(random_complex(rng, n), random_complex(rng, n)) for _ in range(k)]
+    a = _pairwise_norms_per_pair(qz.cycle_space(n), terms)
+    bound = float(max(a.sum(axis=1).max(), a.sum(axis=0).max()))
+    assert qz.cotlar_stein_bound(qz.cycle_space(n), terms).bound == bound
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+@pytest.mark.parametrize("slot, name", [(0, "f_1"), (1, "g_1")])
+def test_cotlar_rejects_non_finite_terms(bad, slot, name):
+    term = [np.ones(4, dtype=complex), np.ones(4, dtype=complex)]
+    term[slot][2] = bad
+    with pytest.raises(errors.InputDomainError, match=rf"^{name} has non-finite entries"):
+        qz.cotlar_stein_bound(qz.cycle_space(4), [(np.ones(4), np.ones(4)), tuple(term)])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cotlar_rejects_overflowing_term_products():
+    # finite terms whose squared moduli overflow to inf
+    with pytest.raises(errors.InputDomainError, match="^term products of f_0 overflow"):
+        qz.cotlar_stein_bound(qz.cycle_space(4), [(np.full(4, 1e200), np.ones(4))])
+
+
+@pytest.mark.parametrize("operator, name", [(qz.position_operator, "f"),
+                                            (qz.momentum_operator, "g")])
+def test_symbol_operators_reject_non_finite_symbols(operator, name):
+    with pytest.raises(errors.InputDomainError, match=rf"^{name} has non-finite entries"):
+        operator(qz.cycle_space(3), np.array([1.0, np.nan, 0.0]))
+
+
 def test_cycle_space_builds_dft_on_demand():
     space = qz.cycle_space(4)
     assert [f.name for f in dataclasses.fields(space)] == ["n"]

@@ -84,6 +84,57 @@ def test_xi_counting_support_inside_joint_interval():
         assert hi <= max(wa.max(), wb.max()) + 1e-12
 
 
+def _xi_counting_run_merge(pair):
+    """Reference for `xi_counting`: the counts on every interval between
+    sorted eigenvalues, with equal neighbours merged and zero ends dropped
+    one run at a time."""
+    wa, wb = pair.left.eigenvalues, pair.right.eigenvalues
+    breakpoints = np.unique(np.concatenate([wa, wb]))
+    values = (np.searchsorted(wb, breakpoints[:-1], side="right")
+              - np.searchsorted(wa, breakpoints[:-1], side="right"))
+    bp = [float(breakpoints[0])] if breakpoints.size else []
+    vals = []
+    for k, v in enumerate(values):
+        v = int(v)
+        if vals and v == vals[-1]:
+            bp[-1] = float(breakpoints[k + 1])
+        else:
+            vals.append(v)
+            bp.append(float(breakpoints[k + 1]))
+    while vals and vals[0] == 0:
+        vals.pop(0)
+        bp.pop(0)
+    while vals and vals[-1] == 0:
+        vals.pop()
+        bp.pop()
+    if not vals:
+        return np.zeros(0), np.zeros(0, dtype=np.int64)
+    return np.asarray(bp), np.asarray(vals, dtype=np.int64)
+
+
+def _counting_reference_pairs():
+    for trial in range(20):
+        yield seeded_pair(12, 1 + trial % 7, trial=trial, tag="shift-runs")
+    h = random_hermitian(substream(12, "shift-runs-equal"), 5)
+    yield h, h                                                    # the zero function
+    yield np.diag([1.0, 1.0, 2.0, 2.0]), np.diag([0.0, 1.0, 1.0, 3.0])  # repeated
+    yield np.diag([0.0, 1.0, 2.0]), np.diag([1.0, 2.0, 5.0])      # shared by A and B
+    yield np.diag([2.0, 1.0]), np.diag([1.0, 2.0])                # same spectrum
+    yield np.diag([-1.0, 0.0, 4.0]), np.diag([-1.0, 3.0, 4.0])    # zero runs inside
+    yield np.array([[1.5]]), np.array([[-0.5]])                   # 1x1 pairs
+    yield np.array([[0.5]]), np.array([[0.5]])
+
+
+def test_xi_counting_matches_run_merging_reference():
+    for a, b in _counting_reference_pairs():
+        pair = make_spectral_pair(a, b)
+        xi = shift.xi_counting(pair)
+        breakpoints, values = _xi_counting_run_merge(pair)
+        assert xi.breakpoints.tobytes() == breakpoints.tobytes()
+        assert xi.values.dtype == values.dtype
+        assert np.array_equal(xi.values, values)
+
+
 def test_shift_function_rejects_bad_data():
     with pytest.raises(errors.InputDomainError):
         shift.ShiftFunction(breakpoints=[0.0, 1.0], values=[1, 2])
@@ -149,6 +200,22 @@ def test_harmonic_h_equals_arctan_route():
     val = shift.harmonic_h(make_spectral_pair(a, b), 0.3, 0.05)
     curve = shift.xi_arctan(make_spectral_pair(a, b), 0.05, np.array([0.3]))
     assert val == pytest.approx(curve.ordinates[0], abs=1e-14)
+
+
+def _arctan_trace_at(pair, s, eps):
+    """Reference for the arctan route: the trace at one point s."""
+    wa, wb = pair.left.eigenvalues, pair.right.eigenvalues
+    return float(np.arctan((wa - s) / eps).sum() - np.arctan((wb - s) / eps).sum()) / np.pi
+
+
+@pytest.mark.parametrize("dim, points, eps", [(1, 1, 0.3), (3, 7, 0.05), (8, 161, 0.01),
+                                               (33, 161, 0.01), (64, 1001, 1e-3)])
+def test_xi_arctan_matches_per_point_harmonic_h_bit_for_bit(dim, points, eps):
+    pair = make_spectral_pair(*seeded_pair(13, dim, tag="shift-arctan-points"))
+    grid = np.linspace(-4.0, 4.0, points)
+    expected = np.array([_arctan_trace_at(pair, s, eps) for s in grid])
+    assert np.array([shift.harmonic_h(pair, s, eps) for s in grid]).tobytes() == expected.tobytes()
+    assert shift.xi_arctan(pair, eps, grid).ordinates.tobytes() == expected.tobytes()
 
 
 def test_harmonic_h_large_y_integral_limit():

@@ -12,6 +12,7 @@ seed); timing goes to stderr only.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -66,22 +67,8 @@ def _resolve_config(args) -> ScenarioConfig:
             raise ConfigError(f"config: invalid JSON ({exc})") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config: top level must be a JSON object")
-    overrides = {
-        "command": args.command,
-        "seed": args.seed,
-        "trials": args.trials,
-        "route": args.route,
-        "epsilon": args.epsilon,
-        "eta": args.eta,
-        "alpha": args.alpha,
-        "extrapolated": args.extrapolated,
-        "grid": args.grid,
-        "quad_half_width": args.quad_half_width,
-        "quad_nodes": args.quad_nodes,
-        "f": args.f,
-        "n": args.n,
-        "terms": args.terms,
-    }
+    keys = {f.name for f in dataclasses.fields(ScenarioConfig)} - {"dims", "p", "inputs"}
+    overrides = {key: value for key, value in vars(args).items() if key in keys}
     if args.dims is not None:
         try:
             overrides["dims"] = [int(d) for d in args.dims.split(",") if d]
@@ -191,7 +178,7 @@ def run_doi(cfg: ScenarioConfig) -> Report:
                           observed=exp.max_ratio, tolerance=0.0, passed=ok,
                           note="observed max ratio; no exact constant is known for general p")]
     report = Report(command="doi", config=cfg.to_json_dict(), checks=checks)
-    report.extras["experiment"] = json.loads(exp.to_json())
+    report.extras["experiment"] = dataclasses.asdict(exp)
     return report
 
 
@@ -241,10 +228,10 @@ def _load_symbol(cfg: ScenarioConfig, n: int) -> np.ndarray:
 def run_quantize(cfg: ScenarioConfig) -> Report:
     space = quantization.cycle_space(cfg.n)
     sigma = _load_symbol(cfg, cfg.n)
-    m = quantization.quantize(space, sigma)
-    norm_value = operator_norm(m)
+    # the search refuses an oversized n before anything n^3 is allocated
     search = quantization.qp_norm_upper_bound(space, sigma, trials=min(cfg.trials, 8),
                                               seed=cfg.seed)
+    norm_value = operator_norm(quantization.quantize(space, sigma))
     checks = [CheckRecord(name="upper_bound_dominates_norm", expected=search["upper_bound"],
                           observed=norm_value, tolerance=search["upper_bound"],
                           passed=bool(norm_value <= search["upper_bound"] + 1e-9))]
@@ -313,13 +300,11 @@ def emit_report(report: Report, out_dir) -> Path:
     try:
         out.mkdir(parents=True, exist_ok=True)
         report_path = out / f"{report.command}_report.json"
-        payload = report.to_json()
         curve = report.extras.pop("curve_csv", None)
         if curve is not None:
             (out / "curve.csv").write_text(curve, encoding="utf-8")
             report.extras["curve_csv_file"] = "curve.csv"
-            payload = report.to_json()
-        report_path.write_text(payload, encoding="utf-8")
+        report_path.write_text(report.to_json(), encoding="utf-8")
     except OSError as exc:
         raise OSError(f"cannot write report under {out}: {exc}") from exc
     return report_path

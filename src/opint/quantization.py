@@ -16,10 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .doi import Decomposition
-from .errors import InputDomainError
+from .errors import IllPosedError, InputDomainError
 from .linalg import EigenSystem, apply_function, as_complex_matrix, dft_unitary, \
     operator_norm
 from .rng import substream
+
+# largest n for qp_norm_upper_bound: each trial stacks n circulants of n x n
+# (16 n^3 B, twice) and takes n^2 SVDs of n x n; at n = 64 two trials take
+# about 3 s and 50 MiB, and time grows as n^5
+QP_MAX_DIM = 64
 
 
 @dataclass(frozen=True)
@@ -155,9 +160,15 @@ def qp_norm_upper_bound(space: CycleSpace, sigma, trials: int, seed: int) -> dic
     Cotlar-Stein certificate of that system; the smallest certificate seen
     is an upper bound for |quantize(sigma)|.  This is a search, not the
     function-space norm itself, and the result is labeled accordingly.
+    Refuses n above `QP_MAX_DIM` with `IllPosedError` before any circulant
+    is built.
     """
-    s = as_complex_matrix(sigma, "sigma")
     n = space.n
+    if n > QP_MAX_DIM:
+        raise IllPosedError(f"upper-bound search refuses n = {n} > {QP_MAX_DIM}: each "
+                            f"trial would stack {n} circulants of {n}x{n} and take "
+                            f"{n * n} SVDs")
+    s = as_complex_matrix(sigma, "sigma")
     if s.shape != (n, n):
         raise InputDomainError(f"sigma must be {n}x{n}, got {s.shape}")
     best = np.inf

@@ -6,10 +6,18 @@ identities and inequalities that hold for every seed; trial counts only
 change how much evidence is gathered, never whether a healthy build
 passes.  Reports are byte-stable for a fixed (config, seed): wall time is
 reported on stderr, not in the file.
+
+Each check is a generator of its per-trial errors.  The `_check`
+decorator appends it to `SUITE_CHECKS`, in definition order, as a
+(cfg) -> CheckRecord callable that reduces the errors to the worst one
+(NaN if any error is NaN) and compares it with the check's bound.
+`_trials` yields each trial's (rng, dim): the substream of (seed, tag,
+trial) and the configured dims in turn.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field, fields
@@ -201,86 +209,98 @@ class Report:
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _bounded(name, observed, bound, note="") -> CheckRecord:
-    return CheckRecord(name=name, expected=float(bound), observed=float(observed),
-                       tolerance=float(bound), passed=bool(observed <= bound), note=note)
+# --------------------------------------------------------------------------
+# suite checks: each is a generator of per-trial errors that `_check`
+# registers as a (cfg) -> CheckRecord callable in SUITE_CHECKS
+# --------------------------------------------------------------------------
+
+SUITE_CHECKS = []  # in report order; run_suite reads it at call time
 
 
-# --------------------------------------------------------------------------
-# suite checks; each takes (cfg) and returns a CheckRecord
-# --------------------------------------------------------------------------
+def _check(name, bound, note="", floor=0.0):
+    """Register a generator of errors as the suite check `name`.
+
+    `bound` is a number or a TOLERANCE_DEFAULTS name, and `note` is
+    formatted with cfg.  The check records the worst error: `floor` if
+    none is yielded, NaN if any is NaN.
+    """
+    def register(errors):
+        @functools.wraps(errors)
+        def check(cfg):
+            limit = cfg.tolerance(bound) if isinstance(bound, str) else float(bound)
+            worst = float(np.max([floor, *errors(cfg)]))  # np.max propagates NaN
+            return CheckRecord(name=name, expected=limit, observed=worst, tolerance=limit,
+                               passed=bool(worst <= limit), note=note.format(cfg=cfg))
+        SUITE_CHECKS.append(check)
+        return check
+    return register
+
+
+def _trials(cfg: ScenarioConfig, tag: str, count=None, max_dim=None):
+    """(rng, dim) per trial: substream(seed, tag, trial) and the dims cycled,
+    capped at max_dim; cfg.trials trials unless count is given."""
+    for trial in range(cfg.trials if count is None else count):
+        dim = cfg.dims[trial % len(cfg.dims)]
+        yield substream(cfg.seed, tag, trial), dim if max_dim is None else min(dim, max_dim)
 
 
 def _pairs(cfg: ScenarioConfig, tag: str):
-    for trial in range(cfg.trials):
-        dim = cfg.dims[trial % len(cfg.dims)]
-        rng = substream(cfg.seed, tag, trial)
-        yield trial, rng, random_hermitian(rng, dim), random_hermitian(rng, dim)
+    for rng, dim in _trials(cfg, tag):
+        yield rng, random_hermitian(rng, dim), random_hermitian(rng, dim)
 
 
+@_check("linalg.eig_reconstruction", "algebraic")
 def check_eig_reconstruction(cfg):
-    worst = 0.0
-    for _, rng, a, _ in _pairs(cfg, "suite-eig"):
+    for _, a, _ in _pairs(cfg, "suite-eig"):
         e = eig_hermitian(a)
-        worst = max(worst, np.linalg.norm(e.reconstruct() - a) / max(np.linalg.norm(a), 1e-300))
-    return _bounded("linalg.eig_reconstruction", worst, cfg.tolerance("algebraic"))
+        yield np.linalg.norm(e.reconstruct() - a) / max(np.linalg.norm(a), 1e-300)
 
 
+@_check("linalg.schatten_monotone_in_1_over_p", "algebraic")
 def check_schatten_monotone(cfg):
     ps = [1, 1.5, 2, 4, np.inf]
-    worst = 0.0
-    for trial in range(cfg.trials):
-        rng = substream(cfg.seed, "suite-schatten", trial)
-        m = random_complex(rng, (cfg.dims[trial % len(cfg.dims)],) * 2)
+    for rng, dim in _trials(cfg, "suite-schatten"):
+        m = random_complex(rng, (dim, dim))
         norms = [schatten_norm(m, p) for p in ps]
-        worst = max(worst, max(hi - lo for lo, hi in zip(norms, norms[1:])))
-    return _bounded("linalg.schatten_monotone_in_1_over_p", worst, cfg.tolerance("algebraic"))
+        yield max(hi - lo for lo, hi in zip(norms, norms[1:]))
 
 
+@_check("linalg.hoelder_trace_duality", "algebraic")
 def check_hoelder_duality(cfg):
     pairs = [(1, np.inf), (2, 2), (4, 4 / 3)]
-    worst = 0.0
-    for trial in range(cfg.trials):
-        rng = substream(cfg.seed, "suite-hoelder", trial)
-        dim = cfg.dims[trial % len(cfg.dims)]
+    for trial, (rng, dim) in enumerate(_trials(cfg, "suite-hoelder")):
         m, n = random_complex(rng, (dim, dim)), random_complex(rng, (dim, dim))
         p, q = pairs[trial % len(pairs)]
-        slack = abs(np.trace(m @ n.conj().T)) - schatten_norm(m, p) * schatten_norm(n, q)
-        worst = max(worst, slack)
-    return _bounded("linalg.hoelder_trace_duality", worst, cfg.tolerance("algebraic"))
+        yield abs(np.trace(m @ n.conj().T)) - schatten_norm(m, p) * schatten_norm(n, q)
 
 
+@_check("linalg.dft_fourth_power_identity", "algebraic")
 def check_dft_order_four(cfg):
-    worst = 0.0
     for dim in cfg.dims:
-        f = dft_unitary(dim)
-        worst = max(worst, np.abs(np.linalg.matrix_power(f, 4) - np.eye(dim)).max())
-    return _bounded("linalg.dft_fourth_power_identity", worst, cfg.tolerance("algebraic"))
+        yield np.abs(np.linalg.matrix_power(dft_unitary(dim), 4) - np.eye(dim)).max()
 
 
+@_check("linalg.apply_function_additive", "algebraic")
 def check_apply_function_additive(cfg):
-    worst = 0.0
-    for _, rng, a, _ in _pairs(cfg, "suite-additive"):
+    for _, a, _ in _pairs(cfg, "suite-additive"):
         e = eig_hermitian(a)
         lhs = apply_function(e, lambda x: np.sin(x) + np.exp(x))
         rhs = apply_function(e, np.sin) + apply_function(e, np.exp)
-        worst = max(worst, np.abs(lhs - rhs).max() / max(np.abs(rhs).max(), 1.0))
-    return _bounded("linalg.apply_function_additive", worst, cfg.tolerance("algebraic"))
+        yield np.abs(lhs - rhs).max() / max(np.abs(rhs).max(), 1.0)
 
 
+@_check("doi.identity_symbol_acts_trivially", "algebraic")
 def check_doi_identity_transformer(cfg):
-    worst = 0.0
-    for _, rng, a, b in _pairs(cfg, "suite-doi-id"):
+    for rng, a, b in _pairs(cfg, "suite-doi-id"):
         pair = doi.make_spectral_pair(a, b)
         sym = doi.symbol_from_function(pair, lambda lam, mu: np.ones_like(lam * mu, dtype=complex))
         t = random_complex(rng, (pair.dim, pair.dim))
-        worst = max(worst, np.abs(doi.doi_apply(pair, sym, t) - t).max())
-    return _bounded("doi.identity_symbol_acts_trivially", worst, cfg.tolerance("algebraic"))
+        yield np.abs(doi.doi_apply(pair, sym, t) - t).max()
 
 
+@_check("doi.localization_identity", "algebraic")
 def check_doi_localization(cfg):
-    worst = 0.0
-    for _, rng, a, b in _pairs(cfg, "suite-doi-loc"):
+    for rng, a, b in _pairs(cfg, "suite-doi-loc"):
         pair = doi.make_spectral_pair(a, b)
         sym = doi.symbol_from_function(pair, lambda lam, mu: np.sin(lam) + 1j * np.cos(mu))
         mask_l = pair.left.eigenvalues <= float(rng.uniform(-1, 1))
@@ -290,28 +310,23 @@ def check_doi_localization(cfg):
         lhs = doi.doi_apply(pair, cut, t)
         rhs = (pair.left.projector(mask_l) @ doi.doi_apply(pair, sym, t)
                @ pair.right.projector(mask_r))
-        worst = max(worst, np.abs(lhs - rhs).max())
-    return _bounded("doi.localization_identity", worst, cfg.tolerance("algebraic"))
+        yield np.abs(lhs - rhs).max()
 
 
+@_check("doi.divided_difference_maps_difference", 1e-9,
+        note="f(A)-f(B) = DOI(phi_f)(A-B) for f = x^2, relative")
 def check_doi_divided_difference(cfg):
-    worst = 0.0
-    for _, rng, a, b in _pairs(cfg, "suite-doi-dd"):
+    for _, a, b in _pairs(cfg, "suite-doi-dd"):
         pair = doi.make_spectral_pair(a, b)
         sym = doi.divided_difference_symbol(pair, lambda x: x**2, lambda x: 2 * x)
         lhs = doi.doi_apply(pair, sym, a - b)
         scale = max(np.abs(a @ a - b @ b).max(), 1.0)
-        worst = max(worst, np.abs(lhs - (a @ a - b @ b)).max() / scale)
-    return _bounded("doi.divided_difference_maps_difference", worst, 1e-9,
-                    note="f(A)-f(B) = DOI(phi_f)(A-B) for f = x^2, relative")
+        yield np.abs(lhs - (a @ a - b @ b)).max() / scale
 
 
+@_check("doi.hs_norm_equals_power_iteration", "quadrature")
 def check_doi_hs_norm(cfg):
-    worst = 0.0
-    trials = max(2, cfg.trials // 4)
-    for trial in range(trials):
-        rng = substream(cfg.seed, "suite-doi-hs", trial)
-        dim = min(cfg.dims[trial % len(cfg.dims)], 8)
+    for rng, dim in _trials(cfg, "suite-doi-hs", count=max(2, cfg.trials // 4), max_dim=8):
         pair = doi.make_spectral_pair(random_hermitian(rng, dim), random_hermitian(rng, dim))
         sym = doi.SymbolGrid(values=random_complex(rng, (dim, dim)))
         claimed = doi.hs_multiplier_norm(pair, sym)
@@ -325,41 +340,38 @@ def check_doi_hs_norm(cfg):
             g = g @ g
             g /= np.abs(g).max()
         x = g[:, np.argmax(np.linalg.norm(g, axis=0))]
-        est = np.linalg.norm(k @ x) / np.linalg.norm(x)
-        worst = max(worst, abs(claimed - est))
-    return _bounded("doi.hs_norm_equals_power_iteration", worst, cfg.tolerance("quadrature"))
+        yield abs(claimed - np.linalg.norm(k @ x) / np.linalg.norm(x))
 
 
+@_check("doi.fourier_route_matches_symbol_route", 1e-3,
+        note="default 4000-node trapezoid; kink-limited O(h^2) ~ 1e-4")
 def check_doi_fourier_cross_route(cfg):
     rng = substream(cfg.seed, "suite-doi-fourier")
     dim = min(max(cfg.dims), 6)
     a, b = random_hermitian(rng, dim), random_hermitian(rng, dim)
     pair = doi.make_spectral_pair(a, b)
     t = random_complex(rng, (dim, dim))
-    quad = trapezoid_rule(cfg.quad_half_width or 40.0, cfg.quad_nodes or 4000)
+    half_width, nodes = doi.DEFAULT_FOURIER_QUAD
+    quad = trapezoid_rule(cfg.quad_half_width or half_width, cfg.quad_nodes or nodes)
     via_time = doi.doi_fourier(pair, lambda s: np.exp(-np.abs(s)), t, quad)
     sym = doi.symbol_from_function(pair, lambda lam, mu: 2.0 / (1.0 + (lam - mu) ** 2) + 0j)
-    err = np.abs(via_time - doi.doi_apply(pair, sym, t)).max()
-    return _bounded("doi.fourier_route_matches_symbol_route", err, 1e-3,
-                    note="default 4000-node trapezoid; kink-limited O(h^2) ~ 1e-4")
+    yield np.abs(via_time - doi.doi_apply(pair, sym, t)).max()
 
 
+@_check("doi.fourier_transformer_within_l1_mass", 1e-3,
+        note="slack covers the quadrature's own l1 mass error")
 def check_doi_fourier_norm_mass(cfg):
     quad = trapezoid_rule(40.0, 2000)
-    worst = 0.0
-    for _, rng, a, b in _pairs(cfg, "suite-doi-mass"):
+    for rng, a, b in _pairs(cfg, "suite-doi-mass"):
         pair = doi.make_spectral_pair(a, b)
         t = random_complex(rng, (pair.dim, pair.dim))
         t /= operator_norm(t)
-        out = doi.doi_fourier(pair, lambda s: np.exp(-np.abs(s)), t, quad)
-        worst = max(worst, operator_norm(out) - 2.0)
-    return _bounded("doi.fourier_transformer_within_l1_mass", worst, 1e-3,
-                    note="slack covers the quadrature's own l1 mass error")
+        yield operator_norm(doi.doi_fourier(pair, lambda s: np.exp(-np.abs(s)), t, quad)) - 2.0
 
 
+@_check("doi.peller_bound_dominates_sampled_c1", "algebraic", floor=-np.inf)
 def check_peller_bound(cfg):
-    worst = -np.inf
-    for _, rng, a, b in _pairs(cfg, "suite-peller"):
+    for rng, a, b in _pairs(cfg, "suite-peller"):
         pair = doi.make_spectral_pair(a, b)
         k = int(rng.integers(1, 4))
         d = doi.Decomposition(alphas=random_complex(rng, (k, pair.dim)),
@@ -369,106 +381,93 @@ def check_peller_bound(cfg):
         bound = doi.peller_bound(d)
         t = random_complex(rng, (pair.dim, pair.dim))
         t /= trace_norm(t)
-        sampled = trace_norm(doi.doi_apply(pair, sym, t))
-        worst = max(worst, sampled - bound)
-    return _bounded("doi.peller_bound_dominates_sampled_c1", worst, cfg.tolerance("algebraic"))
+        yield trace_norm(doi.doi_apply(pair, sym, t)) - bound
 
 
+@_check("doi.triangular_truncation_idempotent_norm_one", "algebraic")
 def check_triangular_truncation(cfg):
-    worst = 0.0
     for dim in cfg.dims:
         if dim < 2:
             continue
         d = np.diag(np.arange(1.0, dim + 1))
         pair = doi.make_spectral_pair(d, d)
         sym = doi.triangular_truncation_symbol(pair)
-        worst = max(worst, abs(doi.hs_multiplier_norm(pair, sym) - 1.0))
+        yield abs(doi.hs_multiplier_norm(pair, sym) - 1.0)
         rng = substream(cfg.seed, "suite-tri", dim)
         t = random_complex(rng, (dim, dim))
         once = doi.triangular_truncation(pair, t)
-        worst = max(worst, np.abs(doi.triangular_truncation(pair, once) - once).max())
-    return _bounded("doi.triangular_truncation_idempotent_norm_one", worst,
-                    cfg.tolerance("algebraic"))
+        yield np.abs(doi.triangular_truncation(pair, once) - once).max()
 
 
+@_check("sylvester.doi_matches_kron_and_certificate", 1e-8)
 def check_sylvester_cross_oracle(cfg):
-    worst = 0.0
-    for trial in range(cfg.trials):
-        rng = substream(cfg.seed, "suite-sylv", trial)
-        dim = min(cfg.dims[trial % len(cfg.dims)], 6)
+    for rng, dim in _trials(cfg, "suite-sylv", max_dim=6):
         a = random_hermitian(rng, dim) + 4.0 * np.eye(dim)
         b = random_hermitian(rng, dim) - 4.0 * np.eye(dim)
         y = random_complex(rng, (dim, dim))
         x_doi, report = sylvester.solve_gap(a, b, y)
-        x_kron = sylvester.kron_oracle(a, b, y)
-        worst = max(worst, np.abs(x_doi - x_kron).max())
+        yield np.abs(x_doi - sylvester.kron_oracle(a, b, y)).max()
         if report.residual > 1e-9 or report.x_norm > report.bound * (1 + 1e-12):
-            worst = np.inf
-    return _bounded("sylvester.doi_matches_kron_and_certificate", worst, 1e-8)
+            yield np.inf
 
 
+@_check("sylvester.pi_over_two_delta_bound", "algebraic")
 def check_sylvester_bound_all_p(cfg):
-    worst = 0.0
-    for trial in range(cfg.trials):
-        rng = substream(cfg.seed, "suite-sylvp", trial)
-        dim = min(cfg.dims[trial % len(cfg.dims)], 6)
+    for rng, dim in _trials(cfg, "suite-sylvp", max_dim=6):
         a = random_hermitian(rng, dim) + 3.5 * np.eye(dim)
         b = random_hermitian(rng, dim) - 3.5 * np.eye(dim)
         y = random_complex(rng, (dim, dim))
         solution = sylvester.gapped_solution(a, b, y)
         for p in (1, 2, np.inf):
             report = solution.report(p)
-            worst = max(worst, report.x_norm - report.bound)
-    return _bounded("sylvester.pi_over_two_delta_bound", worst, cfg.tolerance("algebraic"))
+            yield report.x_norm - report.bound
 
 
+@_check("shift.krein_trace_formula", 1e-9)
 def check_trace_formula(cfg):
-    worst = 0.0
-    for trial, rng, a, b in _pairs(cfg, "suite-trace"):
+    for rng, a, b in _pairs(cfg, "suite-trace"):
         mu = shift.AtomicMeasure(points=rng.uniform(0.3, 2.5, 3) * rng.choice([-1, 1], 3),
                                  weights=rng.uniform(0.2, 1.5, 3))
         f, _ = shift.admissible_f(mu)
         res = shift.trace_formula_check(doi.make_spectral_pair(a, b), f)
-        worst = max(worst, res.gap / (1.0 + abs(res.lhs)))
-    return _bounded("shift.krein_trace_formula", worst, 1e-9)
+        yield res.gap / (1.0 + abs(res.lhs))
 
 
+@_check("shift.properties_a_to_d", "algebraic")
 def check_shift_properties(cfg):
-    worst = 0.0
-    for trial, rng, a, b in _pairs(cfg, "suite-props"):
+    for rng, a, b in _pairs(cfg, "suite-props"):
         pair = doi.make_spectral_pair(a, b)
         xi = shift.xi_counting(pair)
-        worst = max(worst, abs(xi.integral() - np.trace(a - b).real))
-        worst = max(worst, xi.l1() - trace_norm(a - b))
+        yield abs(xi.integral() - np.trace(a - b).real)
+        yield xi.l1() - trace_norm(a - b)
         g = random_complex(rng, a.shape)
         a_pos = b + g @ g.conj().T
         xi_pos = shift.xi_counting(doi.SpectralPair(eig_hermitian(a_pos), pair.right))
         if not xi_pos.is_zero and xi_pos.values.min() < 0:
-            worst = np.inf
+            yield np.inf
         sup = xi.support()
         if sup is not None:
             wa, wb = pair.left.eigenvalues, pair.right.eigenvalues
-            worst = max(worst, min(wa.min(), wb.min()) - sup[0])
-            worst = max(worst, sup[1] - max(wa.max(), wb.max()))
-    return _bounded("shift.properties_a_to_d", worst, cfg.tolerance("algebraic"))
+            yield min(wa.min(), wb.min()) - sup[0]
+            yield sup[1] - max(wa.max(), wb.max())
 
 
+@_check("shift.route_agreement_canonical_pair", "boundary",
+        note="epsilon={cfg.epsilon}, grid points >= 2x boundary tol from eigenvalues")
 def check_route_agreement(cfg):
     pair = doi.make_spectral_pair(np.array([[1.0]]), np.array([[0.0]]))
     grid = cfg.grid_array()
-    eps = cfg.epsilon
     evs = np.array([0.0, 1.0])
     keep = np.abs(grid[:, None] - evs[None, :]).min(axis=1) >= 2 * cfg.tolerance("boundary")
     grid = grid[keep]
     truth = shift.xi_counting(pair)(grid)
-    arc = shift.xi_arctan(pair, eps, grid).ordinates
-    fou = shift.xi_fourier(pair, eps, grid,
+    arc = shift.xi_arctan(pair, cfg.epsilon, grid).ordinates
+    fou = shift.xi_fourier(pair, cfg.epsilon, grid,
                            symmetric_open_rule(*cfg.route_agreement_rule())).ordinates
-    err = max(np.abs(arc - truth).max(), np.abs(fou - truth).max())
-    return _bounded("shift.route_agreement_canonical_pair", err, cfg.tolerance("boundary"),
-                    note=f"epsilon={eps}, grid points >= 2x boundary tol from eigenvalues")
+    yield max(np.abs(arc - truth).max(), np.abs(fou - truth).max())
 
 
+@_check("shift.rank_one_argument_route", "boundary")
 def check_rank_one_route(cfg):
     rng = substream(cfg.seed, "suite-rank1")
     dim = min(max(cfg.dims), 6)
@@ -480,95 +479,79 @@ def check_rank_one_route(cfg):
     grid = np.linspace(evs.min() - 1, evs.max() + 1, 60)
     grid = grid[np.abs(grid[:, None] - evs[None, :]).min(axis=1) >= cfg.tolerance("boundary")]
     curve = shift.xi_rank_one(pair.right, w, alpha, grid, eta=cfg.eta)
-    truth = shift.xi_counting(pair)(grid)
-    return _bounded("shift.rank_one_argument_route", np.abs(curve.ordinates - truth).max(),
-                    cfg.tolerance("boundary"))
+    yield np.abs(curve.ordinates - shift.xi_counting(pair)(grid)).max()
 
 
+@_check("shift.resolvent_trace_identity", 1e-12)
 def check_resolvent_identity(cfg):
-    worst = 0.0
-    for _, rng, a, b in _pairs(cfg, "suite-resolvent"):
-        worst = max(worst, shift.resolvent_identity_check(doi.make_spectral_pair(a, b),
-                                                          0.3 + 0.7j))
-    return _bounded("shift.resolvent_trace_identity", worst, 1e-12)
+    for _, a, b in _pairs(cfg, "suite-resolvent"):
+        yield shift.resolvent_identity_check(doi.make_spectral_pair(a, b), 0.3 + 0.7j)
 
 
+@_check("shift.arctan_kernel_representation", "quadrature")
 def check_arctan_representation(cfg):
-    worst = max(shift.arctan_rep_check(t) for t in (-2.0, -1.0, 0.0, 1.0, 2.0))
-    return _bounded("shift.arctan_kernel_representation", worst, cfg.tolerance("quadrature"))
+    for t in (-2.0, -1.0, 0.0, 1.0, 2.0):
+        yield shift.arctan_rep_check(t)
 
 
+@_check("quantization.localization_identity", "algebraic")
 def check_quantize_localization(cfg):
-    worst = 0.0
     n = min(cfg.n, 8)
     space = quantization.cycle_space(n)
-    for trial in range(cfg.trials):
-        rng = substream(cfg.seed, "suite-qloc", trial)
+    for rng, _ in _trials(cfg, "suite-qloc"):
         sigma = random_complex(rng, (n, n))
         e = np.flatnonzero(rng.random(n) < 0.5)
         f = np.flatnonzero(rng.random(n) < 0.5)
         cut = sigma * np.outer(np.isin(np.arange(n), e), np.isin(np.arange(n), f))
         lhs = (quantization.position_projector(space, e) @ quantization.quantize(space, sigma)
                @ quantization.momentum_projector(space, f))
-        worst = max(worst, np.abs(quantization.quantize(space, cut) - lhs).max())
-    return _bounded("quantization.localization_identity", worst, cfg.tolerance("algebraic"))
+        yield np.abs(quantization.quantize(space, cut) - lhs).max()
 
 
+@_check("quantization.product_symbol_factorizes", 1e-12)
 def check_quantize_product_symbol(cfg):
-    worst = 0.0
-    for trial in range(cfg.trials):
-        rng = substream(cfg.seed, "suite-qprod", trial)
-        n = cfg.dims[trial % len(cfg.dims)]
+    for rng, n in _trials(cfg, "suite-qprod"):
         space = quantization.cycle_space(n)
         fvec, gvec = random_complex(rng, n), random_complex(rng, n)
         lhs = quantization.quantize(space, np.outer(fvec, gvec))
         rhs = np.diag(fvec) @ space.dft.conj().T @ np.diag(gvec) @ space.dft
-        worst = max(worst, np.abs(lhs - rhs).max())
-    return _bounded("quantization.product_symbol_factorizes", worst, 1e-12)
+        yield np.abs(lhs - rhs).max()
 
 
+@_check("quantization.cotlar_stein_certificate", 0.0,
+        note="actual norm never exceeds the certified M", floor=-np.inf)
 def check_cotlar_certificate(cfg):
-    worst = -np.inf
-    trials = max(2, cfg.trials // 2)
-    for trial in range(trials):
-        rng = substream(cfg.seed, "suite-cotlar", trial)
+    for rng, _ in _trials(cfg, "suite-cotlar", count=max(2, cfg.trials // 2)):
         n = int(rng.choice([4, 8]))
         k = int(rng.integers(1, 5))
         terms = [(random_complex(rng, n), random_complex(rng, n)) for _ in range(k)]
         report = quantization.cotlar_stein_bound(quantization.cycle_space(n), terms)
-        worst = max(worst, report.actual - report.bound * (1 + 1e-9))
-    return _bounded("quantization.cotlar_stein_certificate", worst, 0.0,
-                    note="actual norm never exceeds the certified M")
+        yield report.actual - report.bound * (1 + 1e-9)
 
 
+@_check("quantization.bimeasure_additivity_and_representation", "algebraic")
 def check_bimeasure_structure(cfg):
-    worst = 0.0
-    for trial in range(cfg.trials):
-        rng = substream(cfg.seed, "suite-bim", trial)
-        n = 6
+    n = 6
+    for rng, _ in _trials(cfg, "suite-bim"):
         phi = random_complex(rng, n)
         b = quantization.SequenceBimeasure(phi / np.linalg.norm(phi))
         e1, e2, f = [1, 3], [4, 6], [2, 5]
         lhs = quantization.bimeasure_eval(b, e1 + e2, f)
         rhs = quantization.bimeasure_eval(b, e1, f) + quantization.bimeasure_eval(b, e2, f)
-        worst = max(worst, abs(lhs - rhs))
+        yield abs(lhs - rhs)
         k = int(rng.integers(1, 4))
         d = doi.Decomposition(alphas=random_complex(rng, (k, n)),
                               betas=random_complex(rng, (k, n)),
                               weights=rng.uniform(0.1, 2.0, k))
         psi = np.einsum("t,ti,tj->ij", d.weights.astype(complex), d.alphas, d.betas)
-        worst = max(worst, abs(quantization.bimeasure_integrate(b, d)
-                               - quantization.bimeasure_integrate_grid(b, psi)))
-        worst = max(worst, abs(quantization.semivariation(b) - b.l1_norm() ** 2))
-    return _bounded("quantization.bimeasure_additivity_and_representation", worst,
-                    cfg.tolerance("algebraic"))
+        yield abs(quantization.bimeasure_integrate(b, d)
+                  - quantization.bimeasure_integrate_grid(b, psi))
+        yield abs(quantization.semivariation(b) - b.l1_norm() ** 2)
 
 
+@_check("quantization.polymeasure_additivity_and_concatenation", "algebraic")
 def check_polymeasure(cfg):
-    worst = 0.0
-    for trial in range(max(2, cfg.trials // 4)):
-        rng = substream(cfg.seed, "suite-poly", trial)
-        dim = cfg.dims[trial % len(cfg.dims)]
+    for rng, dim in _trials(cfg, "suite-poly", count=max(2, cfg.trials // 4)):
         eh = eig_hermitian(random_hermitian(rng, dim))
         f0, f2 = random_complex(rng, dim), random_complex(rng, dim)
         e = (rng.random(dim) < 0.5).astype(complex)
@@ -577,43 +560,10 @@ def check_polymeasure(cfg):
         combined = quantization.polymeasure_eval([f0, e + e_prime, f2], times, eh)
         split = (quantization.polymeasure_eval([f0, e, f2], times, eh)
                  + quantization.polymeasure_eval([f0, e_prime, f2], times, eh))
-        worst = max(worst, np.abs(combined - split).max())
-        ones = np.ones(dim)
+        yield np.abs(combined - split).max()
         direct = quantization.polymeasure_eval([f0, f2], [1.7], eh)
-        threaded = quantization.polymeasure_eval([f0, ones, f2], [0.5, 1.7], eh)
-        worst = max(worst, np.abs(threaded - direct).max())
-    return _bounded("quantization.polymeasure_additivity_and_concatenation", worst,
-                    cfg.tolerance("algebraic"))
-
-
-SUITE_CHECKS = [
-    check_eig_reconstruction,
-    check_schatten_monotone,
-    check_hoelder_duality,
-    check_dft_order_four,
-    check_apply_function_additive,
-    check_doi_identity_transformer,
-    check_doi_localization,
-    check_doi_divided_difference,
-    check_doi_hs_norm,
-    check_doi_fourier_cross_route,
-    check_doi_fourier_norm_mass,
-    check_peller_bound,
-    check_triangular_truncation,
-    check_sylvester_cross_oracle,
-    check_sylvester_bound_all_p,
-    check_trace_formula,
-    check_shift_properties,
-    check_route_agreement,
-    check_rank_one_route,
-    check_resolvent_identity,
-    check_arctan_representation,
-    check_quantize_localization,
-    check_quantize_product_symbol,
-    check_cotlar_certificate,
-    check_bimeasure_structure,
-    check_polymeasure,
-]
+        threaded = quantization.polymeasure_eval([f0, np.ones(dim), f2], [0.5, 1.7], eh)
+        yield np.abs(threaded - direct).max()
 
 
 def run_suite(cfg: ScenarioConfig) -> Report:

@@ -283,6 +283,27 @@ def test_qp_norm_upper_bound_dominates_actual():
     assert "upper bound" in result["label"]
 
 
+def test_qp_norm_upper_bound_refuses_n_above_cap_before_building_circulants(monkeypatch):
+    def no_circulant(*args, **kwargs):
+        raise AssertionError("circulant built")
+    monkeypatch.setattr(qz, "_circulant", no_circulant)
+    n = qz.QP_MAX_DIM + 1
+    with pytest.raises(errors.IllPosedError, match=f"n = {n} > {qz.QP_MAX_DIM}"):
+        qz.qp_norm_upper_bound(qz.cycle_space(n), np.eye(n), trials=2, seed=0)
+
+
+def test_qp_norm_upper_bound_cap_admits_n_64(monkeypatch):
+    class Reached(Exception):
+        pass
+
+    def reached(*args, **kwargs):
+        raise Reached
+    monkeypatch.setattr(qz, "_circulant", reached)
+    assert qz.QP_MAX_DIM == 64
+    with pytest.raises(Reached):
+        qz.qp_norm_upper_bound(qz.cycle_space(64), np.eye(64), trials=1, seed=0)
+
+
 # ---------------------------------------------------------------- bimeasure
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,11 +9,13 @@ import numpy as np
 import pytest
 
 import opint
-from opint import cli, linalg
+from opint import cli, doi, linalg, quantization
 from opint import suite as suite_mod
 from opint.linalg import save_matrix
 from opint.rng import random_hermitian, substream
-from opint.suite import (SUITE_CHECKS, ScenarioConfig, check_polymeasure,
+from opint.suite import (SUITE_CHECKS, ScenarioConfig, check_doi_divided_difference,
+                         check_doi_fourier_cross_route, check_doi_identity_transformer,
+                         check_doi_localization, check_peller_bound, check_polymeasure,
                          check_sylvester_bound_all_p, run_suite)
 
 SRC = str(Path(opint.__file__).resolve().parent.parent)
@@ -33,6 +36,47 @@ def test_suite_has_26_distinctly_named_checks(default_report):
 def test_suite_check_passes_at_default_config(default_report, check):
     record = default_report.checks[SUITE_CHECKS.index(check)]
     assert record.passed, record
+
+
+def test_suite_checks_are_the_check_functions_in_definition_order():
+    defined = [key for key in vars(suite_mod) if key.startswith("check_")]
+    assert [fn.__name__ for fn in SUITE_CHECKS] == defined
+
+
+def test_no_substream_tag_is_shared_by_two_checks(monkeypatch):
+    owner, users = [None], {}
+
+    def recorded(seed, tag, *args, _original=suite_mod.substream):
+        users.setdefault(tag, set()).add(owner[0])
+        return _original(seed, tag, *args)
+
+    def owned(fn):
+        def check(cfg):
+            owner[0] = fn.__name__
+            return fn(cfg)
+        return check
+    monkeypatch.setattr(suite_mod, "substream", recorded)
+    monkeypatch.setattr(suite_mod, "SUITE_CHECKS", [owned(fn) for fn in SUITE_CHECKS])
+    assert run_suite(ScenarioConfig()).passed
+    assert users and all(len(checks) == 1 for checks in users.values()), users
+
+
+def test_peller_check_reports_its_negative_worst_slack():
+    record = check_peller_bound(ScenarioConfig())
+    assert record.passed and record.observed < 0
+
+
+@pytest.mark.parametrize("check", [check_doi_identity_transformer, check_doi_localization,
+                                   check_doi_divided_difference,
+                                   check_doi_fourier_cross_route])
+def test_nan_error_fails_its_check(monkeypatch, check):
+    def with_nan(*args, _original=doi.doi_apply, **kwargs):
+        out = _original(*args, **kwargs)
+        out[0, 0] = np.nan
+        return out
+    monkeypatch.setattr(doi, "doi_apply", with_nan)
+    record = check(ScenarioConfig())
+    assert not record.passed and math.isnan(record.observed), record
 
 
 def _cli_report(tmp_path, threads: int, command: str, *args: str) -> bytes:
@@ -177,6 +221,15 @@ def test_cli_oversized_grid_or_rule_is_refused_before_allocating(monkeypatch, ca
     monkeypatch.setattr(np, "linspace", no_linspace)
     assert cli.main(["--command", "shift", "--route", "fourier", *argv]) == 2
     assert f"usage error: {key}: " in capsys.readouterr().err
+
+
+def test_cli_quantize_above_the_search_cap_exits_2_before_building_circulants(
+        monkeypatch, capsys):
+    def no_circulant(*args, **kwargs):
+        raise AssertionError("circulant built")
+    monkeypatch.setattr(quantization, "_circulant", no_circulant)
+    assert cli.main(["--command", "quantize", "--n", "1024"]) == 2
+    assert "usage error: upper-bound search refuses n = 1024" in capsys.readouterr().err
 
 
 def _count_eigensolver_calls(monkeypatch) -> list:

@@ -8,6 +8,8 @@ diagonalized once: the DOI, Sylvester-gap and spectral shift routes take
 one `SpectralPair` (the rank-one shift route takes only B's `EigenSystem`,
 and `polymeasure_eval` only H's).  The pair's eigensystems are the only
 copy of its spectra: a `SymbolGrid` holds symbol values alone.
+Each pass rule that the CLI and the suite share is declared once, on the
+result it judges (`GapReport`, `CotlarReport`, `KreinProperties`).
 """
 
 from .doi import (Decomposition, ExperimentReport, SpectralPair, SymbolGrid,
@@ -26,13 +28,12 @@ from .quadrature import QuadratureRule, symmetric_open_rule, trapezoid_rule
 from .quantization import (CotlarReport, CycleSpace, SequenceBimeasure,
                        bimeasure_eval, bimeasure_integrate,
                        bimeasure_integrate_grid, cotlar_stein_bound,
-                       cycle_space, extension_growth_experiment,
-                       grothendieck_norm, momentum_projector, polymeasure_eval,
-                       position_projector, qp_norm_upper_bound, quantize,
-                       semivariation)
+                       cycle_space, grothendieck_norm, momentum_projector,
+                       polymeasure_eval, position_projector,
+                       qp_norm_upper_bound, quantize, semivariation)
 from .rng import substream
-from .shift import (AtomicMeasure, SampledCurve, ShiftFunction, admissible_f,
-                    arctan_rep_check, arctan_rep_value, harmonic_h,
+from .shift import (AtomicMeasure, KreinProperties, SampledCurve, ShiftFunction,
+                    admissible_f, arctan_rep_check, arctan_rep_value, krein_properties,
                     rank_one_cauchy_transform, resolvent_identity_check,
                     trace_formula_check, xi_arctan, xi_arctan_extrapolated,
                     xi_counting, xi_fourier, xi_fourier_integrand, xi_rank_one)

@@ -17,7 +17,6 @@ truncation, and sampled transformer norms on Schatten classes.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -180,17 +179,6 @@ class Decomposition:
         object.__setattr__(self, "betas", b)
         object.__setattr__(self, "weights", w)
 
-    @property
-    def terms(self) -> int:
-        return self.weights.size
-
-    @classmethod
-    def from_terms(cls, terms) -> "Decomposition":
-        alphas, betas, weights = zip(*terms)
-        return cls(np.stack([np.asarray(a, dtype=np.complex128) for a in alphas]),
-                   np.stack([np.asarray(b, dtype=np.complex128) for b in betas]),
-                   np.asarray(weights, dtype=float))
-
 
 def peller_bound(d: Decomposition) -> float:
     """Trace-class transformer bound sum_t w_t |a_t|_inf |b_t|_inf."""
@@ -245,7 +233,7 @@ def _normalized_image_norm(pair, sym, t, p) -> float:
 
 @dataclass
 class ExperimentReport:
-    """Seeded-experiment record; serializes to the report JSON layout."""
+    """Seeded-experiment record; the doi report stores it as `dataclasses.asdict`."""
 
     op: str
     params: dict
@@ -255,16 +243,9 @@ class ExperimentReport:
     per_trial: list = field(default_factory=list)
     skipped: int = 0
 
-    def to_json(self) -> str:
-        payload = {"op": self.op, "params": self.params, "seed": self.seed,
-                   "trials": self.trials, "max_ratio": self.max_ratio,
-                   "skipped": self.skipped, "per_trial": self.per_trial}
-        return json.dumps(payload, indent=2, sort_keys=True)
-
 
 def lipschitz_ratio_experiment(f, lip_const: float, p: float, trials: int, seed: int,
-                               dim: int = 8, pair_sampler=None,
-                               f_name: str = "f") -> ExperimentReport:
+                               dim: int = 8, f_name: str = "f") -> ExperimentReport:
     """Max observed |f(A)-f(B)|_p / |A-B|_p over seeded hermitian pairs.
 
     For p = 2 the ratio is provably <= lip_const; for other p the theory
@@ -279,12 +260,9 @@ def lipschitz_ratio_experiment(f, lip_const: float, p: float, trials: int, seed:
     ratios = []
     skipped = 0
     for trial in range(trials):
-        if pair_sampler is None:
-            rng = substream(seed, "lipschitz", trial)
-            a, b = random_hermitian(rng, dim), random_hermitian(rng, dim)
-        else:
-            a, b = pair_sampler(trial)
-        diff_norm = schatten_norm(np.asarray(a) - np.asarray(b), p)
+        rng = substream(seed, "lipschitz", trial)
+        a, b = random_hermitian(rng, dim), random_hermitian(rng, dim)
+        diff_norm = schatten_norm(a - b, p)
         if diff_norm == 0.0:
             skipped += 1
             continue

@@ -33,10 +33,6 @@ class QuadratureRule:
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
 
-    @property
-    def size(self) -> int:
-        return self.nodes.size
-
     def require_zero_free(self):
         if np.abs(self.nodes).min() == 0.0:
             raise ConfigError("quadrature places a node at exactly 0")
@@ -53,12 +49,6 @@ class QuadratureRule:
             raise ConfigError("quadrature nodes are not an arithmetic progression "
                               f"(off by {deviation:.3e})")
         return x0, h
-
-    def integrate(self, sampler) -> complex:
-        values = np.asarray(sampler(self.nodes))
-        if not np.isfinite(values).all():
-            raise ConfigError("integrand returned non-finite samples")
-        return complex(np.sum(self.weights * values))
 
 
 def trapezoid_rule(half_width: float, n_nodes: int) -> QuadratureRule:

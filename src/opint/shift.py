@@ -28,12 +28,11 @@ import numpy as np
 
 from .doi import SpectralPair
 from .errors import InputDomainError
-from .linalg import EigenSystem, apply_function
+from .linalg import EigenSystem, apply_function, trace_norm
 from .quadrature import QuadratureRule, symmetric_open_rule
 
 DEFAULT_FOURIER_QUAD = (200.0, 8000)   # half-width, node count
 DEFAULT_ARCTAN_QUAD = (40.0, 32000)
-DEFAULT_EPSILON = 1e-2
 DEFAULT_ETA = 1e-6
 
 
@@ -52,7 +51,6 @@ class ShiftFunction:
         bp = np.asarray(self.breakpoints, dtype=float)
         v = np.asarray(self.values)
         if bp.size == 0:
-            v = v.astype(np.int64) if v.size == 0 else v
             if v.size != 0:
                 raise InputDomainError("empty breakpoints require empty values")
         else:
@@ -110,13 +108,10 @@ class ShiftFunction:
         inv = 1.0 / (self.breakpoints - z)
         return complex(np.sum(self.values * (inv[:-1] - inv[1:])))
 
-    def l1_distance(self, other: "ShiftFunction") -> float:
-        grid = np.unique(np.concatenate([self.breakpoints, other.breakpoints]))
-        if grid.size < 2:
-            return 0.0
-        mids = (grid[:-1] + grid[1:]) / 2.0
-        diff = self(mids) - other(mids)
-        return float(np.sum(np.abs(diff) * np.diff(grid)))
+    @property
+    def is_nonnegative(self) -> bool:
+        """Krein's property (c) for a pair with A >= B: xi >= 0 everywhere."""
+        return bool((self.values >= 0).all())
 
 
 def xi_counting(pair: SpectralPair) -> ShiftFunction:
@@ -129,6 +124,35 @@ def xi_counting(pair: SpectralPair) -> ShiftFunction:
     padded = np.concatenate([[0], counts, [0]])  # xi = 0 outside the spectra
     change = np.flatnonzero(np.diff(padded))
     return ShiftFunction(bp[change], padded[change[:-1] + 1])
+
+
+@dataclass(frozen=True)
+class KreinProperties:
+    """Krein's properties of xi = xi_counting(A, B) that hold for every
+    pair: (a) int xi = tr(A - B), (b) int |xi| <= |A - B|_1 and (d) supp xi
+    lies in the joint spectral interval [min spec, max spec] of A and B."""
+
+    trace: float          # tr(A - B)
+    integral: float       # int xi
+    trace_norm: float     # |A - B|_1
+    l1: float             # int |xi|
+    support_reach: float  # how far supp xi reaches outside the interval; -inf for xi = 0
+
+    def errors(self) -> tuple[float, float, float]:
+        """(a), (b) and (d) as errors, each at most rounding when its property holds."""
+        return abs(self.integral - self.trace), self.l1 - self.trace_norm, self.support_reach
+
+
+def krein_properties(pair: SpectralPair, xi: ShiftFunction, difference) -> KreinProperties:
+    """Properties (a), (b) and (d) of xi = xi_counting(pair), where
+    `difference` is A - B for the two matrices the pair diagonalizes."""
+    wa, wb = pair.left.eigenvalues, pair.right.eigenvalues
+    sup = xi.support()
+    reach = (-np.inf if sup is None
+             else max(min(wa.min(), wb.min()) - sup[0], sup[1] - max(wa.max(), wb.max())))
+    return KreinProperties(trace=float(np.trace(difference).real), integral=xi.integral(),
+                           trace_norm=trace_norm(difference), l1=xi.l1(),
+                           support_reach=float(reach))
 
 
 @dataclass(frozen=True)
@@ -159,13 +183,6 @@ def _as_grid(grid) -> np.ndarray:
     if g.ndim != 1 or g.size == 0 or not np.isfinite(g).all():
         raise InputDomainError("grid must be a non-empty finite 1-D array")
     return g
-
-
-def harmonic_h(pair: SpectralPair, x: float, y: float) -> float:
-    """Harmonic extension h(x, y) = (1/pi) tr[arctan((A-x)/y) - arctan((B-x)/y)]."""
-    if y <= 0:
-        raise InputDomainError(f"need y > 0, got {y}")
-    return float(_arctan_trace(pair.left.eigenvalues, pair.right.eigenvalues, float(x), float(y)))
 
 
 def _arctan_trace(wa: np.ndarray, wb: np.ndarray, s, eps: float):
@@ -319,9 +336,6 @@ class AtomicMeasure:
             raise InputDomainError("atomic measure weights must be positive")
         object.__setattr__(self, "points", s)
         object.__setattr__(self, "weights", w)
-
-    def total(self) -> float:
-        return float(self.weights.sum())
 
 
 def admissible_f(mu: AtomicMeasure):

@@ -19,6 +19,7 @@ from .linalg import as_complex_matrix, as_hermitian, schatten_norm
 from .doi import SpectralPair, doi_apply, make_spectral_pair, symbol_from_function
 
 GAP_FLOOR_FACTOR = 1e-8  # refuse gaps below this times the spectral scale
+KRON_AGREEMENT_TOL = 1e-8  # largest entrywise |X - X_kron| of a healthy solve
 # largest n for kron_oracle: its n^2 x n^2 complex system is 85 MB and its
 # LU about 1 s at n = 48, and grows as n^4 in memory and n^6 in time
 KRON_MAX_DIM = 48
@@ -27,6 +28,9 @@ KRON_MAX_DIM = 48
 @dataclass(frozen=True)
 class GapReport:
     """Certificate attached to a gapped Sylvester solve."""
+
+    RESIDUAL_TOL = 1e-9   # largest |AX - XB - Y|_p a solve may leave
+    BOUND_SLACK = 1e-12   # relative rounding slack on pi/(2 delta) |Y|_p
 
     delta: float
     p: float
@@ -39,7 +43,15 @@ class GapReport:
         return {"delta": self.delta, "p": "inf" if self.p == np.inf else self.p,
                 "x_norm": self.x_norm, "y_norm": self.y_norm,
                 "bound": self.bound, "residual": self.residual,
-                "bound_holds": bool(self.x_norm <= self.bound * (1 + 1e-12))}
+                "bound_holds": self.bound_holds}
+
+    @property
+    def residual_small(self) -> bool:
+        return bool(self.residual <= self.RESIDUAL_TOL)
+
+    @property
+    def bound_holds(self) -> bool:
+        return bool(self.x_norm <= self.bound * (1 + self.BOUND_SLACK))
 
 
 def spectral_gap(pair: SpectralPair) -> float:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from opint import errors, shift
 from opint.doi import make_spectral_pair
-from opint.linalg import eig_hermitian, schatten_norm, trace_norm
+from opint.linalg import apply_function, eig_hermitian, schatten_norm, trace_norm
 from opint.quadrature import QuadratureRule, symmetric_open_rule, trapezoid_rule
 from opint.rng import random_complex, random_hermitian, random_unit_vector, substream
 
@@ -144,12 +144,21 @@ def test_shift_function_rejects_bad_data():
         shift.ShiftFunction(breakpoints=[0.0, 1.0], values=[0.5])
 
 
+def _l1_distance(f, g) -> float:
+    """Exact integral of |f - g| for two shift functions."""
+    grid = np.unique(np.concatenate([f.breakpoints, g.breakpoints]))
+    if grid.size < 2:
+        return 0.0
+    mids = (grid[:-1] + grid[1:]) / 2.0
+    return float(np.sum(np.abs(f(mids) - g(mids)) * np.diff(grid)))
+
+
 def test_shift_function_l1_distance():
     f = shift.ShiftFunction(breakpoints=[0.0, 1.0], values=[1])
     g = shift.ShiftFunction(breakpoints=[0.5, 2.0], values=[2])
     # |f-g| is 1 on [0, .5), 1 on [.5, 1), 2 on [1, 2)
-    assert f.l1_distance(g) == pytest.approx(3.0, abs=1e-12)
-    assert f.l1_distance(f) == 0.0
+    assert _l1_distance(f, g) == pytest.approx(3.0, abs=1e-12)
+    assert _l1_distance(f, f) == 0.0
 
 
 # ---------------------------------------------------------------- arctan route
@@ -183,7 +192,6 @@ def test_xi_arctan_trace_bound():
 def test_arctan_trace_matches_functional_calculus_trace():
     # the eigenvalue sum against tr[arctan((A-s)/eps) - arctan((B-s)/eps)]
     # built as full matrices by functional calculus
-    from opint.linalg import apply_function
     for trial in range(20):
         rng = substream(27, "shift-arctrace", trial)
         a, b = seeded_pair(27, 1 + trial % 8, trial)
@@ -195,11 +203,19 @@ def test_arctan_trace_matches_functional_calculus_trace():
         assert abs(val - dense) <= 1e-12
 
 
+def _harmonic_h(pair, x, y):
+    """The harmonic extension h(x, y) of xi to the upper half plane: the
+    arctan route at the single point x, with epsilon = y."""
+    return shift.xi_arctan(pair, y, [x]).ordinates[0]
+
+
 def test_harmonic_h_equals_arctan_route():
+    # h(x, y) = (1/pi) tr[arctan((A-x)/y) - arctan((B-x)/y)], by functional calculus
     a, b = seeded_pair(8, 4)
-    val = shift.harmonic_h(make_spectral_pair(a, b), 0.3, 0.05)
-    curve = shift.xi_arctan(make_spectral_pair(a, b), 0.05, np.array([0.3]))
-    assert val == pytest.approx(curve.ordinates[0], abs=1e-14)
+    arctan = lambda t: np.arctan((t - 0.3) / 0.05)  # noqa: E731
+    dense = np.trace(apply_function(eig_hermitian(a), arctan)
+                     - apply_function(eig_hermitian(b), arctan)).real / np.pi
+    assert _harmonic_h(make_spectral_pair(a, b), 0.3, 0.05) == pytest.approx(dense, abs=1e-14)
 
 
 def _arctan_trace_at(pair, s, eps):
@@ -214,7 +230,7 @@ def test_xi_arctan_matches_per_point_harmonic_h_bit_for_bit(dim, points, eps):
     pair = make_spectral_pair(*seeded_pair(13, dim, tag="shift-arctan-points"))
     grid = np.linspace(-4.0, 4.0, points)
     expected = np.array([_arctan_trace_at(pair, s, eps) for s in grid])
-    assert np.array([shift.harmonic_h(pair, s, eps) for s in grid]).tobytes() == expected.tobytes()
+    assert np.array([_harmonic_h(pair, s, eps) for s in grid]).tobytes() == expected.tobytes()
     assert shift.xi_arctan(pair, eps, grid).ordinates.tobytes() == expected.tobytes()
 
 
@@ -228,7 +244,7 @@ def test_harmonic_h_large_y_integral_limit():
         rng = substream(9, "shift-largey", trial)
         x = float(rng.uniform(-scale, scale))
         for y in (100.0 * scale, 300.0 * scale):
-            h = shift.harmonic_h(make_spectral_pair(a, b), x, y)
+            h = _harmonic_h(make_spectral_pair(a, b), x, y)
             assert abs(np.pi * y * h - xi_int) <= 10.0 * scale**2 / y
 
 
@@ -242,13 +258,14 @@ def test_harmonic_h_rank_one_in_unit_interval():
         a = b + alpha * np.outer(w, w.conj())
         x = float(rng.uniform(-4, 4))
         y = float(rng.uniform(0.05, 5.0))
-        h = shift.harmonic_h(make_spectral_pair(a, b), x, y)
+        h = _harmonic_h(make_spectral_pair(a, b), x, y)
         assert 0.0 < h < 1.0
 
 
 def test_harmonic_h_rejects_bad_y():
-    with pytest.raises(errors.InputDomainError):
-        shift.harmonic_h(make_spectral_pair(np.eye(2), np.eye(2)), 0.0, 0.0)
+    for y in (0.0, -1.0):
+        with pytest.raises(errors.InputDomainError):
+            _harmonic_h(make_spectral_pair(np.eye(2), np.eye(2)), 0.0, y)
 
 
 def test_harmonic_h_five_point_laplacian_quartic_decay():
@@ -258,9 +275,9 @@ def test_harmonic_h_five_point_laplacian_quartic_decay():
     def residual_sum(dg):
         tot = 0.0
         for x, y in centers:
-            stencil = (shift.harmonic_h(pair, x + dg, y) + shift.harmonic_h(pair, x - dg, y)
-                       + shift.harmonic_h(pair, x, y + dg) + shift.harmonic_h(pair, x, y - dg)
-                       - 4.0 * shift.harmonic_h(pair, x, y))
+            stencil = (_harmonic_h(pair, x + dg, y) + _harmonic_h(pair, x - dg, y)
+                       + _harmonic_h(pair, x, y + dg) + _harmonic_h(pair, x, y - dg)
+                       - 4.0 * _harmonic_h(pair, x, y))
             tot += abs(stencil)
         return tot
 
@@ -474,7 +491,7 @@ def test_rank_k_truncation_l1_convergence():
     for j in range(k):
         xi_j = shift.xi_counting(make_spectral_pair(b + sum(perturbations[: j + 1]), b))
         tail = np.abs(alphas[j + 1:]).sum()
-        assert xi_j.l1_distance(xi_full) <= tail + 1e-9
+        assert _l1_distance(xi_j, xi_full) <= tail + 1e-9
 
 
 # ---------------------------------------------------------------- admissible f
@@ -497,7 +514,7 @@ def test_admissible_f_derivative_bound():
     mu = seeded_measure(20)
     _, fp = shift.admissible_f(mu)
     x = np.linspace(-10, 10, 401)
-    assert np.abs(fp(x)).max() <= mu.total() + 1e-12
+    assert np.abs(fp(x)).max() <= mu.weights.sum() + 1e-12
 
 
 def test_admissible_f_derivative_is_derivative():
@@ -516,9 +533,8 @@ def test_trace_class_bound_for_admissible_f():
         mu = seeded_measure(22, trial)
         f, _ = shift.admissible_f(mu)
         ea, eb = eig_hermitian(a), eig_hermitian(b)
-        from opint.linalg import apply_function
         diff = apply_function(ea, f) - apply_function(eb, f)
-        assert trace_norm(diff) <= mu.total() * trace_norm(a - b) + 1e-10
+        assert trace_norm(diff) <= mu.weights.sum() * trace_norm(a - b) + 1e-10
 
 
 # ---------------------------------------------------------------- trace formula

@@ -12,7 +12,7 @@ import opint
 from opint import cli, doi, linalg, quantization
 from opint import suite as suite_mod
 from opint.linalg import save_matrix
-from opint.rng import random_hermitian, substream
+from opint.rng import random_complex, random_hermitian, substream
 from opint.suite import (SUITE_CHECKS, ScenarioConfig, check_doi_divided_difference,
                          check_doi_fourier_cross_route, check_doi_identity_transformer,
                          check_doi_localization, check_peller_bound, check_polymeasure,
@@ -96,10 +96,80 @@ def test_cli_suite_seed_15_passes_and_is_byte_stable_across_blas_threads(tmp_pat
             == _cli_report(tmp_path, 2, "suite", "--seed", "15"))
 
 
-@pytest.mark.parametrize("command, n", [("quantize", "8"), ("cotlar", "16")])
-def test_cli_quantization_is_byte_stable_across_blas_threads(tmp_path, command, n):
-    assert (_cli_report(tmp_path, 1, command, "--n", n)
-            == _cli_report(tmp_path, 2, command, "--n", n))
+# the flag each byte-stability run sets, per command
+STABILITY_FLAG = {"quantize": "--n", "cotlar": "--n", "shift": "--route", "doi": "--p",
+                  "sylvester": "--p", "peller": "--dims"}
+
+
+@pytest.mark.parametrize("command, value", [
+    ("quantize", "8"), ("cotlar", "16"), *(("shift", route) for route in suite_mod.ROUTES),
+    ("doi", "400"), ("sylvester", "1"), ("peller", "8")])
+def test_cli_quantization_is_byte_stable_across_blas_threads(tmp_path, command, value):
+    args = (STABILITY_FLAG[command], value)
+    assert _cli_report(tmp_path, 1, command, *args) == _cli_report(tmp_path, 2, command, *args)
+
+
+CLI_RECORDS = {
+    "shift": ["property_a_trace_equals_integral", "property_b_l1_bounded_by_trace_norm",
+              "property_d_support_inside_joint_interval"],
+    "doi": ["lipschitz_ratio_finite"],
+    "sylvester": ["residual_small", "pi_over_two_delta_bound", "kron_oracle_agreement"],
+    "quantize": ["upper_bound_dominates_norm"],
+    "cotlar": ["certificate_holds"],
+    "peller": ["peller_bound_dominates_sampled_c1"],
+}
+
+
+def _records(tmp_path, command, *args) -> list:
+    assert cli.main(["--command", command, *args, "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / f"{command}_report.json").read_text(encoding="utf-8"))
+    assert report["passed"] and all(c["passed"] for c in report["checks"]), report["checks"]
+    return [c["name"] for c in report["checks"]]
+
+
+@pytest.mark.parametrize("command", sorted(CLI_RECORDS))
+def test_cli_command_records_at_defaults(tmp_path, command):
+    assert _records(tmp_path, command) == CLI_RECORDS[command]
+
+
+def test_cli_shift_records_property_c_only_for_a_monotone_pair(tmp_path):
+    rng = substream(8, "test-cli-monotone")
+    b, g = random_hermitian(rng, 5), random_complex(rng, (5, 5))
+    paths = {name: str(tmp_path / f"{name}.json") for name in ("a", "b", "apos")}
+    for name, m in (("a", random_hermitian(rng, 5)), ("b", b), ("apos", b + g @ g.conj().T)):
+        save_matrix(paths[name], m)
+    generic = _records(tmp_path / "generic", "shift", "--a", paths["a"], "--b", paths["b"])
+    monotone = _records(tmp_path / "monotone", "shift", "--a", paths["apos"], "--b", paths["b"])
+    assert "property_c_monotone_pair_nonnegative" not in generic
+    assert monotone == [*generic[:2], "property_c_monotone_pair_nonnegative", generic[2]]
+
+
+def test_cli_sylvester_solves_a_b_file_as_given(tmp_path):
+    # B read from a file keeps its spectrum; only the drawn A is shifted (by +4)
+    b = np.diag([-19.0, -17.0, -14.5, -12.0]) + 0.1 * random_hermitian(substream(3, "t-b"), 4)
+    save_matrix(str(tmp_path / "b.json"), b)
+    assert cli.main(["--command", "sylvester", "--b", str(tmp_path / "b.json"), "--dims", "4",
+                     "--seed", "5", "--out", str(tmp_path)]) == 0
+    delta = json.loads((tmp_path / "sylvester_report.json").read_text())["gap_report"]["delta"]
+    a = random_hermitian(substream(5, "cli-sylvester-A"), 4) + 4.0 * np.eye(4)
+    expected = np.abs(np.subtract.outer(np.linalg.eigvalsh(a), np.linalg.eigvalsh(b))).min()
+    assert delta == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["--command", "shift", "--dims", "1025"], "dims"),
+    (["--command", "peller", "--dims", "4,1025"], "dims"),
+    (["--command", "quantize", "--n", "1025"], "n"),
+    (["--command", "cotlar", "--n", "1025"], "n"),
+    (["--command", "cotlar", "--terms", "17"], "terms"),
+])
+def test_cli_oversized_dims_n_or_terms_is_refused_before_drawing(monkeypatch, capsys, argv, key):
+    def no_draw(*args, **kwargs):
+        raise AssertionError(f"random matrix drawn with {args}")
+    monkeypatch.setattr(cli, "random_hermitian", no_draw)
+    monkeypatch.setattr(cli, "random_complex", no_draw)
+    assert cli.main(argv) == 2
+    assert f"usage error: {key}: " in capsys.readouterr().err
 
 
 def test_cli_usage_error_exits_2(capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -80,7 +82,9 @@ def test_solve_gap_report_json_fields():
     _, report = sylvester.solve_gap(a, b, np.eye(3), p=1)
     d = report.to_json_dict()
     assert set(d) == {"delta", "p", "x_norm", "y_norm", "bound", "residual", "bound_holds"}
-    assert d["bound_holds"] is True
+    assert d["bound_holds"] is True and report.residual_small
+    assert not dataclasses.replace(report, x_norm=report.bound * (1 + 1e-11)).bound_holds
+    assert not dataclasses.replace(report, residual=2 * report.RESIDUAL_TOL).residual_small
 
 
 def test_kron_oracle_scalar():

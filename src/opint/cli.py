@@ -93,16 +93,16 @@ def _resolve_config(args) -> ScenarioConfig:
 
 
 def _load_pair(cfg: ScenarioConfig, tag: str):
-    dim = max(cfg.dims)
-    if "a" in cfg.inputs:
-        a = load_matrix(cfg.inputs["a"], hermitian=True)
-    else:
-        a = random_hermitian(substream(cfg.seed, tag + "-A"), dim)
-    if "b" in cfg.inputs:
-        b = load_matrix(cfg.inputs["b"], hermitian=True)
-    else:
-        b = random_hermitian(substream(cfg.seed, tag + "-B"), dim)
-    return a, b
+    """A and B from their input files; an operand that no file gives is
+    drawn at the size of the other operand's file, or at max(dims) when
+    neither comes from a file."""
+    pair = {key: load_matrix(cfg.inputs[key], hermitian=True)
+            for key in ("a", "b") if key in cfg.inputs}
+    dim = len(next(iter(pair.values()))) if pair else max(cfg.dims)
+    for key in ("a", "b"):
+        if key not in pair:
+            pair[key] = random_hermitian(substream(cfg.seed, f"{tag}-{key.upper()}"), dim)
+    return pair["a"], pair["b"]
 
 
 def run_shift(cfg: ScenarioConfig) -> Report:

@@ -6,7 +6,8 @@ singular values from LAPACK (through numpy) with a deterministic
 eigenvector phase convention, functional calculus on the resulting
 eigensystems, overflow-safe Schatten norms taken through the singular
 values, and the unitary DFT matrix.  Matrices are plain complex ndarrays
-treated as immutable values; every operation returns a fresh array.
+treated as immutable values: validation may hand back the caller's own
+array, and no operation writes into its inputs.
 """
 
 from __future__ import annotations
@@ -23,12 +24,19 @@ PHASE_TOL = 1e-8
 
 
 def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
+    """Validate a non-empty, finite 2-D matrix and return it as complex128.
+
+    This is `np.asarray`, so an input that already is a complex128 array
+    comes back as the caller's own array, not a copy.  opint never writes
+    into a validated input; a caller that wants to mutate the result
+    copies it first.
+    """
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] == 0 or a.shape[1] == 0:
         raise InputDomainError(f"{name} must be a non-empty 2-D array, got shape {a.shape}")
-    if not np.isfinite(a.real).all() or not np.isfinite(a.imag).all():
+    if not np.isfinite(a).all():  # complex isfinite: both parts finite
         raise InputDomainError(f"{name} has non-finite entries")
-    return a.copy()
+    return a
 
 
 def as_hermitian(m, name: str = "matrix", tol: float = HERMITIAN_TOL) -> np.ndarray:

@@ -64,16 +64,23 @@ def _symbol_vector(space: CycleSpace, v, name: str) -> np.ndarray:
 
 
 def _circulant(n: int, c: np.ndarray) -> np.ndarray:
-    """M[x, y] = c[x, (x - y) mod n]; a single row c serves every x."""
-    x = np.arange(n)
-    shift = x[:, None] - x
-    shift[shift < 0] += n  # (x - y) mod n without an integer division
-    return np.broadcast_to(c, (n, n))[x[:, None], shift]
+    """M[x, y] = c[x, (x - y) mod n]; a single row c serves every x.
+
+    Row x of M is row x of c reversed and rotated by x + 1:
+    M[x, :x + 1] = c[x, x::-1] and M[x, x + 1:] = c[x, :x:-1], two slice
+    copies per row into the one output array.
+    """
+    c = np.broadcast_to(c, (n, n))
+    m = np.empty((n, n), dtype=np.complex128)
+    for x in range(n):
+        m[x, :x + 1] = c[x, x::-1]
+        m[x, x + 1:] = c[x, :x:-1]
+    return m
 
 
 def position_projector(space: CycleSpace, e) -> np.ndarray:
     """Q(E): the diagonal 0/1 matrix of the subset E of Z_n."""
-    return np.diag(_indicator(space, e, "E")).astype(np.complex128)
+    return np.diag(_indicator(space, e, "E").astype(np.complex128))
 
 
 def momentum_projector(space: CycleSpace, f) -> np.ndarray:
@@ -93,7 +100,7 @@ def quantize(space: CycleSpace, sigma) -> np.ndarray:
         M[x, y] = (1/n) sum_xi sigma(x, xi) e^{2 pi i xi (x - y)/n}.
 
     Each row of sigma goes through one inverse FFT, c[x, :] = ifft(sigma[x, :]),
-    and M[x, y] = c[x, (x - y) mod n] gathers the rows into M, in
+    and M[x, y] = c[x, (x - y) mod n] copies the rows into M, in
     O(n^2 log n).  Linear in sigma; sigma = f (x) g gives
     diag(f) . F* diag(g) F.
     """

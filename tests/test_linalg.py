@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opint import errors, linalg
+from opint import doi, errors, linalg, quantization, sylvester
 from opint.rng import random_complex, random_hermitian, substream
 
 
@@ -86,6 +86,54 @@ def test_eig_accepts_rounded_hermitian_product_at_scale():
 def test_eig_rejects_non_finite():
     with pytest.raises(errors.InputDomainError, match="non-finite"):
         linalg.eig_hermitian(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("entry", [complex(bad, 0.0) for bad in (np.nan, np.inf, -np.inf)]
+                         + [complex(0.0, bad) for bad in (np.nan, np.inf, -np.inf)])
+def test_as_complex_matrix_rejects_non_finite_real_or_imaginary_part(entry):
+    m = np.zeros((2, 2), dtype=np.complex128)
+    m[1, 0] = entry
+    with pytest.raises(errors.InputDomainError, match="^M has non-finite entries"):
+        linalg.as_complex_matrix(m, "M")
+
+
+def _read_only(m):
+    a = np.array(m, dtype=np.complex128)
+    a.flags.writeable = False
+    return a
+
+
+def _read_only_calls():
+    rng = substream(3, "linalg-read-only")
+    n = 4
+    a = _read_only(random_hermitian(rng, n) + 4.0 * np.eye(n))
+    b = _read_only(random_hermitian(rng, n) - 4.0 * np.eye(n))
+    y = _read_only(random_complex(rng, (n, n)))
+    pair = doi.make_spectral_pair(a, b)
+    sym = doi.symbol_from_function(pair, lambda lam, mu: 1.0 / (lam - mu))
+    space = quantization.cycle_space(n)
+    return {
+        "quantize": lambda: quantization.quantize(space, y),
+        "momentum_operator": lambda: quantization.momentum_operator(space, _read_only(y[0])),
+        "doi_apply": lambda: doi.doi_apply(pair, sym, y),
+        "doi_fourier": lambda: doi.doi_fourier(pair, lambda s: np.exp(-s * s), y),
+        "gapped_solution": lambda: sylvester.gapped_solution(a, b, y).report(),
+        "kron_oracle": lambda: sylvester.kron_oracle(a, b, y),
+        "schatten_norm": lambda: linalg.schatten_norm(y, 3),
+        "eig_hermitian": lambda: linalg.eig_hermitian(a),
+        "matrix_to_json_dict": lambda: linalg.matrix_to_json_dict(y),
+    }
+
+
+@pytest.mark.parametrize("name", list(_read_only_calls()))
+def test_validated_entry_points_accept_read_only_inputs(name):
+    _read_only_calls()[name]()
+
+
+def test_quantize_of_a_complex128_sigma_shares_no_memory_with_it():
+    sigma = _read_only(random_complex(substream(4, "linalg-quantize-alias"), (5, 5)))
+    m = quantization.quantize(quantization.cycle_space(5), sigma)
+    assert not np.shares_memory(m, sigma)
 
 
 def test_apply_function_identity_returns_source():

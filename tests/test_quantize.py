@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -124,6 +125,46 @@ def test_cotlar_matches_dense_dft_definition(n):
     assert report.bound == pytest.approx(max(a.sum(axis=1).max(), a.sum(axis=0).max()),
                                          rel=1e-12)
     assert report.actual == pytest.approx(np.linalg.norm(total, 2), rel=1e-12)
+
+
+# ---------------------------------------------------------------- circulant build
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 17, 64, 257, 1024])
+def test_circulant_equals_the_index_gather_bit_for_bit(n):
+    rng = substream(22, "quant-circulant", n)
+    x = np.arange(n)
+    for c in (random_complex(rng, (n, n)), random_complex(rng, n)):
+        gathered = np.broadcast_to(c, (n, n))[x[:, None], (x[:, None] - x) % n]
+        built = qz._circulant(n, c)
+        assert built.dtype == np.complex128 and built.flags.c_contiguous
+        assert np.array_equal(built, gathered)
+
+
+def _peak_units(call, n):
+    """Peak bytes traced during call(), in units of one n x n complex128 array."""
+    call()  # a first call may import lazily; that is not the operator's memory
+    tracemalloc.start()
+    try:
+        out = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (n, n)
+    return peak / (16 * n * n)
+
+
+def test_z_n_operators_allocate_one_output_and_no_n_by_n_index():
+    # quantize holds the FFT output and M; the momentum operator and the
+    # position projector hold M alone.  An n x n int64 index is half a
+    # unit, a validation copy or a float diagonal is one more.
+    n = 512
+    space = qz.cycle_space(n)
+    rng = substream(23, "quant-alloc")
+    sigma, g = random_complex(rng, (n, n)), random_complex(rng, n)
+    assert _peak_units(lambda: qz.quantize(space, sigma), n) <= 2.1
+    assert _peak_units(lambda: qz.momentum_operator(space, g), n) <= 1.1
+    assert _peak_units(lambda: qz.position_projector(space, range(0, n, 3)), n) <= 1.1
 
 
 # ---------------------------------------------------------------- quantize

@@ -50,6 +50,20 @@ def test_xi_counting_integral_is_trace_difference():
         assert abs(xi.integral() - np.trace(a - b).real) <= 1e-10
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**31 - 1),
+       st.integers(min_value=-150, max_value=150))
+def test_xi_counting_scale_equivariance_property(dim, seed, k):
+    # H -> c H moves every breakpoint to c times itself and keeps every value
+    a, b = seeded_pair(seed, dim, tag="shift-scale")
+    c = 10.0**k
+    xi = shift.xi_counting(make_spectral_pair(a, b))
+    scaled = shift.xi_counting(make_spectral_pair(c * a, c * b))
+    assert np.array_equal(scaled.values, xi.values)
+    size = np.abs(xi.breakpoints).max()
+    np.testing.assert_allclose(scaled.breakpoints / c, xi.breakpoints, rtol=0, atol=1e-12 * size)
+
+
 def test_xi_counting_l1_is_sorted_pairing_distance():
     for trial in range(50):
         dim = 3 + trial % 4

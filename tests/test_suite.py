@@ -156,6 +156,15 @@ def test_cli_sylvester_solves_a_b_file_as_given(tmp_path):
     assert delta == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("command, flag", [("sylvester", "--b"), ("shift", "--a")])
+def test_cli_one_file_operand_sets_the_drawn_operand_size(tmp_path, command, flag):
+    # a 6 x 6 file and no --dims: the other operand is drawn 6 x 6, not max(dims) = 8
+    m = np.diag([-19.0, -17.0, -14.5, -12.0, -10.5, -9.0])
+    save_matrix(str(tmp_path / "m.json"), m + 0.1 * random_hermitian(substream(3, "t-m"), 6))
+    assert cli.main(["--command", command, flag, str(tmp_path / "m.json"),
+                     "--out", str(tmp_path)]) == 0
+
+
 @pytest.mark.parametrize("argv, key", [
     (["--command", "shift", "--dims", "1025"], "dims"),
     (["--command", "peller", "--dims", "4,1025"], "dims"),

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opint import errors, sylvester
 from opint.doi import make_spectral_pair
@@ -9,8 +11,8 @@ from opint.linalg import schatten_norm
 from opint.rng import random_complex, random_hermitian, substream
 
 
-def gapped_pair(seed, dim, trial=0, shift=4.0):
-    rng = substream(seed, "sylvester-pair", trial)
+def gapped_pair(seed, dim, trial=0, shift=4.0, tag="sylvester-pair"):
+    rng = substream(seed, tag, trial)
     a = random_hermitian(rng, dim) + shift * np.eye(dim)
     b = random_hermitian(rng, dim) - shift * np.eye(dim)
     return a, b
@@ -127,6 +129,21 @@ def test_operator_equation_scaling_consistency():
     x, report = sylvester.solve_gap(a, b, y, p=2)
     direct = schatten_norm(a @ x - x @ b - y, 2)
     assert direct == pytest.approx(report.residual, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**31 - 1),
+       st.integers(min_value=-150, max_value=150))
+def test_gapped_solution_scale_equivariance_property(dim, seed, k):
+    # A, B -> c A, c B with Y fixed: delta scales by c, X and pi/(2 delta)|Y| by 1/c
+    a, b = gapped_pair(seed, dim, tag="sylvester-scale")
+    y = random_complex(substream(seed, "sylvester-scale-y"), (dim, dim))
+    c = 10.0**k
+    report = sylvester.gapped_solution(a, b, y).report()
+    scaled = sylvester.gapped_solution(c * a, c * b, y).report()
+    assert scaled.delta / c == pytest.approx(report.delta, rel=1e-12)
+    assert scaled.x_norm * c == pytest.approx(report.x_norm, rel=1e-12)
+    assert scaled.bound * c == pytest.approx(report.bound, rel=1e-12)
 
 
 def test_kron_oracle_refuses_n_above_cap_before_forming_system(monkeypatch):

@@ -8,8 +8,16 @@ diagonalized once: the DOI, Sylvester-gap and spectral shift routes take
 one `SpectralPair` (the rank-one shift route takes only B's `EigenSystem`,
 and `polymeasure_eval` only H's).  The pair's eigensystems are the only
 copy of its spectra: a `SymbolGrid` holds symbol values alone.
-Each pass rule that the CLI and the suite share is declared once, on the
-result it judges (`GapReport`, `CotlarReport`, `KreinProperties`).
+
+Each rule that several places use has one home:
+- user functions are evaluated once, on an array, by `linalg.evaluate`;
+- the Sylvester residual and pi/(2 delta) rules are on `GapReport`, the
+  Kronecker tolerance is `sylvester.KRON_AGREEMENT_TOL`;
+- the Cotlar-Stein slack is on `CotlarReport`, which also judges the
+  quantize upper bound; the Peller slack is `doi.PELLER_SLACK`;
+- Krein's properties, and whether A >= B, are on `KreinProperties`;
+- the grid points where a regularized xi meets the counting function are
+  `shift.far_from_spectra`.
 """
 
 from .doi import (Decomposition, ExperimentReport, SpectralPair, SymbolGrid,
@@ -21,9 +29,9 @@ from .doi import (Decomposition, ExperimentReport, SpectralPair, SymbolGrid,
 from .errors import (ConfigError, EvaluationError, IllPosedError,
                      InputDomainError)
 from .linalg import (EigenSystem, apply_function, as_complex_matrix,
-                     as_hermitian, dft_unitary, eig_hermitian,
-                     hermitian_eigenvalues, load_matrix, operator_norm,
-                     save_matrix, schatten_norm, singular_values, trace_norm)
+                     as_hermitian, dft_unitary, eig_hermitian, evaluate,
+                     load_matrix, operator_norm, save_matrix, schatten_norm,
+                     singular_values, trace_norm)
 from .quadrature import QuadratureRule, symmetric_open_rule, trapezoid_rule
 from .quantization import (CotlarReport, CycleSpace, SequenceBimeasure,
                        bimeasure_eval, bimeasure_integrate,
@@ -33,8 +41,8 @@ from .quantization import (CotlarReport, CycleSpace, SequenceBimeasure,
                        qp_norm_upper_bound, quantize, semivariation)
 from .rng import substream
 from .shift import (AtomicMeasure, KreinProperties, SampledCurve, ShiftFunction,
-                    admissible_f, arctan_rep_check, arctan_rep_value, krein_properties,
-                    rank_one_cauchy_transform, resolvent_identity_check,
+                    admissible_f, arctan_rep_check, arctan_rep_value, far_from_spectra,
+                    krein_properties, rank_one_cauchy_transform, resolvent_identity_check,
                     trace_formula_check, xi_arctan, xi_arctan_extrapolated,
                     xi_counting, xi_fourier, xi_fourier_integrand, xi_rank_one)
 from .sylvester import (GapReport, GapSolution, gapped_solution, kron_oracle,

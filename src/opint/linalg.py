@@ -8,6 +8,10 @@ eigensystems, overflow-safe Schatten norms taken through the singular
 values, and the unitary DFT matrix.  Matrices are plain complex ndarrays
 treated as immutable values: validation may hand back the caller's own
 array, and no operation writes into its inputs.
+
+A user function f is evaluated once, on the whole array of points it is
+needed at (`evaluate`), never point by point: f must accept an array
+and return one value per point.
 """
 
 from __future__ import annotations
@@ -107,41 +111,33 @@ def eig_hermitian(h, name: str = "matrix") -> EigenSystem:
     return EigenSystem(eigenvalues=w, unitary=_fix_phases(v))
 
 
-def hermitian_eigenvalues(h) -> np.ndarray:
-    """Ascending eigenvalues only, from LAPACK (`numpy.linalg.eigvalsh`)."""
-    return np.linalg.eigvalsh(as_hermitian(h))
+def evaluate(f, x: np.ndarray, point: str = "point") -> np.ndarray:
+    """f(x) from one call of f on the whole 1-D array x, as complex128.
+
+    Raises EvaluationError naming the first bad `point` of x: x[0] if f
+    raises or returns another shape, else the first point f is not finite at.
+    """
+    try:
+        values = np.asarray(f(x), dtype=np.complex128)
+    except Exception as exc:
+        raise EvaluationError(f"function failed at {point} {x[0]}: {exc}") from exc
+    if values.shape != x.shape:
+        raise EvaluationError(f"function gave shape {values.shape} at {point} {x[0]}")
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise EvaluationError(f"function not finite at {point} {x[np.argmax(bad)]}")
+    return values
 
 
 def apply_function(eig: EigenSystem, f) -> np.ndarray:
     """Functional calculus: U diag(f(w)) U*.
 
     `f` may be real- or complex-valued; the result is hermitian exactly
-    when f is real on the spectrum.  Raises EvaluationError naming the
-    offending eigenvalue if f is non-finite there.
+    when f is real on the spectrum.  f is called once on the array of
+    eigenvalues; `evaluate` names the offending eigenvalue when that fails.
     """
-    w = eig.eigenvalues
-    values = _eval_on_spectrum(f, w)
-    bad = ~np.isfinite(values)
-    if bad.any():
-        raise EvaluationError(f"function not finite at eigenvalue {w[np.argmax(bad)]!r}")
     u = eig.unitary
-    return (u * values) @ u.conj().T
-
-
-def _eval_on_spectrum(f, w: np.ndarray) -> np.ndarray:
-    try:
-        values = np.asarray(f(w), dtype=np.complex128)
-        if values.shape == w.shape:
-            return values
-    except (TypeError, ValueError):
-        pass
-    out = np.empty(w.shape, dtype=np.complex128)
-    for i, x in enumerate(w):
-        try:
-            out[i] = f(x)
-        except Exception as exc:
-            raise EvaluationError(f"function failed at eigenvalue {x!r}: {exc}") from exc
-    return out
+    return (u * evaluate(f, eig.eigenvalues, "eigenvalue")) @ u.conj().T
 
 
 def singular_values(m) -> np.ndarray:

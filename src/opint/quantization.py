@@ -315,11 +315,15 @@ def polymeasure_eval(f_list, times, eh: EigenSystem) -> np.ndarray:
         raise InputDomainError("need at least one multiplication slot")
     if times.size != len(f_list) - 1:
         raise InputDomainError(f"{len(f_list)} slots need {len(f_list) - 1} times, got {times.size}")
+    if not np.isfinite(times).all():
+        raise InputDomainError("times must be finite")
     if times.size and (times[0] <= 0 or (np.diff(times) <= 0).any()):
         raise InputDomainError("times must be strictly increasing and positive")
-    for f in f_list:
+    for k, f in enumerate(f_list):
         if f.shape != (eh.dim,):
             raise InputDomainError(f"slot vectors must have length {eh.dim}")
+        if not np.isfinite(f).all():
+            raise InputDomainError(f"slot {k} has non-finite entries")
     out = np.diag(f_list[0])
     gaps = np.diff(np.concatenate([[0.0], times]))
     for f, dt in zip(f_list[1:], gaps):

@@ -50,18 +50,14 @@ class ShiftFunction:
     def __post_init__(self):
         bp = np.asarray(self.breakpoints, dtype=float)
         v = np.asarray(self.values)
-        if bp.size == 0:
-            if v.size != 0:
-                raise InputDomainError("empty breakpoints require empty values")
-        else:
-            if bp.size < 2 or v.size != bp.size - 1:
-                raise InputDomainError("need one value per interval between breakpoints")
-            if not np.isfinite(bp).all():
-                raise InputDomainError("breakpoints must be finite")
-            if (np.diff(bp) <= 0).any():
-                raise InputDomainError("breakpoints must be strictly ascending")
-            if not np.array_equal(v, v.astype(np.int64)):
-                raise InputDomainError("shift function values must be integers")
+        if bp.size == 1 or v.size != max(bp.size - 1, 0):
+            raise InputDomainError("need one value per interval between breakpoints")
+        if not np.isfinite(bp).all():
+            raise InputDomainError("breakpoints must be finite")
+        if (np.diff(bp) <= 0).any():
+            raise InputDomainError("breakpoints must be strictly ascending")
+        if not np.array_equal(v, v.astype(np.int64)):
+            raise InputDomainError("shift function values must be integers")
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", v.astype(np.int64))
 
@@ -72,21 +68,16 @@ class ShiftFunction:
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         out = np.zeros(x.shape, dtype=np.int64)
-        if self.is_zero:
-            return out
         idx = np.searchsorted(self.breakpoints, x, side="right") - 1
         inside = (idx >= 0) & (idx < self.values.size)
         out[inside] = self.values[idx[inside]]
         return out
 
-    def _lengths(self) -> np.ndarray:
-        return np.diff(self.breakpoints) if not self.is_zero else np.zeros(0)
-
     def integral(self) -> float:
-        return float(np.sum(self.values * self._lengths()))
+        return float(np.sum(self.values * np.diff(self.breakpoints)))
 
     def l1(self) -> float:
-        return float(np.sum(np.abs(self.values) * self._lengths()))
+        return float(np.sum(np.abs(self.values) * np.diff(self.breakpoints)))
 
     def support(self):
         if self.is_zero:
@@ -96,15 +87,11 @@ class ShiftFunction:
     def integrate_derivative(self, f) -> complex:
         """Exact integral of f' against this function: telescoped
         antiderivative differences over each constancy interval."""
-        if self.is_zero:
-            return 0.0 + 0.0j
         fb = np.asarray(f(self.breakpoints), dtype=np.complex128)
         return complex(np.sum(self.values * (fb[1:] - fb[:-1])))
 
     def resolvent_integral(self, z: complex) -> complex:
         """Exact integral of xi(l) / (l - z)^2 dl for Im z != 0."""
-        if self.is_zero:
-            return 0.0 + 0.0j
         inv = 1.0 / (self.breakpoints - z)
         return complex(np.sum(self.values * (inv[:-1] - inv[1:])))
 
@@ -130,7 +117,10 @@ def xi_counting(pair: SpectralPair) -> ShiftFunction:
 class KreinProperties:
     """Krein's properties of xi = xi_counting(A, B) that hold for every
     pair: (a) int xi = tr(A - B), (b) int |xi| <= |A - B|_1 and (d) supp xi
-    lies in the joint spectral interval [min spec, max spec] of A and B."""
+    lies in the joint spectral interval [min spec, max spec] of A and B.
+    Property (c), xi >= 0, holds for the pairs that are `monotone`."""
+
+    MONOTONE_TOL = 1e-12  # relative rounding slack on |A - B|_1 = tr(A - B)
 
     trace: float          # tr(A - B)
     integral: float       # int xi
@@ -141,6 +131,13 @@ class KreinProperties:
     def errors(self) -> tuple[float, float, float]:
         """(a), (b) and (d) as errors, each at most rounding when its property holds."""
         return abs(self.integral - self.trace), self.l1 - self.trace_norm, self.support_reach
+
+    @property
+    def monotone(self) -> bool:
+        """A >= B, decided without another eigendecomposition: |A - B|_1
+        exceeds tr(A - B) by twice the size of A - B's negative part."""
+        return bool(self.trace_norm - self.trace
+                    <= self.MONOTONE_TOL * max(1.0, self.trace_norm))
 
 
 def krein_properties(pair: SpectralPair, xi: ShiftFunction, difference) -> KreinProperties:
@@ -183,6 +180,14 @@ def _as_grid(grid) -> np.ndarray:
     if g.ndim != 1 or g.size == 0 or not np.isfinite(g).all():
         raise InputDomainError("grid must be a non-empty finite 1-D array")
     return g
+
+
+def far_from_spectra(pair: SpectralPair, grid, distance: float) -> np.ndarray:
+    """Mask of the grid points at distance >= `distance` from the joint
+    spectrum of A and B, where a regularized xi is compared with xi_counting."""
+    g = _as_grid(grid)
+    evs = np.concatenate([pair.left.eigenvalues, pair.right.eigenvalues])
+    return np.abs(g[:, None] - evs).min(axis=1) >= distance
 
 
 def _arctan_trace(wa: np.ndarray, wb: np.ndarray, s, eps: float):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -200,6 +202,18 @@ def test_doi_fourier_matches_node_by_node_sum():
                    for s, w in zip(quad.nodes, quad.weights))
     out = doi.doi_fourier(pair, f, t, quad)
     assert np.abs(out - expected).max() <= 1e-12
+
+
+@pytest.mark.parametrize("f, match", [
+    (math.sin, "failed at quadrature node -2.0"),
+    (lambda s: np.ones(2), r"shape \(2,\) at quadrature node -2.0"),
+    (lambda s: 1.0 / s, "not finite at quadrature node 0.0"),
+])
+def test_doi_fourier_refuses_a_bad_f_naming_a_node(f, match):
+    pair = doi.make_spectral_pair(*seeded_pair(4, 3))
+    quad = QuadratureRule([-2.0, 0.0, 2.0], [1.0, 1.0, 1.0])
+    with np.errstate(divide="ignore"), pytest.raises(errors.EvaluationError, match=match):
+        doi.doi_fourier(pair, f, np.eye(3), quad)
 
 
 def test_doi_fourier_matches_symbol_route():

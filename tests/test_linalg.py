@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,9 +27,6 @@ def test_eig_extreme_scales(scale):
     h = np.array([[scale, scale], [scale, -scale]])
     np.testing.assert_allclose(linalg.eig_hermitian(h).eigenvalues,
                                [-np.sqrt(2) * scale, np.sqrt(2) * scale], rtol=1e-14, atol=0)
-    off = np.array([[0.0, scale], [scale, 0.0]])
-    np.testing.assert_allclose(linalg.hermitian_eigenvalues(off), [-scale, scale],
-                               rtol=1e-14, atol=0)
 
 
 def test_eig_reconstruction_random_6x6():
@@ -167,6 +166,24 @@ def test_apply_function_error_names_eigenvalue():
         linalg.apply_function(e, lambda x: 1.0 / x)
 
 
+def test_apply_function_calls_f_once_on_the_whole_spectrum():
+    e = linalg.eig_hermitian(np.diag([1.0, 2.0, 3.0]))
+    seen = []
+    linalg.apply_function(e, lambda x: seen.append(np.shape(x)) or np.sin(x))
+    assert seen == [(3,)]
+
+
+@pytest.mark.parametrize("f, match", [
+    (math.sin, "failed at eigenvalue -1.0"),      # scalar-only: raises on an array
+    (lambda x: 1.0, r"shape \(\) at eigenvalue -1.0"),
+    (lambda x: np.log(x + 1.0), "not finite at eigenvalue -1.0"),
+])
+def test_apply_function_refuses_a_bad_f_naming_an_eigenvalue(f, match):
+    e = linalg.eig_hermitian(np.diag([-1.0, 2.0]))
+    with np.errstate(divide="ignore"), pytest.raises(errors.EvaluationError, match=match):
+        linalg.apply_function(e, f)
+
+
 def test_schatten_identity_trace_norm():
     assert linalg.schatten_norm(np.eye(5), 1) == pytest.approx(5.0, abs=1e-12)
 
@@ -273,7 +290,7 @@ def test_reconstruction_property(dim, seed):
 def test_scale_equivariance_property(dim, seed, k):
     h = random_hermitian(substream(seed, "linalg-scale"), dim)
     c = 10.0**k
-    w = linalg.hermitian_eigenvalues(h)
+    w = np.linalg.eigvalsh(h)
     size = np.abs(w).max()
     np.testing.assert_allclose(linalg.eig_hermitian(c * h).eigenvalues / c, w,
                                rtol=0, atol=1e-12 * size)

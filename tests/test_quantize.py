@@ -537,3 +537,19 @@ def test_polymeasure_rejects_bad_times():
         qz.polymeasure_eval([np.ones(2), np.ones(2)], [-1.0], eh)
     with pytest.raises(errors.InputDomainError, match="increasing"):
         qz.polymeasure_eval([np.ones(2), np.ones(2), np.ones(2)], [1.0, 1.0], eh)
+
+
+@pytest.mark.parametrize("times", [[np.nan], [np.inf], [0.5, np.inf]])
+def test_polymeasure_refuses_non_finite_times(times):
+    eh = eig_hermitian(np.eye(2))
+    with pytest.raises(errors.InputDomainError, match="times must be finite"):
+        qz.polymeasure_eval([np.ones(2)] * (len(times) + 1), times, eh)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_polymeasure_refuses_a_non_finite_slot_naming_it(bad):
+    eh = eig_hermitian(np.eye(2))
+    slots = [np.ones(2, dtype=complex) for _ in range(3)]
+    slots[1][0] = bad
+    with pytest.raises(errors.InputDomainError, match="slot 1 has non-finite entries"):
+        qz.polymeasure_eval(slots, [0.5, 1.0], eh)

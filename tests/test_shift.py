@@ -33,6 +33,16 @@ def test_xi_counting_equal_pair_is_zero():
     assert xi.integral() == 0.0
 
 
+def test_zero_shift_function_integrates_to_zero_on_the_common_path():
+    xi = shift.ShiftFunction(breakpoints=[], values=[])
+    f, _ = shift.admissible_f(seeded_measure(3))
+    assert xi.is_zero and xi.support() is None
+    assert np.array_equal(xi(np.linspace(-3.0, 3.0, 7)), np.zeros(7, dtype=np.int64))
+    assert xi.integral() == xi.l1() == 0.0
+    assert xi.integrate_derivative(f) == 0.0
+    assert xi.resolvent_integral(0.3 + 0.7j) == 0.0
+
+
 def test_xi_counting_scalar_interval():
     xi = shift.xi_counting(make_spectral_pair(np.array([[1.0]]), np.array([[0.0]])))
     np.testing.assert_allclose(xi.breakpoints, [0.0, 1.0], atol=0)
@@ -84,6 +94,33 @@ def test_xi_counting_positive_perturbation_nonnegative():
         a = b + g @ g.conj().T  # PSD bump, so B <= A
         xi = shift.xi_counting(make_spectral_pair(a, b))
         assert (xi.values >= 0).all()
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1e4, 1e5, 1e8])
+def test_rank_one_bump_is_monotone_at_every_scale(alpha):
+    # the absolute -1e-12 floor on eigvalsh(A - B) dropped these pairs from 1e4 on
+    for trial in range(20):
+        rng = substream(9, "shift-monotone", trial)
+        b, w = random_hermitian(rng, 6), random_unit_vector(rng, 6)
+        a = b + alpha * np.outer(w, w.conj())
+        pair = make_spectral_pair(a, b)
+        assert shift.krein_properties(pair, shift.xi_counting(pair), a - b).monotone
+
+
+def test_monotone_is_false_when_a_minus_b_has_a_negative_eigenvalue():
+    for trial in range(50):
+        rng = substream(10, "shift-monotone-neg", trial)
+        b, g = random_hermitian(rng, 4), random_complex(rng, (4, 1))
+        for a in (random_hermitian(rng, 4), b + g @ g.conj().T - 1e-6 * np.eye(4)):
+            pair = make_spectral_pair(a, b)
+            assert not shift.krein_properties(pair, shift.xi_counting(pair), a - b).monotone
+
+
+def test_far_from_spectra_keeps_points_at_least_the_distance_away():
+    pair = make_spectral_pair(np.diag([0.0, 1.0]), np.diag([3.0, 3.0]))
+    grid = np.array([-0.5, 0.05, 0.1, 0.5, 0.95, 2.95, 3.2])
+    keep = shift.far_from_spectra(pair, grid, 0.1)
+    assert keep.tolist() == [True, False, True, True, False, False, True]
 
 
 def test_xi_counting_support_inside_joint_interval():

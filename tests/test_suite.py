@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -9,14 +10,15 @@ import numpy as np
 import pytest
 
 import opint
-from opint import cli, doi, linalg, quantization
+from opint import cli, doi, linalg, quantization, shift, sylvester
 from opint import suite as suite_mod
 from opint.linalg import save_matrix
 from opint.rng import random_complex, random_hermitian, substream
 from opint.suite import (SUITE_CHECKS, ScenarioConfig, check_doi_divided_difference,
                          check_doi_fourier_cross_route, check_doi_identity_transformer,
                          check_doi_localization, check_peller_bound, check_polymeasure,
-                         check_sylvester_bound_all_p, run_suite)
+                         check_shift_properties, check_sylvester_bound_all_p,
+                         check_sylvester_cross_oracle, run_suite)
 
 SRC = str(Path(opint.__file__).resolve().parent.parent)
 
@@ -77,6 +79,26 @@ def test_nan_error_fails_its_check(monkeypatch, check):
     monkeypatch.setattr(doi, "doi_apply", with_nan)
     record = check(ScenarioConfig())
     assert not record.passed and math.isnan(record.observed), record
+
+
+def test_sylvester_cross_oracle_check_fails_on_a_failed_certificate(monkeypatch):
+    def uncertified(*args, _original=sylvester.solve_gap, **kwargs):
+        x, report = _original(*args, **kwargs)
+        return x, dataclasses.replace(report, residual=1.0)
+    monkeypatch.setattr(sylvester, "solve_gap", uncertified)
+    record = check_sylvester_cross_oracle(ScenarioConfig(trials=2))
+    assert not record.passed and record.observed == np.inf, record
+
+
+def test_shift_properties_check_fails_on_a_negative_monotone_xi(monkeypatch):
+    monkeypatch.setattr(shift.ShiftFunction, "is_nonnegative", property(lambda self: False))
+    record = check_shift_properties(ScenarioConfig(trials=2))
+    assert not record.passed and record.observed == np.inf, record
+
+
+def test_suite_passes_at_dimension_one():
+    # triangular truncation has nothing to truncate at dim 1 and skips it
+    assert run_suite(ScenarioConfig(dims=[1], trials=2)).passed
 
 
 def _cli_report(tmp_path, threads: int, command: str, *args: str) -> bytes:
@@ -142,6 +164,29 @@ def test_cli_shift_records_property_c_only_for_a_monotone_pair(tmp_path):
     monotone = _records(tmp_path / "monotone", "shift", "--a", paths["apos"], "--b", paths["b"])
     assert "property_c_monotone_pair_nonnegative" not in generic
     assert monotone == [*generic[:2], "property_c_monotone_pair_nonnegative", generic[2]]
+
+
+@pytest.mark.parametrize("alpha", ["1e4", "1e5"])
+def test_cli_shift_rank1_records_property_c_at_large_alpha(tmp_path, alpha):
+    records = _records(tmp_path, "shift", "--route", "rank1", "--alpha", alpha)
+    assert "property_c_monotone_pair_nonnegative" in records
+
+
+def test_cli_shift_rank1_says_that_it_does_not_read_a(tmp_path, capsys, shift_pair_files):
+    a, b = shift_pair_files
+    assert cli.main(["--command", "shift", "--route", "rank1", "--a", a, "--b", b,
+                     "--out", str(tmp_path)]) == 0
+    assert f"route rank1 reports on B + alpha w w*, not on input a ({a})" in (
+        capsys.readouterr().err)
+
+
+def test_cli_sylvester_reads_y_from_a_file(tmp_path):
+    y = random_complex(substream(4, "t-y"), (8, 8))
+    save_matrix(str(tmp_path / "y.json"), y)
+    assert cli.main(["--command", "sylvester", "--y", str(tmp_path / "y.json"),
+                     "--out", str(tmp_path)]) == 0
+    gap = json.loads((tmp_path / "sylvester_report.json").read_text())["gap_report"]
+    assert gap["y_norm"] == linalg.operator_norm(y)
 
 
 def test_cli_sylvester_solves_a_b_file_as_given(tmp_path):
@@ -243,6 +288,53 @@ def test_cli_malformed_symbol_csv_exits_2_and_names_the_file(tmp_path, capsys, c
     config.write_text(json.dumps({"inputs": {"symbol": str(symbol)}}), encoding="utf-8")
     assert cli.main(["--command", "quantize", "--n", "2", "--config", str(config)]) == 2
     assert f"usage error: symbol CSV {symbol}: malformed" in capsys.readouterr().err
+
+
+def _quantize_with_symbol(tmp_path, sigma, n):
+    symbol = tmp_path / "sigma.csv"
+    symbol.write_text("".join(",".join(repr(complex(z)) for z in row) + "\n" for row in sigma),
+                      encoding="utf-8")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"inputs": {"symbol": str(symbol)}}), encoding="utf-8")
+    return cli.main(["--command", "quantize", "--n", str(n), "--config", str(config),
+                     "--out", str(tmp_path / "out")])
+
+
+def test_cli_symbol_csv_of_the_wrong_size_exits_2(tmp_path, capsys):
+    sigma = random_complex(substream(5, "t-sigma"), (3, 3))
+    assert _quantize_with_symbol(tmp_path, sigma, 4) == 2
+    assert "must be 4x4, got (3, 3)" in capsys.readouterr().err
+
+
+def test_cli_quantize_reads_a_symbol_csv(tmp_path):
+    sigma = random_complex(substream(5, "t-sigma"), (4, 4))
+    assert _quantize_with_symbol(tmp_path, sigma, 4) == 0
+    report = json.loads((tmp_path / "out" / "quantize_report.json").read_text())
+    expected = linalg.operator_norm(quantization.quantize(quantization.cycle_space(4), sigma))
+    assert report["quantize_report"]["norm_value"] == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{\"seed\": 1,", "config: invalid JSON"),
+    ("[1, 2]", "config: top level must be a JSON object"),
+])
+def test_cli_config_that_is_not_a_json_object_exits_2(tmp_path, capsys, text, message):
+    config = tmp_path / "config.json"
+    config.write_text(text, encoding="utf-8")
+    assert cli.main(["--command", "shift", "--config", str(config)]) == 2
+    assert f"usage error: {message}" in capsys.readouterr().err
+
+
+def test_cli_unreadable_config_exits_3(tmp_path, capsys):
+    assert cli.main(["--command", "shift", "--config", str(tmp_path / "missing.json")]) == 3
+    assert "io error: cannot read config" in capsys.readouterr().err
+
+
+def test_cli_writes_the_report_to_stdout_without_out(tmp_path, capsys):
+    assert cli.main(["--command", "peller", "--seed", "3"]) == 0
+    printed = capsys.readouterr().out
+    assert cli.main(["--command", "peller", "--seed", "3", "--out", str(tmp_path)]) == 0
+    assert printed == (tmp_path / "peller_report.json").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -384,6 +476,13 @@ def test_cli_shift_route_passes_and_diagonalizes_each_matrix_once(
                      "--out", str(tmp_path)])
     assert code == 0
     assert len(calls) <= 3, calls
+
+
+def test_cli_shift_at_defaults_diagonalizes_a_and_b_and_nothing_else(tmp_path, monkeypatch):
+    # property c is decided from tr(A - B) and |A - B|_1, not from eigvalsh(A - B)
+    calls = _count_eigensolver_calls(monkeypatch)
+    assert cli.main(["--command", "shift", "--out", str(tmp_path)]) == 0
+    assert calls == ["eigh", "eigh"], calls
 
 
 def test_cli_fourier_route_builds_no_grid_by_nodes_exponential_table(

@@ -134,7 +134,8 @@ def run_shift(cfg: ScenarioConfig) -> Report:
     tol = cfg.tolerance("algebraic")
     checks = [
         CheckRecord(name="property_a_trace_equals_integral", expected=props.trace,
-                    observed=props.integral, tolerance=tol, passed=bool(trace_error <= tol)),
+                    observed=props.integral, tolerance=tol * props.trace_scale,
+                    passed=bool(trace_error <= tol)),
         CheckRecord(name="property_b_l1_bounded_by_trace_norm", expected=props.trace_norm,
                     observed=props.l1, tolerance=tol, passed=bool(l1_excess <= tol)),
     ]

@@ -128,9 +128,17 @@ class KreinProperties:
     l1: float             # int |xi|
     support_reach: float  # how far supp xi reaches outside the interval; -inf for xi = 0
 
+    @property
+    def trace_scale(self) -> float:
+        """max(1, |tr(A - B)|): (a) is judged relative to it, so a tolerance
+        tol allows |int xi - tr(A - B)| up to tol * trace_scale."""
+        return max(1.0, abs(self.trace))
+
     def errors(self) -> tuple[float, float, float]:
-        """(a), (b) and (d) as errors, each at most rounding when its property holds."""
-        return abs(self.integral - self.trace), self.l1 - self.trace_norm, self.support_reach
+        """(a) relative to `trace_scale`, (b) and (d) as errors, each at most
+        rounding when its property holds."""
+        return (abs(self.integral - self.trace) / self.trace_scale,
+                self.l1 - self.trace_norm, self.support_reach)
 
     @property
     def monotone(self) -> bool:

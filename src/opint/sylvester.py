@@ -20,8 +20,9 @@ from .doi import SpectralPair, doi_apply, make_spectral_pair, symbol_from_functi
 
 GAP_FLOOR_FACTOR = 1e-8  # refuse gaps below this times the spectral scale
 KRON_AGREEMENT_TOL = 1e-8  # largest entrywise |X - X_kron| of a healthy solve
-# largest n for kron_oracle: its n^2 x n^2 complex system is 85 MB and its
-# LU about 1 s at n = 48, and grows as n^4 in memory and n^6 in time
+# largest n for kron_oracle.  At n = 48 its n^2 x n^2 complex system is 81 MiB,
+# plus LAPACK's working copy of the same size, and the solve takes about 0.8 s
+# on one core; memory grows as n^4 and time as n^6
 KRON_MAX_DIM = 48
 
 
@@ -119,6 +120,9 @@ def kron_oracle(a, b, y) -> np.ndarray:
     """Independent route: vectorize AX - XB = Y to an n^2 x n^2 dense
     linear system and solve it by LU with partial pivoting.
 
+    The system is one column-major complex array of 16 n^4 bytes (81 MiB
+    at n = 48), and LAPACK factors a working copy of the same size; the
+    solve takes about 0.1 s at n = 32 and 0.8 s at n = 48 on one core.
     Refuses n above `KRON_MAX_DIM` with `IllPosedError` before the system
     is formed."""
     am = as_hermitian(a, "A")
@@ -130,11 +134,15 @@ def kron_oracle(a, b, y) -> np.ndarray:
     if n > KRON_MAX_DIM:
         raise IllPosedError(f"Kronecker oracle refuses n = {n} > {KRON_MAX_DIM}: "
                             f"its system would be {n * n} x {n * n}")
-    eye = np.eye(n)
-    # column-stacking convention: vec(AX) = (I (x) A) vec(X), vec(XB) = (B^T (x) I) vec(X)
-    system = np.kron(eye, am) - np.kron(bm.T, eye)
+    # column-stacking convention: vec(AX) = (I (x) A) vec(X), vec(XB) = (B^T (x) I) vec(X),
+    # so K[(j, i), (l, k)] = d_jl A[i, k] - d_ik B[l, j] for vec index (col, row).  K is
+    # built in place as its transpose s[l, k, j, i], which makes K itself F-contiguous
+    idx = np.arange(n)
+    s = np.zeros((n, n, n, n), dtype=complex)
+    s[idx, :, idx, :] = am.T
+    s[:, idx, :, idx] -= bm
     try:
-        x_vec = np.linalg.solve(system, ym.flatten(order="F"))
+        x_vec = np.linalg.solve(s.reshape(n * n, n * n).T, ym.flatten(order="F"))
     except np.linalg.LinAlgError as exc:
         raise IllPosedError(f"vectorized Sylvester system is numerically singular: {exc}") from exc
     return x_vec.reshape((n, n), order="F")

@@ -116,6 +116,18 @@ def test_monotone_is_false_when_a_minus_b_has_a_negative_eigenvalue():
             assert not shift.krein_properties(pair, shift.xi_counting(pair), a - b).monotone
 
 
+@pytest.mark.parametrize("trace", [0.25, -3.0, 1e8])
+def test_property_a_is_judged_relative_to_the_trace(trace):
+    # the suite's algebraic tolerance: one ulp of tr(A - B) passes, 1e-6 |tr| fails
+    tol = 1e-10
+
+    def trace_error(integral):
+        return shift.KreinProperties(trace=trace, integral=integral, trace_norm=abs(trace),
+                                     l1=abs(trace), support_reach=0.0).errors()[0]
+    assert trace_error(np.nextafter(trace, np.inf)) <= tol
+    assert trace_error(trace + 1e-6 * abs(trace)) > tol
+
+
 def test_far_from_spectra_keeps_points_at_least_the_distance_away():
     pair = make_spectral_pair(np.diag([0.0, 1.0]), np.diag([3.0, 3.0]))
     grid = np.array([-0.5, 0.05, 0.1, 0.5, 0.95, 2.95, 3.2])

@@ -172,6 +172,15 @@ def test_cli_shift_rank1_records_property_c_at_large_alpha(tmp_path, alpha):
     assert "property_c_monotone_pair_nonnegative" in records
 
 
+def test_cli_shift_rank1_judges_property_a_relative_to_the_trace(tmp_path):
+    # at alpha = 1e8, int xi and tr(A - B) differ by one ulp (1.5e-8)
+    _records(tmp_path, "shift", "--route", "rank1", "--alpha", "1e8", "--seed", "5")
+    report = json.loads((tmp_path / "shift_report.json").read_text(encoding="utf-8"))
+    record = report["checks"][0]
+    assert record["name"] == "property_a_trace_equals_integral"
+    assert record["tolerance"] == 1e-10 * abs(record["expected"])
+
+
 def test_cli_shift_rank1_says_that_it_does_not_read_a(tmp_path, capsys, shift_pair_files):
     a, b = shift_pair_files
     assert cli.main(["--command", "shift", "--route", "rank1", "--a", a, "--b", b,
@@ -199,6 +208,11 @@ def test_cli_sylvester_solves_a_b_file_as_given(tmp_path):
     a = random_hermitian(substream(5, "cli-sylvester-A"), 4) + 4.0 * np.eye(4)
     expected = np.abs(np.subtract.outer(np.linalg.eigvalsh(a), np.linalg.eigvalsh(b))).min()
     assert delta == pytest.approx(expected, rel=1e-12)
+
+
+def test_cli_sylvester_above_the_kronecker_cap_is_a_usage_error(tmp_path, capsys):
+    assert cli.main(["--command", "sylvester", "--dims", "49", "--out", str(tmp_path)]) == 2
+    assert "Kronecker oracle refuses n = 49 > 48" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, flag", [("sylvester", "--b"), ("shift", "--a")])
@@ -468,14 +482,14 @@ def shift_pair_files(tmp_path_factory):
 @pytest.mark.parametrize("route", ["counting", "arctan", "fourier", "rank1"])
 def test_cli_shift_route_passes_and_diagonalizes_each_matrix_once(
         tmp_path, monkeypatch, shift_pair_files, route):
-    # one eigendecomposition each for A and B, and one for A - B
+    # one eigendecomposition each for A and B; property c needs none of A - B
     calls = _count_eigensolver_calls(monkeypatch)
     a, b = shift_pair_files
     code = cli.main(["--command", "shift", "--route", route, "--a", a, "--b", b,
                      "--eps", "0.002", "--quad-half-width", "4000", "--quad-nodes", "40000",
                      "--out", str(tmp_path)])
     assert code == 0
-    assert len(calls) <= 3, calls
+    assert calls == ["eigh", "eigh"], calls
 
 
 def test_cli_shift_at_defaults_diagonalizes_a_and_b_and_nothing_else(tmp_path, monkeypatch):

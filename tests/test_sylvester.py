@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from opint import errors, sylvester
 from opint.doi import make_spectral_pair
-from opint.linalg import schatten_norm
+from opint.linalg import as_hermitian, schatten_norm
 from opint.rng import random_complex, random_hermitian, substream
 
 
@@ -147,9 +148,9 @@ def test_gapped_solution_scale_equivariance_property(dim, seed, k):
 
 
 def test_kron_oracle_refuses_n_above_cap_before_forming_system(monkeypatch):
-    def no_kron(*args, **kwargs):
-        raise AssertionError("np.kron called")
-    monkeypatch.setattr(np, "kron", no_kron)
+    def no_system(*args, **kwargs):
+        raise AssertionError("system allocated")
+    monkeypatch.setattr(np, "zeros", no_system)
     n = sylvester.KRON_MAX_DIM + 1
     with pytest.raises(errors.IllPosedError, match=f"n = {n} > {sylvester.KRON_MAX_DIM}"):
         sylvester.kron_oracle(np.eye(n), -np.eye(n), np.eye(n))
@@ -161,6 +162,43 @@ def test_kron_oracle_cap_admits_n_48(monkeypatch):
 
     def reached(*args, **kwargs):
         raise Reached
-    monkeypatch.setattr(np, "kron", reached)
+    monkeypatch.setattr(np.linalg, "solve", reached)
     with pytest.raises(Reached):
         sylvester.kron_oracle(np.eye(48), -np.eye(48), np.eye(48))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 8, 17])
+def test_kron_oracle_system_is_the_column_stacking_kronecker_matrix(monkeypatch, dim):
+    a, b = gapped_pair(11, dim, tag="sylvester-kron-system")
+    y = random_complex(substream(11, "sylvester-kron-system-Y", dim), (dim, dim))
+    am, bm, eye = as_hermitian(a, "A"), as_hermitian(b, "B"), np.eye(dim)
+    reference = np.kron(eye, am) - np.kron(bm.T, eye)
+    expected = np.linalg.solve(reference, y.flatten(order="F")).reshape((dim, dim), order="F")
+    seen = []
+    solve = np.linalg.solve
+
+    def recorded(system, rhs):
+        seen.append(system)
+        return solve(system, rhs)
+    monkeypatch.setattr(np.linalg, "solve", recorded)
+    x = sylvester.kron_oracle(a, b, y)
+    [system] = seen
+    assert system.flags.f_contiguous
+    # + 0.0 maps -0 to +0: the two constructions may sign their zero entries differently
+    assert (system + 0.0).tobytes(order="F") == (reference + 0.0).tobytes(order="F")
+    assert x.tobytes() == expected.tobytes()
+
+
+def test_kron_oracle_allocates_one_system():
+    # the n^4 complex system is the one large allocation; numpy's solve copies
+    # it with plain malloc, which tracemalloc does not see
+    dim = 24
+    a, b = gapped_pair(12, dim)
+    y = random_complex(substream(12, "sylvester-kron-memory"), (dim, dim))
+    tracemalloc.start()
+    try:
+        sylvester.kron_oracle(a, b, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 16 * dim**4, peak / (16 * dim**4)

@@ -16,7 +16,8 @@ Each rule that several places use has one home:
 - the Cotlar-Stein slack is on `CotlarReport`, which also judges the
   quantize upper bound; the Peller slack is `doi.PELLER_SLACK`;
 - Krein's properties, and whether A >= B, are on `KreinProperties`, which
-  judges (a) relative to max(1, |tr(A - B)|);
+  judges (a) relative to max(1, |tr(A - B)|) and (b) relative to
+  max(1, |A - B|_1);
 - the grid points where a regularized xi meets the counting function are
   `shift.far_from_spectra`.
 """

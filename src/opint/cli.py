@@ -137,7 +137,8 @@ def run_shift(cfg: ScenarioConfig) -> Report:
                     observed=props.integral, tolerance=tol * props.trace_scale,
                     passed=bool(trace_error <= tol)),
         CheckRecord(name="property_b_l1_bounded_by_trace_norm", expected=props.trace_norm,
-                    observed=props.l1, tolerance=tol, passed=bool(l1_excess <= tol)),
+                    observed=props.l1, tolerance=tol * props.trace_norm_scale,
+                    passed=bool(l1_excess <= tol)),
     ]
     flags = {}
     if props.monotone:

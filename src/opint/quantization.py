@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .doi import Decomposition
 from .errors import IllPosedError, InputDomainError
@@ -63,19 +64,31 @@ def _symbol_vector(space: CycleSpace, v, name: str) -> np.ndarray:
     return v
 
 
-def _circulant(n: int, c: np.ndarray) -> np.ndarray:
-    """M[x, y] = c[x, (x - y) mod n]; a single row c serves every x.
+def _circulant_in_place(c: np.ndarray) -> np.ndarray:
+    """Turn the n x n rows c into M[x, y] = c[x, (x - y) mod n], in place.
 
-    Row x of M is row x of c reversed and rotated by x + 1:
-    M[x, :x + 1] = c[x, x::-1] and M[x, x + 1:] = c[x, :x:-1], two slice
-    copies per row into the one output array.
+    Row x of M is row x of c reversed and rotated by x + 1; each row is
+    copied once into an n-long scratch row and written back as two slices,
+    M[x, :x + 1] = row[x::-1] and M[x, x + 1:] = row[:x:-1].  Returns c.
     """
-    c = np.broadcast_to(c, (n, n))
-    m = np.empty((n, n), dtype=np.complex128)
-    for x in range(n):
-        m[x, :x + 1] = c[x, x::-1]
-        m[x, x + 1:] = c[x, :x:-1]
-    return m
+    row = np.empty(c.shape[1], dtype=c.dtype)
+    for x in range(c.shape[0]):
+        row[:] = c[x]
+        c[x, :x + 1] = row[x::-1]
+        c[x, x + 1:] = row[:x:-1]
+    return c
+
+
+def _circulant_of_vector(c: np.ndarray) -> np.ndarray:
+    """M[x, y] = c[(x - y) mod n] for a length-n vector c, or a stack of
+    them along a leading axis, as one new C-contiguous array.
+
+    Row x of M is the n-long window of reversed (c, c) that starts at
+    n - 1 - x; the windows are views, and one copy makes M.
+    """
+    n = c.shape[-1]
+    windows = sliding_window_view(np.concatenate([c, c], axis=-1)[..., ::-1], n, axis=-1)
+    return np.ascontiguousarray(windows[..., n - 1::-1, :])
 
 
 def position_projector(space: CycleSpace, e) -> np.ndarray:
@@ -86,12 +99,12 @@ def position_projector(space: CycleSpace, e) -> np.ndarray:
 def momentum_projector(space: CycleSpace, f) -> np.ndarray:
     """P(F) = F* Q(F) F: the DFT conjugate of a position projector, i.e.
     the circulant of the inverse DFT of the indicator of F."""
-    return _circulant(space.n, np.fft.ifft(_indicator(space, f, "F")))
+    return _circulant_of_vector(np.fft.ifft(_indicator(space, f, "F")))
 
 
 def momentum_operator(space: CycleSpace, g) -> np.ndarray:
     """P(g) = F* diag(g) F, the circulant of the inverse DFT of g."""
-    return _circulant(space.n, np.fft.ifft(_symbol_vector(space, g, "g")))
+    return _circulant_of_vector(np.fft.ifft(_symbol_vector(space, g, "g")))
 
 
 def quantize(space: CycleSpace, sigma) -> np.ndarray:
@@ -100,15 +113,15 @@ def quantize(space: CycleSpace, sigma) -> np.ndarray:
         M[x, y] = (1/n) sum_xi sigma(x, xi) e^{2 pi i xi (x - y)/n}.
 
     Each row of sigma goes through one inverse FFT, c[x, :] = ifft(sigma[x, :]),
-    and M[x, y] = c[x, (x - y) mod n] copies the rows into M, in
-    O(n^2 log n).  Linear in sigma; sigma = f (x) g gives
-    diag(f) . F* diag(g) F.
+    and M[x, y] = c[x, (x - y) mod n] permutes each row of that FFT output
+    in place, so M is the one n x n array allocated, in O(n^2 log n).
+    Linear in sigma; sigma = f (x) g gives diag(f) . F* diag(g) F.
     """
     s = as_complex_matrix(sigma, "sigma")
     n = space.n
     if s.shape != (n, n):
         raise InputDomainError(f"sigma must be {n}x{n}, got {s.shape}")
-    return _circulant(n, np.fft.ifft(s, axis=1))
+    return _circulant_in_place(np.fft.ifft(s, axis=1))
 
 
 @dataclass(frozen=True)
@@ -143,11 +156,10 @@ def cotlar_stein_bound(space: CycleSpace, terms) -> CotlarReport:
     terms = list(terms)
     if not terms:
         raise InputDomainError("need at least one (f, g) term")
-    n = space.n
     fs = np.stack([_symbol_vector(space, f, f"f_{k}") for k, (f, _) in enumerate(terms)])
     gs = np.stack([_symbol_vector(space, g, f"g_{k}") for k, (_, g) in enumerate(terms)])
     # P(|g_j|^2), stacked: k n^2 entries, where the pairwise products would hold k^2 n^2
-    momenta = np.stack([_circulant(n, c) for c in np.fft.ifft(np.abs(gs) ** 2, axis=1)])
+    momenta = _circulant_of_vector(np.fft.ifft(np.abs(gs) ** 2, axis=1))
     a = np.empty((len(terms), len(terms)))
     for k, f_sq in enumerate(np.abs(fs) ** 2):  # row k: one stacked SVD over every j
         products = f_sq[:, None] * momenta
@@ -156,7 +168,7 @@ def cotlar_stein_bound(space: CycleSpace, terms) -> CotlarReport:
         a[k] = np.sqrt(np.linalg.svd(products, compute_uv=False)[:, 0])
     bound = float(max(a.sum(axis=1).max(), a.sum(axis=0).max()))
     # sum_k diag(f_k) P(g_k)[x, y] = sum_k f_k[x] ifft(g_k)[(x - y) mod n]
-    actual = operator_norm(_circulant(n, fs.T @ np.fft.ifft(gs, axis=1)))
+    actual = operator_norm(_circulant_in_place(fs.T @ np.fft.ifft(gs, axis=1)))
     return CotlarReport(bound=bound, actual=actual)
 
 

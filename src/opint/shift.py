@@ -134,11 +134,17 @@ class KreinProperties:
         tol allows |int xi - tr(A - B)| up to tol * trace_scale."""
         return max(1.0, abs(self.trace))
 
+    @property
+    def trace_norm_scale(self) -> float:
+        """max(1, |A - B|_1): (b) is judged relative to it, so a tolerance
+        tol allows int |xi| to exceed |A - B|_1 by up to tol * trace_norm_scale."""
+        return max(1.0, self.trace_norm)
+
     def errors(self) -> tuple[float, float, float]:
-        """(a) relative to `trace_scale`, (b) and (d) as errors, each at most
-        rounding when its property holds."""
+        """(a) relative to `trace_scale`, (b) relative to `trace_norm_scale`
+        and (d) as an error, each at most rounding when its property holds."""
         return (abs(self.integral - self.trace) / self.trace_scale,
-                self.l1 - self.trace_norm, self.support_reach)
+                (self.l1 - self.trace_norm) / self.trace_norm_scale, self.support_reach)
 
     @property
     def monotone(self) -> bool:

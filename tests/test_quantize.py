@@ -134,11 +134,19 @@ def test_cotlar_matches_dense_dft_definition(n):
 def test_circulant_equals_the_index_gather_bit_for_bit(n):
     rng = substream(22, "quant-circulant", n)
     x = np.arange(n)
-    for c in (random_complex(rng, (n, n)), random_complex(rng, n)):
-        gathered = np.broadcast_to(c, (n, n))[x[:, None], (x[:, None] - x) % n]
-        built = qz._circulant(n, c)
+    diff = (x[:, None] - x) % n
+    rows, vector, stack = (random_complex(rng, (n, n)), random_complex(rng, n),
+                           random_complex(rng, (3, n)))
+    gathered = rows[x[:, None], diff]
+    given = rows.copy()
+    built = qz._circulant_in_place(given)
+    assert built is given
+    assert built.dtype == np.complex128 and built.flags.c_contiguous
+    assert np.array_equal(built, gathered)
+    for c in (vector, stack):
+        built = qz._circulant_of_vector(c)
         assert built.dtype == np.complex128 and built.flags.c_contiguous
-        assert np.array_equal(built, gathered)
+        assert np.array_equal(built, c[..., diff])
 
 
 def _peak_units(call, n):
@@ -155,14 +163,15 @@ def _peak_units(call, n):
 
 
 def test_z_n_operators_allocate_one_output_and_no_n_by_n_index():
-    # quantize holds the FFT output and M; the momentum operator and the
-    # position projector hold M alone.  An n x n int64 index is half a
-    # unit, a validation copy or a float diagonal is one more.
+    # quantize permutes the FFT output in place into M; it, the momentum
+    # operator and the position projector each hold M alone.  An n x n
+    # int64 index is half a unit, a validation copy or a float diagonal is
+    # one more.
     n = 512
     space = qz.cycle_space(n)
     rng = substream(23, "quant-alloc")
     sigma, g = random_complex(rng, (n, n)), random_complex(rng, n)
-    assert _peak_units(lambda: qz.quantize(space, sigma), n) <= 2.1
+    assert _peak_units(lambda: qz.quantize(space, sigma), n) <= 1.1
     assert _peak_units(lambda: qz.momentum_operator(space, g), n) <= 1.1
     assert _peak_units(lambda: qz.position_projector(space, range(0, n, 3)), n) <= 1.1
 
@@ -326,7 +335,8 @@ def test_qp_norm_upper_bound_dominates_actual():
 def test_qp_norm_upper_bound_refuses_n_above_cap_before_building_circulants(monkeypatch):
     def no_circulant(*args, **kwargs):
         raise AssertionError("circulant built")
-    monkeypatch.setattr(qz, "_circulant", no_circulant)
+    monkeypatch.setattr(qz, "_circulant_in_place", no_circulant)
+    monkeypatch.setattr(qz, "_circulant_of_vector", no_circulant)
     n = qz.QP_MAX_DIM + 1
     with pytest.raises(errors.IllPosedError, match=f"n = {n} > {qz.QP_MAX_DIM}"):
         qz.qp_norm_upper_bound(qz.cycle_space(n), np.eye(n), trials=2, seed=0)
@@ -338,7 +348,8 @@ def test_qp_norm_upper_bound_cap_admits_n_64(monkeypatch):
 
     def reached(*args, **kwargs):
         raise Reached
-    monkeypatch.setattr(qz, "_circulant", reached)
+    monkeypatch.setattr(qz, "_circulant_in_place", reached)
+    monkeypatch.setattr(qz, "_circulant_of_vector", reached)
     assert qz.QP_MAX_DIM == 64
     with pytest.raises(Reached):
         qz.qp_norm_upper_bound(qz.cycle_space(64), np.eye(64), trials=1, seed=0)

@@ -128,6 +128,19 @@ def test_property_a_is_judged_relative_to_the_trace(trace):
     assert trace_error(trace + 1e-6 * abs(trace)) > tol
 
 
+@pytest.mark.parametrize("trace_norm", [0.25, 3.0, 1e8])
+def test_property_b_is_judged_relative_to_the_trace_norm(trace_norm):
+    # the suite's algebraic tolerance: one ulp over |A - B|_1 passes, 1e-6 |A - B|_1 fails
+    tol = 1e-10
+
+    def l1_excess(l1):
+        return shift.KreinProperties(trace=trace_norm, integral=trace_norm,
+                                     trace_norm=trace_norm, l1=l1,
+                                     support_reach=0.0).errors()[1]
+    assert l1_excess(np.nextafter(trace_norm, np.inf)) <= tol
+    assert l1_excess(trace_norm + 1e-6 * trace_norm) > tol
+
+
 def test_far_from_spectra_keeps_points_at_least_the_distance_away():
     pair = make_spectral_pair(np.diag([0.0, 1.0]), np.diag([3.0, 3.0]))
     grid = np.array([-0.5, 0.05, 0.1, 0.5, 0.95, 2.95, 3.2])

@@ -113,6 +113,16 @@ def _cli_report(tmp_path, threads: int, command: str, *args: str) -> bytes:
     return (out / f"{command}_report.json").read_bytes()
 
 
+def test_python_m_opint_runs_the_cli(tmp_path):
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "opint", "--command", "cotlar",
+                           "--out", str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "cotlar_report.json").is_file()
+
+
 def test_cli_suite_seed_15_passes_and_is_byte_stable_across_blas_threads(tmp_path):
     assert (_cli_report(tmp_path, 1, "suite", "--seed", "15")
             == _cli_report(tmp_path, 2, "suite", "--seed", "15"))
@@ -179,6 +189,17 @@ def test_cli_shift_rank1_judges_property_a_relative_to_the_trace(tmp_path):
     record = report["checks"][0]
     assert record["name"] == "property_a_trace_equals_integral"
     assert record["tolerance"] == 1e-10 * abs(record["expected"])
+
+
+@pytest.mark.parametrize("seed", ["3", "13"])
+def test_cli_shift_rank1_judges_property_b_relative_to_the_trace_norm(tmp_path, seed):
+    # at alpha = 1e8, int |xi| exceeds |A - B|_1 by a rounding 3e-8 at these seeds
+    _records(tmp_path, "shift", "--route", "rank1", "--alpha", "1e8", "--seed", seed)
+    report = json.loads((tmp_path / "shift_report.json").read_text(encoding="utf-8"))
+    record = report["checks"][1]
+    assert record["name"] == "property_b_l1_bounded_by_trace_norm"
+    assert record["observed"] > record["expected"]
+    assert record["tolerance"] == 1e-10 * record["expected"]
 
 
 def test_cli_shift_rank1_says_that_it_does_not_read_a(tmp_path, capsys, shift_pair_files):
@@ -412,7 +433,8 @@ def test_cli_quantize_above_the_search_cap_exits_2_before_building_circulants(
         monkeypatch, capsys):
     def no_circulant(*args, **kwargs):
         raise AssertionError("circulant built")
-    monkeypatch.setattr(quantization, "_circulant", no_circulant)
+    monkeypatch.setattr(quantization, "_circulant_in_place", no_circulant)
+    monkeypatch.setattr(quantization, "_circulant_of_vector", no_circulant)
     assert cli.main(["--command", "quantize", "--n", "1024"]) == 2
     assert "usage error: upper-bound search refuses n = 1024" in capsys.readouterr().err
 

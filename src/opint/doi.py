@@ -133,20 +133,22 @@ def doi_fourier(pair: SpectralPair, f, t, quad: QuadratureRule | None = None) ->
 
     In the joint eigenbases this sum is the Schur multiplier with symbol
     sum_m w_m f(t_m) e^{-i t_m (lambda - mu)}, built here as one product
-    of two (dim x nodes) exponential tables.  For integrable f it
-    approximates the integral whose symbol is the Fourier transform
-    fhat(lambda - mu), fhat(x) = int e^{-i x s} f(s) ds; it must agree
-    with `doi_apply` on that symbol to quadrature tolerance.  f is called
-    once, on the array of nodes; `doi_apply` validates T.
+    L (w f) R* of two (dim x nodes) tables L = e^{-i lambda t_m} and
+    R = e^{-i mu t_m}.  `QuadratureRule.phase_table` builds them as
+    products of the square-root phase factors, whose error bound
+    `QuadratureRule.phase_factors` gives, so the nodes must be an
+    arithmetic progression, else `ConfigError`.  For integrable f the sum approximates the integral
+    whose symbol is the Fourier transform fhat(lambda - mu),
+    fhat(x) = int e^{-i x s} f(s) ds; it must agree with `doi_apply` on
+    that symbol to quadrature tolerance.  f is called once, on the array
+    of nodes; `doi_apply` validates T.
     """
     if quad is None:
         quad = trapezoid_rule(*DEFAULT_FOURIER_QUAD)
     samples = evaluate(f, quad.nodes, "quadrature node")
-    lam = pair.left.eigenvalues
-    mu = pair.right.eigenvalues
-    left = np.exp(-1j * np.outer(lam, quad.nodes))
-    right = np.exp(-1j * np.outer(mu, quad.nodes))
-    values = (left * (quad.weights * samples)) @ right.conj().T
+    left = quad.phase_table(-pair.left.eigenvalues)
+    left *= quad.weights * samples
+    values = left @ quad.phase_table(pair.right.eigenvalues).T  # the table of +mu is conj(R)
     return doi_apply(pair, SymbolGrid(values=values), t)
 
 

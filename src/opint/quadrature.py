@@ -5,11 +5,18 @@ half-step-offset grid whose nodes come in exact +/- pairs and never touch
 the origin.  The offset layout is what the oscillatory-integral routines
 use, since their integrands are only defined away from 0 (they extend
 continuously, but the sampled formula divides by the node).
+
+Both layouts are arithmetic progressions, so a rule can split every
+e^{i phi x_m} into two factors from tables of about sqrt(M) columns
+(`QuadratureRule.phase_factors`); the Fourier sums of `doi` and `shift`
+are built on that split.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,18 +44,93 @@ class QuadratureRule:
         if np.abs(self.nodes).min() == 0.0:
             raise ConfigError("quadrature places a node at exactly 0")
 
+    @cached_property
+    def _progression(self) -> tuple[float, float, float, float]:
+        """(x0, h, deviation, limit): the progression x0 + h m through the
+        first and last node, the largest distance of a node from it, and the
+        16-ulp limit on that distance.  Worked out once per rule."""
+        x = self.nodes
+        x0 = float(x[0])
+        h = float(x[-1] - x0) / (x.size - 1) if x.size > 1 else 0.0
+        deviation = float(np.abs(x - (x0 + h * np.arange(x.size))).max())
+        return x0, h, deviation, 16 * np.finfo(float).eps * float(np.abs(x).max())
+
     def require_uniform(self) -> tuple[float, float]:
         """(x0, h) such that nodes[m] = x0 + h m to within 16 ulps of the
         largest |node|, else `ConfigError`.  Both rules of this module build
         such nodes, to within 2 ulps."""
-        x = self.nodes
-        x0 = float(x[0])
-        h = float(x[-1] - x0) / (x.size - 1) if x.size > 1 else 0.0
-        deviation = np.abs(x - (x0 + h * np.arange(x.size))).max()
-        if deviation > 16 * np.finfo(float).eps * np.abs(x).max():
+        x0, h, deviation, limit = self._progression
+        if deviation > limit:
             raise ConfigError("quadrature nodes are not an arithmetic progression "
                               f"(off by {deviation:.3e})")
         return x0, h
+
+    @property
+    def split_shape(self) -> tuple[int, int]:
+        """(J, B) of the square-root phase split of `phase_factors`:
+        B = ceil(sqrt(M)) columns and J = ceil(M / B) rows, node m at
+        row m // B and column m % B."""
+        cols = math.isqrt(self.nodes.size - 1) + 1
+        return -(-self.nodes.size // cols), cols
+
+    def phase_factors(self, phi) -> tuple[np.ndarray, np.ndarray]:
+        """Square-root phase split of e^{i phi_k x_m} over the M nodes.
+
+        The nodes must be an arithmetic progression x_m = x0 + h m (see
+        `require_uniform`; others raise `ConfigError`).  With B = ceil(sqrt(M)),
+        J = ceil(M / B) and m = B j + r,
+
+            e^{i phi_k x_m} = P[k, j] Q[k, r],
+            P = e^{i phi (x0 + h B j)},  Q = e^{i phi h r},
+
+        of shapes (K, J) and (K, B), so only K (J + B) ~ 2 K sqrt(M)
+        exponentials are formed.  The factors also cover the J B - M indices
+        past the last node, which `phase_table` drops and which take zero
+        coefficients in `phase_sum`.
+
+        Error.  Let u be the unit roundoff, X = max|x_m| and delta the
+        largest distance of a node from the progression (at most 2 ulps of X
+        for the rules of this module; `require_uniform` accepts 16 ulps).  To
+        first order in u the phase of P[k, j] Q[k, r] is off from phi_k x_m
+        by at most |phi_k| (6 u X + 2 u h (B - 1) + delta): 5uX from forming
+        x0 + h B j, uX from its product with phi_k, 2u h (B - 1) from forming
+        phi_k h r, and delta.  With about 8u more from exp and the complex
+        product, each entry is within
+
+            E(phi_k) = |phi_k| (6 u X + 2 u h (B - 1) + delta) + 8u
+
+        of the exact e^{i phi_k x_m}, and within E(phi_k) + u |phi_k| X + 4u
+        of np.exp(1j * phi_k * x_m), which rounds its own phase.  A node sum
+        with coefficients c_m is within (E(phi_k) + (J + B) u) sum_m |c_m| of
+        the exact sum, the second term from the two matrix products of
+        `phase_sum`.  The errors do not align: against np.exp, entries stay
+        within 4.6 u |phi_k| X, two thirds of the bound or less, on both
+        rules at M <= 32,000 and |phi| <= 10.
+        """
+        x0, h = self.require_uniform()
+        rows, cols = self.split_shape
+        phi = np.asarray(phi, dtype=float)
+        p = np.exp(1j * np.outer(phi, x0 + h * cols * np.arange(rows)))
+        q = np.exp(1j * np.outer(phi, h * np.arange(cols)))
+        return p, q
+
+    def phase_table(self, phi) -> np.ndarray:
+        """The (K, M) table e^{i phi_k x_m}, as products of `phase_factors`
+        (complex multiplies, not exponentials)."""
+        p, q = self.phase_factors(phi)
+        table = (p[:, :, None] * q[:, None, :]).reshape(p.shape[0], -1)
+        return table[:, :self.nodes.size]
+
+    def phase_sum(self, phi, coeff) -> np.ndarray:
+        """sum_m coeff[m] e^{i phi_k x_m} for each k, from `phase_factors`
+        without the full table.  `coeff` holds the M node coefficients
+        followed by zeros up to J B (see `split_shape`), so that it is the
+        (J, B) matrix C of the split; the sums are the diagonal of P (C Q^T).
+        Callers fill such a zero vector in place, which keeps one node-sized
+        array fewer alive than padding a copy here."""
+        p, q = self.phase_factors(phi)
+        partial = coeff.reshape(p.shape[1], q.shape[1]) @ q.T
+        return np.einsum("kj,jk->k", p, partial)
 
 
 def trapezoid_rule(half_width: float, n_nodes: int) -> QuadratureRule:

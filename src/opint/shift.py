@@ -12,16 +12,15 @@ Every route takes (A, B) diagonalized once, as one `doi.SpectralPair`
 (from `doi.make_spectral_pair`), which the double operator integrals take
 too; the rank-one route needs only B and takes B's `EigenSystem`.
 
-The Fourier route needs quadrature nodes in arithmetic progression,
-x_m = x0 + h m, and refuses others with `ConfigError`.  It splits each
-node index as m = B j + r with B = ceil(sqrt(M)), so every e^{i phi x_m}
-is a product of two factors from tables of about sqrt(M) columns, and
-its sums over the M nodes are matrix products.
+The Fourier route and the arctan representation need quadrature nodes
+in arithmetic progression and refuse others with `ConfigError`: their
+sums over the nodes go through the square-root phase split of
+`quadrature.QuadratureRule.phase_factors`, whose docstring bounds the
+phase error.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -244,15 +243,6 @@ def xi_fourier_integrand(pair: SpectralPair, s: float, epsilon: float, x) -> np.
     return np.exp(-1j * s * x - epsilon * np.abs(x)) * core
 
 
-def _phase_split(phi: np.ndarray, x0: float, h: float, rows: int, cols: int):
-    """Factor tables of e^{i phi x_m} on the nodes x_m = x0 + h m, m = cols j + r:
-    e^{i phi x_m} = P[:, j] Q[:, r] with P = e^{i phi (x0 + h cols j)} and
-    Q = e^{i phi h r}, of shapes (len(phi), rows) and (len(phi), cols)."""
-    p = np.exp(1j * np.outer(phi, x0 + h * cols * np.arange(rows)))
-    q = np.exp(1j * np.outer(phi, h * np.arange(cols)))
-    return p, q
-
-
 def xi_fourier(pair: SpectralPair, epsilon: float, grid,
                quad: QuadratureRule | None = None) -> SampledCurve:
     """Oscillatory-integral route:
@@ -267,37 +257,31 @@ def xi_fourier(pair: SpectralPair, epsilon: float, grid,
     what reproduces the counting function; flipping both signs
     reproduces -xi.
 
-    Square-root phase split: with B = ceil(sqrt(M)) and m = B j + r,
-    e^{i phi x_m} = e^{i phi (x0 + h B j)} e^{i phi h r}.  The node traces
-    are then one (J x n)(n x B) product per operand and the grid sum one
-    (J x B)(B x G) product, and only O((G + n) sqrt(M)) exponentials are
-    formed.  With u the unit roundoff and X = max|x_m|, each exponential
-    has a phase error of at most about 4u|phi|X, phi a grid point or an
-    eigenvalue (2u from rounding, and for the rules of `quadrature` 2u
-    from the nodes' distance to the progression), so the ordinates are within
-    (4uX / 2 pi) [|s| sum_m |c_m| + (sum|eig A| + sum|eig B|) sum_m w_m / |x_m|]
-    of the exact node sum, where c_m = w_m xi_fourier_integrand(pair, 0,
-    eps, x_m).  The errors do not align: at n = 32, X = 4000 and
-    M = 40,000 the observed difference is 3e-14 to 5e-14.
+    The node traces are one (J x n)(n x B) product per operand of the
+    factors of `QuadratureRule.phase_factors`, and the grid sum is its
+    `phase_sum`, so only O((G + n) sqrt(M)) exponentials are formed.  With
+    E(phi) the per-entry error bound given there, the ordinates are
+    within (1/2 pi) [E(s) sum_m |c_m| + sum_lambda E(lambda) sum_m w_m / |x_m|]
+    of the exact node sum, to first order in u and up to the rounding of
+    the matrix products, where c_m = w_m xi_fourier_integrand(pair, 0, eps,
+    x_m) and lambda runs over the eigenvalues of A and B.  The errors do
+    not align: at n = 32, X = 4000 and M = 40,000 the observed difference
+    is 3e-14 to 5e-14.
     """
     if epsilon <= 0:
         raise InputDomainError(f"need epsilon > 0, got {epsilon}")
     if quad is None:
         quad = symmetric_open_rule(*DEFAULT_FOURIER_QUAD)
     quad.require_zero_free()
-    x0, h = quad.require_uniform()
     g = _as_grid(grid)
     x = quad.nodes
-    cols = math.isqrt(x.size - 1) + 1  # B = ceil(sqrt(M))
-    rows = -(-x.size // cols)          # J = ceil(M / B); coeff is zero-padded to J B
-    pa, qa = _phase_split(pair.left.eigenvalues, x0, h, rows, cols)
-    pb, qb = _phase_split(pair.right.eigenvalues, x0, h, rows, cols)
+    pa, qa = quad.phase_factors(pair.left.eigenvalues)
+    pb, qb = quad.phase_factors(pair.right.eigenvalues)
+    rows, cols = quad.split_shape
     tr_diff = (pa.T @ qa - pb.T @ qb).ravel()[:x.size]
     coeff = np.zeros(rows * cols, dtype=np.complex128)
     coeff[:x.size] = quad.weights * np.exp(-epsilon * np.abs(x)) * tr_diff / x
-    pg, qg = _phase_split(-g, x0, h, rows, cols)
-    partial = coeff.reshape(rows, cols) @ qg.T
-    ords = np.einsum("kj,jk->k", pg, partial) / (2j * np.pi)
+    ords = quad.phase_sum(-g, coeff) / (2j * np.pi)
     return SampledCurve(abscissae=g, ordinates=ords.real)
 
 
@@ -407,13 +391,23 @@ def resolvent_identity_check(pair: SpectralPair, z: complex) -> float:
 
 def arctan_rep_value(t: float, quad: QuadratureRule | None = None) -> float:
     """Quadrature of (1/2i) int (e^{i s t} - 1)/s e^{-|s|} ds, which
-    reproduces arctan(t)."""
+    reproduces arctan(t).
+
+    On the nodes s_m this is (1/2i) (sum_m c_m e^{i s_m t} - sum_m c_m) with
+    real c_m = w_m e^{-|s_m|} / s_m; the second sum is real and drops out of
+    the real part, which is Im(sum_m c_m e^{i s_m t}) / 2.  That sum is a
+    `QuadratureRule.phase_sum`, within the error bound that
+    `QuadratureRule.phase_factors` gives, so the rule must be an arithmetic
+    progression without a node at 0, else `ConfigError`.
+    """
     if quad is None:
         quad = symmetric_open_rule(*DEFAULT_ARCTAN_QUAD)
     quad.require_zero_free()
     s = quad.nodes
-    g = (np.exp(1j * s * float(t)) - 1.0) / s * np.exp(-np.abs(s))
-    return float((np.sum(quad.weights * g) / 2j).real)
+    rows, cols = quad.split_shape
+    coeff = np.zeros(rows * cols)
+    coeff[:s.size] = quad.weights * np.exp(-np.abs(s)) / s
+    return float(quad.phase_sum([float(t)], coeff)[0].imag / 2.0)
 
 
 def arctan_rep_check(t: float, quad: QuadratureRule | None = None) -> float:

@@ -486,8 +486,9 @@ def check_resolvent_identity(cfg):
 
 @_check("shift.arctan_kernel_representation", "quadrature")
 def check_arctan_representation(cfg):
+    quad = symmetric_open_rule(*shift.DEFAULT_ARCTAN_QUAD)
     for t in (-2.0, -1.0, 0.0, 1.0, 2.0):
-        yield shift.arctan_rep_check(t)
+        yield shift.arctan_rep_check(t, quad)
 
 
 @_check("quantization.localization_identity", "algebraic")

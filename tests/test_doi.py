@@ -243,6 +243,61 @@ def test_doi_fourier_error_shrinks_with_node_count():
     assert errs[1] < errs[0] and errs[2] < errs[1]
 
 
+def _direct_doi_fourier(pair, f, t, quad):
+    """The direct-exponential formula: one e^{-i lambda t_m} per eigenvalue and node."""
+    left = np.exp(-1j * np.outer(pair.left.eigenvalues, quad.nodes))
+    right = np.exp(-1j * np.outer(pair.right.eigenvalues, quad.nodes))
+    values = (left * (quad.weights * f(quad.nodes))) @ right.conj().T
+    return doi.doi_apply(pair, doi.SymbolGrid(values=values), t)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 8, 33])
+def test_doi_fourier_matches_the_direct_exponential_formula(dim):
+    a, b = seeded_pair(19, dim)
+    pair = doi.make_spectral_pair(a, b)
+    t = random_complex(substream(19, "doi-fdirect", dim), (dim, dim))
+    t /= linalg.operator_norm(t)
+    quad = trapezoid_rule(*doi.DEFAULT_FOURIER_QUAD)
+
+    def f(s):
+        return np.exp(-np.abs(s)) * (1.0 + 0.5j * np.cos(s))
+
+    mass = np.abs(quad.weights * f(quad.nodes)).sum()
+    out = doi.doi_fourier(pair, f, t, quad)
+    assert np.abs(out - _direct_doi_fourier(pair, f, t, quad)).max() <= 1e-12 * mass
+
+
+def test_doi_fourier_forms_no_dim_by_nodes_exponential_table(monkeypatch):
+    # the phase split forms 2 dim (J + B) <= 4 dim ceil(sqrt(M)) complex
+    # exponentials; the direct tables would form 2 dim M = 64000
+    dim, nodes = 8, 4000
+    pair = doi.make_spectral_pair(*seeded_pair(20, dim))
+    quad = trapezoid_rule(40.0, nodes)
+    counted = []
+    exp = np.exp
+
+    def counting_exp(x, *args, **kwargs):
+        if np.iscomplexobj(x):
+            counted.append(np.size(x))
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counting_exp)
+    doi.doi_fourier(pair, lambda s: exp(-np.abs(s)), np.eye(dim), quad)
+    assert 0 < sum(counted) <= 4 * dim * (math.isqrt(nodes - 1) + 1)
+
+
+@pytest.mark.parametrize("nodes", [
+    np.array([-3.0, -1.0, 1.0, 2.0, 4.0]),
+    np.linspace(-10.0, 10.0, 20) + np.eye(20)[7] * 1e-9,
+], ids=["geometric", "one-node-moved"])
+def test_doi_fourier_rejects_non_uniform_rule(nodes):
+    # a documented change: the direct tables accepted any nodes
+    quad = QuadratureRule(nodes, np.ones_like(nodes))
+    pair = doi.make_spectral_pair(*seeded_pair(21, 3))
+    with pytest.raises(errors.ConfigError, match="not an arithmetic progression"):
+        doi.doi_fourier(pair, lambda s: np.exp(-np.abs(s)), np.eye(3), quad)
+
+
 def test_doi_fourier_transformer_norm_within_l1_mass():
     a, b = seeded_pair(14, 4)
     pair = doi.make_spectral_pair(a, b)

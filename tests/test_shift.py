@@ -1,4 +1,5 @@
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -697,3 +698,42 @@ def test_arctan_rep_odd():
         quad = symmetric_open_rule(40.0, 4000)
         assert shift.arctan_rep_value(-t, quad) == pytest.approx(
             -shift.arctan_rep_value(t, quad), abs=1e-12)
+
+
+def _direct_arctan_rep(t, quad):
+    """The direct node sum (1/2i) sum_m w_m (e^{i s_m t} - 1) / s_m e^{-|s_m|}."""
+    s = quad.nodes
+    g = (np.exp(1j * s * t) - 1.0) / s * np.exp(-np.abs(s))
+    return float((np.sum(quad.weights * g) / 2j).real)
+
+
+def test_arctan_rep_matches_the_direct_node_sum():
+    quad = symmetric_open_rule(*shift.DEFAULT_ARCTAN_QUAD)
+    for t in (-2.0, -1.0, 0.0, 1.0, 2.0):
+        assert abs(shift.arctan_rep_value(t, quad) - _direct_arctan_rep(t, quad)) <= 1e-13
+
+
+def test_arctan_rep_forms_no_node_table(monkeypatch):
+    quad = symmetric_open_rule(*shift.DEFAULT_ARCTAN_QUAD)
+    counted = []
+    exp = np.exp
+
+    def counting_exp(x, *args, **kwargs):
+        if np.iscomplexobj(x):
+            counted.append(np.size(x))
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counting_exp)
+    shift.arctan_rep_value(1.0, quad)
+    assert 0 < sum(counted) <= 2 * (math.isqrt(quad.nodes.size - 1) + 1)
+
+
+@pytest.mark.parametrize("nodes", [
+    np.array([-3.0, -1.0, 1.0, 2.0, 4.0]),
+    symmetric_open_rule(10.0, 20).nodes + np.eye(20)[7] * 1e-9,
+], ids=["geometric", "one-node-moved"])
+def test_arctan_rep_rejects_non_uniform_rule(nodes):
+    # a documented change: the direct node sum accepted any zero-free nodes
+    quad = QuadratureRule(nodes, np.ones_like(nodes))
+    with pytest.raises(errors.ConfigError, match="not an arithmetic progression"):
+        shift.arctan_rep_value(1.0, quad)

@@ -14,7 +14,9 @@ from opint import cli, doi, linalg, quantization, shift, sylvester
 from opint import suite as suite_mod
 from opint.linalg import save_matrix
 from opint.rng import random_complex, random_hermitian, substream
-from opint.suite import (SUITE_CHECKS, ScenarioConfig, check_doi_divided_difference,
+from opint.quadrature import symmetric_open_rule
+from opint.suite import (SUITE_CHECKS, ScenarioConfig, check_arctan_representation,
+                         check_doi_divided_difference,
                          check_doi_fourier_cross_route, check_doi_identity_transformer,
                          check_doi_localization, check_peller_bound, check_polymeasure,
                          check_shift_properties, check_sylvester_bound_all_p,
@@ -66,6 +68,19 @@ def test_no_substream_tag_is_shared_by_two_checks(monkeypatch):
 def test_peller_check_reports_its_negative_worst_slack():
     record = check_peller_bound(ScenarioConfig())
     assert record.passed and record.observed < 0
+
+
+def test_arctan_check_builds_its_rule_once(monkeypatch):
+    built = []
+
+    def counted_rule(*args):
+        built.append(args)
+        return symmetric_open_rule(*args)
+
+    monkeypatch.setattr(suite_mod, "symmetric_open_rule", counted_rule)
+    monkeypatch.setattr(shift, "symmetric_open_rule", counted_rule)
+    assert check_arctan_representation(ScenarioConfig()).passed
+    assert built == [shift.DEFAULT_ARCTAN_QUAD]
 
 
 @pytest.mark.parametrize("check", [check_doi_identity_transformer, check_doi_localization,

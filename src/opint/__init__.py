@@ -46,7 +46,7 @@ from .shift import (AtomicMeasure, KreinProperties, SampledCurve, ShiftFunction,
                     admissible_f, arctan_rep_check, arctan_rep_value, far_from_spectra,
                     krein_properties, rank_one_cauchy_transform, resolvent_identity_check,
                     trace_formula_check, xi_arctan, xi_arctan_extrapolated,
-                    xi_counting, xi_fourier, xi_fourier_integrand, xi_rank_one)
+                    xi_counting, xi_fourier, xi_rank_one)
 from .sylvester import (GapReport, GapSolution, gapped_solution, kron_oracle,
                         solve_gap, spectral_gap)
 

@@ -22,6 +22,11 @@ import numpy as np
 
 from .errors import ConfigError
 
+# Phases per block of `QuadratureRule.phase_sum`: its factor tables and
+# partial products take O(PHASE_BLOCK sqrt(M)) memory, whatever the count of
+# phases.
+PHASE_BLOCK = 64
+
 
 @dataclass(frozen=True)
 class QuadratureRule:
@@ -41,19 +46,25 @@ class QuadratureRule:
         object.__setattr__(self, "weights", weights)
 
     def require_zero_free(self):
-        if np.abs(self.nodes).min() == 0.0:
+        if np.count_nonzero(self.nodes) < self.nodes.size:
             raise ConfigError("quadrature places a node at exactly 0")
 
     @cached_property
     def _progression(self) -> tuple[float, float, float, float]:
         """(x0, h, deviation, limit): the progression x0 + h m through the
         first and last node, the largest distance of a node from it, and the
-        16-ulp limit on that distance.  Worked out once per rule."""
+        16-ulp limit on that distance.  Worked out once per rule, in one
+        node-sized scratch vector."""
         x = self.nodes
         x0 = float(x[0])
         h = float(x[-1] - x0) / (x.size - 1) if x.size > 1 else 0.0
-        deviation = float(np.abs(x - (x0 + h * np.arange(x.size))).max())
-        return x0, h, deviation, 16 * np.finfo(float).eps * float(np.abs(x).max())
+        scratch = np.arange(x.size, dtype=float)
+        scratch *= h
+        scratch += x0
+        np.subtract(x, scratch, out=scratch)
+        deviation = float(np.abs(scratch, out=scratch).max())
+        largest = max(float(x.max()), -float(x.min()))
+        return x0, h, deviation, 16 * np.finfo(float).eps * largest
 
     def require_uniform(self) -> tuple[float, float]:
         """(x0, h) such that nodes[m] = x0 + h m to within 16 ulps of the
@@ -127,10 +138,27 @@ class QuadratureRule:
         followed by zeros up to J B (see `split_shape`), so that it is the
         (J, B) matrix C of the split; the sums are the diagonal of P (C Q^T).
         Callers fill such a zero vector in place, which keeps one node-sized
-        array fewer alive than padding a copy here."""
-        p, q = self.phase_factors(phi)
-        partial = coeff.reshape(p.shape[1], q.shape[1]) @ q.T
-        return np.einsum("kj,jk->k", p, partial)
+        array fewer alive than padding a copy here.
+
+        The phases go through in blocks of `PHASE_BLOCK` = 64.  Besides the
+        K sums, only one block's P, Q and C Q^T are held: 64 (2 J + B)
+        complex entries, about 3 KiB per unit of sqrt(M) (3 MiB at
+        M = 10^6), however many phases there are.  Each sum is the same
+        arithmetic as with all K phases in one block.  That needs every
+        block of a call with K > 1 to hold at least two phases: numpy turns
+        a one-column product C Q^T into a matrix-vector product, which
+        rounds differently, so a lone last phase joins the block before it.
+        """
+        phi = np.asarray(phi, dtype=float).ravel()
+        c = coeff.reshape(self.split_shape)
+        sums = np.empty(phi.size, dtype=np.complex128)
+        starts = list(range(0, phi.size, PHASE_BLOCK))
+        if len(starts) > 1 and phi.size % PHASE_BLOCK == 1:
+            starts.pop()
+        for start, end in zip(starts, starts[1:] + [phi.size]):
+            p, q = self.phase_factors(phi[start:end])
+            np.einsum("kj,jk->k", p, c @ q.T, out=sums[start:end])
+        return sums
 
 
 def trapezoid_rule(half_width: float, n_nodes: int) -> QuadratureRule:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from opint import errors
-from opint.quadrature import QuadratureRule, symmetric_open_rule, trapezoid_rule
+from opint.quadrature import PHASE_BLOCK, QuadratureRule, symmetric_open_rule, trapezoid_rule
 
 U = np.finfo(float).eps / 2  # unit roundoff
 PHI = np.array([-10.0, -7.3, -2.5, -1.0, -0.01, 0.0, 1e-3, 0.37, 1.0, 3.14159, 6.02, 10.0])
@@ -54,6 +54,45 @@ def test_phase_factors_table_and_sum_match_direct_exponentials(rule, nodes):
     sums = quad.phase_sum(PHI, padded)
     allowed = np.abs(coeff).sum() * (bound[:, 0] + (rows + cols + 2) * U)
     assert np.all(np.abs(sums - exact) <= allowed)
+
+
+@pytest.mark.parametrize("phases", [1, 63, 64, 65, 129, 200])
+def test_phase_sum_blocks_match_direct_exponentials(phases):
+    # phases on both sides of each 64-phase block boundary; 65 and 129 leave
+    # one phase past a boundary, which joins the block before it, so every
+    # sum is bit for bit the one-block product of all the phases
+    assert PHASE_BLOCK == 64
+    quad = symmetric_open_rule(40.0, 4000)
+    x = quad.nodes
+    phi = np.linspace(-10.0, 10.0, phases) if phases > 1 else np.array([0.37])
+    coeff = np.exp(-np.abs(x)) * np.random.default_rng(phases).standard_normal(x.size)
+    rows, cols = quad.split_shape
+    padded = np.zeros(rows * cols)
+    padded[:x.size] = coeff
+    sums = quad.phase_sum(phi, padded)
+    direct = np.exp(1j * np.outer(phi, x)) @ coeff
+    bound = _direct_bound(quad, phi)
+    allowed = np.abs(coeff).sum() * (bound + (rows + cols + 2) * U)
+    assert sums.shape == (phases,)
+    assert np.all(np.abs(sums - direct) <= allowed)
+    p, q = quad.phase_factors(phi)
+    one_block = np.einsum("kj,jk->k", p, padded.reshape(rows, cols) @ q.T)
+    assert sums.tobytes() == one_block.tobytes()
+
+
+@pytest.mark.parametrize("quad", [
+    trapezoid_rule(40.0, 4001),
+    symmetric_open_rule(40.0, 4000),
+    QuadratureRule([-3.0, -1.0, 1.0, 2.0, 4.0], np.ones(5)),
+], ids=["trapezoid", "symmetric-open", "non-uniform"])
+def test_progression_scan_equals_the_direct_formula_bit_for_bit(quad):
+    x = quad.nodes
+    x0 = float(x[0])
+    h = float(x[-1] - x0) / (x.size - 1)
+    deviation = float(np.abs(x - (x0 + h * np.arange(x.size))).max())
+    limit = 16 * np.finfo(float).eps * float(np.abs(x).max())
+    expected = np.array([x0, h, deviation, limit])
+    assert np.array(quad._progression).tobytes() == expected.tobytes()
 
 
 def test_progression_is_worked_out_once(monkeypatch):

@@ -11,8 +11,9 @@ copy of its spectra: a `SymbolGrid` holds symbol values alone.
 
 Each rule that several places use has one home:
 - user functions are evaluated once, on an array, by `linalg.evaluate`;
-- the Sylvester residual and pi/(2 delta) rules are on `GapReport`, the
-  Kronecker tolerance is `sylvester.KRON_AGREEMENT_TOL`;
+- a Sylvester solve is `sylvester.solve_gap`, whose `GapSolution` gives X
+  and, for any p, a `GapReport`, which holds the residual and pi/(2 delta)
+  rules; the Kronecker tolerance is `sylvester.KRON_AGREEMENT_TOL`;
 - the Cotlar-Stein slack is on `CotlarReport`, which also judges the
   quantize upper bound; the Peller slack is `doi.PELLER_SLACK`;
 - Krein's properties, and whether A >= B, are on `KreinProperties`, which
@@ -47,8 +48,7 @@ from .shift import (AtomicMeasure, KreinProperties, SampledCurve, ShiftFunction,
                     krein_properties, rank_one_cauchy_transform, resolvent_identity_check,
                     trace_formula_check, xi_arctan, xi_arctan_extrapolated,
                     xi_counting, xi_fourier, xi_rank_one)
-from .sylvester import (GapReport, GapSolution, gapped_solution, kron_oracle,
-                        solve_gap, spectral_gap)
+from .sylvester import GapReport, GapSolution, kron_oracle, solve_gap, spectral_gap
 
 __version__ = "0.1.0"
 

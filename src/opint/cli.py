@@ -185,8 +185,9 @@ def run_sylvester(cfg: ScenarioConfig) -> Report:
         y = load_matrix(cfg.inputs["y"])
     else:
         y = random_complex(substream(cfg.seed, "cli-sylvester-Y"), a.shape)
-    x, gap_report = sylvester.solve_gap(a, b, y, cfg.p)
-    cross = float(np.abs(x - sylvester.kron_oracle(a, b, y)).max())
+    solution = sylvester.solve_gap(a, b, y)
+    gap_report = solution.report(cfg.p)
+    cross = float(np.abs(solution.x - sylvester.kron_oracle(a, b, y)).max())
     checks = [
         CheckRecord(name="residual_small", expected=0.0, observed=gap_report.residual,
                     tolerance=gap_report.RESIDUAL_TOL, passed=gap_report.residual_small),

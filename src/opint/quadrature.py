@@ -8,8 +8,9 @@ continuously, but the sampled formula divides by the node).
 
 Both layouts are arithmetic progressions, so a rule can split every
 e^{i phi x_m} into two factors from tables of about sqrt(M) columns
-(`QuadratureRule.phase_factors`); the Fourier sums of `doi` and `shift`
-are built on that split.
+(`QuadratureRule.phase_factors`).  The Fourier sums of `doi` and `shift`
+are built on it through `phase_table`, `node_sums` and `phase_sum`, which
+take and give one entry per node: the split's layout stays in this module.
 """
 
 from __future__ import annotations
@@ -96,8 +97,8 @@ class QuadratureRule:
 
         of shapes (K, J) and (K, B), so only K (J + B) ~ 2 K sqrt(M)
         exponentials are formed.  The factors also cover the J B - M indices
-        past the last node, which `phase_table` drops and which take zero
-        coefficients in `phase_sum`.
+        past the last node, which `phase_table` and `node_sums` drop and
+        `phase_sum` never reads.
 
         Error.  Let u be the unit roundoff, X = max|x_m| and delta the
         largest distance of a node from the progression (at most 2 ulps of X
@@ -132,13 +133,20 @@ class QuadratureRule:
         table = (p[:, :, None] * q[:, None, :]).reshape(p.shape[0], -1)
         return table[:, :self.nodes.size]
 
+    def node_sums(self, phi) -> np.ndarray:
+        """The M-vector sum_k e^{i phi_k x_m}: one (J x K)(K x B) product of
+        the factors of `phase_factors`, cut to the M nodes.  It is a view of
+        that product, so callers can build node coefficients on it in place."""
+        p, q = self.phase_factors(phi)
+        return (p.T @ q).ravel()[:self.nodes.size]
+
     def phase_sum(self, phi, coeff) -> np.ndarray:
         """sum_m coeff[m] e^{i phi_k x_m} for each k, from `phase_factors`
-        without the full table.  `coeff` holds the M node coefficients
-        followed by zeros up to J B (see `split_shape`), so that it is the
-        (J, B) matrix C of the split; the sums are the diagonal of P (C Q^T).
-        Callers fill such a zero vector in place, which keeps one node-sized
-        array fewer alive than padding a copy here.
+        without the full table.  `coeff` holds exactly one coefficient per
+        node, else `ConfigError`, and is not copied.  With M = F B + r, its
+        first F B entries are viewed as the (F, B) matrix C of the split, and
+        the sums are the diagonal of P[:, :F] (C Q^T) plus, when r > 0, the
+        last row's P[:, F] (Q[:, :r] c_tail) for the r tail coefficients.
 
         The phases go through in blocks of `PHASE_BLOCK` = 64.  Besides the
         K sums, only one block's P, Q and C Q^T are held: 64 (2 J + B)
@@ -149,15 +157,23 @@ class QuadratureRule:
         a one-column product C Q^T into a matrix-vector product, which
         rounds differently, so a lone last phase joins the block before it.
         """
+        coeff = np.asarray(coeff)
+        if coeff.shape != self.nodes.shape:
+            raise ConfigError(f"phase_sum takes one coefficient per node, not shape {coeff.shape}")
         phi = np.asarray(phi, dtype=float).ravel()
-        c = coeff.reshape(self.split_shape)
+        cols = self.split_shape[1]
+        full = self.nodes.size // cols
+        body, tail = coeff[:full * cols].reshape(full, cols), coeff[full * cols:]
         sums = np.empty(phi.size, dtype=np.complex128)
         starts = list(range(0, phi.size, PHASE_BLOCK))
         if len(starts) > 1 and phi.size % PHASE_BLOCK == 1:
             starts.pop()
         for start, end in zip(starts, starts[1:] + [phi.size]):
             p, q = self.phase_factors(phi[start:end])
-            np.einsum("kj,jk->k", p, c @ q.T, out=sums[start:end])
+            block = sums[start:end]
+            np.einsum("kj,jk->k", p[:, :full], body @ q.T, out=block)
+            if tail.size:
+                block += p[:, full] * (q[:, :tail.size] @ tail)
         return sums
 
 

@@ -246,16 +246,14 @@ def xi_fourier(pair: SpectralPair, epsilon: float, grid,
 
         c_m = w_m e^{-eps |x_m|} tr(e^{i x_m A} - e^{i x_m B}) / x_m.
 
-    The node traces are one (J x n)(n x B) product per operand of the
-    factors of `QuadratureRule.phase_factors`, and the grid sum is its
-    `phase_sum`, so only O((G + n) sqrt(M)) exponentials are formed.  The
-    coefficients are built in place in the zero-padded J B vector that
-    `phase_sum` takes: the product for A becomes that vector, the product
-    for B is subtracted from it, w_m e^{-eps |x_m|} is formed in one real
-    M-vector and multiplied in, and the result is divided by x_m.  So at
-    most two complex J B vectors, or one and the real M-vector, are alive
-    at once (about 32 M bytes), and `phase_sum` adds one block of 64
-    phases over sqrt(M) columns: memory does not grow with G.
+    The node traces are the rule's `node_sums` over each spectrum, and the
+    grid sum is its `phase_sum`, so only O((G + n) sqrt(M)) exponentials
+    are formed.  The coefficients are built in place on A's node sums: B's
+    are subtracted, w_m e^{-eps |x_m|} is formed in one real M-vector and
+    multiplied in, and the result is divided by x_m.  So at most two
+    complex node-sum vectors, or one and the real M-vector, are alive at
+    once (about 32 M bytes), and `phase_sum` adds one block of 64 phases
+    over sqrt(M) columns: memory does not grow with G.
 
     With E(phi) the per-entry error bound of `phase_factors`, the
     ordinates are within
@@ -272,27 +270,25 @@ def xi_fourier(pair: SpectralPair, epsilon: float, grid,
     quad.require_zero_free()
     g = _as_grid(grid)
     x = quad.nodes
-    pa, qa = quad.phase_factors(pair.left.eigenvalues)
-    pb, qb = quad.phase_factors(pair.right.eigenvalues)
-    coeff = (pa.T @ qa).ravel()
-    coeff -= (pb.T @ qb).ravel()
-    coeff[x.size:] = 0.0
+    coeff = quad.node_sums(pair.left.eigenvalues)
+    coeff -= quad.node_sums(pair.right.eigenvalues)
     damping = np.abs(x)
     damping *= -epsilon
     np.exp(damping, out=damping)
     damping *= quad.weights
-    nodal = coeff[:x.size]
-    nodal *= damping
+    coeff *= damping
     del damping
-    nodal /= x
+    coeff /= x
     ords = quad.phase_sum(-g, coeff) / (2j * np.pi)
     return SampledCurve(abscissae=g, ordinates=ords.real)
 
 
 def rank_one_cauchy_transform(eb: EigenSystem, w, z):
-    """F(z) = sum_i |<v_i, w>|^2 / (mu_i - z) over the eigenpairs of B:
-    a complex number for scalar z, an array of the shape of z otherwise."""
+    """F(z) = sum_i |<v_i, w>|^2 / (mu_i - z) over the eigenpairs of B, for
+    w of shape (n,): a complex number for scalar z, else an array of z's shape."""
     w = np.asarray(w, dtype=np.complex128)
+    if w.shape != eb.eigenvalues.shape:
+        raise InputDomainError(f"w has shape {w.shape}, expected {eb.eigenvalues.shape}")
     weights = np.abs(eb.unitary.conj().T @ w) ** 2
     z = np.asarray(z)
     f = np.sum(weights / (eb.eigenvalues - z[..., None]), axis=-1)
@@ -313,7 +309,6 @@ def xi_rank_one(eb: EigenSystem, w, alpha: float, grid,
         raise InputDomainError(f"need eta > 0, got {eta}")
     if alpha <= 0:
         raise InputDomainError(f"need alpha > 0, got {alpha}")
-    w = np.asarray(w, dtype=np.complex128)
     norm = np.linalg.norm(w)
     if abs(norm - 1.0) > 1e-10:
         raise InputDomainError(f"w must be a unit vector, |w| = {norm!r}")
@@ -393,13 +388,14 @@ def resolvent_identity_check(pair: SpectralPair, z: complex) -> float:
     return float(abs(lhs - rhs))
 
 
-def arctan_rep_value(t: float, quad: QuadratureRule | None = None) -> float:
+def arctan_rep_value(t, quad: QuadratureRule | None = None):
     """Quadrature of (1/2i) int (e^{i s t} - 1)/s e^{-|s|} ds, which
-    reproduces arctan(t).
+    reproduces arctan(t): a float for scalar t, else an array of t's shape.
 
     On the nodes s_m this is (1/2i) (sum_m c_m e^{i s_m t} - sum_m c_m) with
     real c_m = w_m e^{-|s_m|} / s_m; the second sum is real and drops out of
-    the real part, which is Im(sum_m c_m e^{i s_m t}) / 2.  That sum is a
+    the real part, which is Im(sum_m c_m e^{i s_m t}) / 2.  The c_m are
+    formed once per call and the sums for every t are one
     `QuadratureRule.phase_sum`, within the error bound that
     `QuadratureRule.phase_factors` gives, so the rule must be an arithmetic
     progression without a node at 0, else `ConfigError`.
@@ -408,11 +404,11 @@ def arctan_rep_value(t: float, quad: QuadratureRule | None = None) -> float:
         quad = symmetric_open_rule(*DEFAULT_ARCTAN_QUAD)
     quad.require_zero_free()
     s = quad.nodes
-    rows, cols = quad.split_shape
-    coeff = np.zeros(rows * cols)
-    coeff[:s.size] = quad.weights * np.exp(-np.abs(s)) / s
-    return float(quad.phase_sum([float(t)], coeff)[0].imag / 2.0)
+    t = np.asarray(t, dtype=float)
+    values = quad.phase_sum(t, quad.weights * np.exp(-np.abs(s)) / s).imag.reshape(t.shape) / 2.0
+    return float(values) if values.ndim == 0 else values
 
 
-def arctan_rep_check(t: float, quad: QuadratureRule | None = None) -> float:
-    return abs(arctan_rep_value(t, quad) - float(np.arctan(t)))
+def arctan_rep_check(t, quad: QuadratureRule | None = None):
+    error = np.abs(arctan_rep_value(t, quad) - np.arctan(t))
+    return float(error) if error.ndim == 0 else error

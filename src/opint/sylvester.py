@@ -80,10 +80,10 @@ class GapSolution:
                          residual=residual)
 
 
-def gapped_solution(a, b, y) -> GapSolution:
+def solve_gap(a, b, y) -> GapSolution:
     """Solve AX - XB = Y through the resolvent-symbol operator integral,
-    diagonalizing A and B once; `GapSolution.report(p)` then gives the
-    certificate for any number of p.
+    diagonalizing A and B once; the solution is `.x`, and `.report(p)`
+    gives the certificate for any number of p.
 
     Refuses gaps below 1e-8 times the spectral scale: the symbol entries
     blow up like 1/delta and the certificate would be meaningless.
@@ -105,15 +105,6 @@ def gapped_solution(a, b, y) -> GapSolution:
     sym = symbol_from_function(pair, lambda lam, mu: 1.0 / (lam - mu))
     return GapSolution(a=as_hermitian(a, "A"), b=as_hermitian(b, "B"), y=ym,
                        x=doi_apply(pair, sym, ym), delta=delta)
-
-
-def solve_gap(a, b, y, p=np.inf):
-    """Solve AX - XB = Y and certify it in the Schatten p-norm.
-
-    Returns (X, GapReport); see `gapped_solution` for the refusals.
-    """
-    solution = gapped_solution(a, b, y)
-    return solution.x, solution.report(p)
 
 
 def kron_oracle(a, b, y) -> np.ndarray:

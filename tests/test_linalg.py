@@ -116,7 +116,7 @@ def _read_only_calls():
         "momentum_operator": lambda: quantization.momentum_operator(space, _read_only(y[0])),
         "doi_apply": lambda: doi.doi_apply(pair, sym, y),
         "doi_fourier": lambda: doi.doi_fourier(pair, lambda s: np.exp(-s * s), y),
-        "gapped_solution": lambda: sylvester.gapped_solution(a, b, y).report(),
+        "solve_gap": lambda: sylvester.solve_gap(a, b, y).report(),
         "kron_oracle": lambda: sylvester.kron_oracle(a, b, y),
         "schatten_norm": lambda: linalg.schatten_norm(y, 3),
         "eig_hermitian": lambda: linalg.eig_hermitian(a),

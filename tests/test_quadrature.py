@@ -49,9 +49,7 @@ def test_phase_factors_table_and_sum_match_direct_exponentials(rule, nodes):
     coeff = np.exp(-np.abs(x)) * np.random.default_rng(nodes).standard_normal(nodes)
     products = direct * coeff
     exact = np.array([math.fsum(r.real) + 1j * math.fsum(r.imag) for r in products])
-    padded = np.zeros(rows * cols)
-    padded[:nodes] = coeff
-    sums = quad.phase_sum(PHI, padded)
+    sums = quad.phase_sum(PHI, coeff)
     allowed = np.abs(coeff).sum() * (bound[:, 0] + (rows + cols + 2) * U)
     assert np.all(np.abs(sums - exact) <= allowed)
 
@@ -60,24 +58,57 @@ def test_phase_factors_table_and_sum_match_direct_exponentials(rule, nodes):
 def test_phase_sum_blocks_match_direct_exponentials(phases):
     # phases on both sides of each 64-phase block boundary; 65 and 129 leave
     # one phase past a boundary, which joins the block before it, so every
-    # sum is bit for bit the one-block product of all the phases
+    # sum is bit for bit the one-block body-plus-tail product of all the
+    # phases.  M = 4000 = 62 * 64 + 32 nodes leave a 32-node tail row
     assert PHASE_BLOCK == 64
     quad = symmetric_open_rule(40.0, 4000)
     x = quad.nodes
     phi = np.linspace(-10.0, 10.0, phases) if phases > 1 else np.array([0.37])
     coeff = np.exp(-np.abs(x)) * np.random.default_rng(phases).standard_normal(x.size)
     rows, cols = quad.split_shape
-    padded = np.zeros(rows * cols)
-    padded[:x.size] = coeff
-    sums = quad.phase_sum(phi, padded)
+    sums = quad.phase_sum(phi, coeff)
     direct = np.exp(1j * np.outer(phi, x)) @ coeff
     bound = _direct_bound(quad, phi)
     allowed = np.abs(coeff).sum() * (bound + (rows + cols + 2) * U)
     assert sums.shape == (phases,)
     assert np.all(np.abs(sums - direct) <= allowed)
     p, q = quad.phase_factors(phi)
-    one_block = np.einsum("kj,jk->k", p, padded.reshape(rows, cols) @ q.T)
+    full = x.size // cols
+    assert (full, x.size - full * cols) == (62, 32)
+    one_block = np.einsum("kj,jk->k", p[:, :full], coeff[:full * cols].reshape(full, cols) @ q.T)
+    one_block += p[:, full] * (q[:, :x.size - full * cols] @ coeff[full * cols:])
     assert sums.tobytes() == one_block.tobytes()
+
+
+@pytest.mark.parametrize("rule, nodes", [
+    (trapezoid_rule, 2000), (trapezoid_rule, 4001), (symmetric_open_rule, 8000),
+])
+def test_node_length_sums_on_rules_with_a_tail_row(rule, nodes):
+    # none of these counts is a square: the last factor row is partial
+    quad = rule(40.0, nodes)
+    x = quad.nodes
+    rows, cols = quad.split_shape
+    assert x.size % cols != 0
+    direct = np.exp(1j * np.outer(PHI, x))
+    bound = _direct_bound(quad, PHI)
+
+    sums = quad.node_sums(PHI)
+    assert sums.shape == (nodes,)
+    assert np.all(np.abs(sums - direct.sum(axis=0)) <= bound.sum())
+
+    coeff = np.exp(-np.abs(x)) * np.random.default_rng(nodes).standard_normal(nodes)
+    allowed = np.abs(coeff).sum() * (bound + (rows + cols + 2) * U)
+    assert np.all(np.abs(quad.phase_sum(PHI, coeff) - direct @ coeff) <= allowed)
+    assert np.all(np.abs(quad.phase_sum(PHI, coeff + 0j) - direct @ coeff) <= allowed)
+
+
+def test_phase_sum_takes_one_coefficient_per_node():
+    quad = trapezoid_rule(40.0, 4001)
+    rows, cols = quad.split_shape
+    assert rows * cols > quad.nodes.size
+    for shape in [(rows * cols,), (quad.nodes.size - 1,), (1, quad.nodes.size)]:
+        with pytest.raises(errors.ConfigError, match="one coefficient per node"):
+            quad.phase_sum(PHI, np.zeros(shape))
 
 
 @pytest.mark.parametrize("quad", [

@@ -462,24 +462,6 @@ def test_xi_fourier_matches_blocked_node_sum(setting):
     assert np.abs(ords - _blocked_fourier(pair, eps, grid, quad)).max() <= 1e-12
 
 
-def test_xi_fourier_memory_does_not_grow_with_the_grid():
-    # 2000 phases over 100,000 nodes: one grid x sqrt(M) complex table takes
-    # 9.7 MiB, a grid x M table 3 GiB.  The phases go through in blocks and
-    # the coefficients are built in place, two complex J B vectors at most,
-    # 4 node arrays; building them from node-sized temporaries peaks at 7.2
-    quad = symmetric_open_rule(2000.0, 100_000)
-    quad.require_uniform()  # the progression scan is the rule's, not the call's
-    pair = make_spectral_pair(*seeded_pair(18, 4))
-    grid = np.linspace(-4, 4, 2000)
-    tracemalloc.start()
-    try:
-        shift.xi_fourier(pair, 0.01, grid, quad)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 5 * quad.nodes.nbytes
-
-
 @pytest.mark.parametrize("nodes", [
     np.array([-3.0, -1.0, 1.0, 2.0, 4.0]),
     symmetric_open_rule(10.0, 20).nodes + np.eye(20)[7] * 1e-9,
@@ -532,6 +514,16 @@ def test_xi_rank_one_validates_input():
         shift.xi_rank_one(b, np.array([1.0, 1.0]), 1.0, np.array([0.0]))
     with pytest.raises(errors.InputDomainError, match="eta"):
         shift.xi_rank_one(b, np.array([1.0, 0.0]), 1.0, np.array([0.0]), eta=0.0)
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 1), (1, 2), ()])
+def test_rank_one_routes_refuse_a_w_of_the_wrong_shape(shape):
+    eb = eig_hermitian(np.diag([0.0, 1.0]))
+    w = np.full(shape, 1.0 / math.sqrt(max(1, math.prod(shape))))
+    with pytest.raises(errors.InputDomainError, match="w has shape"):
+        shift.rank_one_cauchy_transform(eb, w, 0.5j)
+    with pytest.raises(errors.InputDomainError, match="w has shape"):
+        shift.xi_rank_one(eb, w, 1.0, np.array([0.5]))
 
 
 def test_cauchy_transform_upper_half_plane():
@@ -725,6 +717,29 @@ def test_arctan_rep_matches_the_direct_node_sum():
         assert abs(shift.arctan_rep_value(t, quad) - _direct_arctan_rep(t, quad)) <= 1e-13
 
 
+def test_arctan_rep_of_an_array_matches_the_values_point_by_point():
+    quad = symmetric_open_rule(*shift.DEFAULT_ARCTAN_QUAD)
+    t = np.array([[-2.0, -1.0, 0.0], [0.5, 1.0, 2.0]])
+    values = shift.arctan_rep_value(t, quad)
+    assert values.shape == t.shape
+    single = [shift.arctan_rep_value(v, quad) for v in t.ravel()]
+    assert all(type(v) is float for v in single)
+    # each is within half the phase_sum bound of `phase_factors`' docstring
+    # of the exact node sum, E(t) + u|t|X + 4u per entry and (J + B + 2) u
+    # for the products, times the sum of |c_m|
+    u = np.finfo(float).eps / 2
+    s = quad.nodes
+    x0, h = quad.require_uniform()
+    rows, cols = quad.split_shape
+    delta = np.abs(s - (x0 + h * np.arange(s.size))).max()
+    entry = np.abs(t) * (7 * u * np.abs(s).max() + 2 * u * h * (cols - 1) + delta) + 12 * u
+    mass = np.abs(quad.weights * np.exp(-np.abs(s)) / s).sum()
+    assert np.all(np.abs(values.ravel() - single) <= mass * (entry.ravel() + (rows + cols + 2) * u))
+    checks = shift.arctan_rep_check(t, quad)
+    assert checks.shape == t.shape and np.all(checks <= 1e-6)
+    assert type(shift.arctan_rep_check(1.0, quad)) is float
+
+
 def test_arctan_rep_forms_no_node_table(monkeypatch):
     quad = symmetric_open_rule(*shift.DEFAULT_ARCTAN_QUAD)
     counted = []
@@ -743,8 +758,9 @@ def test_arctan_rep_forms_no_node_table(monkeypatch):
 def test_xi_fourier_memory_does_not_grow_with_the_grid():
     # 2000 phases over 100,000 nodes: one grid x sqrt(M) complex table takes
     # 9.7 MiB, a grid x M table 3 GiB.  The phases go through in blocks and
-    # the coefficients are built in place, two complex J B vectors at most,
-    # 4 node arrays; building them from node-sized temporaries peaks at 7.2
+    # the coefficients are built in place on the node sums, two complex node
+    # sum products at most, 4 node arrays; building them from node-sized
+    # temporaries peaks at 7.2
     quad = symmetric_open_rule(2000.0, 100_000)
     quad.require_uniform()  # the progression scan is the rule's, not the call's
     pair = make_spectral_pair(*seeded_pair(18, 4))

@@ -14,7 +14,7 @@ from opint import cli, doi, linalg, quantization, shift, sylvester
 from opint import suite as suite_mod
 from opint.linalg import save_matrix
 from opint.rng import random_complex, random_hermitian, substream
-from opint.quadrature import symmetric_open_rule
+from opint.quadrature import QuadratureRule, symmetric_open_rule
 from opint.suite import (SUITE_CHECKS, ScenarioConfig, check_arctan_representation,
                          check_doi_divided_difference,
                          check_doi_fourier_cross_route, check_doi_identity_transformer,
@@ -83,6 +83,18 @@ def test_arctan_check_builds_its_rule_once(monkeypatch):
     assert built == [shift.DEFAULT_ARCTAN_QUAD]
 
 
+def test_arctan_check_makes_one_phase_sum_for_its_five_points(monkeypatch):
+    phases = []
+
+    def counted_sum(self, phi, coeff, _original=QuadratureRule.phase_sum):
+        phases.append(np.size(phi))
+        return _original(self, phi, coeff)
+
+    monkeypatch.setattr(QuadratureRule, "phase_sum", counted_sum)
+    assert check_arctan_representation(ScenarioConfig()).passed
+    assert phases == [5]
+
+
 @pytest.mark.parametrize("check", [check_doi_identity_transformer, check_doi_localization,
                                    check_doi_divided_difference,
                                    check_doi_fourier_cross_route])
@@ -97,10 +109,9 @@ def test_nan_error_fails_its_check(monkeypatch, check):
 
 
 def test_sylvester_cross_oracle_check_fails_on_a_failed_certificate(monkeypatch):
-    def uncertified(*args, _original=sylvester.solve_gap, **kwargs):
-        x, report = _original(*args, **kwargs)
-        return x, dataclasses.replace(report, residual=1.0)
-    monkeypatch.setattr(sylvester, "solve_gap", uncertified)
+    def uncertified(*args, _original=sylvester.GapSolution.report, **kwargs):
+        return dataclasses.replace(_original(*args, **kwargs), residual=1.0)
+    monkeypatch.setattr(sylvester.GapSolution, "report", uncertified)
     record = check_sylvester_cross_oracle(ScenarioConfig(trials=2))
     assert not record.passed and record.observed == np.inf, record
 

@@ -42,16 +42,18 @@ def test_spectral_gap_shifted_pair_lower_bound():
 def test_solve_gap_forced_entries():
     a = np.diag([2.0, 3.0])
     b = np.diag([0.0, 1.0])
-    x, report = sylvester.solve_gap(a, b, np.ones((2, 2)))
-    np.testing.assert_allclose(x, [[0.5, 1.0], [1.0 / 3.0, 0.5]], atol=1e-14)
+    solution = sylvester.solve_gap(a, b, np.ones((2, 2)))
+    report = solution.report()
+    np.testing.assert_allclose(solution.x, [[0.5, 1.0], [1.0 / 3.0, 0.5]], atol=1e-14)
     assert report.delta == pytest.approx(1.0)
     assert report.residual <= 1e-12
 
 
 def test_solve_gap_zero_rhs():
     a, b = gapped_pair(3, 4)
-    x, report = sylvester.solve_gap(a, b, np.zeros((4, 4)))
-    assert np.abs(x).max() <= 1e-14
+    solution = sylvester.solve_gap(a, b, np.zeros((4, 4)))
+    report = solution.report()
+    assert np.abs(solution.x).max() <= 1e-14
     assert report.x_norm == pytest.approx(0.0, abs=1e-14)
 
 
@@ -59,8 +61,9 @@ def test_solve_gap_residual_and_bound_all_p():
     for trial in range(30):
         a, b = gapped_pair(4, 6, trial)
         y = random_complex(substream(4, "sylv-Y", trial), (6, 6))
+        solution = sylvester.solve_gap(a, b, y)
         for p in (1, 2, np.inf):
-            x, report = sylvester.solve_gap(a, b, y, p)
+            report = solution.report(p)
             assert report.residual <= 1e-9
             assert report.x_norm <= report.bound * (1 + 1e-12)
             assert report.bound == pytest.approx(np.pi / (2 * report.delta) * report.y_norm)
@@ -82,7 +85,7 @@ def test_solve_gap_refusal_names_the_closest_eigenvalue_pair():
 
 def test_solve_gap_report_json_fields():
     a, b = gapped_pair(6, 3)
-    _, report = sylvester.solve_gap(a, b, np.eye(3), p=1)
+    report = sylvester.solve_gap(a, b, np.eye(3)).report(1)
     d = report.to_json_dict()
     assert set(d) == {"delta", "p", "x_norm", "y_norm", "bound", "residual", "bound_holds"}
     assert d["bound_holds"] is True and report.residual_small
@@ -100,7 +103,7 @@ def test_kron_oracle_matches_solve_gap():
         dim = 2 + trial % 5
         a, b = gapped_pair(7, dim, trial)
         y = random_complex(substream(7, "sylv-cross-Y", trial), (dim, dim))
-        x_doi, _ = sylvester.solve_gap(a, b, y)
+        x_doi = sylvester.solve_gap(a, b, y).x
         x_kron = sylvester.kron_oracle(a, b, y)
         assert np.abs(x_doi - x_kron).max() <= 1e-8
 
@@ -127,7 +130,8 @@ def test_operator_equation_scaling_consistency():
     # residual measured in the same norm the certificate is stated in
     a, b = gapped_pair(10, 4)
     y = random_complex(substream(10, "sylv-res"), (4, 4))
-    x, report = sylvester.solve_gap(a, b, y, p=2)
+    solution = sylvester.solve_gap(a, b, y)
+    x, report = solution.x, solution.report(2)
     direct = schatten_norm(a @ x - x @ b - y, 2)
     assert direct == pytest.approx(report.residual, abs=1e-12)
 
@@ -135,13 +139,13 @@ def test_operator_equation_scaling_consistency():
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**31 - 1),
        st.integers(min_value=-150, max_value=150))
-def test_gapped_solution_scale_equivariance_property(dim, seed, k):
+def test_solve_gap_scale_equivariance_property(dim, seed, k):
     # A, B -> c A, c B with Y fixed: delta scales by c, X and pi/(2 delta)|Y| by 1/c
     a, b = gapped_pair(seed, dim, tag="sylvester-scale")
     y = random_complex(substream(seed, "sylvester-scale-y"), (dim, dim))
     c = 10.0**k
-    report = sylvester.gapped_solution(a, b, y).report()
-    scaled = sylvester.gapped_solution(c * a, c * b, y).report()
+    report = sylvester.solve_gap(a, b, y).report()
+    scaled = sylvester.solve_gap(c * a, c * b, y).report()
     assert scaled.delta / c == pytest.approx(report.delta, rel=1e-12)
     assert scaled.x_norm * c == pytest.approx(report.x_norm, rel=1e-12)
     assert scaled.bound * c == pytest.approx(report.bound, rel=1e-12)

@@ -7,7 +7,9 @@ Cotlar-Stein and Grothendieck-style norm checks.  Each operand is
 diagonalized once: the DOI, Sylvester-gap and spectral shift routes take
 one `SpectralPair` (the rank-one shift route takes only B's `EigenSystem`,
 and `polymeasure_eval` only H's).  The pair's eigensystems are the only
-copy of its spectra: a `SymbolGrid` holds symbol values alone.
+copy of its spectra: a `SymbolGrid` holds symbol values alone.  The
+Sylvester cross-check `kron_oracle` diagonalizes B on its own, so that it
+shares no eigen code with the route it checks.
 
 Each rule that several places use has one home:
 - user functions are evaluated once, on an array, by `linalg.evaluate`;

@@ -4,8 +4,10 @@ When the spectra are a distance delta > 0 apart, the resolvent symbol
 1/(lambda - mu) is bounded on the product of the spectra and the double
 operator integral of that symbol inverts T -> AT - TB; the solution
 carries the certified estimate |X|_p <= pi/(2 delta) |Y|_p in every
-Schatten norm.  A dense Kronecker linear system provides an independent
-cross-check.
+Schatten norm.  The vectorized Kronecker linear system provides an
+independent cross-check: B's eigenvectors make it block diagonal, and each
+n x n block is solved by LU (Bartels-Stewart; for hermitian B the Schur
+form is the eigendecomposition).
 """
 
 from __future__ import annotations
@@ -20,9 +22,10 @@ from .doi import SpectralPair, doi_apply, make_spectral_pair, symbol_from_functi
 
 GAP_FLOOR_FACTOR = 1e-8  # refuse gaps below this times the spectral scale
 KRON_AGREEMENT_TOL = 1e-8  # largest entrywise |X - X_kron| of a healthy solve
-# largest n for kron_oracle.  At n = 48 its n^2 x n^2 complex system is 81 MiB,
-# plus LAPACK's working copy of the same size, and the solve takes about 0.8 s
-# on one core; memory grows as n^4 and time as n^6
+# largest n for kron_oracle.  At n = 48 its n blocks of n x n take 1.8 MiB and
+# the solve about 4 ms on one core; memory grows as n^3 and time as n^4.  A
+# higher cap is affordable, but it would change which `--dims` the sylvester
+# command accepts and its exit code above 48, which is a CLI change of its own
 KRON_MAX_DIM = 48
 
 
@@ -108,14 +111,18 @@ def solve_gap(a, b, y) -> GapSolution:
 
 
 def kron_oracle(a, b, y) -> np.ndarray:
-    """Independent route: vectorize AX - XB = Y to an n^2 x n^2 dense
-    linear system and solve it by LU with partial pivoting.
+    """Independent route: solve the column-stacking Kronecker system
+    (I (x) A - B^T (x) I) vec(X) = vec(Y) by LU with partial pivoting,
+    after the change of basis that makes it block diagonal.
 
-    The system is one column-major complex array of 16 n^4 bytes (81 MiB
-    at n = 48), and LAPACK factors a working copy of the same size; the
-    solve takes about 0.1 s at n = 32 and 0.8 s at n = 48 on one core.
-    Refuses n above `KRON_MAX_DIM` with `IllPosedError` before the system
-    is formed."""
+    With B = U diag(mu) U*, vec(XU) = (U^T (x) I) vec(X) turns the system
+    into n blocks (A - mu_j I) x_j = (YU)_j, solved as one batched call;
+    then X = (XU) U*.  U comes from `numpy.linalg.eigh` called here, so no
+    opint eigen code is shared with `solve_gap`, and A is never
+    diagonalized.  The stack of blocks is 16 n^3 complex bytes (1.8 MiB at
+    n = 48); the solve is O(n^4) and takes about 4 ms at n = 48 on one
+    core.  Refuses n above `KRON_MAX_DIM` with `IllPosedError` before any
+    factorization."""
     am = as_hermitian(a, "A")
     bm = as_hermitian(b, "B")
     ym = as_complex_matrix(y, "Y")
@@ -125,15 +132,10 @@ def kron_oracle(a, b, y) -> np.ndarray:
     if n > KRON_MAX_DIM:
         raise IllPosedError(f"Kronecker oracle refuses n = {n} > {KRON_MAX_DIM}: "
                             f"its system would be {n * n} x {n * n}")
-    # column-stacking convention: vec(AX) = (I (x) A) vec(X), vec(XB) = (B^T (x) I) vec(X),
-    # so K[(j, i), (l, k)] = d_jl A[i, k] - d_ik B[l, j] for vec index (col, row).  K is
-    # built in place as its transpose s[l, k, j, i], which makes K itself F-contiguous
-    idx = np.arange(n)
-    s = np.zeros((n, n, n, n), dtype=complex)
-    s[idx, :, idx, :] = am.T
-    s[:, idx, :, idx] -= bm
+    mu, u = np.linalg.eigh(bm)
+    # block j is A - mu_j I; its right-hand side is column j of YU
     try:
-        x_vec = np.linalg.solve(s.reshape(n * n, n * n).T, ym.flatten(order="F"))
+        x_hat = np.linalg.solve(am - mu[:, None, None] * np.eye(n), (ym @ u).T[:, :, None])
     except np.linalg.LinAlgError as exc:
         raise IllPosedError(f"vectorized Sylvester system is numerically singular: {exc}") from exc
-    return x_vec.reshape((n, n), order="F")
+    return x_hat[:, :, 0].T @ u.conj().T

@@ -490,10 +490,29 @@ def test_polymeasure_check_diagonalizes_h_once_per_trial(monkeypatch):
     assert calls == ["eigh"] * 5  # max(2, 20 // 4) trials at the default config
 
 
+def _count_oracle_eigensolver_calls(monkeypatch, calls) -> list:
+    """Record, per `kron_oracle` call, the eigensolver calls made inside it;
+    `calls` is the list `_count_eigensolver_calls` fills."""
+    per_call = []
+    original = sylvester.kron_oracle
+
+    def counted(*args, **kwargs):
+        start = len(calls)
+        try:
+            return original(*args, **kwargs)
+        finally:
+            per_call.append(calls[start:])
+    monkeypatch.setattr(sylvester, "kron_oracle", counted)
+    return per_call
+
+
 def test_default_suite_pass_eigendecomposition_count(monkeypatch):
+    # the Kronecker cross-check diagonalizes B on its own, outside the DOI route
     calls = _count_eigensolver_calls(monkeypatch)
+    oracle_calls = _count_oracle_eigensolver_calls(monkeypatch, calls)
     assert run_suite(ScenarioConfig()).passed
-    assert len(calls) <= 489, len(calls)
+    assert oracle_calls == [["eigh"]] * 20, oracle_calls
+    assert len(calls) - 20 <= 489, len(calls)
 
 
 def test_default_suite_pass_diagonalizes_only_through_eig_hermitian(monkeypatch):
@@ -512,8 +531,11 @@ def test_default_suite_pass_diagonalizes_only_through_eig_hermitian(monkeypatch)
                 if value is original:
                     monkeypatch.setattr(module, key, counted)
     calls = _count_eigensolver_calls(monkeypatch)
+    oracle_calls = _count_oracle_eigensolver_calls(monkeypatch, calls)
     assert run_suite(ScenarioConfig()).passed
-    assert counts["eig_hermitian"] == calls.count("eigh") == 489
+    # one direct eigh of B per Kronecker cross-check, 20 per default pass
+    assert oracle_calls == [["eigh"]] * 20, oracle_calls
+    assert counts["eig_hermitian"] == calls.count("eigh") - 20 == 489
     assert counts["as_hermitian"] <= 609, counts  # 1033 when pairs were validated twice
 
 

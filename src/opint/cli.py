@@ -7,12 +7,18 @@ default).  A JSON config (--config) provides the same keys as the flags;
 flags win.  Exit codes: 0 all checks passed, 1 a check failed, 2 usage
 error, 3 I/O error.  Reports are byte-identical for identical (config,
 seed); timing goes to stderr only.
+
+`main` may be called any number of times in one process: the parser from
+`build_parser` is built on the first call and reused by later ones
+(`parse_args` makes a fresh namespace each time, and help and error text
+go to the `sys.stdout`/`sys.stderr` of the call).
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 import time
@@ -53,6 +59,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=Path, default=None, help="matrix JSON for B")
     p.add_argument("--y", type=Path, default=None, help="matrix JSON for Y")
     return p
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
 
 
 def _resolve_config(args) -> ScenarioConfig:
@@ -306,9 +317,8 @@ def emit_report(report: Report, out_dir) -> Path:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     started = time.perf_counter()

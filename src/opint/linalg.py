@@ -51,12 +51,15 @@ def as_hermitian(m, name: str = "matrix", tol: float = HERMITIAN_TOL) -> np.ndar
     a = as_complex_matrix(m, name)
     if a.shape[0] != a.shape[1]:
         raise InputDomainError(f"{name} must be square, got shape {a.shape}")
-    asym = np.abs(a - a.conj().T).max()
-    bound = tol * max(1.0, float(np.abs(a).max()))
-    if asym > bound:
-        raise InputDomainError(
-            f"{name} is not hermitian: max asymmetry {asym:.3e} exceeds {bound:.1e}")
-    return (a + a.conj().T) / 2.0
+    ah = a.conj().T
+    asym = np.abs(a - ah).max()
+    if asym > tol:  # the bound is at least tol, so only then is the scale needed
+        bound = tol * max(1.0, float(np.abs(a).max()))
+        if asym > bound:
+            raise InputDomainError(
+                f"{name} is not hermitian: max asymmetry {asym:.3e} exceeds {bound:.1e}")
+    # halves first: a + a* overflows for entries near the largest float
+    return a * 0.5 + ah * 0.5
 
 
 @dataclass(frozen=True)
@@ -154,9 +157,13 @@ def schatten_norm(m, p) -> float:
     the power is taken (Blue's overflow-safe norm), so large p or large
     entries do not overflow to inf.
     """
+    return schatten_norm_of_values(singular_values(m), p)
+
+
+def schatten_norm_of_values(s: np.ndarray, p) -> float:
+    """`schatten_norm` of a matrix whose singular values, descending, are s."""
     if not (p == np.inf or p >= 1):  # also rejects nan
         raise InputDomainError(f"Schatten norm needs p >= 1 or p = inf, got {p}")
-    s = singular_values(m)
     if p == np.inf or s[0] == 0.0:
         return float(s[0])
     if p == 1:

@@ -45,8 +45,14 @@ def cycle_space(n: int) -> CycleSpace:
 
 
 def _indicator(space: CycleSpace, subset, name: str) -> np.ndarray:
-    """The 0/1 vector of a subset of Z_n."""
-    idx = np.unique(np.asarray(list(subset), dtype=np.int64)) if subset is not None else np.zeros(0, np.int64)
+    """The 0/1 vector of a subset of Z_n, given by its integer elements.
+
+    Booleans and floats are refused, not cast: a mask [True, False, True]
+    or an index 1.7 would silently name other elements."""
+    idx = np.asarray(list(subset) if subset is not None else [])
+    if idx.size and not np.issubdtype(idx.dtype, np.integer):
+        raise InputDomainError(f"{name} must hold integer indices, got dtype {idx.dtype}")
+    idx = np.unique(idx.astype(np.int64))
     if idx.size and (idx.min() < 0 or idx.max() >= space.n):
         raise InputDomainError(f"{name} contains indices outside 0..{space.n - 1}")
     d = np.zeros(space.n)

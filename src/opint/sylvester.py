@@ -13,11 +13,12 @@ form is the eigendecomposition).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import IllPosedError
-from .linalg import as_complex_matrix, as_hermitian, schatten_norm
+from .linalg import as_complex_matrix, as_hermitian, schatten_norm_of_values, singular_values
 from .doi import SpectralPair, doi_apply, make_spectral_pair, symbol_from_function
 
 GAP_FLOOR_FACTOR = 1e-8  # refuse gaps below this times the spectral scale
@@ -66,7 +67,9 @@ def spectral_gap(pair: SpectralPair) -> float:
 @dataclass(frozen=True)
 class GapSolution:
     """A solve of AX - XB = Y before any norm is taken: the symmetrized A
-    and B, Y, the solution X and the spectral gap delta."""
+    and B, Y, the solution X and the spectral gap delta.  The singular
+    values of X, Y and the residual AX - XB - Y are taken once, on the
+    first `report`, and every p reads its norms from them."""
 
     a: np.ndarray
     b: np.ndarray
@@ -74,13 +77,19 @@ class GapSolution:
     x: np.ndarray
     delta: float
 
+    @cached_property
+    def _singular_values(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Singular values of X, Y and AX - XB - Y."""
+        residual = self.a @ self.x - self.x @ self.b - self.y
+        return singular_values(self.x), singular_values(self.y), singular_values(residual)
+
     def report(self, p=np.inf) -> GapReport:
         """The certificate in the Schatten p-norm; no eigendecomposition."""
-        residual = schatten_norm(self.a @ self.x - self.x @ self.b - self.y, p)
-        y_norm = schatten_norm(self.y, p)
-        return GapReport(delta=self.delta, p=p, x_norm=schatten_norm(self.x, p),
+        x_values, y_values, residual_values = self._singular_values
+        y_norm = schatten_norm_of_values(y_values, p)
+        return GapReport(delta=self.delta, p=p, x_norm=schatten_norm_of_values(x_values, p),
                          y_norm=y_norm, bound=float(np.pi / (2.0 * self.delta) * y_norm),
-                         residual=residual)
+                         residual=schatten_norm_of_values(residual_values, p))
 
 
 def solve_gap(a, b, y) -> GapSolution:

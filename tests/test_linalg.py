@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -80,6 +81,26 @@ def test_eig_accepts_rounded_hermitian_product_at_scale():
         w = linalg.eig_hermitian(h).eigenvalues
         np.testing.assert_allclose(w, np.linalg.eigvalsh((h + h.conj().T) / 2),
                                    rtol=0, atol=1e-12 * np.abs(w).max())
+
+
+def test_eig_of_entries_near_the_largest_float_does_not_overflow():
+    h = np.array([[1e308, 1e308], [1e308, -1e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = linalg.eig_hermitian(h).eigenvalues
+    assert np.isfinite(w).all()
+    np.testing.assert_allclose(w, np.linalg.eigvalsh(h), rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("exponent", [-300, -150, -20, 0, 20, 150, 300])
+def test_as_hermitian_equals_the_halved_sum_bit_for_bit(exponent):
+    rng = substream(21, "linalg-halves", exponent + 300)
+    for dim in (1, 2, 5, 9):
+        h = random_hermitian(rng, dim) * 10.0 ** exponent
+        h = h * (1 + 1e-14 * rng.standard_normal((dim, dim)))  # rounding asymmetry
+        expected = (h + h.conj().T) / 2.0
+        assert np.array_equal(linalg.as_hermitian(h).view(np.uint64),
+                              expected.view(np.uint64))
 
 
 def test_eig_rejects_non_finite():

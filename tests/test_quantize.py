@@ -40,6 +40,16 @@ def test_position_projector_range_check():
         qz.position_projector(space, [3])
 
 
+@pytest.mark.parametrize("subset", [np.array([True, False, True, False]), [1.7],
+                                    np.array([0.0, 2.0])])
+def test_projectors_refuse_boolean_and_float_index_arrays(subset):
+    space = qz.cycle_space(4)
+    with pytest.raises(errors.InputDomainError, match="E must hold integer indices"):
+        qz.position_projector(space, subset)
+    with pytest.raises(errors.InputDomainError, match="F must hold integer indices"):
+        qz.momentum_projector(space, subset)
+
+
 def test_momentum_projector_full_set_is_identity():
     space = qz.cycle_space(6)
     np.testing.assert_allclose(qz.momentum_projector(space, range(6)), np.eye(6), atol=1e-12)

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import math
@@ -23,6 +24,12 @@ from opint.suite import (SUITE_CHECKS, ScenarioConfig, check_arctan_representati
                          check_sylvester_cross_oracle, run_suite)
 
 SRC = str(Path(opint.__file__).resolve().parent.parent)
+
+
+def _pythonpath_env() -> dict:
+    """This environment with the tested package first on PYTHONPATH."""
+    return dict(os.environ,
+                PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
 
 
 @pytest.fixture(scope="module")
@@ -129,9 +136,8 @@ def test_suite_passes_at_dimension_one():
 
 def _cli_report(tmp_path, threads: int, command: str, *args: str) -> bytes:
     out = tmp_path / f"{command}-threads{threads}"
-    env = dict(os.environ, OMP_NUM_THREADS=str(threads), OPENBLAS_NUM_THREADS=str(threads),
-               MKL_NUM_THREADS=str(threads),
-               PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    env = dict(_pythonpath_env(), OMP_NUM_THREADS=str(threads),
+               OPENBLAS_NUM_THREADS=str(threads), MKL_NUM_THREADS=str(threads))
     proc = subprocess.run([sys.executable, "-m", "opint.cli", "--command", command,
                            *args, "--out", str(out)],
                           env=env, capture_output=True, text=True, timeout=600)
@@ -140,8 +146,7 @@ def _cli_report(tmp_path, threads: int, command: str, *args: str) -> bytes:
 
 
 def test_python_m_opint_runs_the_cli(tmp_path):
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    env = _pythonpath_env()
     proc = subprocess.run([sys.executable, "-m", "opint", "--command", "cotlar",
                            "--out", str(tmp_path)],
                           env=env, capture_output=True, text=True, timeout=600)
@@ -398,6 +403,62 @@ def test_cli_writes_the_report_to_stdout_without_out(tmp_path, capsys):
     assert printed == (tmp_path / "peller_report.json").read_text(encoding="utf-8")
 
 
+def test_cli_builds_one_argument_parser_per_process_and_none_at_import(tmp_path):
+    # a fresh process, so no earlier test has built the parser already
+    script = (
+        "import argparse, json, sys\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counted(self, *args, **kwargs):\n"
+        "    built.append(1)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counted\n"
+        "import opint.cli\n"
+        "at_import = len(built)\n"
+        f"out = {str(tmp_path)!r}\n"
+        "codes = [opint.cli.main(argv) for argv in (\n"
+        "    ['--command', 'nope'], ['--help'],\n"
+        "    ['--command', 'cotlar', '--n', '1', '--terms', '1', '--out', out],\n"
+        "    ['--command', 'suite', '--dims', '0'], ['--help'],\n"
+        "    ['--command', 'peller', '--out', out])]\n"
+        "print(json.dumps([at_import, len(built), codes]), file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=_pythonpath_env(),
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    at_import, built, codes = json.loads(proc.stderr.splitlines()[-1])
+    assert codes == [2, 0, 0, 2, 0, 0]
+    assert (at_import, built) == (0, 1)
+    # each --help prints the whole help text to the stdout of its own call
+    assert proc.stdout.count("usage: opint") == 2
+    assert proc.stderr.count("invalid choice: 'nope'") == 1
+
+
+def test_cli_reports_after_earlier_calls_equal_fresh_process_reports(
+        tmp_path, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert cli.main(["--command", "shift", "--route", "nope"]) == 2
+    assert cli.main(["--help"]) == 0
+    assert "usage: opint" in capsys.readouterr().out
+    for argv, files in ((["--command", "peller"], ["peller_report.json"]),
+                        (["--command", "shift", "--route", "fourier"],
+                         ["shift_report.json", "curve.csv"])):
+        here, fresh = tmp_path / f"{argv[1]}-here", tmp_path / f"{argv[1]}-fresh"
+        assert cli.main([*argv, "--out", str(here)]) == 0
+        proc = subprocess.run([sys.executable, "-m", "opint", *argv, "--out", str(fresh)],
+                              env=_pythonpath_env(), capture_output=True, text=True,
+                              timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        for name in files:
+            assert (here / name).read_bytes() == (fresh / name).read_bytes(), name
+    assert len(built) <= 1  # none if an earlier test in this process built the parser
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["--dims", "x"], "--dims"),
     (["--dims", "4,,x"], "--dims"),
@@ -596,8 +657,7 @@ def test_package_and_suite_run_without_scipy(tmp_path):
               f"code = opint.cli.main({argv!r})\n"
               "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
               "sys.exit(code)\n")
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    env = _pythonpath_env()
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr

@@ -69,6 +69,26 @@ def test_solve_gap_residual_and_bound_all_p():
             assert report.bound == pytest.approx(np.pi / (2 * report.delta) * report.y_norm)
 
 
+def test_solve_gap_reports_take_each_singular_value_set_once(monkeypatch):
+    a, b = gapped_pair(9, 5)
+    y = random_complex(substream(9, "sylv-Y-svd"), (5, 5))
+    solution = sylvester.solve_gap(a, b, y)
+    svds = []
+
+    def counted(*args, _original=np.linalg.svd, **kwargs):
+        svds.append(1)
+        return _original(*args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    reports = [solution.report(p) for p in (1, 2, np.inf)]
+    assert len(svds) == 3  # X, Y and the residual, once each for every p
+    monkeypatch.undo()
+    x = solution.x
+    for p, report in zip((1, 2, np.inf), reports):
+        assert report.x_norm == schatten_norm(x, p)
+        assert report.y_norm == schatten_norm(y, p)
+        assert report.residual == schatten_norm(solution.a @ x - x @ solution.b - y, p)
+
+
 def test_solve_gap_refuses_zero_gap():
     h = random_hermitian(substream(5, "sylv-refuse"), 3)
     with pytest.raises(errors.IllPosedError, match="gap"):

@@ -74,7 +74,7 @@ def _resolve_config(args) -> ScenarioConfig:
                 raw = json.load(fh)
         except OSError as exc:
             raise OSError(f"cannot read config {args.config}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not JSON, or bytes that are not UTF-8
             raise ConfigError(f"config: invalid JSON ({exc})") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config: top level must be a JSON object")
@@ -217,9 +217,9 @@ def run_sylvester(cfg: ScenarioConfig) -> Report:
 def _load_symbol(cfg: ScenarioConfig, n: int) -> np.ndarray:
     if "symbol" in cfg.inputs:
         path = cfg.inputs["symbol"]
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [line.strip() for line in fh if line.strip()]
-        try:  # a bad cell or ragged rows
+        try:  # bytes that are not UTF-8, a bad cell or ragged rows
+            with open(path, "r", encoding="utf-8") as fh:
+                lines = [line.strip() for line in fh if line.strip()]
             sigma = np.asarray([[complex(cell) for cell in line.split(",")] for line in lines],
                                dtype=complex)
         except ValueError as exc:

@@ -16,7 +16,10 @@ and return one value per point.
 
 from __future__ import annotations
 
+import hashlib
 import json
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,20 +198,17 @@ def matrix_to_json_dict(m) -> dict:
     return {"dim": a.shape[0], "re": a.real.tolist(), "im": a.imag.tolist()}
 
 
-def matrix_from_json_dict(d, hermitian: bool = False, name: str = "matrix") -> np.ndarray:
+def matrix_from_json_dict(d, name: str = "matrix") -> np.ndarray:
     try:
         dim = int(d["dim"])
         re = np.asarray(d["re"], dtype=float)
         im = np.asarray(d["im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # OverflowError: dim 1e400
         raise InputDomainError(f"{name}: malformed matrix JSON ({exc})") from exc
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise InputDomainError(
             f"{name}: 're'/'im' must be {dim}x{dim} arrays, got {re.shape} and {im.shape}")
-    a = as_complex_matrix(re + 1j * im, name)
-    if hermitian:
-        return as_hermitian(a, name)
-    return a
+    return as_complex_matrix(re + 1j * im, name)
 
 
 def save_matrix(path, m):
@@ -217,6 +217,70 @@ def save_matrix(path, m):
         fh.write("\n")
 
 
+class _MatrixCache:
+    """Read-only matrices keyed by the sha256 digest of the file bytes they
+    were parsed from, least recently used first.  Each entry counts as its
+    matrix's bytes plus `ENTRY_BYTES` for the array header, the key and the
+    dict slot, and the entries never count more than `budget` together."""
+
+    ENTRY_BYTES = 512  # about 280 B measured for a 1 x 1 matrix
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.retained = 0
+        self._entries: OrderedDict[bytes, np.ndarray] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def _cost(self, m: np.ndarray) -> int:
+        return m.nbytes + self.ENTRY_BYTES
+
+    def get(self, key: bytes):
+        with self._lock:
+            m = self._entries.get(key)
+            if m is not None:
+                self._entries.move_to_end(key)
+            return m
+
+    def put(self, key: bytes, m: np.ndarray) -> None:
+        with self._lock:
+            if key in self._entries or self._cost(m) > self.budget:
+                return
+            self._entries[key] = m
+            self.retained += self._cost(m)
+            while self.retained > self.budget:
+                self.retained -= self._cost(self._entries.popitem(last=False)[1])
+
+
+# two complex matrices at the CLI's 1024 x 1024 cap, or about 2,000 at n = 32
+LOAD_CACHE_BYTES = 2 * (16 * 1024**2 + _MatrixCache.ENTRY_BYTES)
+_loaded = _MatrixCache(LOAD_CACHE_BYTES)
+
+
 def load_matrix(path, hermitian: bool = False) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        return matrix_from_json_dict(json.load(fh), hermitian=hermitian, name=str(path))
+    """Read a matrix saved by `save_matrix`; `hermitian` also validates and
+    symmetrizes it (`as_hermitian`).  Errors name the file as given.
+
+    Each distinct file content is parsed once per process: the validated
+    matrix is cached under the sha256 digest of the file's bytes, so a
+    rewritten file is parsed again whatever its size or modification time.
+    The cache keeps at most `LOAD_CACHE_BYTES` (32 MiB and 1 KiB, counting
+    512 B per entry besides the 16 n^2 matrix bytes) and drops the least
+    recently used matrix first; a file that fails to parse is not cached.
+    Every call returns a new writable array.  A one-shot run reads each file
+    once either way; repeated calls in one process, such as `cli.main`
+    called many times, skip the parse.
+    """
+    name = str(path)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    key = hashlib.sha256(data).digest()
+    m = _loaded.get(key)
+    if m is None:
+        try:
+            d = json.loads(data.decode("utf-8"))
+        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
+            raise InputDomainError(f"{name}: malformed matrix JSON ({exc})") from exc
+        m = matrix_from_json_dict(d, name=name)
+        m.flags.writeable = False
+        _loaded.put(key, m)
+    return as_hermitian(m, name) if hermitian else m.copy()

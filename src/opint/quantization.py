@@ -49,7 +49,10 @@ def _indicator(space: CycleSpace, subset, name: str) -> np.ndarray:
 
     Booleans and floats are refused, not cast: a mask [True, False, True]
     or an index 1.7 would silently name other elements."""
-    idx = np.asarray(list(subset) if subset is not None else [])
+    if isinstance(subset, np.ndarray) and subset.ndim and subset.dtype != object:
+        idx = subset  # the array list() would rebuild, one scalar at a time
+    else:
+        idx = np.asarray(list(subset) if subset is not None else [])
     if idx.size and not np.issubdtype(idx.dtype, np.integer):
         raise InputDomainError(f"{name} must hold integer indices, got dtype {idx.dtype}")
     idx = np.unique(idx.astype(np.int64))

@@ -1,4 +1,8 @@
+import json
 import math
+import os
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -340,6 +344,131 @@ def test_matrix_json_hermitian_validation(tmp_path):
 def test_matrix_json_malformed():
     with pytest.raises(errors.InputDomainError, match="malformed"):
         linalg.matrix_from_json_dict({"dim": 2, "re": [[1, 0], [0, 1]]})
+
+
+@pytest.fixture
+def load_cache(monkeypatch):
+    """An empty matrix cache in place of the process-wide one, and the list
+    that records one entry per JSON parse."""
+    cache = linalg._MatrixCache(linalg.LOAD_CACHE_BYTES)
+    monkeypatch.setattr(linalg, "_loaded", cache)
+    parses = []
+
+    def counted(*args, _original=json.loads, **kwargs):
+        parses.append(args[0])
+        return _original(*args, **kwargs)
+    monkeypatch.setattr(json, "loads", counted)
+    return cache, parses
+
+
+def _retained(cache) -> int:
+    return sum(m.nbytes + cache.ENTRY_BYTES for m in cache._entries.values())
+
+
+def test_load_matrix_rereads_a_file_rewritten_at_the_same_size_and_mtime(tmp_path):
+    path = tmp_path / "m.json"
+    linalg.save_matrix(path, np.array([[1.0]]))
+    assert linalg.load_matrix(path)[0, 0] == 1.0
+    stat = os.stat(path)
+    size = stat.st_size
+    linalg.save_matrix(path, np.array([[2.0]]))
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert os.stat(path).st_size == size
+    assert os.stat(path).st_mtime_ns == stat.st_mtime_ns
+    assert linalg.load_matrix(path)[0, 0] == 2.0
+
+
+@pytest.mark.parametrize("hermitian", [False, True])
+def test_load_matrix_returns_a_new_writable_array_on_every_call(tmp_path, load_cache, hermitian):
+    _, parses = load_cache
+    h = random_hermitian(substream(14, "linalg-json-copy"), 4)
+    path = tmp_path / "h.json"
+    linalg.save_matrix(path, h)
+    first = linalg.load_matrix(path, hermitian=hermitian)
+    expected = first.tobytes()
+    first[:] = 99.0
+    second = linalg.load_matrix(path, hermitian=hermitian)
+    assert len(parses) == 1
+    assert second.flags.writeable and second.tobytes() == expected
+    np.testing.assert_array_equal(second, linalg.as_hermitian(h) if hermitian else h)
+
+
+def test_load_matrix_caches_no_malformed_file(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text('{"dim": 1, "re": [[1', encoding="utf-8")
+    with pytest.raises(errors.InputDomainError, match=f"^{path}: malformed matrix JSON"):
+        linalg.load_matrix(path)
+    linalg.save_matrix(path, np.array([[3.0]]))
+    assert linalg.load_matrix(path)[0, 0] == 3.0
+
+
+def test_load_matrix_validates_a_cached_matrix_as_hermitian_under_each_path(
+        tmp_path, load_cache):
+    m = np.array([[0.0, 1.0], [0.5, 0.0]])
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    for path in (first, second):
+        linalg.save_matrix(path, m)
+    np.testing.assert_array_equal(linalg.load_matrix(first), m)
+    for path in (second, first):
+        with pytest.raises(errors.InputDomainError, match=f"^{path} is not hermitian"):
+            linalg.load_matrix(path, hermitian=True)
+    assert len(load_cache[1]) == 1
+
+
+def test_load_matrix_evicts_the_least_recently_used_matrix_within_its_budget(
+        tmp_path, load_cache):
+    cache, parses = load_cache
+    cache.budget = 2 * (4 * 16 + cache.ENTRY_BYTES)  # two 2 x 2 matrices
+    rng = substream(15, "linalg-json-lru")
+    paths = {}
+    for name, dim in (("m0", 2), ("m1", 2), ("m2", 2), ("big", 8)):
+        paths[name] = tmp_path / f"{name}.json"
+        linalg.save_matrix(paths[name], random_complex(rng, (dim, dim)))
+    parsed = []
+    for name in ("m0", "m1", "m0", "m2", "m0", "m1", "big", "big", "m0"):
+        count = len(parses)
+        linalg.load_matrix(paths[name])
+        parsed.append(len(parses) > count)
+        assert cache.retained == _retained(cache) <= cache.budget
+    # m2 evicts m1, the least recently used, and m1 then evicts m2; big is never kept
+    assert parsed == [True, True, False, True, False, True, True, True, False]
+
+
+def test_load_matrix_cache_keeps_its_count_under_concurrent_use(tmp_path, load_cache):
+    cache, _ = load_cache
+    cache.budget = 3 * (9 * 16 + cache.ENTRY_BYTES)  # three of the 3 x 3 matrices
+    rng = substream(16, "linalg-json-threads")
+    files = []
+    for k in range(6):
+        m = random_hermitian(rng, 3)
+        linalg.save_matrix(tmp_path / f"m{k}.json", m)
+        files.append((tmp_path / f"m{k}.json", linalg.as_hermitian(m)))
+    entries = [(bytes([k]), np.full((3, 3), k, dtype=np.complex128)) for k in range(12)]
+    wrong = []
+
+    def worker(offset):
+        # bare lookups and inserts between the loads: an unlocked count drifts
+        for i in range(8000):
+            key, m = entries[(offset + i) % len(entries)]
+            if cache.get(key) is None:
+                cache.put(key, m)
+            if i % 400 == 0:
+                path, expected = files[(offset + i // 400) % len(files)]
+                if not np.array_equal(linalg.load_matrix(path, hermitian=True), expected):
+                    wrong.append(path)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not wrong
+    assert cache.retained == _retained(cache) <= cache.budget
 
 
 def test_projector_from_mask():

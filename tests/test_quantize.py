@@ -40,6 +40,14 @@ def test_position_projector_range_check():
         qz.position_projector(space, [3])
 
 
+def test_projectors_take_an_index_array_a_list_or_a_range_alike():
+    space = qz.cycle_space(6)
+    for project in (qz.position_projector, qz.momentum_projector):
+        expected = project(space, [1, 2, 3, 4])
+        for subset in (np.arange(1, 5), np.array([4, 2, 1, 3, 2], dtype=np.int32), range(1, 5)):
+            assert project(space, subset).tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("subset", [np.array([True, False, True, False]), [1.7],
                                     np.array([0.0, 2.0])])
 def test_projectors_refuse_boolean_and_float_index_arrays(subset):

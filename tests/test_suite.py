@@ -356,6 +356,29 @@ def test_cli_malformed_symbol_csv_exits_2_and_names_the_file(tmp_path, capsys, c
     assert f"usage error: symbol CSV {symbol}: malformed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, content, message", [
+    ("--a", b'{"dim": 2, "re": [[1', "{path}: malformed matrix JSON"),
+    ("--a", b"\xff\xfe", "{path}: malformed matrix JSON"),
+    ("--a", b'{"dim": 1e400, "re": [], "im": []}', "{path}: malformed matrix JSON"),
+    ("--a", b"[" * 100000, "{path}: malformed matrix JSON"),
+    ("--config", b"\xff\xfe{}", "config: invalid JSON"),
+    ("symbol", b"1,2\n\xff\n", "symbol CSV {path}: malformed"),
+], ids=["truncated-matrix", "undecodable-matrix", "overflowing-dim", "deeply-nested-matrix",
+        "undecodable-config", "undecodable-symbol"])
+def test_cli_malformed_or_undecodable_input_file_exits_2(tmp_path, capsys, flag, content,
+                                                         message):
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    if flag == "symbol":
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"inputs": {"symbol": str(path)}}), encoding="utf-8")
+        argv = ["--command", "quantize", "--n", "2", "--config", str(config)]
+    else:
+        argv = ["--command", "shift", flag, str(path)]
+    assert cli.main(argv) == 2
+    assert f"usage error: {message.format(path=path)}" in capsys.readouterr().err
+
+
 def _quantize_with_symbol(tmp_path, sigma, n):
     symbol = tmp_path / "sigma.csv"
     symbol.write_text("".join(",".join(repr(complex(z)) for z in row) + "\n" for row in sigma),
@@ -621,6 +644,23 @@ def test_cli_shift_route_passes_and_diagonalizes_each_matrix_once(
                      "--out", str(tmp_path)])
     assert code == 0
     assert calls == ["eigh", "eigh"], calls
+
+
+def test_cli_calls_in_one_process_parse_each_matrix_file_once(tmp_path, monkeypatch):
+    rng = substream(9, "test-cli-parse-once")  # contents no other test loads
+    a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+    for path in (a, b):
+        save_matrix(path, random_hermitian(rng, 6))
+    parsed = []
+
+    def counted(*args, _original=json.loads, **kwargs):
+        parsed.append(args[0])
+        return _original(*args, **kwargs)
+    monkeypatch.setattr(json, "loads", counted)
+    for route in ("counting", "arctan"):
+        assert cli.main(["--command", "shift", "--route", route, "--a", a, "--b", b,
+                         "--eps", "0.002", "--out", str(tmp_path / route)]) == 0
+    assert len(parsed) == 2
 
 
 def test_cli_shift_at_defaults_diagonalizes_a_and_b_and_nothing_else(tmp_path, monkeypatch):

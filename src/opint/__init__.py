@@ -8,8 +8,8 @@ diagonalized once: the DOI, Sylvester-gap and spectral shift routes take
 one `SpectralPair` (the rank-one shift route takes only B's `EigenSystem`,
 and `polymeasure_eval` only H's).  The pair's eigensystems are the only
 copy of its spectra: a `SymbolGrid` holds symbol values alone.  The
-Sylvester cross-check `kron_oracle` diagonalizes B on its own, so that it
-shares no eigen code with the route it checks.
+Sylvester cross-check `kron_oracle` shares B's `eigh` with `solve_gap` and
+solves A's side by LU, so it checks that side and the change of basis.
 
 Each rule that several places use has one home:
 - user functions are evaluated once, on an array, by `linalg.evaluate`;

@@ -136,12 +136,11 @@ def doi_fourier(pair: SpectralPair, f, t, quad: QuadratureRule | None = None) ->
     L (w f) R* of two (dim x nodes) tables L = e^{-i lambda t_m} and
     R = e^{-i mu t_m}.  `QuadratureRule.phase_table` builds them as
     products of the square-root phase factors, whose error bound
-    `QuadratureRule.phase_factors` gives, so the nodes must be an
-    arithmetic progression, else `ConfigError`.  For integrable f the sum approximates the integral
-    whose symbol is the Fourier transform fhat(lambda - mu),
-    fhat(x) = int e^{-i x s} f(s) ds; it must agree with `doi_apply` on
-    that symbol to quadrature tolerance.  f is called once, on the array
-    of nodes; `doi_apply` validates T.
+    `QuadratureRule.phase_factors` gives.  For integrable f the sum
+    approximates the integral whose symbol is the Fourier transform
+    fhat(lambda - mu), fhat(x) = int e^{-i x s} f(s) ds; it must agree
+    with `doi_apply` on that symbol to quadrature tolerance.  f is called
+    once, on the array of nodes; `doi_apply` validates T.
     """
     if quad is None:
         quad = trapezoid_rule(*DEFAULT_FOURIER_QUAD)

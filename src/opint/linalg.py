@@ -21,6 +21,7 @@ import json
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -199,15 +200,23 @@ def matrix_to_json_dict(m) -> dict:
 
 
 def matrix_from_json_dict(d, name: str = "matrix") -> np.ndarray:
+    """The matrix of a parsed `matrix_to_json_dict` object; a `dim` that is
+    not a JSON integer or an entry that is not a JSON number is refused."""
     try:
-        dim = int(d["dim"])
+        dim = d["dim"]
         re = np.asarray(d["re"], dtype=float)
         im = np.asarray(d["im"], dtype=float)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # OverflowError: dim 1e400
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputDomainError(f"{name}: malformed matrix JSON ({exc})") from exc
+    if type(dim) is not int:
+        raise InputDomainError(f"{name}: malformed matrix JSON ('dim' is not an integer: {dim!r})")
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise InputDomainError(
             f"{name}: 're'/'im' must be {dim}x{dim} arrays, got {re.shape} and {im.shape}")
+    kinds = set(map(type, chain(*d["re"], *d["im"]))) - {int, float}
+    if kinds:
+        raise InputDomainError(f"{name}: 're'/'im' entries must be JSON numbers, got "
+                               + ", ".join(sorted(k.__name__ for k in kinds)))
     return as_complex_matrix(re + 1j * im, name)
 
 

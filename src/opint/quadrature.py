@@ -6,18 +6,18 @@ the origin.  The offset layout is what the oscillatory-integral routines
 use, since their integrands are only defined away from 0 (they extend
 continuously, but the sampled formula divides by the node).
 
-Both layouts are arithmetic progressions, so a rule can split every
-e^{i phi x_m} into two factors from tables of about sqrt(M) columns
-(`QuadratureRule.phase_factors`).  The Fourier sums of `doi` and `shift`
-are built on it through `phase_table`, `node_sums` and `phase_sum`, which
-take and give one entry per node: the split's layout stays in this module.
+A rule's nodes are an arithmetic progression (its constructor refuses
+others), so it can split every e^{i phi x_m} into two factors from tables
+of about sqrt(M) columns (`QuadratureRule.phase_factors`).  The Fourier
+sums of `doi` and `shift` go through `phase_table`, `node_sums` and
+`phase_sum`, which take and give one entry per node: the split's layout
+stays in this module.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,10 +31,15 @@ PHASE_BLOCK = 64
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes and weights of a one-dimensional quadrature."""
+    """Nodes and weights of a one-dimensional quadrature.  The constructor
+    measures once how far the nodes lie from x0 + h m, x0 = nodes[0] and
+    h = (nodes[-1] - x0) / (M - 1) (0 when M = 1), and refuses more than
+    16 eps X = 32u X (X = max|node|, eps = 2^-52) with `ConfigError`."""
 
     nodes: np.ndarray
     weights: np.ndarray
+    x0: float = field(init=False)
+    h: float = field(init=False)
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -43,39 +48,22 @@ class QuadratureRule:
             raise ConfigError("quadrature needs matching, non-empty node/weight vectors")
         if not (np.isfinite(nodes).all() and np.isfinite(weights).all()):
             raise ConfigError("quadrature nodes/weights must be finite")
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
+        x0 = float(nodes[0])
+        h = float(nodes[-1] - x0) / (nodes.size - 1) if nodes.size > 1 else 0.0
+        scratch = np.arange(nodes.size, dtype=float)
+        scratch *= h
+        scratch += x0
+        np.subtract(nodes, scratch, out=scratch)
+        deviation = float(np.abs(scratch, out=scratch).max())
+        if deviation > 16 * np.finfo(float).eps * max(nodes.max(), -nodes.min()):
+            raise ConfigError("quadrature nodes are not an arithmetic progression "
+                              f"(off by {deviation:.3e})")
+        for name, value in (("nodes", nodes), ("weights", weights), ("x0", x0), ("h", h)):
+            object.__setattr__(self, name, value)
 
     def require_zero_free(self):
         if np.count_nonzero(self.nodes) < self.nodes.size:
             raise ConfigError("quadrature places a node at exactly 0")
-
-    @cached_property
-    def _progression(self) -> tuple[float, float, float, float]:
-        """(x0, h, deviation, limit): the progression x0 + h m through the
-        first and last node, the largest distance of a node from it, and the
-        16-ulp limit on that distance.  Worked out once per rule, in one
-        node-sized scratch vector."""
-        x = self.nodes
-        x0 = float(x[0])
-        h = float(x[-1] - x0) / (x.size - 1) if x.size > 1 else 0.0
-        scratch = np.arange(x.size, dtype=float)
-        scratch *= h
-        scratch += x0
-        np.subtract(x, scratch, out=scratch)
-        deviation = float(np.abs(scratch, out=scratch).max())
-        largest = max(float(x.max()), -float(x.min()))
-        return x0, h, deviation, 16 * np.finfo(float).eps * largest
-
-    def require_uniform(self) -> tuple[float, float]:
-        """(x0, h) such that nodes[m] = x0 + h m to within 16 ulps of the
-        largest |node|, else `ConfigError`.  Both rules of this module build
-        such nodes, to within 2 ulps."""
-        x0, h, deviation, limit = self._progression
-        if deviation > limit:
-            raise ConfigError("quadrature nodes are not an arithmetic progression "
-                              f"(off by {deviation:.3e})")
-        return x0, h
 
     @property
     def split_shape(self) -> tuple[int, int]:
@@ -88,9 +76,8 @@ class QuadratureRule:
     def phase_factors(self, phi) -> tuple[np.ndarray, np.ndarray]:
         """Square-root phase split of e^{i phi_k x_m} over the M nodes.
 
-        The nodes must be an arithmetic progression x_m = x0 + h m (see
-        `require_uniform`; others raise `ConfigError`).  With B = ceil(sqrt(M)),
-        J = ceil(M / B) and m = B j + r,
+        With x_m = x0 + h m, B = ceil(sqrt(M)), J = ceil(M / B) and
+        m = B j + r,
 
             e^{i phi_k x_m} = P[k, j] Q[k, r],
             P = e^{i phi (x0 + h B j)},  Q = e^{i phi h r},
@@ -101,8 +88,8 @@ class QuadratureRule:
         `phase_sum` never reads.
 
         Error.  Let u be the unit roundoff, X = max|x_m| and delta the
-        largest distance of a node from the progression (at most 2 ulps of X
-        for the rules of this module; `require_uniform` accepts 16 ulps).  To
+        largest distance of a node from the progression (at most 5u X and 9u X
+        for the two rules of this module, 32u X for any rule).  To
         first order in u the phase of P[k, j] Q[k, r] is off from phi_k x_m
         by at most |phi_k| (6 u X + 2 u h (B - 1) + delta): 5uX from forming
         x0 + h B j, uX from its product with phi_k, 2u h (B - 1) from forming
@@ -119,11 +106,10 @@ class QuadratureRule:
         within 4.6 u |phi_k| X, two thirds of the bound or less, on both
         rules at M <= 32,000 and |phi| <= 10.
         """
-        x0, h = self.require_uniform()
         rows, cols = self.split_shape
         phi = np.asarray(phi, dtype=float)
-        p = np.exp(1j * np.outer(phi, x0 + h * cols * np.arange(rows)))
-        q = np.exp(1j * np.outer(phi, h * np.arange(cols)))
+        p = np.exp(1j * np.outer(phi, self.x0 + self.h * cols * np.arange(rows)))
+        q = np.exp(1j * np.outer(phi, self.h * np.arange(cols)))
         return p, q
 
     def phase_table(self, phi) -> np.ndarray:
@@ -178,7 +164,10 @@ class QuadratureRule:
 
 
 def trapezoid_rule(half_width: float, n_nodes: int) -> QuadratureRule:
-    """Uniform trapezoid nodes on [-half_width, half_width]."""
+    """Uniform trapezoid nodes on [-half_width, half_width].  np.linspace's
+    node m is fl(fl(m s) - W), s = fl(2W / (M - 1)), as is the rule's x0 + h m
+    (x0 = -W, h = s), but for the last, set to W: it is off the progression
+    by |W - fl(fl((M - 1) s) - W)| <= 5u W, to first order in u = 2^-53."""
     if half_width <= 0 or n_nodes < 2:
         raise ConfigError("need half_width > 0 and at least 2 nodes")
     nodes = np.linspace(-half_width, half_width, n_nodes)
@@ -194,6 +183,12 @@ def symmetric_open_rule(half_width: float, n_nodes: int) -> QuadratureRule:
     The node span is [-(W - h/2), W - h/2] with spacing h = 2W/n; the two
     outermost strips of width h/2 are dropped, which only matters for
     integrands that have not decayed by +/-W.
+
+    Node M/2 + k is p_k = fl(h/2 + fl(h k)) = h (k + 1/2)(1 + t_k), |t_k| <= 2u,
+    and node M/2 - 1 - k is -p_k.  With X = p_{M/2-1} the rule's progression
+    is fl(fl(m h') - X), h' = fl(2X / (M - 1)) = h (1 + t_{M/2-1})(1 + c), so
+    to first order a node is off it by h (k + 1/2)|t_k - t_{M/2-1}| <= 4u X,
+    4u X from c and fl(m h') (m h' <= 2X), and u X from the sum: 9u X.
     """
     if half_width <= 0:
         raise ConfigError("need half_width > 0")

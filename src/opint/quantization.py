@@ -44,22 +44,27 @@ def cycle_space(n: int) -> CycleSpace:
     return CycleSpace(n=n)
 
 
-def _indicator(space: CycleSpace, subset, name: str) -> np.ndarray:
-    """The 0/1 vector of a subset of Z_n, given by its integer elements.
-
-    Booleans and floats are refused, not cast: a mask [True, False, True]
-    or an index 1.7 would silently name other elements."""
-    if isinstance(subset, np.ndarray) and subset.ndim and subset.dtype != object:
-        idx = subset  # the array list() would rebuild, one scalar at a time
-    else:
-        idx = np.asarray(list(subset) if subset is not None else [])
+def _index_set(subset, low: int, high: int, name: str) -> np.ndarray:
+    """The sorted distinct elements of a 1-D sequence of integer indices in
+    low..high.  Scalars, booleans and floats are refused with
+    `InputDomainError`, not cast: a mask [True, False, True] or an index 1.7
+    would silently name other elements."""
+    idx = np.asarray(subset)
+    if idx.ndim != 1:
+        raise InputDomainError(f"{name} must be a 1-D sequence of indices, "
+                               f"got a {idx.ndim}-d {type(subset).__name__}")
     if idx.size and not np.issubdtype(idx.dtype, np.integer):
         raise InputDomainError(f"{name} must hold integer indices, got dtype {idx.dtype}")
-    idx = np.unique(idx.astype(np.int64))
-    if idx.size and (idx.min() < 0 or idx.max() >= space.n):
-        raise InputDomainError(f"{name} contains indices outside 0..{space.n - 1}")
+    idx = np.unique(idx.astype(np.int64, copy=False))
+    if idx.size and (idx[0] < low or idx[-1] > high):
+        raise InputDomainError(f"{name} contains indices outside {low}..{high}")
+    return idx
+
+
+def _indicator(space: CycleSpace, subset, name: str) -> np.ndarray:
+    """The 0/1 vector of a subset of Z_n, given by its elements 0..n-1."""
     d = np.zeros(space.n)
-    d[idx] = 1.0
+    d[_index_set(subset, 0, space.n - 1, name)] = 1.0
     return d
 
 
@@ -270,17 +275,10 @@ class SequenceBimeasure:
         return float(np.abs(self.phi).sum())
 
 
-def _one_based(b: SequenceBimeasure, subset, name: str) -> np.ndarray:
-    idx = np.unique(np.asarray(list(subset), dtype=np.int64))
-    if idx.size and (idx.min() < 1 or idx.max() > b.n):
-        raise InputDomainError(f"{name} contains indices outside 1..{b.n}")
-    return idx - 1
-
-
 def bimeasure_eval(b: SequenceBimeasure, e, f) -> complex:
-    """m(E x F): the product of the two finite signed sums."""
-    ie = _one_based(b, e, "E")
-    jf = _one_based(b, f, "F")
+    """m(E x F) for 1-based index sets: the product of the two signed sums."""
+    ie = _index_set(e, 1, b.n, "E") - 1
+    jf = _index_set(f, 1, b.n, "F") - 1
     signed = b.signed
     return complex(signed[ie].sum() * signed[jf].sum())
 

@@ -12,9 +12,8 @@ Every route takes (A, B) diagonalized once, as one `doi.SpectralPair`
 (from `doi.make_spectral_pair`), which the double operator integrals take
 too; the rank-one route needs only B and takes B's `EigenSystem`.
 
-The Fourier route and the arctan representation need quadrature nodes
-in arithmetic progression and refuse others with `ConfigError`: their
-sums over the nodes go through the square-root phase split of
+The Fourier route and the arctan representation sum over quadrature
+nodes through the square-root phase split of
 `quadrature.QuadratureRule.phase_factors`, whose docstring bounds the
 phase error.
 """
@@ -234,13 +233,11 @@ def xi_fourier(pair: SpectralPair, epsilon: float, grid,
 
         xi_eps(s) = (1/2 pi i) int e^{-i s x - eps|x|} tr(e^{i x A} - e^{i x B}) / x dx,
 
-    summed over the M nodes of `quad`, which must be an arithmetic
-    progression x_m = x0 + h m (as both rules of `quadrature` are) and must
-    not place a node at 0 (the integrand is defined there only by
-    continuous extension); either fault raises `ConfigError`.  Note the
-    kernel orientation: pairing e^{-isx} with tr(e^{+ixA} - e^{+ixB}) is
-    what reproduces the counting function; flipping both signs
-    reproduces -xi.
+    summed over the M nodes x_m of `quad`, which must not place a node at
+    0 (the integrand is defined there only by continuous extension), else
+    `ConfigError`.  Note the kernel orientation: pairing e^{-isx} with
+    tr(e^{+ixA} - e^{+ixB}) is what reproduces the counting function;
+    flipping both signs reproduces -xi.
 
     The sum is sum_m c_m e^{-i s x_m} / (2 pi i) with node coefficients
 
@@ -397,8 +394,7 @@ def arctan_rep_value(t, quad: QuadratureRule | None = None):
     the real part, which is Im(sum_m c_m e^{i s_m t}) / 2.  The c_m are
     formed once per call and the sums for every t are one
     `QuadratureRule.phase_sum`, within the error bound that
-    `QuadratureRule.phase_factors` gives, so the rule must be an arithmetic
-    progression without a node at 0, else `ConfigError`.
+    `QuadratureRule.phase_factors` gives.  A node at 0 raises `ConfigError`.
     """
     if quad is None:
         quad = symmetric_open_rule(*DEFAULT_ARCTAN_QUAD)

@@ -4,10 +4,11 @@ When the spectra are a distance delta > 0 apart, the resolvent symbol
 1/(lambda - mu) is bounded on the product of the spectra and the double
 operator integral of that symbol inverts T -> AT - TB; the solution
 carries the certified estimate |X|_p <= pi/(2 delta) |Y|_p in every
-Schatten norm.  The vectorized Kronecker linear system provides an
-independent cross-check: B's eigenvectors make it block diagonal, and each
-n x n block is solved by LU (Bartels-Stewart; for hermitian B the Schur
-form is the eigendecomposition).
+Schatten norm.  The vectorized Kronecker linear system provides a
+cross-check: B's eigenvectors make it block diagonal, and each n x n block
+is solved by LU (Bartels-Stewart; for hermitian B the Schur form is the
+eigendecomposition).  It shares B's `eigh` with `solve_gap`, so it checks
+the A side and the operator integral's change of basis, not B's eigenvectors.
 """
 
 from __future__ import annotations
@@ -120,18 +121,19 @@ def solve_gap(a, b, y) -> GapSolution:
 
 
 def kron_oracle(a, b, y) -> np.ndarray:
-    """Independent route: solve the column-stacking Kronecker system
+    """Cross-check route: solve the column-stacking Kronecker system
     (I (x) A - B^T (x) I) vec(X) = vec(Y) by LU with partial pivoting,
     after the change of basis that makes it block diagonal.
 
     With B = U diag(mu) U*, vec(XU) = (U^T (x) I) vec(X) turns the system
     into n blocks (A - mu_j I) x_j = (YU)_j, solved as one batched call;
-    then X = (XU) U*.  U comes from `numpy.linalg.eigh` called here, so no
-    opint eigen code is shared with `solve_gap`, and A is never
-    diagonalized.  The stack of blocks is 16 n^3 complex bytes (1.8 MiB at
-    n = 48); the solve is O(n^4) and takes about 4 ms at n = 48 on one
-    core.  Refuses n above `KRON_MAX_DIM` with `IllPosedError` before any
-    factorization."""
+    then X = (XU) U*.  U comes from `numpy.linalg.eigh` of the symmetrized B
+    that `solve_gap` diagonalizes too, so the agreement checks the A side,
+    solved by LU without diagonalizing A, and the operator integral's change
+    of basis, not B's eigenvectors.  The stack of blocks is 16 n^3 complex
+    bytes (1.8 MiB at n = 48); the solve is O(n^4) and takes about 4 ms at
+    n = 48 on one core.  Refuses n above `KRON_MAX_DIM` with
+    `IllPosedError` before any factorization."""
     am = as_hermitian(a, "A")
     bm = as_hermitian(b, "B")
     ym = as_complex_matrix(y, "Y")

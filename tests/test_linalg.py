@@ -346,6 +346,27 @@ def test_matrix_json_malformed():
         linalg.matrix_from_json_dict({"dim": 2, "re": [[1, 0], [0, 1]]})
 
 
+@pytest.mark.parametrize("d, message", [
+    ({"dim": 1, "re": [["1.5"]], "im": [[0]]}, "'re'/'im' entries must be JSON numbers, got str"),
+    ({"dim": 1, "re": [[1.5]], "im": [[True]]}, "'re'/'im' entries must be JSON numbers, got bool"),
+    ({"dim": 2, "re": [[1, True], [0, 1]], "im": [[0, 0], [0, 0]]},
+     "'re'/'im' entries must be JSON numbers, got bool"),
+    ({"dim": 1, "re": [[None]], "im": [[0]]}, "'re'/'im' entries must be JSON numbers, got NoneType"),
+    ({"dim": 1.9, "re": [[1]], "im": [[0]]}, r"malformed matrix JSON \('dim' is not an integer"),
+    ({"dim": 1.0, "re": [[1]], "im": [[0]]}, r"malformed matrix JSON \('dim' is not an integer"),
+    ({"dim": True, "re": [[1]], "im": [[0]]}, r"malformed matrix JSON \('dim' is not an integer"),
+], ids=["string-entry", "boolean-entry", "boolean-among-integers", "null-entry",
+        "fractional-dim", "float-dim", "boolean-dim"])
+def test_matrix_json_refuses_what_it_would_have_to_cast(d, message):
+    with pytest.raises(errors.InputDomainError, match=f"^m.json: {message}"):
+        linalg.matrix_from_json_dict(d, name="m.json")
+
+
+def test_matrix_json_takes_integer_and_float_entries():
+    m = linalg.matrix_from_json_dict({"dim": 2, "re": [[1, 0.5], [2, -3]], "im": [[0, 1], [0.0, -1]]})
+    np.testing.assert_array_equal(m, [[1, 0.5 + 1j], [2, -3 - 1j]])
+
+
 @pytest.fixture
 def load_cache(monkeypatch):
     """An empty matrix cache in place of the process-wide one, and the list
@@ -391,6 +412,20 @@ def test_load_matrix_returns_a_new_writable_array_on_every_call(tmp_path, load_c
     assert len(parses) == 1
     assert second.flags.writeable and second.tobytes() == expected
     np.testing.assert_array_equal(second, linalg.as_hermitian(h) if hermitian else h)
+
+
+def test_load_matrix_validates_entries_only_on_a_cache_miss(tmp_path, load_cache, monkeypatch):
+    path = tmp_path / "m.json"
+    linalg.save_matrix(path, np.array([[1.0, 2.0], [3.0, 4.0]]))
+    validated = []
+
+    def counted(*args, _original=linalg.matrix_from_json_dict, **kwargs):
+        validated.append(args[0])
+        return _original(*args, **kwargs)
+    monkeypatch.setattr(linalg, "matrix_from_json_dict", counted)
+    for _ in range(3):
+        linalg.load_matrix(path)
+    assert len(validated) == len(load_cache[1]) == 1
 
 
 def test_load_matrix_caches_no_malformed_file(tmp_path):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from opint import errors
 from opint.quadrature import PHASE_BLOCK, QuadratureRule, symmetric_open_rule, trapezoid_rule
@@ -14,11 +16,10 @@ def _direct_bound(quad, phi):
     """Per-entry bound of `QuadratureRule.phase_factors` against
     np.exp(1j * phi * x_m): E(phi) + u |phi| X + 4u, with E from its docstring."""
     x = quad.nodes
-    x0, h = quad.require_uniform()
-    delta = np.abs(x - (x0 + h * np.arange(x.size))).max()
+    delta = np.abs(x - (quad.x0 + quad.h * np.arange(x.size))).max()
     cols = math.isqrt(x.size - 1) + 1
     big_x = np.abs(x).max()
-    return np.abs(phi) * (7 * U * big_x + 2 * U * h * (cols - 1) + delta) + 12 * U
+    return np.abs(phi) * (7 * U * big_x + 2 * U * quad.h * (cols - 1) + delta) + 12 * U
 
 
 # the symmetric open rule needs an even node count, so only the trapezoid
@@ -114,32 +115,58 @@ def test_phase_sum_takes_one_coefficient_per_node():
 @pytest.mark.parametrize("quad", [
     trapezoid_rule(40.0, 4001),
     symmetric_open_rule(40.0, 4000),
-    QuadratureRule([-3.0, -1.0, 1.0, 2.0, 4.0], np.ones(5)),
-], ids=["trapezoid", "symmetric-open", "non-uniform"])
-def test_progression_scan_equals_the_direct_formula_bit_for_bit(quad):
+], ids=["trapezoid", "symmetric-open"])
+def test_x0_and_h_equal_the_direct_formula_bit_for_bit(quad):
     x = quad.nodes
     x0 = float(x[0])
     h = float(x[-1] - x0) / (x.size - 1)
-    deviation = float(np.abs(x - (x0 + h * np.arange(x.size))).max())
-    limit = 16 * np.finfo(float).eps * float(np.abs(x).max())
-    expected = np.array([x0, h, deviation, limit])
-    assert np.array(quad._progression).tobytes() == expected.tobytes()
+    assert np.array([quad.x0, quad.h]).tobytes() == np.array([x0, h]).tobytes()
 
 
-def test_progression_is_worked_out_once(monkeypatch):
+def test_phase_factors_never_rescans_the_nodes(monkeypatch):
+    # the constructor measured the nodes once; the phase sums never rescan them
     quad = symmetric_open_rule(40.0, 4000)
-    x0, h = quad.require_uniform()
+    expected = quad.phase_factors([1.0])
 
     def no_scan(*args, **kwargs):
         raise AssertionError("the nodes were scanned again")
 
     monkeypatch.setattr(np, "abs", no_scan)
-    assert quad.require_uniform() == (x0, h)
-    quad.phase_factors([1.0])
+    monkeypatch.setattr(np, "subtract", no_scan)
+    for got, want in zip(quad.phase_factors([1.0]), expected):
+        assert got.tobytes() == want.tobytes()
+    quad.phase_sum(PHI, np.ones(quad.nodes.size))
 
 
-def test_non_uniform_rule_is_refused_on_every_call():
-    quad = QuadratureRule([-3.0, -1.0, 1.0, 2.0, 4.0], np.ones(5))
-    for _ in range(2):
-        with pytest.raises(errors.ConfigError, match="not an arithmetic progression"):
-            quad.phase_factors([1.0])
+@pytest.mark.parametrize("nodes", [
+    np.array([-3.0, -1.0, 1.0, 2.0, 4.0]),
+    symmetric_open_rule(10.0, 20).nodes + np.eye(20)[7] * 1e-9,
+    np.linspace(-10.0, 10.0, 20) + np.eye(20)[7] * 1e-9,
+], ids=["geometric", "symmetric-open-one-node-moved", "linspace-one-node-moved"])
+def test_non_uniform_nodes_are_refused_by_the_constructor(nodes):
+    with pytest.raises(errors.ConfigError, match="not an arithmetic progression"):
+        QuadratureRule(nodes, np.ones_like(nodes))
+
+
+def test_the_constructor_accepts_nodes_up_to_16_eps_x_off_x0_plus_h_m():
+    # X = 4, so the limit is 64 eps; the progression -4 + m is exact
+    nodes = np.arange(-4.0, 5.0)
+    nodes[3] += 64 * np.finfo(float).eps
+    quad = QuadratureRule(nodes, np.ones_like(nodes))
+    assert (quad.x0, quad.h) == (-4.0, 1.0)
+    nodes[3] += 64 * np.finfo(float).eps
+    with pytest.raises(errors.ConfigError, match=r"off by 2\.842e-14"):
+        QuadratureRule(nodes, np.ones_like(nodes))
+
+
+# the progression distances the builders' docstrings derive, 5u X and 9u X,
+# are first order in u; 1e-9 of them covers the higher orders
+@given(half_width=st.floats(1e-3, 1e6), nodes=st.integers(2, 100_000))
+@example(half_width=6.715179462580829, nodes=94_532)  # open rule off by 3.6u X
+@settings(max_examples=200, deadline=None)
+def test_builders_construct_within_their_stated_distance_from_x0_plus_h_m(half_width, nodes):
+    for quad, roundoffs in ((trapezoid_rule(half_width, nodes), 5),
+                            (symmetric_open_rule(half_width, nodes - nodes % 2), 9)):
+        x = quad.nodes
+        deviation = np.abs(x - (quad.x0 + quad.h * np.arange(x.size))).max()
+        assert deviation <= roundoffs * (1 + 1e-9) * U * np.abs(x).max()

@@ -58,6 +58,29 @@ def test_projectors_refuse_boolean_and_float_index_arrays(subset):
         qz.momentum_projector(space, subset)
 
 
+@pytest.mark.parametrize("subset", [3, np.int64(2), np.array(2), {1, 2}, None],
+                         ids=["int", "int64", "0-d-array", "set", "none"])
+def test_projectors_refuse_a_scalar_or_a_set_as_an_index_set(subset):
+    space = qz.cycle_space(4)
+    with pytest.raises(errors.InputDomainError, match="E must be a 1-D sequence of indices"):
+        qz.position_projector(space, subset)
+    with pytest.raises(errors.InputDomainError, match="F must be a 1-D sequence of indices"):
+        qz.momentum_projector(space, subset)
+
+
+def test_index_set_takes_an_int64_array_without_copying_it(monkeypatch):
+    subset = np.array([3, 1, 1])
+    seen = []
+
+    def recording_unique(idx, *args, _unique=np.unique, **kwargs):
+        seen.append(idx)
+        return _unique(idx, *args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", recording_unique)
+    assert qz.position_projector(qz.cycle_space(4), subset).trace() == 2
+    assert len(seen) == 1 and seen[0] is subset
+
+
 def test_momentum_projector_full_set_is_identity():
     space = qz.cycle_space(6)
     np.testing.assert_allclose(qz.momentum_projector(space, range(6)), np.eye(6), atol=1e-12)
@@ -385,6 +408,30 @@ def test_bimeasure_singleton_squares_phases_cancel():
 def test_bimeasure_empty_set_is_zero():
     b = qz.SequenceBimeasure(np.array([1.0, 2.0]))
     assert qz.bimeasure_eval(b, [], [1]) == 0.0
+
+
+def test_bimeasure_takes_a_list_a_tuple_a_range_or_an_index_array_alike():
+    b, _ = random_bimeasure(7, 0, 5)
+    expected = qz.bimeasure_eval(b, [3, 4], [2, 5])
+    for e in ((3, 4), range(3, 5), np.array([4, 3, 3], dtype=np.int32)):
+        assert qz.bimeasure_eval(b, e, range(2, 6, 3)) == expected
+
+
+@pytest.mark.parametrize("subset, message", [
+    ([1.7], "must hold integer indices"),
+    ([True], "must hold integer indices"),
+    (np.array([1.0, 2.0]), "must hold integer indices"),
+    (2, "must be a 1-D sequence of indices"),
+    (np.int64(2), "must be a 1-D sequence of indices"),
+    ([0], "contains indices outside 1..3"),
+    ([4], "contains indices outside 1..3"),
+], ids=["float", "bool", "float-array", "int", "int64", "zero", "past-n"])
+def test_bimeasure_refuses_index_sets_it_would_have_to_cast_or_cannot_index(subset, message):
+    b = qz.SequenceBimeasure(np.array([1.0, 2.0, 3.0]))
+    with pytest.raises(errors.InputDomainError, match=f"E {message}"):
+        qz.bimeasure_eval(b, subset, [2])
+    with pytest.raises(errors.InputDomainError, match=f"F {message}"):
+        qz.bimeasure_eval(b, [2], subset)
 
 
 def test_bimeasure_separately_additive():

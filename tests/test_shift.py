@@ -462,17 +462,6 @@ def test_xi_fourier_matches_blocked_node_sum(setting):
     assert np.abs(ords - _blocked_fourier(pair, eps, grid, quad)).max() <= 1e-12
 
 
-@pytest.mark.parametrize("nodes", [
-    np.array([-3.0, -1.0, 1.0, 2.0, 4.0]),
-    symmetric_open_rule(10.0, 20).nodes + np.eye(20)[7] * 1e-9,
-], ids=["geometric", "one-node-moved"])
-def test_xi_fourier_rejects_non_uniform_rule(nodes):
-    quad = QuadratureRule(nodes, np.ones_like(nodes))
-    with pytest.raises(errors.ConfigError, match="not an arithmetic progression"):
-        shift.xi_fourier(make_spectral_pair(np.eye(2), np.zeros((2, 2))), 0.01,
-                         np.array([0.5]), quad)
-
-
 # ---------------------------------------------------------------- rank one
 
 
@@ -729,10 +718,9 @@ def test_arctan_rep_of_an_array_matches_the_values_point_by_point():
     # for the products, times the sum of |c_m|
     u = np.finfo(float).eps / 2
     s = quad.nodes
-    x0, h = quad.require_uniform()
     rows, cols = quad.split_shape
-    delta = np.abs(s - (x0 + h * np.arange(s.size))).max()
-    entry = np.abs(t) * (7 * u * np.abs(s).max() + 2 * u * h * (cols - 1) + delta) + 12 * u
+    delta = np.abs(s - (quad.x0 + quad.h * np.arange(s.size))).max()
+    entry = np.abs(t) * (7 * u * np.abs(s).max() + 2 * u * quad.h * (cols - 1) + delta) + 12 * u
     mass = np.abs(quad.weights * np.exp(-np.abs(s)) / s).sum()
     assert np.all(np.abs(values.ravel() - single) <= mass * (entry.ravel() + (rows + cols + 2) * u))
     checks = shift.arctan_rep_check(t, quad)
@@ -762,7 +750,6 @@ def test_xi_fourier_memory_does_not_grow_with_the_grid():
     # sum products at most, 4 node arrays; building them from node-sized
     # temporaries peaks at 7.2
     quad = symmetric_open_rule(2000.0, 100_000)
-    quad.require_uniform()  # the progression scan is the rule's, not the call's
     pair = make_spectral_pair(*seeded_pair(18, 4))
     grid = np.linspace(-4, 4, 2000)
     tracemalloc.start()
@@ -772,14 +759,3 @@ def test_xi_fourier_memory_does_not_grow_with_the_grid():
     finally:
         tracemalloc.stop()
     assert peak <= 5 * quad.nodes.nbytes
-
-
-@pytest.mark.parametrize("nodes", [
-    np.array([-3.0, -1.0, 1.0, 2.0, 4.0]),
-    symmetric_open_rule(10.0, 20).nodes + np.eye(20)[7] * 1e-9,
-], ids=["geometric", "one-node-moved"])
-def test_arctan_rep_rejects_non_uniform_rule(nodes):
-    # a documented change: the direct node sum accepted any zero-free nodes
-    quad = QuadratureRule(nodes, np.ones_like(nodes))
-    with pytest.raises(errors.ConfigError, match="not an arithmetic progression"):
-        shift.arctan_rep_value(1.0, quad)

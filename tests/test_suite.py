@@ -361,10 +361,13 @@ def test_cli_malformed_symbol_csv_exits_2_and_names_the_file(tmp_path, capsys, c
     ("--a", b"\xff\xfe", "{path}: malformed matrix JSON"),
     ("--a", b'{"dim": 1e400, "re": [], "im": []}', "{path}: malformed matrix JSON"),
     ("--a", b"[" * 100000, "{path}: malformed matrix JSON"),
+    ("--a", b'{"dim": 1, "re": [["1.5"]], "im": [[true]]}',
+     "{path}: 're'/'im' entries must be JSON numbers, got bool, str"),
+    ("--a", b'{"dim": 1.9, "re": [[1]], "im": [[0]]}', "{path}: malformed matrix JSON"),
     ("--config", b"\xff\xfe{}", "config: invalid JSON"),
     ("symbol", b"1,2\n\xff\n", "symbol CSV {path}: malformed"),
 ], ids=["truncated-matrix", "undecodable-matrix", "overflowing-dim", "deeply-nested-matrix",
-        "undecodable-config", "undecodable-symbol"])
+        "string-entry", "fractional-dim", "undecodable-config", "undecodable-symbol"])
 def test_cli_malformed_or_undecodable_input_file_exits_2(tmp_path, capsys, flag, content,
                                                          message):
     path = tmp_path / "input"

@@ -286,6 +286,18 @@ def test_doi_fourier_forms_no_dim_by_nodes_exponential_table(monkeypatch):
     assert 0 < sum(counted) <= 4 * dim * (math.isqrt(nodes - 1) + 1)
 
 
+@pytest.mark.parametrize("nodes", [
+    np.array([-3.0, -1.0, 1.0, 2.0, 4.0]),
+    np.linspace(-10.0, 10.0, 20) + np.eye(20)[7] * 1e-9,
+], ids=["geometric", "one-node-moved"])
+def test_doi_fourier_rejects_non_uniform_rule(nodes):
+    # the rule refuses the nodes when it is built, before doi_fourier sees them
+    pair = doi.make_spectral_pair(*seeded_pair(21, 3))
+    with pytest.raises(errors.ConfigError, match="not an arithmetic progression"):
+        doi.doi_fourier(pair, lambda s: np.exp(-np.abs(s)), np.eye(3),
+                        QuadratureRule(nodes, np.ones_like(nodes)))
+
+
 def test_doi_fourier_transformer_norm_within_l1_mass():
     a, b = seeded_pair(14, 4)
     pair = doi.make_spectral_pair(a, b)

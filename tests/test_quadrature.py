@@ -148,6 +148,13 @@ def test_non_uniform_nodes_are_refused_by_the_constructor(nodes):
         QuadratureRule(nodes, np.ones_like(nodes))
 
 
+def test_non_uniform_rule_is_refused_on_every_call():
+    # the refusal is the constructor's, so no half-built rule can slip through later
+    for _ in range(2):
+        with pytest.raises(errors.ConfigError, match="not an arithmetic progression"):
+            QuadratureRule([-3.0, -1.0, 1.0, 2.0, 4.0], np.ones(5)).phase_factors([1.0])
+
+
 def test_the_constructor_accepts_nodes_up_to_16_eps_x_off_x0_plus_h_m():
     # X = 4, so the limit is 64 eps; the progression -4 + m is exact
     nodes = np.arange(-4.0, 5.0)

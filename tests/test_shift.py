@@ -462,6 +462,17 @@ def test_xi_fourier_matches_blocked_node_sum(setting):
     assert np.abs(ords - _blocked_fourier(pair, eps, grid, quad)).max() <= 1e-12
 
 
+@pytest.mark.parametrize("nodes", [
+    np.array([-3.0, -1.0, 1.0, 2.0, 4.0]),
+    symmetric_open_rule(10.0, 20).nodes + np.eye(20)[7] * 1e-9,
+], ids=["geometric", "one-node-moved"])
+def test_xi_fourier_rejects_non_uniform_rule(nodes):
+    # the rule refuses the nodes when it is built, before xi_fourier sees them
+    with pytest.raises(errors.ConfigError, match="not an arithmetic progression"):
+        shift.xi_fourier(make_spectral_pair(np.eye(2), np.zeros((2, 2))), 0.01,
+                         np.array([0.5]), QuadratureRule(nodes, np.ones_like(nodes)))
+
+
 # ---------------------------------------------------------------- rank one
 
 
@@ -759,3 +770,13 @@ def test_xi_fourier_memory_does_not_grow_with_the_grid():
     finally:
         tracemalloc.stop()
     assert peak <= 5 * quad.nodes.nbytes
+
+
+@pytest.mark.parametrize("nodes", [
+    np.array([-3.0, -1.0, 1.0, 2.0, 4.0]),
+    symmetric_open_rule(10.0, 20).nodes + np.eye(20)[7] * 1e-9,
+], ids=["geometric", "one-node-moved"])
+def test_arctan_rep_rejects_non_uniform_rule(nodes):
+    # the rule refuses the nodes when it is built, before arctan_rep_value sees them
+    with pytest.raises(errors.ConfigError, match="not an arithmetic progression"):
+        shift.arctan_rep_value(1.0, QuadratureRule(nodes, np.ones_like(nodes)))

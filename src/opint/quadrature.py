@@ -7,11 +7,12 @@ use, since their integrands are only defined away from 0 (they extend
 continuously, but the sampled formula divides by the node).
 
 A rule's nodes are an arithmetic progression (its constructor refuses
-others), so it can split every e^{i phi x_m} into two factors from tables
-of about sqrt(M) columns (`QuadratureRule.phase_factors`).  The Fourier
-sums of `doi` and `shift` go through `phase_table`, `node_sums` and
-`phase_sum`, which take and give one entry per node: the split's layout
-stays in this module.
+others), so it can split every e^{i phi x_m} into two factors of about
+sqrt(M) columns, and build each factor from two exponential tables of about
+M^{1/4} columns (`QuadratureRule.phase_factors`): about 4 M^{1/4}
+exponentials per phase.  The Fourier sums of `doi` and `shift` go through
+`phase_table`, `node_sums` and `phase_sum`, which take and give one entry
+per node: the split's layout stays in this module.
 """
 
 from __future__ import annotations
@@ -29,17 +30,25 @@ from .errors import ConfigError
 PHASE_BLOCK = 64
 
 
+def _split(size: int) -> tuple[int, int]:
+    """(ceil(size / c), c) with c = ceil(sqrt(size)), for size >= 1."""
+    cols = math.isqrt(size - 1) + 1
+    return -(-size // cols), cols
+
+
 @dataclass(frozen=True)
 class QuadratureRule:
     """Nodes and weights of a one-dimensional quadrature.  The constructor
     measures once how far the nodes lie from x0 + h m, x0 = nodes[0] and
     h = (nodes[-1] - x0) / (M - 1) (0 when M = 1), and refuses more than
-    16 eps X = 32u X (X = max|node|, eps = 2^-52) with `ConfigError`."""
+    16 eps X = 32u X (X = max|node|, eps = 2^-52) with `ConfigError`.  It
+    also forms `steps`, the four step vectors of `phase_factors`."""
 
     nodes: np.ndarray
     weights: np.ndarray
     x0: float = field(init=False)
     h: float = field(init=False)
+    steps: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -58,7 +67,14 @@ class QuadratureRule:
         if deviation > 16 * np.finfo(float).eps * max(nodes.max(), -nodes.min()):
             raise ConfigError("quadrature nodes are not an arithmetic progression "
                               f"(off by {deviation:.3e})")
-        for name, value in (("nodes", nodes), ("weights", weights), ("x0", x0), ("h", h)):
+        # each step vector is its scalar step times the column index, the form
+        # that the error bound of phase_factors counts
+        rows, cols = _split(nodes.size)
+        (p1, p0), (q1, q0) = _split(rows), _split(cols)
+        steps = np.concatenate([x0 + h * (cols * p0) * np.arange(p1), h * cols * np.arange(p0),
+                                h * q0 * np.arange(q1), h * np.arange(q0)])
+        for name, value in (("nodes", nodes), ("weights", weights), ("x0", x0), ("h", h),
+                            ("steps", steps)):
             object.__setattr__(self, name, value)
 
     def require_zero_free(self):
@@ -70,8 +86,7 @@ class QuadratureRule:
         """(J, B) of the square-root phase split of `phase_factors`:
         B = ceil(sqrt(M)) columns and J = ceil(M / B) rows, node m at
         row m // B and column m % B."""
-        cols = math.isqrt(self.nodes.size - 1) + 1
-        return -(-self.nodes.size // cols), cols
+        return _split(self.nodes.size)
 
     def phase_factors(self, phi) -> tuple[np.ndarray, np.ndarray]:
         """Square-root phase split of e^{i phi_k x_m} over the M nodes.
@@ -82,34 +97,55 @@ class QuadratureRule:
             e^{i phi_k x_m} = P[k, j] Q[k, r],
             P = e^{i phi (x0 + h B j)},  Q = e^{i phi h r},
 
-        of shapes (K, J) and (K, B), so only K (J + B) ~ 2 K sqrt(M)
-        exponentials are formed.  The factors also cover the J B - M indices
-        past the last node, which `phase_table` and `node_sums` drop and
-        `phase_sum` never reads.
+        of shapes (K, J) and (K, B).  The factors also cover the J B - M
+        indices past the last node, which `phase_table` and `node_sums` drop
+        and `phase_sum` never reads.
 
-        Error.  Let u be the unit roundoff, X = max|x_m| and delta the
-        largest distance of a node from the progression (at most 5u X and 9u X
-        for the two rules of this module, 32u X for any rule).  To
-        first order in u the phase of P[k, j] Q[k, r] is off from phi_k x_m
-        by at most |phi_k| (6 u X + 2 u h (B - 1) + delta): 5uX from forming
-        x0 + h B j, uX from its product with phi_k, 2u h (B - 1) from forming
-        phi_k h r, and delta.  With about 8u more from exp and the complex
-        product, each entry is within
+        Each factor is a geometric progression in its column index, so it is
+        split the same way: with b = ceil(sqrt(J)), j = b j1 + j0,
+        c = ceil(sqrt(B)) and r = c r1 + r0,
 
-            E(phi_k) = |phi_k| (6 u X + 2 u h (B - 1) + delta) + 8u
+            P[k, j] = e^{i phi (x0 + h B b j1)} e^{i phi h B j0},
+            Q[k, r] = e^{i phi h c r1} e^{i phi h r0}.
 
-        of the exact e^{i phi_k x_m}, and within E(phi_k) + u |phi_k| X + 4u
-        of np.exp(1j * phi_k * x_m), which rounds its own phase.  A node sum
-        with coefficients c_m is within (E(phi_k) + (J + B) u) sum_m |c_m| of
-        the exact sum, the second term from the two matrix products of
-        `phase_sum`.  The errors do not align: against np.exp, entries stay
-        within 4.6 u |phi_k| X, two thirds of the bound or less, on both
-        rules at M <= 32,000 and |phi| <= 10.
+        The constructor forms the four step vectors x0 + (h B b) j1,
+        (h B) j0, (h c) r1 and h r0 once (`steps`).  A call makes one np.exp
+        over phi_k times the steps, K (ceil(J / b) + b + ceil(B / c) + c)
+        ~ 4 K M^{1/4} exponentials (58 per phase at M = 40,000, 128 at
+        10^6), and two broadcast products give P and Q.
+
+        Error.  Let u be the unit roundoff, X = max|x_m|, N = min(B b, M) - 1
+        and delta the largest distance of a node from x0 + h m in exact
+        arithmetic.  The constructor measures the distance D from the
+        rounded fl(x0 + fl(h m)), which is within 3u X of x0 + h m, so
+        delta <= D + 3u X (D is at most 5u X and 9u X for the two rules of
+        this module, 32u X for any rule).  To first order in u the four
+        phases of P[k, j] Q[k, r] add up to phi_k x_m within
+        |phi_k| (6 u X + 3 u h N + delta): 5u X from forming
+        x0 + (h B b) j1 (two roundings of a product of at most 2X, one of
+        the sum), u X from its product with phi_k, 3u h (B j0 + c r1) + 2u h r0
+        <= 3u h N from the three other phases, and delta.  Each of the four
+        exponentials adds at most 2u and each of the three complex products
+        (P's, Q's and P Q) at most sqrt(5) u, so each entry is within
+
+            E(phi_k) = |phi_k| (6 u X + 3 u h N + delta) + 15u
+
+        of the exact e^{i phi_k x_m}, and within E(phi_k) + u |phi_k| X + 2u
+        of np.exp(1j * phi_k * x_m), which rounds its own phase.  h N is at
+        most 2X, and about 2X M^{-1/4} for large M.  A node sum with
+        coefficients c_m is within (E(phi_k) + (J + B) u) sum_m |c_m| of the
+        exact sum, the second term from the two matrix products of
+        `phase_sum`.  The errors do not align: against an np.longdouble
+        reference, the largest entry error per phase is 0.08 to 0.51 of
+        E(phi_k) on both rules at 2,000 <= M <= 40,000 and |phi| <= 10, and
+        at most 0.24 of it at M <= 26.
         """
         rows, cols = self.split_shape
-        phi = np.asarray(phi, dtype=float)
-        p = np.exp(1j * np.outer(phi, self.x0 + self.h * cols * np.arange(rows)))
-        q = np.exp(1j * np.outer(phi, self.h * np.arange(cols)))
+        (p1, p0), (q1, q0) = _split(rows), _split(cols)
+        e = np.exp(1j * np.outer(np.asarray(phi, dtype=float), self.steps))
+        k, i = e.shape[0], p1 + p0
+        p = (e[:, :p1, None] * e[:, None, p1:i]).reshape(k, p1 * p0)[:, :rows]
+        q = (e[:, i:i + q1, None] * e[:, None, i + q1:]).reshape(k, q1 * q0)[:, :cols]
         return p, q
 
     def phase_table(self, phi) -> np.ndarray:
@@ -136,11 +172,13 @@ class QuadratureRule:
 
         The phases go through in blocks of `PHASE_BLOCK` = 64.  Besides the
         K sums, only one block's P, Q and C Q^T are held: 64 (2 J + B)
-        complex entries, about 3 KiB per unit of sqrt(M) (3 MiB at
-        M = 10^6), however many phases there are.  Each sum is the same
-        arithmetic as with all K phases in one block.  That needs every
-        block of a call with K > 1 to hold at least two phases: numpy turns
-        a one-column product C Q^T into a matrix-vector product, which
+        complex entries and the few padded columns of P's and Q's tables,
+        about 3 KiB per unit of sqrt(M) (3 MiB at M = 10^6), and while P
+        and Q are built, the block's (64, ~4 M^{1/4}) exponential table
+        (128 KiB at M = 10^6), however many phases there are.  Each sum is
+        the same arithmetic as with all K phases in one block.  That needs
+        every block of a call with K > 1 to hold at least two phases: numpy
+        turns a one-column product C Q^T into a matrix-vector product, which
         rounds differently, so a lone last phase joins the block before it.
         """
         coeff = np.asarray(coeff)

@@ -48,13 +48,16 @@ def _index_set(subset, low: int, high: int, name: str) -> np.ndarray:
     """The sorted distinct elements of a 1-D sequence of integer indices in
     low..high.  Scalars, booleans and floats are refused with
     `InputDomainError`, not cast: a mask [True, False, True] or an index 1.7
-    would silently name other elements."""
+    would silently name other elements, and so would a True among integers
+    in a Python sequence, which np.asarray casts to 1."""
     idx = np.asarray(subset)
     if idx.ndim != 1:
         raise InputDomainError(f"{name} must be a 1-D sequence of indices, "
                                f"got a {idx.ndim}-d {type(subset).__name__}")
     if idx.size and not np.issubdtype(idx.dtype, np.integer):
         raise InputDomainError(f"{name} must hold integer indices, got dtype {idx.dtype}")
+    if not isinstance(subset, np.ndarray) and not {bool, np.bool_}.isdisjoint(map(type, subset)):
+        raise InputDomainError(f"{name} must hold integer indices, not booleans")
     idx = np.unique(idx.astype(np.int64, copy=False))
     if idx.size and (idx[0] < low or idx[-1] > high):
         raise InputDomainError(f"{name} contains indices outside {low}..{high}")

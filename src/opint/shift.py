@@ -244,7 +244,7 @@ def xi_fourier(pair: SpectralPair, epsilon: float, grid,
         c_m = w_m e^{-eps |x_m|} tr(e^{i x_m A} - e^{i x_m B}) / x_m.
 
     The node traces are the rule's `node_sums` over each spectrum, and the
-    grid sum is its `phase_sum`, so only O((G + n) sqrt(M)) exponentials
+    grid sum is its `phase_sum`, so only O((G + n) M^{1/4}) exponentials
     are formed.  The coefficients are built in place on A's node sums: B's
     are subtracted, w_m e^{-eps |x_m|} is formed in one real M-vector and
     multiplied in, and the result is divided by x_m.  So at most two

@@ -14,7 +14,10 @@ PHI = np.array([-10.0, -7.3, -2.5, -1.0, -0.01, 0.0, 1e-3, 0.37, 1.0, 3.14159, 6
 
 def _direct_bound(quad, phi):
     """Per-entry bound of `QuadratureRule.phase_factors` against
-    np.exp(1j * phi * x_m): E(phi) + u |phi| X + 4u, with E from its docstring."""
+    np.exp(1j * phi * x_m): |phi| (7u X + 2u h (B - 1) + D) + 12u, D the
+    distance the constructor measures.  It is not the docstring's
+    first-order worst case, E(phi) + u |phi| X + 2u: the errors do not
+    align, and the entries stay well inside this fixed bound."""
     x = quad.nodes
     delta = np.abs(x - (quad.x0 + quad.h * np.arange(x.size))).max()
     cols = math.isqrt(x.size - 1) + 1
@@ -22,11 +25,20 @@ def _direct_bound(quad, phi):
     return np.abs(phi) * (7 * U * big_x + 2 * U * quad.h * (cols - 1) + delta) + 12 * U
 
 
+def one_node_rule(half_width, n_nodes):
+    assert n_nodes == 1
+    return QuadratureRule(np.array([half_width / 3.0]), np.array([1.0]))
+
+
 # the symmetric open rule needs an even node count, so only the trapezoid
-# rule takes M = 4001, whose last factor row is zero-padded
+# rule takes the odd counts, whose last factor row is zero-padded; the small
+# and awkward counts leave partial rows in P's and Q's own tables too
 @pytest.mark.parametrize("rule, nodes", [
     *((trapezoid_rule, m) for m in (2000, 4000, 4001, 32000)),
     *((symmetric_open_rule, m) for m in (2000, 4000, 32000)),
+    *((trapezoid_rule, m) for m in (2, 3, 5, 17, 24, 26)),
+    *((symmetric_open_rule, m) for m in (2, 24, 26)),
+    (one_node_rule, 1),
 ])
 def test_phase_factors_table_and_sum_match_direct_exponentials(rule, nodes):
     quad = rule(40.0, nodes)
@@ -124,7 +136,8 @@ def test_x0_and_h_equal_the_direct_formula_bit_for_bit(quad):
 
 
 def test_phase_factors_never_rescans_the_nodes(monkeypatch):
-    # the constructor measured the nodes once; the phase sums never rescan them
+    # the constructor measured the nodes and formed the step vectors once;
+    # the phase sums never rescan the nodes or rebuild the steps
     quad = symmetric_open_rule(40.0, 4000)
     expected = quad.phase_factors([1.0])
 
@@ -133,9 +146,60 @@ def test_phase_factors_never_rescans_the_nodes(monkeypatch):
 
     monkeypatch.setattr(np, "abs", no_scan)
     monkeypatch.setattr(np, "subtract", no_scan)
+    monkeypatch.setattr(np, "arange", no_scan)
     for got, want in zip(quad.phase_factors([1.0]), expected):
         assert got.tobytes() == want.tobytes()
     quad.phase_sum(PHI, np.ones(quad.nodes.size))
+
+
+@pytest.mark.parametrize("quad", [
+    trapezoid_rule(40.0, 5), trapezoid_rule(40.0, 26), trapezoid_rule(40.0, 4001),
+    symmetric_open_rule(4000.0, 40_000), symmetric_open_rule(2000.0, 1_000_000),
+], ids=["M=5", "M=26", "M=4001", "M=40000", "M=10^6"])
+def test_phase_factors_forms_about_four_fourth_roots_of_m_exponentials_per_phase(
+        quad, monkeypatch):
+    counted = []
+
+    def counting_exp(x, *args, _exp=np.exp, **kwargs):
+        counted.append(np.size(x))
+        return _exp(x, *args, **kwargs)
+
+    rows, cols = quad.split_shape
+    b, c = math.ceil(math.sqrt(rows)), math.ceil(math.sqrt(cols))
+    per_phase = -(-rows // b) + b + -(-cols // c) + c
+    monkeypatch.setattr(np, "exp", counting_exp)
+    p, q = quad.phase_factors(PHI)
+    assert (p.shape, q.shape) == ((PHI.size, rows), (PHI.size, cols))
+    assert sum(counted) <= PHI.size * per_phase
+    if quad.nodes.size == 40_000:
+        assert sum(counted) == PHI.size * 58
+    if quad.nodes.size == 1_000_000:
+        assert sum(counted) == PHI.size * 128
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="np.longdouble is no wider than double here")
+@pytest.mark.parametrize("rule, half_width, nodes", [
+    *((trapezoid_rule, 40.0, m) for m in (2, 3, 5, 17, 24, 26, 4001, 32000)),
+    *((symmetric_open_rule, 40.0, m) for m in (2, 24, 26, 4000, 32000)),
+    (symmetric_open_rule, 4000.0, 40_000),
+    (one_node_rule, 40.0, 1),
+])
+def test_phase_table_is_within_the_documented_bound_of_a_longdouble_reference(
+        rule, half_width, nodes):
+    # E(phi) = |phi| (6u X + 3u h N + delta) + 15u of the phase_factors
+    # docstring, with delta measured in long double from x0 + h m
+    quad = rule(half_width, nodes)
+    x = quad.nodes.astype(np.longdouble)
+    rows, cols = quad.split_shape
+    n_max = min(cols * math.ceil(math.sqrt(rows)), nodes) - 1
+    m = np.arange(nodes, dtype=np.longdouble)
+    delta = float(np.abs(x - (np.longdouble(quad.x0) + np.longdouble(quad.h) * m)).max())
+    big_x = np.abs(quad.nodes).max()
+    bound = np.abs(PHI) * (6 * U * big_x + 3 * U * quad.h * n_max + delta) + 15 * U
+    exact = np.exp(1j * np.outer(PHI.astype(np.longdouble), x))
+    err = np.abs(quad.phase_table(PHI) - exact).astype(float)
+    assert np.all(err <= bound[:, None])
 
 
 @pytest.mark.parametrize("nodes", [

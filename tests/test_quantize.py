@@ -48,8 +48,10 @@ def test_projectors_take_an_index_array_a_list_or_a_range_alike():
             assert project(space, subset).tobytes() == expected.tobytes()
 
 
+# a boolean among integers in a list or tuple would be cast to 0 or 1
 @pytest.mark.parametrize("subset", [np.array([True, False, True, False]), [1.7],
-                                    np.array([0.0, 2.0])])
+                                    np.array([0.0, 2.0]), [0, True], (2, np.True_),
+                                    [False, 3]])
 def test_projectors_refuse_boolean_and_float_index_arrays(subset):
     space = qz.cycle_space(4)
     with pytest.raises(errors.InputDomainError, match="E must hold integer indices"):
@@ -425,7 +427,10 @@ def test_bimeasure_takes_a_list_a_tuple_a_range_or_an_index_array_alike():
     (np.int64(2), "must be a 1-D sequence of indices"),
     ([0], "contains indices outside 1..3"),
     ([4], "contains indices outside 1..3"),
-], ids=["float", "bool", "float-array", "int", "int64", "zero", "past-n"])
+    ([1, True], "must hold integer indices"),
+    ((3, np.True_), "must hold integer indices"),
+], ids=["float", "bool", "float-array", "int", "int64", "zero", "past-n",
+        "bool-among-ints", "numpy-bool-in-a-tuple"])
 def test_bimeasure_refuses_index_sets_it_would_have_to_cast_or_cannot_index(subset, message):
     b = qz.SequenceBimeasure(np.array([1.0, 2.0, 3.0]))
     with pytest.raises(errors.InputDomainError, match=f"E {message}"):

@@ -2,12 +2,11 @@
 
 Everything downstream (operator integrals, shift functions, quantization)
 runs through the primitives here: hermitian eigendecompositions and
-singular values from LAPACK (through numpy) with a deterministic
-eigenvector phase convention, functional calculus on the resulting
-eigensystems, overflow-safe Schatten norms taken through the singular
-values, and the unitary DFT matrix.  Matrices are plain complex ndarrays
-treated as immutable values: validation may hand back the caller's own
-array, and no operation writes into its inputs.
+singular values from LAPACK (through numpy), functional calculus on the
+resulting eigensystems, overflow-safe Schatten norms taken through the
+singular values, and the unitary DFT matrix.  Matrices are plain complex
+ndarrays treated as immutable values: validation may hand back the
+caller's own array, and no operation writes into its inputs.
 
 A user function f is evaluated once, on the whole array of points it is
 needed at (`evaluate`), never point by point: f must accept an array
@@ -28,7 +27,6 @@ import numpy as np
 from .errors import EvaluationError, InputDomainError
 
 HERMITIAN_TOL = 1e-12
-PHASE_TOL = 1e-8
 
 
 def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
@@ -37,9 +35,12 @@ def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
     This is `np.asarray`, so an input that already is a complex128 array
     comes back as the caller's own array, not a copy.  opint never writes
     into a validated input; a caller that wants to mutate the result
-    copies it first.
+    copies it first.  Ragged or non-numeric input raises InputDomainError.
     """
-    a = np.asarray(m, dtype=np.complex128)
+    try:
+        a = np.asarray(m, dtype=np.complex128)
+    except (TypeError, ValueError) as exc:  # ragged rows, or an entry that is no number
+        raise InputDomainError(f"{name} is not a numeric matrix ({exc})") from exc
     if a.ndim != 2 or a.shape[0] == 0 or a.shape[1] == 0:
         raise InputDomainError(f"{name} must be a non-empty 2-D array, got shape {a.shape}")
     if not np.isfinite(a).all():  # complex isfinite: both parts finite
@@ -47,18 +48,19 @@ def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def as_hermitian(m, name: str = "matrix", tol: float = HERMITIAN_TOL) -> np.ndarray:
+def as_hermitian(m, name: str = "matrix") -> np.ndarray:
     """Validate hermitian symmetry and return the exactly symmetrized
-    matrix (H + H*)/2.  The asymmetry may reach `tol` times the largest
-    entry modulus (`tol` itself for entries of modulus at most 1), so the
-    rounding of computed products is accepted at every scale."""
+    matrix (H + H*)/2.  The asymmetry may reach `HERMITIAN_TOL` times the
+    largest entry modulus (`HERMITIAN_TOL` itself for entries of modulus at
+    most 1), so the rounding of computed products is accepted at every
+    scale."""
     a = as_complex_matrix(m, name)
     if a.shape[0] != a.shape[1]:
         raise InputDomainError(f"{name} must be square, got shape {a.shape}")
     ah = a.conj().T
     asym = np.abs(a - ah).max()
-    if asym > tol:  # the bound is at least tol, so only then is the scale needed
-        bound = tol * max(1.0, float(np.abs(a).max()))
+    if asym > HERMITIAN_TOL:  # the bound is at least that, so only then is the scale needed
+        bound = HERMITIAN_TOL * max(1.0, float(np.abs(a).max()))
         if asym > bound:
             raise InputDomainError(
                 f"{name} is not hermitian: max asymmetry {asym:.3e} exceeds {bound:.1e}")
@@ -70,9 +72,10 @@ def as_hermitian(m, name: str = "matrix", tol: float = HERMITIAN_TOL) -> np.ndar
 class EigenSystem:
     """Spectral decomposition H = U diag(w) U* with w ascending.
 
-    Column j of `unitary` is the eigenvector of eigenvalue `eigenvalues[j]`;
-    rank-one projectors onto selections of columns realize the spectral
-    measure of H.
+    Column j of `unitary` is an eigenvector of eigenvalue `eigenvalues[j]`,
+    as LAPACK returns it.  Only the projections u u* onto selections of
+    columns are read, and they realize the spectral measure of H whatever
+    the columns' phases.
     """
 
     eigenvalues: np.ndarray
@@ -95,27 +98,17 @@ class EigenSystem:
         return u @ u.conj().T
 
 
-def _fix_phases(u: np.ndarray) -> np.ndarray:
-    # first component of each column with modulus > PHASE_TOL is made real > 0;
-    # an eigh column has unit norm, so some entry is >= 1/sqrt(n) > PHASE_TOL
-    rows = (np.abs(u) > PHASE_TOL).argmax(axis=0)
-    cols = np.arange(u.shape[1])
-    pivot = u[rows, cols]
-    u *= np.abs(pivot) / pivot
-    u[rows, cols] = u[rows, cols].real
-    return u
-
-
 def eig_hermitian(h, name: str = "matrix") -> EigenSystem:
     """Diagonalize a hermitian matrix with LAPACK (`numpy.linalg.eigh`).
 
-    Eigenvalues come out ascending.  Each eigenvector's first component of
-    modulus > 1e-8 is made real and positive, so the unitary is fixed up
-    to the choice of basis inside repeated eigenvalues.  `name` labels
-    the matrix in validation errors.
+    Eigenvalues come out ascending.  The eigenvectors are `eigh`'s columns
+    as LAPACK returns them, with no phase convention: opint reads them only
+    through products u u*, which a column's unit phase (or the choice of
+    basis inside a repeated eigenvalue) cancels out of.  `name` labels the
+    matrix in validation errors.
     """
     w, v = np.linalg.eigh(as_hermitian(h, name))
-    return EigenSystem(eigenvalues=w, unitary=_fix_phases(v))
+    return EigenSystem(w, v)
 
 
 def evaluate(f, x: np.ndarray, point: str = "point") -> np.ndarray:

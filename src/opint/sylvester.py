@@ -7,8 +7,9 @@ carries the certified estimate |X|_p <= pi/(2 delta) |Y|_p in every
 Schatten norm.  The vectorized Kronecker linear system provides a
 cross-check: B's eigenvectors make it block diagonal, and each n x n block
 is solved by LU (Bartels-Stewart; for hermitian B the Schur form is the
-eigendecomposition).  It shares B's `eigh` with `solve_gap`, so it checks
-the A side and the operator integral's change of basis, not B's eigenvectors.
+eigendecomposition).  Its eigenvectors of B are `solve_gap`'s V, the same
+`eigh` output bit for bit, so it checks the A side and the operator
+integral's change of basis, not B's eigenvectors.
 """
 
 from __future__ import annotations
@@ -127,10 +128,11 @@ def kron_oracle(a, b, y) -> np.ndarray:
 
     With B = U diag(mu) U*, vec(XU) = (U^T (x) I) vec(X) turns the system
     into n blocks (A - mu_j I) x_j = (YU)_j, solved as one batched call;
-    then X = (XU) U*.  U comes from `numpy.linalg.eigh` of the symmetrized B
-    that `solve_gap` diagonalizes too, so the agreement checks the A side,
-    solved by LU without diagonalizing A, and the operator integral's change
-    of basis, not B's eigenvectors.  The stack of blocks is 16 n^3 complex
+    then X = (XU) U*.  U is `numpy.linalg.eigh` of the symmetrized B, the
+    same output bit for bit as the eigenvectors V that `solve_gap` takes
+    from `eig_hermitian`, so the agreement checks the A side, solved by LU
+    without diagonalizing A, and the operator integral's change of basis,
+    not B's eigenvectors.  The stack of blocks is 16 n^3 complex
     bytes (1.8 MiB at n = 48); the solve is O(n^4) and takes about 4 ms at
     n = 48 on one core.  Refuses n above `KRON_MAX_DIM` with
     `IllPosedError` before any factorization."""

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opint import doi, errors, linalg, quantization, sylvester
+from opint import doi, errors, linalg, quantization, shift, sylvester
 from opint.rng import random_complex, random_hermitian, substream
 
 
@@ -48,15 +48,11 @@ def test_eig_matches_lapack_eigenvalues():
         np.testing.assert_allclose(w, np.linalg.eigvalsh(h), atol=1e-11)
 
 
-def test_eig_unitarity_and_phase_convention():
+def test_eig_unitarity():
     h = random_hermitian(substream(9, "linalg-phase"), 7)
     e = linalg.eig_hermitian(h)
     gram = e.unitary @ e.unitary.conj().T
     assert np.abs(gram - np.eye(7)).max() <= 1e-10
-    for j in range(7):
-        col = e.unitary[:, j]
-        k = np.flatnonzero(np.abs(col) > 1e-8)[0]
-        assert col[k].imag == 0.0 and col[k].real > 0.0
 
 
 def test_eig_deterministic():
@@ -119,6 +115,17 @@ def test_as_complex_matrix_rejects_non_finite_real_or_imaginary_part(entry):
     m[1, 0] = entry
     with pytest.raises(errors.InputDomainError, match="^M has non-finite entries"):
         linalg.as_complex_matrix(m, "M")
+
+
+@pytest.mark.parametrize("m", [[[1, 2], [3]], [["a", "b"], ["c", "d"]]])
+def test_as_complex_matrix_refuses_ragged_or_non_numeric_input_naming_it(m):
+    with pytest.raises(errors.InputDomainError, match="^M is not a numeric matrix"):
+        linalg.as_complex_matrix(m, "M")
+
+
+def test_as_complex_matrix_returns_a_complex128_input_uncopied():
+    m = random_complex(substream(5, "linalg-no-copy"), (3, 3))
+    assert linalg.as_complex_matrix(m) is m
 
 
 def _read_only(m):
@@ -516,23 +523,7 @@ def test_projector_from_mask():
     assert np.trace(p).real == pytest.approx(mask.sum(), abs=1e-10)
 
 
-def _fix_phases_per_column(u):
-    """The per-column phase convention that `_fix_phases` vectorizes, kept
-    as the reference: each column's first entry of modulus > PHASE_TOL is
-    made real and positive."""
-    u = u.copy()
-    for j in range(u.shape[1]):
-        col = u[:, j]
-        idx = np.flatnonzero(np.abs(col) > linalg.PHASE_TOL)
-        k = idx[0] if idx.size else int(np.argmax(np.abs(col)))
-        pivot = col[k]
-        if pivot != 0.0:
-            u[:, j] = col * (abs(pivot) / pivot)
-            u[k, j] = u[k, j].real
-    return u
-
-
-def _phase_test_matrices():
+def _eigh_test_matrices():
     for n in (1, 2, 3, 5, 8, 17, 64, 128):
         rng = substream(21, "phase-reference", n)
         h = random_hermitian(rng, n)
@@ -543,25 +534,53 @@ def _phase_test_matrices():
             yield np.diag(rng.standard_normal(n) * 10.0 ** k)
 
 
-def test_eig_hermitian_unitary_matches_per_column_phase_loop_bit_for_bit():
-    # eigh's first row is real for these families, so every pivot is real
-    for h in _phase_test_matrices():
-        _, v = np.linalg.eigh(linalg.as_hermitian(h))
-        expected = _fix_phases_per_column(v)
-        assert linalg.eig_hermitian(h).unitary.tobytes() == expected.tobytes()
+def test_eig_hermitian_is_eigh_of_the_symmetrized_matrix_bit_for_bit():
+    for h in _eigh_test_matrices():
+        w, v = np.linalg.eigh(linalg.as_hermitian(h))
+        e = linalg.eig_hermitian(h)
+        assert e.eigenvalues.tobytes() == w.tobytes()
+        assert e.unitary.tobytes() == v.tobytes()
+        assert np.abs(e.unitary @ e.unitary.conj().T - np.eye(len(h))).max() <= 1e-10
 
 
-def test_eig_hermitian_unitary_matches_phase_loop_for_complex_pivots():
-    # a first row below PHASE_TOL moves the pivots to complex entries, where
-    # numpy's array division |p|/p may round the last bit unlike its scalar one
-    for n in (2, 5, 17, 64):
-        h = random_hermitian(substream(22, "phase-reference-tiny-row", n), n)
-        h[0, 1:] *= 1e-12
-        h[1:, 0] *= 1e-12
-        _, v = np.linalg.eigh(linalg.as_hermitian(h))
-        assert (np.abs(v[0]) <= linalg.PHASE_TOL).any()
-        np.testing.assert_allclose(linalg.eig_hermitian(h).unitary, _fix_phases_per_column(v),
-                                   rtol=0, atol=4 * np.finfo(float).eps)
+def _rephased(e: linalg.EigenSystem, rng) -> linalg.EigenSystem:
+    """e with each eigenvector column times a random unit phase."""
+    phases = np.exp(2j * np.pi * rng.uniform(size=e.dim))
+    return linalg.EigenSystem(e.eigenvalues, e.unitary * phases)
+
+
+def test_consumers_of_an_eigensystem_do_not_read_column_phases():
+    # every route reads eigenvectors only through u u*: rephasing the columns
+    # moves its results at rounding level, never by a phase
+    rng = substream(23, "linalg-rephased")
+    n = 7
+    a, b = random_hermitian(rng, n), random_hermitian(rng, n)
+    pair = doi.make_spectral_pair(a, b)
+    turned = doi.SpectralPair(_rephased(pair.left, rng), _rephased(pair.right, rng))
+    assert np.abs(turned.left.unitary - pair.left.unitary).max() > 0.1
+    t = random_complex(rng, (n, n))
+    w = random_complex(rng, n)
+    w /= np.linalg.norm(w)
+    sym = doi.symbol_from_function(pair, lambda lam, mu: np.exp(1j * lam) / (2.0 + lam - mu))
+    mask = pair.right.eigenvalues < np.median(pair.right.eigenvalues)
+    grid = np.linspace(-4.0, 4.0, 33)
+    z = grid + 0.5j
+    slots = [random_complex(rng, n) for _ in range(3)]
+
+    def results(p: doi.SpectralPair) -> dict:
+        return {
+            "doi_apply": doi.doi_apply(p, sym, t),
+            "apply_function": linalg.apply_function(p.left, np.arctan),
+            "reconstruct": p.right.reconstruct(),
+            "projector": p.right.projector(mask),
+            "rank_one_cauchy_transform": shift.rank_one_cauchy_transform(p.right, w, z),
+            "xi_rank_one": shift.xi_rank_one(p.right, w, 1.0, grid).ordinates,
+            "polymeasure_eval": quantization.polymeasure_eval(slots, [0.3, 1.1], p.left),
+        }
+    refs = results(pair)
+    for name, got in results(turned).items():
+        ref = refs[name]
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), name
 
 
 def test_eig_hermitian_names_the_matrix_in_errors():

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputDomainError
-from .linalg import (EigenSystem, apply_function, as_complex_matrix, eig_hermitian,
-                     evaluate, schatten_norm)
+from .linalg import (EigenSystem, apply_function, as_complex_matrix, as_finite_array,
+                     eig_hermitian, evaluate, schatten_norm)
 from .quadrature import QuadratureRule, trapezoid_rule
 from .rng import random_complex, random_hermitian, substream
 
@@ -69,12 +69,7 @@ class SymbolGrid:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.complex128)
-        if v.ndim != 2 or v.size == 0:
-            raise InputDomainError(f"symbol grid must be a non-empty 2-D array, got {v.shape}")
-        if not np.isfinite(v.real).all() or not np.isfinite(v.imag).all():
-            raise InputDomainError("symbol grid has non-finite values")
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", as_complex_matrix(self.values, "values"))
 
     def sup_norm(self) -> float:
         return float(np.abs(self.values).max())
@@ -160,15 +155,11 @@ class Decomposition:
     weights: np.ndarray  # (terms,) non-negative
 
     def __post_init__(self):
-        a = np.asarray(self.alphas, dtype=np.complex128)
-        b = np.asarray(self.betas, dtype=np.complex128)
-        w = np.asarray(self.weights, dtype=float)
-        if a.ndim != 2 or b.ndim != 2 or w.ndim != 1:
-            raise InputDomainError("decomposition needs 2-D alpha/beta stacks and 1-D weights")
+        a = as_finite_array(self.alphas, "alphas", 2)
+        b = as_finite_array(self.betas, "betas", 2)
+        w = as_finite_array(self.weights, "weights", 1, float)
         if a.shape[0] != w.size or b.shape[0] != w.size or w.size == 0:
             raise InputDomainError("decomposition term counts disagree or are empty")
-        if not (np.isfinite(a).all() and np.isfinite(b).all() and np.isfinite(w).all()):
-            raise InputDomainError("decomposition has non-finite entries")
         if (w < 0).any():
             raise InputDomainError("decomposition weights must be non-negative")
         object.__setattr__(self, "alphas", a)
@@ -194,7 +185,7 @@ def symbol_from_decomposition(pair: SpectralPair, d: Decomposition) -> SymbolGri
 
 
 def triangular_truncation_symbol(pair: SpectralPair) -> SymbolGrid:
-    return symbol_from_function(pair, lambda lam, mu: lam > mu)  # strict: ties map to 0
+    return symbol_from_function(pair, lambda lam, mu: (lam > mu) * 1.0)  # strict: ties map to 0
 
 
 def triangular_truncation(pair: SpectralPair, t) -> np.ndarray:

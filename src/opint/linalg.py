@@ -6,7 +6,10 @@ singular values from LAPACK (through numpy), functional calculus on the
 resulting eigensystems, overflow-safe Schatten norms taken through the
 singular values, and the unitary DFT matrix.  Matrices are plain complex
 ndarrays treated as immutable values: validation may hand back the
-caller's own array, and no operation writes into its inputs.
+caller's own array, and no operation writes into its inputs.  Input
+arrays, here and in `doi`, `shift` and `quantization`, are validated by
+`as_finite_array`, which refuses what a cast would change rather than
+converting it; callers add only their own shape, sign and integer rules.
 
 A user function f is evaluated once, on the whole array of points it is
 needed at (`evaluate`), never point by point: f must accept an array
@@ -29,22 +32,33 @@ from .errors import EvaluationError, InputDomainError
 HERMITIAN_TOL = 1e-12
 
 
-def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
-    """Validate a non-empty, finite 2-D matrix and return it as complex128.
-
-    This is `np.asarray`, so an input that already is a complex128 array
-    comes back as the caller's own array, not a copy.  opint never writes
-    into a validated input; a caller that wants to mutate the result
-    copies it first.  Ragged or non-numeric input raises InputDomainError.
-    """
+def as_finite_array(x, name: str, ndim: int, dtype=np.complex128) -> np.ndarray:
+    """An ndim-D array of finite numbers as `dtype` (complex128, or float for
+    a real slot).  Ragged input, booleans, strings, bytes, objects and complex
+    input to a real slot raise InputDomainError, whose message starts with
+    `name`.  Input that already has `dtype` comes back uncopied."""
     try:
-        a = np.asarray(m, dtype=np.complex128)
-    except (TypeError, ValueError) as exc:  # ragged rows, or an entry that is no number
-        raise InputDomainError(f"{name} is not a numeric matrix ({exc})") from exc
-    if a.ndim != 2 or a.shape[0] == 0 or a.shape[1] == 0:
-        raise InputDomainError(f"{name} must be a non-empty 2-D array, got shape {a.shape}")
+        a = np.asarray(x)
+    except (TypeError, ValueError) as exc:  # ragged rows
+        raise InputDomainError(f"{name} is not a numeric array ({exc})") from exc
+    if a.dtype != dtype:
+        if a.dtype.kind == "c" and np.dtype(dtype).kind == "f":
+            raise InputDomainError(f"{name} must be real, got dtype {a.dtype}")
+        if a.dtype.kind not in "iufc":
+            raise InputDomainError(f"{name} is not a numeric array (dtype {a.dtype})")
+        a = a.astype(dtype)
+    if a.ndim != ndim:
+        raise InputDomainError(f"{name} has shape {a.shape}, expected a {ndim}-D array")
     if not np.isfinite(a).all():  # complex isfinite: both parts finite
         raise InputDomainError(f"{name} has non-finite entries")
+    return a
+
+
+def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
+    """`as_finite_array` of a non-empty 2-D complex matrix."""
+    a = as_finite_array(m, name, 2)
+    if a.size == 0:
+        raise InputDomainError(f"{name} must be a non-empty 2-D array, got shape {a.shape}")
     return a
 
 
@@ -176,10 +190,15 @@ def trace_norm(m) -> float:
     return schatten_norm(m, 1)
 
 
+def require_size(n, name: str) -> None:
+    """Refuse a size n that is not an integer >= 1; a boolean is no size."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise InputDomainError(f"{name} must be an integer >= 1, got {n!r}")
+
+
 def dft_unitary(n: int) -> np.ndarray:
     """Unitary DFT matrix F[j,k] = exp(-2 pi i jk/n)/sqrt(n)."""
-    if n < 1:
-        raise InputDomainError(f"DFT size must be >= 1, got {n}")
+    require_size(n, "DFT size")
     k = np.arange(n)
     roots = np.exp(-2j * np.pi * k / n) / np.sqrt(n)  # the n distinct entries
     return roots[np.outer(k, k) % n]

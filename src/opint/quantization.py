@@ -17,8 +17,8 @@ import numpy as np
 
 from .doi import Decomposition
 from .errors import IllPosedError, InputDomainError
-from .linalg import EigenSystem, apply_function, as_complex_matrix, dft_unitary, \
-    operator_norm
+from .linalg import (EigenSystem, apply_function, as_complex_matrix, as_finite_array,
+                     dft_unitary, operator_norm, require_size)
 from .rng import substream
 
 # largest n for qp_norm_upper_bound: each trial stacks n circulants of n x n
@@ -39,8 +39,7 @@ class CycleSpace:
 
 
 def cycle_space(n: int) -> CycleSpace:
-    if n < 1:
-        raise InputDomainError(f"cycle space needs n >= 1, got {n}")
+    require_size(n, "cycle space size")
     return CycleSpace(n=n)
 
 
@@ -71,12 +70,10 @@ def _indicator(space: CycleSpace, subset, name: str) -> np.ndarray:
     return d
 
 
-def _symbol_vector(space: CycleSpace, v, name: str) -> np.ndarray:
-    v = np.asarray(v, dtype=np.complex128)
-    if v.shape != (space.n,):
-        raise InputDomainError(f"{name} must be a length-{space.n} vector, got {v.shape}")
-    if not np.isfinite(v).all():
-        raise InputDomainError(f"{name} has non-finite entries")
+def _symbol_vector(n: int, v, name: str) -> np.ndarray:
+    v = as_finite_array(v, name, 1)
+    if v.size != n:
+        raise InputDomainError(f"{name} must be a length-{n} vector, got {v.shape}")
     return v
 
 
@@ -125,8 +122,11 @@ def momentum_projector(space: CycleSpace, f) -> np.ndarray:
 
 
 def momentum_operator(space: CycleSpace, g) -> np.ndarray:
-    """P(g) = F* diag(g) F, the circulant of the inverse DFT of g."""
-    return _circulant_of_vector(np.fft.ifft(_symbol_vector(space, g, "g")))
+    """P(g) = F* diag(g) F, the circulant of the inverse DFT of g (refused if it overflows)."""
+    c = np.fft.ifft(_symbol_vector(space.n, g, "g"))
+    if not np.isfinite(c).all():
+        raise InputDomainError("g overflows in its inverse DFT")
+    return _circulant_of_vector(c)
 
 
 def quantize(space: CycleSpace, sigma) -> np.ndarray:
@@ -178,8 +178,8 @@ def cotlar_stein_bound(space: CycleSpace, terms) -> CotlarReport:
     terms = list(terms)
     if not terms:
         raise InputDomainError("need at least one (f, g) term")
-    fs = np.stack([_symbol_vector(space, f, f"f_{k}") for k, (f, _) in enumerate(terms)])
-    gs = np.stack([_symbol_vector(space, g, f"g_{k}") for k, (_, g) in enumerate(terms)])
+    fs = np.stack([_symbol_vector(space.n, f, f"f_{k}") for k, (f, _) in enumerate(terms)])
+    gs = np.stack([_symbol_vector(space.n, g, f"g_{k}") for k, (_, g) in enumerate(terms)])
     # P(|g_j|^2), stacked: k n^2 entries, where the pairwise products would hold k^2 n^2
     momenta = _circulant_of_vector(np.fft.ifft(np.abs(gs) ** 2, axis=1))
     a = np.empty((len(terms), len(terms)))
@@ -260,9 +260,9 @@ class SequenceBimeasure:
     phi: np.ndarray
 
     def __post_init__(self):
-        phi = np.asarray(self.phi, dtype=np.complex128)
-        if phi.ndim != 1 or phi.size == 0 or not np.isfinite(phi).all():
-            raise InputDomainError("phi must be a non-empty finite 1-D sequence")
+        phi = as_finite_array(self.phi, "phi", 1)
+        if phi.size == 0:
+            raise InputDomainError("phi must be a non-empty sequence")
         object.__setattr__(self, "phi", phi)
 
     @property
@@ -336,21 +336,14 @@ def polymeasure_eval(f_list, times, eh: EigenSystem) -> np.ndarray:
     for strictly increasing positive times, from the eigensystem `eh` of H;
     separately additive in every multiplication slot.
     """
-    f_list = [np.asarray(f, dtype=np.complex128) for f in f_list]
-    times = np.asarray(times, dtype=float)
+    f_list = [_symbol_vector(eh.dim, f, f"slot {k}") for k, f in enumerate(f_list)]
+    times = as_finite_array(times, "times", 1, float)
     if len(f_list) == 0:
         raise InputDomainError("need at least one multiplication slot")
     if times.size != len(f_list) - 1:
         raise InputDomainError(f"{len(f_list)} slots need {len(f_list) - 1} times, got {times.size}")
-    if not np.isfinite(times).all():
-        raise InputDomainError("times must be finite")
     if times.size and (times[0] <= 0 or (np.diff(times) <= 0).any()):
         raise InputDomainError("times must be strictly increasing and positive")
-    for k, f in enumerate(f_list):
-        if f.shape != (eh.dim,):
-            raise InputDomainError(f"slot vectors must have length {eh.dim}")
-        if not np.isfinite(f).all():
-            raise InputDomainError(f"slot {k} has non-finite entries")
     out = np.diag(f_list[0])
     gaps = np.diff(np.concatenate([[0.0], times]))
     for f, dt in zip(f_list[1:], gaps):

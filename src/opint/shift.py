@@ -26,7 +26,7 @@ import numpy as np
 
 from .doi import SpectralPair
 from .errors import InputDomainError
-from .linalg import EigenSystem, apply_function, trace_norm
+from .linalg import EigenSystem, apply_function, as_finite_array, trace_norm
 from .quadrature import QuadratureRule, symmetric_open_rule
 
 DEFAULT_FOURIER_QUAD = (200.0, 8000)   # half-width, node count
@@ -46,12 +46,10 @@ class ShiftFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        bp = np.asarray(self.breakpoints, dtype=float)
+        bp = as_finite_array(self.breakpoints, "breakpoints", 1, float)
         v = np.asarray(self.values)
         if bp.size == 1 or v.size != max(bp.size - 1, 0):
             raise InputDomainError("need one value per interval between breakpoints")
-        if not np.isfinite(bp).all():
-            raise InputDomainError("breakpoints must be finite")
         if (np.diff(bp) <= 0).any():
             raise InputDomainError("breakpoints must be strictly ascending")
         if not np.array_equal(v, v.astype(np.int64)):
@@ -172,12 +170,10 @@ class SampledCurve:
     ordinates: np.ndarray
 
     def __post_init__(self):
-        x = np.asarray(self.abscissae, dtype=float)
-        y = np.asarray(self.ordinates, dtype=float)
-        if x.shape != y.shape or x.ndim != 1:
-            raise InputDomainError("curve needs matching 1-D abscissae/ordinates")
-        if not (np.isfinite(x).all() and np.isfinite(y).all()):
-            raise InputDomainError("curve entries must be finite")
+        x = as_finite_array(self.abscissae, "abscissae", 1, float)
+        y = as_finite_array(self.ordinates, "ordinates", 1, float)
+        if x.shape != y.shape:
+            raise InputDomainError("curve needs matching abscissae/ordinates")
         object.__setattr__(self, "abscissae", x)
         object.__setattr__(self, "ordinates", y)
 
@@ -188,9 +184,9 @@ class SampledCurve:
 
 
 def _as_grid(grid) -> np.ndarray:
-    g = np.asarray(grid, dtype=float)
-    if g.ndim != 1 or g.size == 0 or not np.isfinite(g).all():
-        raise InputDomainError("grid must be a non-empty finite 1-D array")
+    g = as_finite_array(grid, "grid", 1, float)
+    if g.size == 0:
+        raise InputDomainError("grid must be non-empty")
     return g
 
 
@@ -283,7 +279,7 @@ def xi_fourier(pair: SpectralPair, epsilon: float, grid,
 def rank_one_cauchy_transform(eb: EigenSystem, w, z):
     """F(z) = sum_i |<v_i, w>|^2 / (mu_i - z) over the eigenpairs of B, for
     w of shape (n,): a complex number for scalar z, else an array of z's shape."""
-    w = np.asarray(w, dtype=np.complex128)
+    w = as_finite_array(w, "w", 1)
     if w.shape != eb.eigenvalues.shape:
         raise InputDomainError(f"w has shape {w.shape}, expected {eb.eigenvalues.shape}")
     weights = np.abs(eb.unitary.conj().T @ w) ** 2
@@ -306,11 +302,12 @@ def xi_rank_one(eb: EigenSystem, w, alpha: float, grid,
         raise InputDomainError(f"need eta > 0, got {eta}")
     if alpha <= 0:
         raise InputDomainError(f"need alpha > 0, got {alpha}")
+    g = _as_grid(grid)
+    f = rank_one_cauchy_transform(eb, w, g + 1j * eta)  # validates w
     norm = np.linalg.norm(w)
     if abs(norm - 1.0) > 1e-10:
         raise InputDomainError(f"w must be a unit vector, |w| = {norm!r}")
-    g = _as_grid(grid)
-    ang = np.angle(1.0 + alpha * rank_one_cauchy_transform(eb, w, g + 1j * eta))
+    ang = np.angle(1.0 + alpha * f)
     ang = np.where(ang < 0, ang + 2.0 * np.pi, ang)
     return SampledCurve(abscissae=g, ordinates=ang / np.pi)
 
@@ -323,12 +320,10 @@ class AtomicMeasure:
     weights: np.ndarray
 
     def __post_init__(self):
-        s = np.asarray(self.points, dtype=float)
-        w = np.asarray(self.weights, dtype=float)
-        if s.ndim != 1 or s.shape != w.shape:
-            raise InputDomainError("atomic measure needs matching 1-D points/weights")
-        if not (np.isfinite(s).all() and np.isfinite(w).all()):
-            raise InputDomainError("atomic measure entries must be finite")
+        s = as_finite_array(self.points, "points", 1, float)
+        w = as_finite_array(self.weights, "weights", 1, float)
+        if s.shape != w.shape:
+            raise InputDomainError("atomic measure needs matching points/weights")
         if (s == 0.0).any():
             raise InputDomainError("atomic measure may not charge the point 0")
         if (w <= 0.0).any():

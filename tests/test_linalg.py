@@ -119,7 +119,7 @@ def test_as_complex_matrix_rejects_non_finite_real_or_imaginary_part(entry):
 
 @pytest.mark.parametrize("m", [[[1, 2], [3]], [["a", "b"], ["c", "d"]]])
 def test_as_complex_matrix_refuses_ragged_or_non_numeric_input_naming_it(m):
-    with pytest.raises(errors.InputDomainError, match="^M is not a numeric matrix"):
+    with pytest.raises(errors.InputDomainError, match="^M is not a numeric array"):
         linalg.as_complex_matrix(m, "M")
 
 

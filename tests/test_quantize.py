@@ -303,12 +303,12 @@ def test_cotlar_seeded_decompositions_hold():
         assert report.holds
 
 
-@pytest.mark.parametrize("terms, name", [
-    ([(np.ones(4), np.ones(4)), (np.ones(3), np.ones(4))], "f_1"),
-    ([(np.ones(4), np.ones((4, 2)))], "g_0"),
-])
-def test_cotlar_rejects_malformed_terms(terms, name):
-    with pytest.raises(errors.InputDomainError, match=rf"^{name} must be a length-4 vector"):
+@pytest.mark.parametrize("terms, message", [
+    ([(np.ones(4), np.ones(4)), (np.ones(3), np.ones(4))], "f_1 must be a length-4 vector"),
+    ([(np.ones(4), np.ones((4, 2)))], r"g_0 has shape \(4, 2\), expected a 1-D array"),
+], ids=["terms0-f_1", "terms1-g_0"])
+def test_cotlar_rejects_malformed_terms(terms, message):
+    with pytest.raises(errors.InputDomainError, match=f"^{message}"):
         qz.cotlar_stein_bound(qz.cycle_space(4), terms)
 
 
@@ -349,6 +349,26 @@ def test_cotlar_rejects_overflowing_term_products():
 def test_symbol_operators_reject_non_finite_symbols(operator, name):
     with pytest.raises(errors.InputDomainError, match=rf"^{name} has non-finite entries"):
         operator(qz.cycle_space(3), np.array([1.0, np.nan, 0.0]))
+
+
+@pytest.mark.parametrize("n", [2.5, True, np.float64(3.0)])
+@pytest.mark.parametrize("build, name", [(qz.cycle_space, "cycle space size"),
+                                         (linalg.dft_unitary, "DFT size")])
+def test_sizes_that_are_not_integers_are_refused(build, name, n):
+    with pytest.raises(errors.InputDomainError, match=f"^{name} must be an integer"):
+        build(n)
+
+
+def test_numpy_integer_sizes_are_accepted():
+    assert qz.cycle_space(np.int64(3)).n == 3
+    assert np.array_equal(linalg.dft_unitary(np.int64(3)), linalg.dft_unitary(3))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_momentum_operator_refuses_a_symbol_whose_inverse_dft_overflows():
+    # ifft sums before it scales by 1/n: the exact entries are 1e308 and 0
+    with pytest.raises(errors.InputDomainError, match="^g overflows in its inverse DFT"):
+        qz.momentum_operator(qz.cycle_space(2), [1e308, 1e308])
 
 
 def test_cycle_space_builds_dft_on_demand():
@@ -623,7 +643,7 @@ def test_polymeasure_rejects_bad_times():
 @pytest.mark.parametrize("times", [[np.nan], [np.inf], [0.5, np.inf]])
 def test_polymeasure_refuses_non_finite_times(times):
     eh = eig_hermitian(np.eye(2))
-    with pytest.raises(errors.InputDomainError, match="times must be finite"):
+    with pytest.raises(errors.InputDomainError, match="^times has non-finite entries"):
         qz.polymeasure_eval([np.ones(2)] * (len(times) + 1), times, eh)
 
 

@@ -30,13 +30,24 @@ import numpy as np
 from .errors import EvaluationError, InputDomainError
 
 HERMITIAN_TOL = 1e-12
+BOOLEAN_TYPES = frozenset({bool, np.bool_})
 
 
-def as_finite_array(x, name: str, ndim: int, dtype=np.complex128) -> np.ndarray:
-    """An ndim-D array of finite numbers as `dtype` (complex128, or float for
-    a real slot).  Ragged input, booleans, strings, bytes, objects and complex
-    input to a real slot raise InputDomainError, whose message starts with
-    `name`.  Input that already has `dtype` comes back uncopied."""
+def entry_types(x, ndim: int) -> set:
+    """The types of the entries of x, nested ndim deep in sequences, which
+    np.asarray casts to one dtype: a True among numbers reads as 1, and only
+    its type shows it.  An ndarray needs no scan."""
+    entries = [x]
+    for _ in range(ndim):
+        entries = chain.from_iterable(entries)
+    return set(map(type, entries))
+
+
+def as_numeric_array(x, name: str, dtype=np.complex128) -> np.ndarray:
+    """x as an array of `dtype` (complex128, or float for a real slot), any
+    shape.  Ragged input, booleans (also among a sequence's numbers), strings,
+    bytes, objects and complex input to a real slot raise InputDomainError,
+    whose message starts with `name`.  Input of `dtype` comes back uncopied."""
     try:
         a = np.asarray(x)
     except (TypeError, ValueError) as exc:  # ragged rows
@@ -47,6 +58,14 @@ def as_finite_array(x, name: str, ndim: int, dtype=np.complex128) -> np.ndarray:
         if a.dtype.kind not in "iufc":
             raise InputDomainError(f"{name} is not a numeric array (dtype {a.dtype})")
         a = a.astype(dtype)
+    if not isinstance(x, np.ndarray) and not BOOLEAN_TYPES.isdisjoint(entry_types(x, a.ndim)):
+        raise InputDomainError(f"{name} is not a numeric array (it holds booleans)")
+    return a
+
+
+def as_finite_array(x, name: str, ndim: int, dtype=np.complex128) -> np.ndarray:
+    """`as_numeric_array` of an ndim-D array of finite numbers."""
+    a = as_numeric_array(x, name, dtype)
     if a.ndim != ndim:
         raise InputDomainError(f"{name} has shape {a.shape}, expected a {ndim}-D array")
     if not np.isfinite(a).all():  # complex isfinite: both parts finite
@@ -225,7 +244,7 @@ def matrix_from_json_dict(d, name: str = "matrix") -> np.ndarray:
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise InputDomainError(
             f"{name}: 're'/'im' must be {dim}x{dim} arrays, got {re.shape} and {im.shape}")
-    kinds = set(map(type, chain(*d["re"], *d["im"]))) - {int, float}
+    kinds = (entry_types(d["re"], 2) | entry_types(d["im"], 2)) - {int, float}
     if kinds:
         raise InputDomainError(f"{name}: 're'/'im' entries must be JSON numbers, got "
                                + ", ".join(sorted(k.__name__ for k in kinds)))

@@ -3,10 +3,10 @@
 Position acts by multiplication in the standard basis, momentum is its
 DFT conjugate, and a two-variable symbol sigma(x, xi) quantizes to the
 operator sum_{x, xi} sigma(x, xi) Q_x P_xi.  On top of that sit the
-almost-orthogonality certificate for sums Q(f_k) P(g_k), a rank-one
-sequence bimeasure with its Grothendieck-style norms, and the alternating
-multiplication/semigroup products that realize discrete path-integral
-slices.
+almost-orthogonality certificate for sums Q(f_k) P(g_k), closed-form
+bounds on the norm of a quantized symbol, a rank-one sequence bimeasure
+with its Grothendieck-style norms, and the alternating multiplication/
+semigroup products that realize discrete path-integral slices.
 """
 
 from __future__ import annotations
@@ -16,15 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .doi import Decomposition
-from .errors import IllPosedError, InputDomainError
-from .linalg import (EigenSystem, apply_function, as_complex_matrix, as_finite_array,
-                     dft_unitary, operator_norm, require_size)
-from .rng import substream
-
-# largest n for qp_norm_upper_bound: each trial stacks n circulants of n x n
-# (16 n^3 B, twice) and takes n^2 SVDs of n x n; at n = 64 two trials take
-# about 3 s and 50 MiB, and time grows as n^5
-QP_MAX_DIM = 64
+from .errors import InputDomainError
+from .linalg import (BOOLEAN_TYPES, EigenSystem, apply_function, as_complex_matrix,
+                     as_finite_array, dft_unitary, entry_types, operator_norm, require_size)
 
 
 @dataclass(frozen=True)
@@ -46,16 +40,15 @@ def cycle_space(n: int) -> CycleSpace:
 def _index_set(subset, low: int, high: int, name: str) -> np.ndarray:
     """The sorted distinct elements of a 1-D sequence of integer indices in
     low..high.  Scalars, booleans and floats are refused with
-    `InputDomainError`, not cast: a mask [True, False, True] or an index 1.7
-    would silently name other elements, and so would a True among integers
-    in a Python sequence, which np.asarray casts to 1."""
+    `InputDomainError`, not cast: a mask [True, False, True], an index 1.7 or
+    a True among integers (`entry_types`) would silently name other elements."""
     idx = np.asarray(subset)
     if idx.ndim != 1:
         raise InputDomainError(f"{name} must be a 1-D sequence of indices, "
                                f"got a {idx.ndim}-d {type(subset).__name__}")
     if idx.size and not np.issubdtype(idx.dtype, np.integer):
         raise InputDomainError(f"{name} must hold integer indices, got dtype {idx.dtype}")
-    if not isinstance(subset, np.ndarray) and not {bool, np.bool_}.isdisjoint(map(type, subset)):
+    if not isinstance(subset, np.ndarray) and not BOOLEAN_TYPES.isdisjoint(entry_types(subset, 1)):
         raise InputDomainError(f"{name} must hold integer indices, not booleans")
     idx = np.unique(idx.astype(np.int64, copy=False))
     if idx.size and (idx[0] < low or idx[-1] > high):
@@ -75,6 +68,13 @@ def _symbol_vector(n: int, v, name: str) -> np.ndarray:
     if v.size != n:
         raise InputDomainError(f"{name} must be a length-{n} vector, got {v.shape}")
     return v
+
+
+def _symbol_matrix(n: int, m, name: str) -> np.ndarray:
+    m = as_complex_matrix(m, name)
+    if m.shape != (n, n):
+        raise InputDomainError(f"{name} must be {n}x{n}, got {m.shape}")
+    return m
 
 
 def _circulant_in_place(c: np.ndarray) -> np.ndarray:
@@ -139,11 +139,7 @@ def quantize(space: CycleSpace, sigma) -> np.ndarray:
     in place, so M is the one n x n array allocated, in O(n^2 log n).
     Linear in sigma; sigma = f (x) g gives diag(f) . F* diag(g) F.
     """
-    s = as_complex_matrix(sigma, "sigma")
-    n = space.n
-    if s.shape != (n, n):
-        raise InputDomainError(f"sigma must be {n}x{n}, got {s.shape}")
-    return _circulant_in_place(np.fft.ifft(s, axis=1))
+    return _circulant_in_place(np.fft.ifft(_symbol_matrix(space.n, sigma, "sigma"), axis=1))
 
 
 @dataclass(frozen=True)
@@ -194,57 +190,19 @@ def cotlar_stein_bound(space: CycleSpace, terms) -> CotlarReport:
     return CotlarReport(bound=bound, actual=actual)
 
 
-def qp_norm_upper_bound(space: CycleSpace, sigma, trials: int, seed: int) -> dict:
-    """Best-of-N randomized upper bound for the quantized operator norm.
-
-    Each trial factors sigma exactly into sum_k f_k (x) g_k (mixing a base
-    factorization by exactly invertible rotations/scalings) and takes the
-    Cotlar-Stein certificate of that system; the smallest certificate seen
-    is an upper bound for |quantize(sigma)|.  This is a search, not the
-    function-space norm itself, and the result is labeled accordingly.
-    Refuses n above `QP_MAX_DIM` with `IllPosedError` before any circulant
-    is built.
-    """
-    n = space.n
-    if n > QP_MAX_DIM:
-        raise IllPosedError(f"upper-bound search refuses n = {n} > {QP_MAX_DIM}: each "
-                            f"trial would stack {n} circulants of {n}x{n} and take "
-                            f"{n * n} SVDs")
-    s = as_complex_matrix(sigma, "sigma")
-    if s.shape != (n, n):
-        raise InputDomainError(f"sigma must be {n}x{n}, got {s.shape}")
-    best = np.inf
-    base_pairs = [(s.copy(), np.eye(n, dtype=np.complex128)),
-                  (np.eye(n, dtype=np.complex128), s.copy())]
-    for trial in range(trials):
-        rng = substream(seed, "qp-norm-search", trial)
-        p, qt = base_pairs[trial % 2]
-        r, rinv = _random_mixing(n, rng)
-        fmat = p @ r
-        gmat = rinv @ qt
-        terms = [(fmat[:, t], gmat[t, :]) for t in range(n)]
-        report = cotlar_stein_bound(space, terms)
-        best = min(best, report.bound)
-    return {"upper_bound": float(best), "trials": trials,
-            "label": "best-of-N Cotlar-Stein certificates (upper bound only)"}
-
-
-def _random_mixing(k: int, rng: np.random.Generator):
-    """Exactly invertible random mixing: phases, scalings, Givens rotations."""
-    r = np.diag(np.exp(2j * np.pi * rng.random(k)) * rng.uniform(0.5, 2.0, k))
-    rinv = np.diag(1.0 / np.diag(r))
-    for _ in range(2 * k):
-        i, j = rng.choice(k, size=2, replace=False)
-        th = rng.uniform(0, 2 * np.pi)
-        c, sn = np.cos(th), np.sin(th)
-        g = np.eye(k, dtype=np.complex128)
-        g[i, i] = c
-        g[i, j] = sn
-        g[j, i] = -sn
-        g[j, j] = c
-        r = r @ g
-        rinv = g.T @ rinv
-    return r, rinv
+def qp_norm_upper_bound(space: CycleSpace, sigma) -> dict:
+    """Two closed-form upper bounds for |quantize(sigma)|, and the smaller.
+    With a = ifft(sigma, axis=1), quantize(sigma) = sum_j diag(a[:, j]) S^j
+    for the unitary shifts (S^j)[x, y] = [x - y = j mod n], so its entries
+    are a's: `hilbert_schmidt` = |a|_F = |sigma|_F / sqrt(n) is its Frobenius
+    norm, and `shift_triangle` = sum_j max_x |a[x, j]|.  The first is the
+    smaller on random symbols, the second on symbols smooth in xi."""
+    a = np.fft.ifft(_symbol_matrix(space.n, sigma, "sigma"), axis=1)
+    hilbert_schmidt = float(np.sqrt(np.sum(np.abs(a) ** 2)))
+    shift_triangle = float(np.abs(a).max(axis=0).sum())
+    return {"upper_bound": min(hilbert_schmidt, shift_triangle),
+            "hilbert_schmidt": hilbert_schmidt, "shift_triangle": shift_triangle,
+            "label": "deterministic: the smaller of two closed-form upper bounds"}
 
 
 @dataclass(frozen=True)
@@ -301,9 +259,7 @@ def bimeasure_integrate(b: SequenceBimeasure, d: Decomposition) -> complex:
 def bimeasure_integrate_grid(b: SequenceBimeasure, psi) -> complex:
     """Direct double sum of a gridwise symbol psi(j, k): the oracle that
     any exact decomposition of psi must integrate to."""
-    p = as_complex_matrix(psi, "psi")
-    if p.shape != (b.n, b.n):
-        raise InputDomainError(f"psi must be {b.n}x{b.n}, got {p.shape}")
+    p = _symbol_matrix(b.n, psi, "psi")
     signed = b.signed
     return complex(signed @ p @ signed)
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .doi import SpectralPair
 from .errors import InputDomainError
-from .linalg import EigenSystem, apply_function, as_finite_array, trace_norm
+from .linalg import EigenSystem, apply_function, as_finite_array, as_numeric_array, trace_norm
 from .quadrature import QuadratureRule, symmetric_open_rule
 
 DEFAULT_FOURIER_QUAD = (200.0, 8000)   # half-width, node count
@@ -62,7 +62,7 @@ class ShiftFunction:
         return self.values.size == 0
 
     def __call__(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+        x = as_numeric_array(x, "x", float)
         out = np.zeros(x.shape, dtype=np.int64)
         idx = np.searchsorted(self.breakpoints, x, side="right") - 1
         inside = (idx >= 0) & (idx < self.values.size)
@@ -338,15 +338,14 @@ def admissible_f(mu: AtomicMeasure):
     s = mu.points
     w = mu.weights
 
+    def phase(x):
+        return np.exp(-1j * np.multiply.outer(as_numeric_array(x, "x", float), s))
+
     def f(x):
-        x = np.asarray(x, dtype=float)
-        phase = np.exp(-1j * np.multiply.outer(x, s))
-        return 1j * np.sum(w * (phase - 1.0) / s, axis=-1)
+        return 1j * np.sum(w * (phase(x) - 1.0) / s, axis=-1)
 
     def f_prime(x):
-        x = np.asarray(x, dtype=float)
-        phase = np.exp(-1j * np.multiply.outer(x, s))
-        return np.sum(w * phase, axis=-1)
+        return np.sum(w * phase(x), axis=-1)
 
     return f, f_prime
 
@@ -395,7 +394,7 @@ def arctan_rep_value(t, quad: QuadratureRule | None = None):
         quad = symmetric_open_rule(*DEFAULT_ARCTAN_QUAD)
     quad.require_zero_free()
     s = quad.nodes
-    t = np.asarray(t, dtype=float)
+    t = as_numeric_array(t, "t", float)
     values = quad.phase_sum(t, quad.weights * np.exp(-np.abs(s)) / s).imag.reshape(t.shape) / 2.0
     return float(values) if values.ndim == 0 else values
 

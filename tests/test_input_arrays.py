@@ -1,7 +1,11 @@
 """Every entry point that takes a numeric array validates it through
-`linalg.as_finite_array`: ragged rows, booleans, strings, objects, complex
-numbers in a real slot and non-finite entries are refused with
-InputDomainError naming the argument, never cast or passed on."""
+`linalg.as_finite_array`: ragged rows, booleans (also among the numbers of
+a Python sequence), strings, objects, complex numbers in a real slot and
+non-finite entries are refused with InputDomainError naming the argument,
+never cast or passed on.  Evaluation points go through its dtype half,
+`linalg.as_numeric_array`, under the same rules for their kind."""
+
+import warnings
 
 import numpy as np
 import pytest
@@ -52,8 +56,9 @@ ENTRY_POINTS = {
 }
 
 MESSAGES = {"ragged": "is not a numeric array", "bool": "is not a numeric array",
-            "str": "is not a numeric array", "object": "is not a numeric array",
-            "complex": "must be real", "nan": "has non-finite entries"}
+            "bool-in-list": "is not a numeric array", "str": "is not a numeric array",
+            "object": "is not a numeric array", "complex": "must be real",
+            "nan": "has non-finite entries"}
 
 
 def bad_input(kind: str, good: np.ndarray):
@@ -63,6 +68,10 @@ def bad_input(kind: str, good: np.ndarray):
     if kind == "nan":
         x = good.copy()
         x.flat[0] = np.nan
+        return x
+    if kind == "bool-in-list":  # np.asarray reads the True as 1 in the list's number dtype
+        x = good.tolist()
+        (x if good.ndim == 1 else x[0])[0] = True
         return x
     return {"bool": good != 0, "str": good.astype(str), "object": good.astype(object),
             "complex": good + 3j}[kind]
@@ -108,3 +117,64 @@ def test_as_hermitian_returns_a_symmetrized_copy():
     assert np.array_equal(h, before)
     assert np.array_equal(sym, sym.conj().T)
     assert np.array_equal(sym, h * 0.5 + h.conj().T * 0.5)
+
+
+def test_as_finite_array_does_not_scan_the_entries_of_an_ndarray(monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("entries scanned")
+    monkeypatch.setattr(linalg, "entry_types", no_scan)
+    for x in (SQUARE, SQUARE.astype(np.complex128), np.arange(4).reshape(2, 2)):
+        linalg.as_complex_matrix(x, "M")
+
+
+def test_entry_types_are_the_types_of_the_scalars_of_a_nested_sequence():
+    assert linalg.entry_types([[1, True], [False, 1.5]], 2) == {int, bool, float}
+    assert linalg.entry_types([np.True_, np.float64(1.0)], 1) == {np.bool_, np.float64}
+    assert linalg.entry_types([np.array([1.0]), np.array([True])], 2) == {np.float64, np.bool_}
+    assert linalg.entry_types(2.5, 0) == {float}
+
+
+@pytest.mark.parametrize("x", [0.5, np.linspace(-1, 1, 6).reshape(2, 3), [np.inf, np.nan]])
+def test_as_numeric_array_takes_real_points_of_any_shape_finite_or_not(x):
+    a = linalg.as_numeric_array(x, "x", float)
+    assert a.dtype == float and a.shape == np.shape(x)
+    assert np.array_equal(a, x, equal_nan=True)
+    if isinstance(x, np.ndarray):
+        assert a is x
+
+
+MU = shift.AtomicMeasure(points=[1.0, -2.0], weights=[0.5, 1.5])
+F, F_PRIME = shift.admissible_f(MU)
+EVALUATIONS = {
+    "ShiftFunction": ("x", shift.ShiftFunction(breakpoints=[0.0, 1.0], values=[1])),
+    "admissible_f.f": ("x", F),
+    "admissible_f.f_prime": ("x", F_PRIME),
+    "arctan_rep_value": ("t", shift.arctan_rep_value),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(EVALUATIONS))
+def test_evaluations_refuse_complex_points_naming_the_argument(entry):
+    name, call = EVALUATIONS[entry]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        call(np.array([0.5, 1.5]))
+        with pytest.raises(errors.InputDomainError, match=f"^{name} must be real"):
+            call(1 + 1j)
+        with pytest.raises(errors.InputDomainError, match=f"^{name} is not a numeric array"):
+            call([0.5, True])
+
+
+def test_evaluations_take_real_arrays_uncopied(monkeypatch):
+    seen = []
+
+    def recording(x, name, dtype=np.complex128):
+        a = as_numeric_array(x, name, dtype)
+        seen.append(a is x)
+        return a
+    as_numeric_array = linalg.as_numeric_array
+    monkeypatch.setattr(shift, "as_numeric_array", recording)
+    x = np.array([[0.25, 0.5], [1.5, -3.0]])
+    for _, call in EVALUATIONS.values():
+        call(x)
+    assert seen == [True] * len(EVALUATIONS)

@@ -385,37 +385,48 @@ def test_cotlar_report_json():
     assert over.excess > 0 and not over.holds
 
 
-def test_qp_norm_upper_bound_dominates_actual():
-    space = qz.cycle_space(6)
-    rng = substream(6, "quant-qp")
-    sigma = random_complex(rng, (6, 6))
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 31, 64, 256])
+def test_qp_norm_upper_bound_dominates_the_norm(n):
+    space = qz.cycle_space(n)
+    sigma = random_complex(substream(6, "quant-qp", n), (n, n))
     actual = operator_norm(qz.quantize(space, sigma))
-    result = qz.qp_norm_upper_bound(space, sigma, trials=8, seed=6)
-    assert result["upper_bound"] >= actual - 1e-9
+    result = qz.qp_norm_upper_bound(space, sigma)
+    assert result["upper_bound"] == min(result["hilbert_schmidt"], result["shift_triangle"])
+    assert qz.CotlarReport(bound=result["upper_bound"], actual=actual).holds
     assert "upper bound" in result["label"]
 
 
-def test_qp_norm_upper_bound_refuses_n_above_cap_before_building_circulants(monkeypatch):
-    def no_circulant(*args, **kwargs):
-        raise AssertionError("circulant built")
-    monkeypatch.setattr(qz, "_circulant_in_place", no_circulant)
-    monkeypatch.setattr(qz, "_circulant_of_vector", no_circulant)
-    n = qz.QP_MAX_DIM + 1
-    with pytest.raises(errors.IllPosedError, match=f"n = {n} > {qz.QP_MAX_DIM}"):
-        qz.qp_norm_upper_bound(qz.cycle_space(n), np.eye(n), trials=2, seed=0)
+def test_qp_norm_upper_bound_shift_triangle_wins_on_a_symbol_smooth_in_xi():
+    # five Fourier modes in xi: ifft(sigma, axis=1) has five nonzero columns,
+    # so the triangle bound sums five maxima where Hilbert-Schmidt adds 5n squares
+    n = 64
+    rng = substream(6, "quant-qp-smooth")
+    coefficients = random_complex(rng, (n, 5))
+    modes = np.exp(2j * np.pi * np.outer(np.arange(-2, 3), np.arange(n)) / n)
+    sigma = coefficients @ modes
+    space = qz.cycle_space(n)
+    result = qz.qp_norm_upper_bound(space, sigma)
+    assert result["shift_triangle"] < result["hilbert_schmidt"]
+    assert result["upper_bound"] == result["shift_triangle"]
+    assert result["shift_triangle"] == pytest.approx(np.abs(coefficients).max(axis=0).sum(),
+                                                     rel=1e-12)
+    assert qz.CotlarReport(bound=result["upper_bound"],
+                           actual=operator_norm(qz.quantize(space, sigma))).holds
 
 
-def test_qp_norm_upper_bound_cap_admits_n_64(monkeypatch):
-    class Reached(Exception):
-        pass
+@pytest.mark.parametrize("n", [1, 2, 7, 64])
+def test_quantize_satisfies_parseval(n):
+    sigma = random_complex(substream(6, "quant-parseval", n), (n, n))
+    frobenius = np.linalg.norm(qz.quantize(qz.cycle_space(n), sigma))
+    assert frobenius == pytest.approx(np.linalg.norm(sigma) / np.sqrt(n), rel=1e-12)
+    assert qz.qp_norm_upper_bound(qz.cycle_space(n), sigma)["hilbert_schmidt"] == pytest.approx(
+        frobenius, rel=1e-12)
 
-    def reached(*args, **kwargs):
-        raise Reached
-    monkeypatch.setattr(qz, "_circulant_in_place", reached)
-    monkeypatch.setattr(qz, "_circulant_of_vector", reached)
-    assert qz.QP_MAX_DIM == 64
-    with pytest.raises(Reached):
-        qz.qp_norm_upper_bound(qz.cycle_space(64), np.eye(64), trials=1, seed=0)
+
+def test_qp_norm_upper_bound_is_deterministic():
+    space = qz.cycle_space(16)
+    sigma = random_complex(substream(6, "quant-qp-repeat"), (16, 16))
+    assert qz.qp_norm_upper_bound(space, sigma) == qz.qp_norm_upper_bound(space, sigma)
 
 
 # ---------------------------------------------------------------- bimeasure

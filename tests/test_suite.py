@@ -542,14 +542,9 @@ def test_cli_oversized_grid_or_rule_is_refused_before_allocating(monkeypatch, ca
     assert f"usage error: {key}: " in capsys.readouterr().err
 
 
-def test_cli_quantize_above_the_search_cap_exits_2_before_building_circulants(
-        monkeypatch, capsys):
-    def no_circulant(*args, **kwargs):
-        raise AssertionError("circulant built")
-    monkeypatch.setattr(quantization, "_circulant_in_place", no_circulant)
-    monkeypatch.setattr(quantization, "_circulant_of_vector", no_circulant)
-    assert cli.main(["--command", "quantize", "--n", "1024"]) == 2
-    assert "usage error: upper-bound search refuses n = 1024" in capsys.readouterr().err
+@pytest.mark.parametrize("n", ["1", "2", "3", "65"])
+def test_cli_quantize_passes_at_small_and_formerly_capped_n(tmp_path, n):
+    assert _records(tmp_path, "quantize", "--n", n) == CLI_RECORDS["quantize"]
 
 
 def _count_eigensolver_calls(monkeypatch) -> list:

@@ -13,6 +13,8 @@ solves A's side by LU, so it checks that side and the change of basis.
 
 Each rule that several places use has one home:
 - input arrays are checked by `linalg.as_finite_array`, sizes by `linalg.require_size`;
+- hermitian matrices are diagonalized by `linalg.eig_hermitians`, a stack
+  per shape (`eig_hermitian` is its one-matrix case);
 - user functions are evaluated once, on an array, by `linalg.evaluate`;
 - a Sylvester solve is `sylvester.solve_gap`, whose `GapSolution` gives X
   and, for any p, a `GapReport`, which holds the residual and pi/(2 delta)
@@ -36,7 +38,7 @@ from .errors import (ConfigError, EvaluationError, IllPosedError,
                      InputDomainError)
 from .linalg import (EigenSystem, apply_function, as_complex_matrix,
                      as_finite_array, as_hermitian, dft_unitary, eig_hermitian,
-                     evaluate, load_matrix, operator_norm, save_matrix,
+                     eig_hermitians, evaluate, load_matrix, operator_norm, save_matrix,
                      schatten_norm, singular_values, trace_norm)
 from .quadrature import QuadratureRule, symmetric_open_rule, trapezoid_rule
 from .quantization import (CotlarReport, CycleSpace, SequenceBimeasure,

@@ -11,6 +11,15 @@ arrays, here and in `doi`, `shift` and `quantization`, are validated by
 `as_finite_array`, which refuses what a cast would change rather than
 converting it; callers add only their own shape, sign and integer rules.
 
+Every hermitian eigendecomposition but the independent one inside
+`sylvester.kron_oracle` goes through `eig_hermitians`, which validates and
+diagonalizes the matrices of each shape as one stack: at small n numpy's
+per-call overhead costs more than LAPACK, and one call per stack gives
+each matrix the bits of a call of its own.  `eig_hermitian` is its
+one-matrix case.  A caller bounds the stacks' memory by how many matrices
+it passes at once (`suite` passes blocks of at most `suite.BLOCK_BYTES` of
+operands).
+
 A user function f is evaluated once, on the whole array of points it is
 needed at (`evaluate`), never point by point: f must accept an array
 and return one value per point.
@@ -63,10 +72,11 @@ def as_numeric_array(x, name: str, dtype=np.complex128) -> np.ndarray:
     return a
 
 
-def as_finite_array(x, name: str, ndim: int, dtype=np.complex128) -> np.ndarray:
-    """`as_numeric_array` of an ndim-D array of finite numbers."""
+def as_finite_array(x, name: str, ndim: int | None, dtype=np.complex128) -> np.ndarray:
+    """`as_numeric_array` of an ndim-D array (any shape for ndim None) of
+    finite numbers."""
     a = as_numeric_array(x, name, dtype)
-    if a.ndim != ndim:
+    if ndim is not None and a.ndim != ndim:
         raise InputDomainError(f"{name} has shape {a.shape}, expected a {ndim}-D array")
     if not np.isfinite(a).all():  # complex isfinite: both parts finite
         raise InputDomainError(f"{name} has non-finite entries")
@@ -81,22 +91,45 @@ def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def as_hermitian(m, name: str = "matrix") -> np.ndarray:
+def as_hermitian(m, name="matrix") -> np.ndarray:
     """Validate hermitian symmetry and return the exactly symmetrized
     matrix (H + H*)/2.  The asymmetry may reach `HERMITIAN_TOL` times the
     largest entry modulus (`HERMITIAN_TOL` itself for entries of modulus at
     most 1), so the rounding of computed products is accepted at every
-    scale."""
-    a = as_complex_matrix(m, name)
-    if a.shape[0] != a.shape[1]:
-        raise InputDomainError(f"{name} must be square, got shape {a.shape}")
-    ah = a.conj().T
-    asym = np.abs(a - ah).max()
-    if asym > HERMITIAN_TOL:  # the bound is at least that, so only then is the scale needed
-        bound = HERMITIAN_TOL * max(1.0, float(np.abs(a).max()))
-        if asym > bound:
-            raise InputDomainError(
-                f"{name} is not hermitian: max asymmetry {asym:.3e} exceeds {bound:.1e}")
+    scale.
+
+    m is one matrix named `name`, or a stack (k, n, n) of k matrices with
+    `name` the sequence of their k names.  Each matrix of a stack is held
+    to its own bound, and a bad one is refused with the error it gets
+    alone, naming it (with several bad ones, the first to fail the first
+    check that any fails).
+    """
+    single = isinstance(name, str)
+    names = [name] if single else list(name)
+    a = as_numeric_array(m, names[0])
+    if not single and a.shape[:1] != (len(names),):
+        raise ValueError(f"a stack of shape {a.shape} needs one name per matrix, "
+                         f"got {len(names)}")
+    shape = a.shape if single else a.shape[1:]
+    if len(shape) != 2:
+        raise InputDomainError(f"{names[0]} has shape {shape}, expected a 2-D array")
+    if not np.isfinite(a).all():  # complex isfinite: both parts finite
+        finite = np.isfinite(a).reshape(len(names), -1).all(axis=1)
+        raise InputDomainError(f"{names[np.argmin(finite)]} has non-finite entries")
+    if a.size == 0:
+        raise InputDomainError(f"{names[0]} must be a non-empty 2-D array, got shape {shape}")
+    if shape[0] != shape[1]:
+        raise InputDomainError(f"{names[0]} must be square, got shape {shape}")
+    ah = a.conj().swapaxes(-1, -2)
+    asym = np.abs(a - ah)
+    if asym.max() > HERMITIAN_TOL:  # the bound is at least that, so only then is the scale needed
+        asym = asym.reshape(len(names), -1).max(axis=1)
+        bound = HERMITIAN_TOL * np.maximum(1.0, np.abs(a).reshape(len(names), -1).max(axis=1))
+        over = asym > bound
+        if over.any():
+            k = np.argmax(over)
+            raise InputDomainError(f"{names[k]} is not hermitian: max asymmetry "
+                                   f"{asym[k]:.3e} exceeds {bound[k]:.1e}")
     # halves first: a + a* overflows for entries near the largest float
     return a * 0.5 + ah * 0.5
 
@@ -131,17 +164,40 @@ class EigenSystem:
         return u @ u.conj().T
 
 
-def eig_hermitian(h, name: str = "matrix") -> EigenSystem:
-    """Diagonalize a hermitian matrix with LAPACK (`numpy.linalg.eigh`).
+def eig_hermitians(matrices, names) -> list[EigenSystem]:
+    """Diagonalize hermitian matrices with LAPACK (`numpy.linalg.eigh`):
+    one `EigenSystem` per matrix, `names[k]` labelling `matrices[k]` in
+    validation errors.
 
-    Eigenvalues come out ascending.  The eigenvectors are `eigh`'s columns
-    as LAPACK returns them, with no phase convention: opint reads them only
-    through products u u*, which a column's unit phase (or the choice of
-    basis inside a repeated eigenvalue) cancels out of.  `name` labels the
-    matrix in validation errors.
+    The matrices of each shape are stacked and go through one `as_hermitian`
+    and one `eigh`: at small n their cost is mostly per call, not per
+    matrix.  The stack holds a copy of its matrices, and the eigensystems
+    of a stack view one (k, n, n) array of eigenvectors, so callers bound
+    how many matrices they pass at once.  Each eigensystem has the
+    bits `eigh` gives its matrix alone: eigenvalues ascending, and the
+    eigenvectors as LAPACK returns them, with no phase convention.  opint
+    reads them only through products u u*, which a column's unit phase (or
+    the choice of basis inside a repeated eigenvalue) cancels out of.
     """
-    w, v = np.linalg.eigh(as_hermitian(h, name))
-    return EigenSystem(w, v)
+    matrices = [as_numeric_array(m, name) for m, name in zip(matrices, names, strict=True)]
+    shapes: dict[tuple, list[int]] = {}
+    for k, m in enumerate(matrices):
+        shapes.setdefault(m.shape, []).append(k)
+    systems = [None] * len(matrices)
+    for ks in shapes.values():
+        if len(ks) == 1:  # a stack of one needs no copy
+            h = as_hermitian(matrices[ks[0]], names[ks[0]])[None]
+        else:
+            h = as_hermitian(np.stack([matrices[k] for k in ks]), [names[k] for k in ks])
+        w, v = np.linalg.eigh(h)
+        for k, wk, vk in zip(ks, w, v):
+            systems[k] = EigenSystem(wk, vk)
+    return systems
+
+
+def eig_hermitian(h, name: str = "matrix") -> EigenSystem:
+    """`eig_hermitians` of the one matrix h."""
+    return eig_hermitians([h], [name])[0]
 
 
 def evaluate(f, x: np.ndarray, point: str = "point") -> np.ndarray:

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
+from .linalg import as_finite_array
 
 # Phases per block of `QuadratureRule.phase_sum`: its factor tables and
 # partial products take O(PHASE_BLOCK sqrt(M)) memory, whatever the count of
@@ -90,6 +91,9 @@ class QuadratureRule:
 
     def phase_factors(self, phi) -> tuple[np.ndarray, np.ndarray]:
         """Square-root phase split of e^{i phi_k x_m} over the M nodes.
+        The phases phi are real and finite, of any shape, read in C order;
+        this, `phase_table`, `node_sums` and `phase_sum` refuse others with
+        InputDomainError naming phi.
 
         With x_m = x0 + h m, B = ceil(sqrt(M)), J = ceil(M / B) and
         m = B j + r,
@@ -142,7 +146,7 @@ class QuadratureRule:
         """
         rows, cols = self.split_shape
         (p1, p0), (q1, q0) = _split(rows), _split(cols)
-        e = np.exp(1j * np.outer(np.asarray(phi, dtype=float), self.steps))
+        e = np.exp(1j * np.outer(as_finite_array(phi, "phi", None, float), self.steps))
         k, i = e.shape[0], p1 + p0
         p = (e[:, :p1, None] * e[:, None, p1:i]).reshape(k, p1 * p0)[:, :rows]
         q = (e[:, i:i + q1, None] * e[:, None, i + q1:]).reshape(k, q1 * q0)[:, :cols]
@@ -184,7 +188,7 @@ class QuadratureRule:
         coeff = np.asarray(coeff)
         if coeff.shape != self.nodes.shape:
             raise ConfigError(f"phase_sum takes one coefficient per node, not shape {coeff.shape}")
-        phi = np.asarray(phi, dtype=float).ravel()
+        phi = as_finite_array(phi, "phi", None, float).ravel()
         cols = self.split_shape[1]
         full = self.nodes.size // cols
         body, tail = coeff[:full * cols].reshape(full, cols), coeff[full * cols:]

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .doi import SpectralPair
-from .errors import InputDomainError
+from .errors import IllPosedError, InputDomainError
 from .linalg import EigenSystem, apply_function, as_finite_array, as_numeric_array, trace_norm
 from .quadrature import QuadratureRule, symmetric_open_rule
 
@@ -278,13 +278,20 @@ def xi_fourier(pair: SpectralPair, epsilon: float, grid,
 
 def rank_one_cauchy_transform(eb: EigenSystem, w, z):
     """F(z) = sum_i |<v_i, w>|^2 / (mu_i - z) over the eigenpairs of B, for
-    w of shape (n,): a complex number for scalar z, else an array of z's shape."""
+    w of shape (n,): a complex number for scalar z, else an array of z's
+    shape, real for real z.  The points z are finite numbers, real or
+    complex, else InputDomainError naming z; one on an eigenvalue mu_i, a
+    pole of F, raises IllPosedError."""
     w = as_finite_array(w, "w", 1)
     if w.shape != eb.eigenvalues.shape:
         raise InputDomainError(f"w has shape {w.shape}, expected {eb.eigenvalues.shape}")
     weights = np.abs(eb.unitary.conj().T @ w) ** 2
-    z = np.asarray(z)
-    f = np.sum(weights / (eb.eigenvalues - z[..., None]), axis=-1)
+    z = as_finite_array(z, "z", None, np.complex128 if np.iscomplexobj(z) else float)
+    gaps = eb.eigenvalues - z[..., None]
+    if not gaps.all():
+        pole = z[(gaps == 0).any(axis=-1)].flat[0]
+        raise IllPosedError(f"z = {pole} is an eigenvalue of B, a pole of F")
+    f = np.sum(weights / gaps, axis=-1)
     return complex(f) if f.ndim == 0 else f
 
 

@@ -12,7 +12,13 @@ decorator appends it to `SUITE_CHECKS`, in definition order, as a
 (cfg) -> CheckRecord callable that reduces the errors to the worst one
 (NaN if any error is NaN) and compares it with the check's bound.
 `_trials` yields each trial's (rng, dim): the substream of (seed, tag,
-trial) and the configured dims in turn.
+trial) and the configured dims in turn.  The ten checks that draw one or
+two hermitian operands per trial and only then use their rng again take
+them from `_diagonalized`: it draws a block of trials' operands, at most
+`BLOCK_BYTES` of them, and diagonalizes the block with one stacked `eigh`
+per dimension (`linalg.eig_hermitians`).  Each trial's rng is its own
+substream, so drawing ahead changes no number, and the budget keeps the
+stacks from growing with the trial count.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ import numpy as np
 
 from . import doi, quantization, shift, sylvester
 from .errors import ConfigError
-from .linalg import (apply_function, dft_unitary, eig_hermitian, operator_norm,
+from .linalg import (apply_function, dft_unitary, eig_hermitian, eig_hermitians, operator_norm,
                      schatten_norm, schatten_norm_of_values, singular_values, trace_norm)
 from .quadrature import symmetric_open_rule, trapezoid_rule
 from .rng import random_complex, random_hermitian, random_unit_vector, substream
@@ -57,6 +63,14 @@ MAX_GRID_POINTS = 10_000
 MAX_QUAD_NODES = 1_000_000
 MAX_DIM = 1024   # n and every dim
 MAX_TERMS = 16
+
+# Operand bytes per block of trials that `_diagonalized` draws before it
+# diagonalizes them, one `eigh` per dimension: stacking amortizes numpy's
+# per-call overhead, which dominates at small dims, and the budget keeps the
+# stacks (several copies of the operands while they are symmetrized and
+# diagonalized) from growing with --trials.  A trial over the budget is a
+# block of its own; the default config (dims 2-8, 20 trials) is one block.
+BLOCK_BYTES = 1 << 20
 
 
 @dataclass
@@ -250,15 +264,39 @@ def _trials(cfg: ScenarioConfig, tag: str, count=None, max_dim=None):
         yield substream(cfg.seed, tag, trial), dim if max_dim is None else min(dim, max_dim)
 
 
-def _pairs(cfg: ScenarioConfig, tag: str):
+def _drawn_blocks(cfg: ScenarioConfig, tag: str, names):
+    """(rng, one hermitian matrix per name in `names`, drawn from rng in
+    turn) per trial of `_trials`, in lists of consecutive trials that draw
+    at most BLOCK_BYTES together, or of one trial that draws more."""
+    block, size = [], 0
     for rng, dim in _trials(cfg, tag):
-        yield rng, random_hermitian(rng, dim), random_hermitian(rng, dim)
+        cost = len(names) * 16 * dim * dim
+        if block and size + cost > BLOCK_BYTES:
+            yield block
+            block, size = [], 0
+        block.append((rng, [random_hermitian(rng, dim) for _ in names]))
+        size += cost
+    yield block
+
+
+def _diagonalized(cfg: ScenarioConfig, tag: str, names):
+    """(rng, matrices, their eigensystems) per trial of `_drawn_blocks`,
+    each block diagonalized by one `eig_hermitians` call."""
+    for block in _drawn_blocks(cfg, tag, names):
+        systems = iter(eig_hermitians([m for _, ms in block for m in ms], names * len(block)))
+        for rng, ms in block:
+            yield rng, ms, [next(systems) for _ in ms]
+
+
+def _pairs(cfg: ScenarioConfig, tag: str):
+    """(rng, A, B, SpectralPair of A and B) per trial."""
+    for rng, (a, b), (left, right) in _diagonalized(cfg, tag, ("A", "B")):
+        yield rng, a, b, doi.SpectralPair(left, right)
 
 
 @_check("linalg.eig_reconstruction", "algebraic")
 def check_eig_reconstruction(cfg):
-    for _, a, _ in _pairs(cfg, "suite-eig"):
-        e = eig_hermitian(a)
+    for _, (a,), (e,) in _diagonalized(cfg, "suite-eig", ("A",)):
         yield np.linalg.norm(e.reconstruct() - a) / max(np.linalg.norm(a), 1e-300)
 
 
@@ -288,8 +326,7 @@ def check_dft_order_four(cfg):
 
 @_check("linalg.apply_function_additive", "algebraic")
 def check_apply_function_additive(cfg):
-    for _, a, _ in _pairs(cfg, "suite-additive"):
-        e = eig_hermitian(a)
+    for _, _, (e,) in _diagonalized(cfg, "suite-additive", ("A",)):
         lhs = apply_function(e, lambda x: np.sin(x) + np.exp(x))
         rhs = apply_function(e, np.sin) + apply_function(e, np.exp)
         yield np.abs(lhs - rhs).max() / max(np.abs(rhs).max(), 1.0)
@@ -297,8 +334,7 @@ def check_apply_function_additive(cfg):
 
 @_check("doi.identity_symbol_acts_trivially", "algebraic")
 def check_doi_identity_transformer(cfg):
-    for rng, a, b in _pairs(cfg, "suite-doi-id"):
-        pair = doi.make_spectral_pair(a, b)
+    for rng, _, _, pair in _pairs(cfg, "suite-doi-id"):
         sym = doi.symbol_from_function(pair, lambda lam, mu: np.ones_like(lam * mu, dtype=complex))
         t = random_complex(rng, (pair.dim, pair.dim))
         yield np.abs(doi.doi_apply(pair, sym, t) - t).max()
@@ -306,8 +342,7 @@ def check_doi_identity_transformer(cfg):
 
 @_check("doi.localization_identity", "algebraic")
 def check_doi_localization(cfg):
-    for rng, a, b in _pairs(cfg, "suite-doi-loc"):
-        pair = doi.make_spectral_pair(a, b)
+    for rng, _, _, pair in _pairs(cfg, "suite-doi-loc"):
         sym = doi.symbol_from_function(pair, lambda lam, mu: np.sin(lam) + 1j * np.cos(mu))
         mask_l = pair.left.eigenvalues <= float(rng.uniform(-1, 1))
         mask_r = pair.right.eigenvalues > float(rng.uniform(-1, 1))
@@ -322,8 +357,7 @@ def check_doi_localization(cfg):
 @_check("doi.divided_difference_maps_difference", 1e-9,
         note="f(A)-f(B) = DOI(phi_f)(A-B) for f = x^2, relative")
 def check_doi_divided_difference(cfg):
-    for _, a, b in _pairs(cfg, "suite-doi-dd"):
-        pair = doi.make_spectral_pair(a, b)
+    for _, a, b, pair in _pairs(cfg, "suite-doi-dd"):
         sym = doi.divided_difference_symbol(pair, lambda x: x**2, lambda x: 2 * x)
         lhs = doi.doi_apply(pair, sym, a - b)
         scale = max(np.abs(a @ a - b @ b).max(), 1.0)
@@ -363,8 +397,7 @@ def check_doi_fourier_cross_route(cfg):
         note="slack covers the quadrature's own l1 mass error")
 def check_doi_fourier_norm_mass(cfg):
     quad = trapezoid_rule(40.0, 2000)
-    for rng, a, b in _pairs(cfg, "suite-doi-mass"):
-        pair = doi.make_spectral_pair(a, b)
+    for rng, _, _, pair in _pairs(cfg, "suite-doi-mass"):
         t = random_complex(rng, (pair.dim, pair.dim))
         t /= operator_norm(t)
         yield operator_norm(doi.doi_fourier(pair, lambda s: np.exp(-np.abs(s)), t, quad)) - 2.0
@@ -372,8 +405,7 @@ def check_doi_fourier_norm_mass(cfg):
 
 @_check("doi.peller_bound_dominates_sampled_c1", 0.0, floor=-np.inf)
 def check_peller_bound(cfg):
-    for rng, a, b in _pairs(cfg, "suite-peller"):
-        pair = doi.make_spectral_pair(a, b)
+    for rng, _, _, pair in _pairs(cfg, "suite-peller"):
         k = int(rng.integers(1, 4))
         d = doi.Decomposition(alphas=random_complex(rng, (k, pair.dim)),
                               betas=random_complex(rng, (k, pair.dim)),
@@ -427,18 +459,17 @@ def check_sylvester_bound_all_p(cfg):
 
 @_check("shift.krein_trace_formula", 1e-9)
 def check_trace_formula(cfg):
-    for rng, a, b in _pairs(cfg, "suite-trace"):
+    for rng, _, _, pair in _pairs(cfg, "suite-trace"):
         mu = shift.AtomicMeasure(points=rng.uniform(0.3, 2.5, 3) * rng.choice([-1, 1], 3),
                                  weights=rng.uniform(0.2, 1.5, 3))
         f, _ = shift.admissible_f(mu)
-        res = shift.trace_formula_check(doi.make_spectral_pair(a, b), f)
+        res = shift.trace_formula_check(pair, f)
         yield res.gap / (1.0 + abs(res.lhs))
 
 
 @_check("shift.properties_a_to_d", "algebraic")
 def check_shift_properties(cfg):
-    for rng, a, b in _pairs(cfg, "suite-props"):
-        pair = doi.make_spectral_pair(a, b)
+    for rng, a, b, pair in _pairs(cfg, "suite-props"):
         yield from shift.krein_properties(pair, shift.xi_counting(pair), a - b).errors()
         g = random_complex(rng, a.shape)
         a_pos = b + g @ g.conj().T
@@ -477,8 +508,8 @@ def check_rank_one_route(cfg):
 
 @_check("shift.resolvent_trace_identity", 1e-12)
 def check_resolvent_identity(cfg):
-    for _, a, b in _pairs(cfg, "suite-resolvent"):
-        yield shift.resolvent_identity_check(doi.make_spectral_pair(a, b), 0.3 + 0.7j)
+    for _, _, _, pair in _pairs(cfg, "suite-resolvent"):
+        yield shift.resolvent_identity_check(pair, 0.3 + 0.7j)
 
 
 @_check("shift.arctan_kernel_representation", "quadrature")

@@ -586,3 +586,47 @@ def test_consumers_of_an_eigensystem_do_not_read_column_phases():
 def test_eig_hermitian_names_the_matrix_in_errors():
     with pytest.raises(errors.InputDomainError, match="^H is not hermitian"):
         linalg.eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]), name="H")
+
+
+def test_eig_hermitians_gives_each_matrix_the_bits_of_eig_hermitian():
+    # mixed dimensions, interleaved: one stack per dimension
+    rng = substream(29, "linalg-stacked")
+    dims = (1, 2, 5, 8, 8, 5, 2, 1, 5, 8, 2)
+    matrices = [random_hermitian(rng, n) for n in dims]
+    names = [f"M{k}" for k in range(len(dims))]
+    systems = linalg.eig_hermitians(matrices, names)
+    assert len(systems) == len(matrices)
+    for m, name, e in zip(matrices, names, systems):
+        alone = linalg.eig_hermitian(m, name)
+        assert e.eigenvalues.tobytes() == alone.eigenvalues.tobytes()
+        assert e.unitary.tobytes() == alone.unitary.tobytes()
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("asymmetric", "is not hermitian: max asymmetry"),
+    ("non-finite", "has non-finite entries"),
+])
+def test_eig_hermitians_refuses_a_bad_matrix_with_its_error_alone(fault, message):
+    # the other matrices' entries are 1e6 times larger: a bound scaled over the
+    # whole stack would pass the bad matrix's 1e-10 of asymmetry
+    rng = substream(31, "linalg-stacked-bad")
+    matrices = [1e4 * random_hermitian(rng, n) for n in (3, 4, 3, 4, 3)]
+    bad = 1e-6 * matrices[2]
+    bad[0, 1] += 1e-10 if fault == "asymmetric" else np.nan
+    matrices[2] = bad
+    with pytest.raises(errors.InputDomainError) as alone:
+        linalg.eig_hermitian(bad, "C")
+    assert str(alone.value).startswith(f"C {message}")
+    with pytest.raises(errors.InputDomainError) as stacked:
+        linalg.eig_hermitians(matrices, ["A", "B", "C", "D", "E"])
+    assert str(stacked.value) == str(alone.value)
+
+
+def test_as_hermitian_holds_each_matrix_of_a_stack_to_its_own_bound():
+    # 1e-9 of asymmetry passes next to entries of 1e4, not next to entries of 1
+    big = np.diag([1e4, 1.0]).astype(complex)
+    small = np.eye(2, dtype=complex)
+    big[0, 1] = small[0, 1] = 1e-9
+    assert linalg.as_hermitian(np.stack([big, big]), ["A", "B"]).shape == (2, 2, 2)
+    with pytest.raises(errors.InputDomainError, match="^B is not hermitian"):
+        linalg.as_hermitian(np.stack([big, small]), ["A", "B"])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -241,3 +242,37 @@ def test_builders_construct_within_their_stated_distance_from_x0_plus_h_m(half_w
         x = quad.nodes
         deviation = np.abs(x - (quad.x0 + quad.h * np.arange(x.size))).max()
         assert deviation <= roundoffs * (1 + 1e-9) * U * np.abs(x).max()
+
+
+PHASE_ROUTINES = {
+    "phase_factors": lambda quad, phi: quad.phase_factors(phi),
+    "phase_table": lambda quad, phi: quad.phase_table(phi),
+    "node_sums": lambda quad, phi: quad.node_sums(phi),
+    "phase_sum": lambda quad, phi: quad.phase_sum(phi, np.ones(quad.nodes.size)),
+}
+
+
+@pytest.mark.parametrize("phi, message", [
+    (np.array([0.5 + 3j]), "must be real"),
+    ([0.5, 2j], "must be real"),
+    ([True, 0.5], "is not a numeric array"),
+    (["0.5"], "is not a numeric array"),
+    ([0.5, np.nan], "has non-finite entries"),
+    ([-np.inf, 0.5], "has non-finite entries"),
+], ids=["complex-array", "complex-in-list", "bool-in-list", "str", "nan", "inf"])
+@pytest.mark.parametrize("routine", sorted(PHASE_ROUTINES))
+def test_phase_routines_refuse_phases_that_are_not_finite_reals(routine, phi, message):
+    quad = symmetric_open_rule(10.0, 100)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(errors.InputDomainError, match=f"^phi {message}"):
+            PHASE_ROUTINES[routine](quad, phi)
+
+
+@pytest.mark.parametrize("routine", sorted(PHASE_ROUTINES))
+def test_phase_routines_read_integer_and_float_phases_alike(routine):
+    quad = symmetric_open_rule(10.0, 100)
+    def output_bytes(phi):
+        out = PHASE_ROUTINES[routine](quad, phi)
+        return b"".join(a.tobytes() for a in (out if isinstance(out, tuple) else (out,)))
+    assert output_bytes([-2, 0, 3]) == output_bytes(np.array([-2.0, 0.0, 3.0]))

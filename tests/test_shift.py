@@ -780,3 +780,36 @@ def test_arctan_rep_rejects_non_uniform_rule(nodes):
     # the rule refuses the nodes when it is built, before arctan_rep_value sees them
     with pytest.raises(errors.ConfigError, match="not an arithmetic progression"):
         shift.arctan_rep_value(1.0, QuadratureRule(nodes, np.ones_like(nodes)))
+
+
+@pytest.mark.parametrize("z, message", [
+    ("0.5j", "^z is not a numeric array"),
+    (True, "^z is not a numeric array"),
+    ([0.5, True], "^z is not a numeric array"),
+    (np.nan, "^z has non-finite entries"),
+    (np.array([0.5 + 1j, np.inf]), "^z has non-finite entries"),
+], ids=["str", "bool", "bool-in-list", "nan", "inf-in-array"])
+def test_cauchy_transform_refuses_a_point_that_is_not_a_finite_number(z, message):
+    eb = eig_hermitian(np.diag([0.0, 1.0]))
+    with pytest.raises(errors.InputDomainError, match=message):
+        shift.rank_one_cauchy_transform(eb, np.array([0.6, 0.8]), z)
+
+
+@pytest.mark.parametrize("z", [1.0, 1, 1 + 0j, np.array([[0.5, 2.0], [0.0, 3.0]])],
+                         ids=["float", "int", "complex", "array"])
+def test_cauchy_transform_refuses_a_point_on_a_pole(z):
+    eb = eig_hermitian(np.diag([0.0, 1.0]))
+    with pytest.raises(errors.IllPosedError, match="is an eigenvalue of B, a pole of F"):
+        shift.rank_one_cauchy_transform(eb, np.array([0.6, 0.8]), z)
+
+
+def test_cauchy_transform_is_real_at_real_points_and_complex_at_complex_ones():
+    eb = eig_hermitian(np.diag([0.0, 1.0]))
+    w = np.array([0.6, 0.8])
+    x = np.array([[0.5, 2.0], [-1.0, 3.0]])
+    real = shift.rank_one_cauchy_transform(eb, w, x)
+    assert real.dtype == np.float64 and real.shape == x.shape
+    np.testing.assert_allclose(real, 0.36 / (0.0 - x) + 0.64 / (1.0 - x), rtol=1e-15)
+    assert shift.rank_one_cauchy_transform(eb, w, [2, 3]).dtype == np.float64
+    assert shift.rank_one_cauchy_transform(eb, w, x + 0.5j).dtype == np.complex128
+    assert shift.rank_one_cauchy_transform(eb, w, 0.5) == complex(real[0, 0])

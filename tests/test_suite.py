@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -594,31 +595,56 @@ def test_default_suite_pass_eigendecomposition_count(monkeypatch):
     oracle_calls = _count_oracle_eigensolver_calls(monkeypatch, calls)
     assert run_suite(ScenarioConfig()).passed
     assert oracle_calls == [["eigh"]] * 20, oracle_calls
-    assert len(calls) - 20 <= 489, len(calls)
+    assert len(calls) - 20 <= 169, len(calls)  # 489 when each trial was diagonalized alone
 
 
 def test_default_suite_pass_diagonalizes_only_through_eig_hermitian(monkeypatch):
     # wrap the names in every opint namespace that binds them, as the
-    # benchmark's tracer does, so its eig_hermitian counters see every eigh call
-    counts = {"eig_hermitian": 0, "as_hermitian": 0}
+    # benchmark's tracer does; eig_hermitian is the one-matrix eig_hermitians
+    calls = _count_eigensolver_calls(monkeypatch)
+    counts = {"matrices": 0, "eigh": 0, "as_hermitian": 0}
     modules = [m for key, m in sys.modules.items() if key == "opint" or key.startswith("opint.")]
-    for name in counts:
+    for name in ("eig_hermitians", "as_hermitian"):
         original = getattr(linalg, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
-            counts[_name] += 1
-            return _original(*args, **kwargs)
+            start = len(calls)
+            try:
+                return _original(*args, **kwargs)
+            finally:
+                if _name == "as_hermitian":
+                    counts["as_hermitian"] += 1
+                else:
+                    counts["matrices"] += len(args[0])
+                    counts["eigh"] += len(calls) - start
         for module in modules:
             for key, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, key, counted)
-    calls = _count_eigensolver_calls(monkeypatch)
     oracle_calls = _count_oracle_eigensolver_calls(monkeypatch, calls)
     assert run_suite(ScenarioConfig()).passed
     # one direct eigh of B per Kronecker cross-check, 20 per default pass
     assert oracle_calls == [["eigh"]] * 20, oracle_calls
-    assert counts["eig_hermitian"] == calls.count("eigh") - 20 == 489
-    assert counts["as_hermitian"] <= 609, counts  # 1033 when pairs were validated twice
+    # the ten checks that draw their trials a block at a time diagonalize
+    # their 360 matrices in 40 stacks, one per dimension and check
+    assert counts["matrices"] == 489, counts
+    assert counts["eigh"] == calls.count("eigh") - 20 == 169, counts
+    assert counts["as_hermitian"] <= 289, counts  # 609 when each matrix was validated alone
+
+
+def test_suite_memory_does_not_grow_with_trials():
+    # the checks draw and diagonalize their trials a block at a time; at
+    # dims [128] a block holds two trials' pairs, and stacking all twelve
+    # would add about 22 MiB to the peak
+    peaks = []
+    for trials in (1, 12):
+        tracemalloc.start()
+        try:
+            assert run_suite(ScenarioConfig(dims=[128], trials=trials)).passed
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 1.5 * suite_mod.BLOCK_BYTES, peaks
 
 
 @pytest.fixture(scope="module")

@@ -16,9 +16,10 @@ Each rule that several places use has one home:
 - hermitian matrices are diagonalized by `linalg.eig_hermitians`, a stack
   per shape (`eig_hermitian` is its one-matrix case);
 - user functions are evaluated once, on an array, by `linalg.evaluate`;
-- a Sylvester solve is `sylvester.solve_gap`, whose `GapSolution` gives X
-  and, for any p, a `GapReport`, which holds the residual and pi/(2 delta)
-  rules; the Kronecker tolerance is `sylvester.KRON_AGREEMENT_TOL`;
+- a Sylvester solve is `sylvester.solve_gap_pair` on a given `SpectralPair`
+  (`solve_gap` diagonalizes first), whose `GapSolution` gives X and, for
+  any p, a `GapReport`, which holds the residual and pi/(2 delta) rules;
+  the Kronecker tolerance is `sylvester.KRON_AGREEMENT_TOL`;
 - the Cotlar-Stein slack is on `CotlarReport`, which also judges the
   quantize upper bound; the Peller slack is `doi.PELLER_SLACK`;
 - Krein's properties, and whether A >= B, are on `KreinProperties`, which
@@ -53,7 +54,8 @@ from .shift import (AtomicMeasure, KreinProperties, SampledCurve, ShiftFunction,
                     krein_properties, rank_one_cauchy_transform, resolvent_identity_check,
                     trace_formula_check, xi_arctan, xi_arctan_extrapolated,
                     xi_counting, xi_fourier, xi_rank_one)
-from .sylvester import GapReport, GapSolution, kron_oracle, solve_gap, spectral_gap
+from .sylvester import (GapReport, GapSolution, kron_oracle, solve_gap, solve_gap_pair,
+                        spectral_gap)
 
 __version__ = "0.1.0"
 

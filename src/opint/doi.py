@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InputDomainError
 from .linalg import (EigenSystem, apply_function, as_complex_matrix, as_finite_array,
-                     eig_hermitian, evaluate, schatten_norm)
+                     eig_hermitian, eig_hermitians, evaluate, schatten_norm)
 from .quadrature import QuadratureRule, trapezoid_rule
 from .rng import random_complex, random_hermitian, substream
 
@@ -54,7 +54,11 @@ class SpectralPair:
 
 
 def make_spectral_pair(a, b) -> SpectralPair:
-    return SpectralPair(left=eig_hermitian(a, "A"), right=eig_hermitian(b, "B"))
+    """The eigensystems of A and B from one `eig_hermitians` call: A and B
+    of one shape are validated and diagonalized as one stack, and a bad
+    operand is named as `as_hermitian` names a bad matrix of a stack."""
+    left, right = eig_hermitians([a, b], ["A", "B"])
+    return SpectralPair(left=left, right=right)
 
 
 @dataclass(frozen=True)

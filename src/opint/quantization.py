@@ -18,7 +18,8 @@ import numpy as np
 from .doi import Decomposition
 from .errors import InputDomainError
 from .linalg import (BOOLEAN_TYPES, EigenSystem, apply_function, as_complex_matrix,
-                     as_finite_array, dft_unitary, entry_types, operator_norm, require_size)
+                     as_finite_array, as_numeric_array, dft_unitary, entry_types,
+                     operator_norm, require_size)
 
 
 @dataclass(frozen=True)
@@ -75,6 +76,23 @@ def _symbol_matrix(n: int, m, name: str) -> np.ndarray:
     if m.shape != (n, n):
         raise InputDomainError(f"{name} must be {n}x{n}, got {m.shape}")
     return m
+
+
+def _symbol_row_ifft(n: int, sigma) -> np.ndarray:
+    """ifft(sigma, axis=1) of an n x n symbol sigma.  Refuses a sigma with a
+    non-finite entry, as `_symbol_matrix` does, and a finite sigma whose
+    inverse DFT overflows.  A non-finite entry makes its whole row of the
+    output non-finite, so one finiteness pass over the output finds both,
+    and sigma itself is read again only to tell them apart."""
+    m = as_numeric_array(sigma, "sigma")
+    if m.shape != (n, n):
+        _symbol_matrix(n, m, "sigma")  # refuses m with the error of the first rule it breaks
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = np.fft.ifft(m, axis=1)
+    if not np.isfinite(a).all():
+        as_complex_matrix(m, "sigma")  # "sigma has non-finite entries"
+        raise InputDomainError("sigma overflows in its inverse DFT")
+    return a
 
 
 def _circulant_in_place(c: np.ndarray) -> np.ndarray:
@@ -137,9 +155,10 @@ def quantize(space: CycleSpace, sigma) -> np.ndarray:
     Each row of sigma goes through one inverse FFT, c[x, :] = ifft(sigma[x, :]),
     and M[x, y] = c[x, (x - y) mod n] permutes each row of that FFT output
     in place, so M is the one n x n array allocated, in O(n^2 log n).
-    Linear in sigma; sigma = f (x) g gives diag(f) . F* diag(g) F.
+    Linear in sigma; sigma = f (x) g gives diag(f) . F* diag(g) F.  A sigma
+    whose inverse DFT overflows is refused with `InputDomainError`.
     """
-    return _circulant_in_place(np.fft.ifft(_symbol_matrix(space.n, sigma, "sigma"), axis=1))
+    return _circulant_in_place(_symbol_row_ifft(space.n, sigma))
 
 
 @dataclass(frozen=True)
@@ -197,7 +216,7 @@ def qp_norm_upper_bound(space: CycleSpace, sigma) -> dict:
     are a's: `hilbert_schmidt` = |a|_F = |sigma|_F / sqrt(n) is its Frobenius
     norm, and `shift_triangle` = sum_j max_x |a[x, j]|.  The first is the
     smaller on random symbols, the second on symbols smooth in xi."""
-    a = np.fft.ifft(_symbol_matrix(space.n, sigma, "sigma"), axis=1)
+    a = _symbol_row_ifft(space.n, sigma)
     hilbert_schmidt = float(np.sqrt(np.sum(np.abs(a) ** 2)))
     shift_triangle = float(np.abs(a).max(axis=0).sum())
     return {"upper_bound": min(hilbert_schmidt, shift_triangle),

@@ -12,13 +12,19 @@ decorator appends it to `SUITE_CHECKS`, in definition order, as a
 (cfg) -> CheckRecord callable that reduces the errors to the worst one
 (NaN if any error is NaN) and compares it with the check's bound.
 `_trials` yields each trial's (rng, dim): the substream of (seed, tag,
-trial) and the configured dims in turn.  The ten checks that draw one or
-two hermitian operands per trial and only then use their rng again take
-them from `_diagonalized`: it draws a block of trials' operands, at most
-`BLOCK_BYTES` of them, and diagonalizes the block with one stacked `eigh`
-per dimension (`linalg.eig_hermitians`).  Each trial's rng is its own
+trial) and the configured dims in turn.  Every check that draws hermitian
+operands per trial takes them from `_diagonalized`.  A check gives it a
+draw function, which draws the trial's hermitian matrices from its rng
+first, in the order the check reads them (A and B; A and B shifted apart
+for the Sylvester checks; A, B and B + GG* for Krein's properties).
+`_diagonalized` draws a block of trials' matrices, at most `BLOCK_BYTES`
+of them, and diagonalizes the block with one stacked `eigh` per dimension
+(`linalg.eig_hermitians`); the check then draws the rest of the trial (a
+Sylvester Y, a symbol) from the same rng.  Each trial's rng is its own
 substream, so drawing ahead changes no number, and the budget keeps the
-stacks from growing with the trial count.
+stacks from growing with the trial count.  The Sylvester checks solve
+from those eigensystems (`sylvester.solve_gap_pair`) and do not
+diagonalize again.
 """
 
 from __future__ import annotations
@@ -64,8 +70,9 @@ MAX_QUAD_NODES = 1_000_000
 MAX_DIM = 1024   # n and every dim
 MAX_TERMS = 16
 
-# Operand bytes per block of trials that `_diagonalized` draws before it
-# diagonalizes them, one `eigh` per dimension: stacking amortizes numpy's
+# Bytes of the matrices a check's draw function returns, every one of them,
+# per block of trials that `_diagonalized` draws before it diagonalizes
+# them, one `eigh` per dimension: stacking amortizes numpy's
 # per-call overhead, which dominates at small dims, and the budget keeps the
 # stacks (several copies of the operands while they are symmetrized and
 # diagonalized) from growing with --trials.  A trial over the budget is a
@@ -264,39 +271,53 @@ def _trials(cfg: ScenarioConfig, tag: str, count=None, max_dim=None):
         yield substream(cfg.seed, tag, trial), dim if max_dim is None else min(dim, max_dim)
 
 
-def _drawn_blocks(cfg: ScenarioConfig, tag: str, names):
-    """(rng, one hermitian matrix per name in `names`, drawn from rng in
-    turn) per trial of `_trials`, in lists of consecutive trials that draw
-    at most BLOCK_BYTES together, or of one trial that draws more."""
+def _drawn_blocks(cfg: ScenarioConfig, tag: str, draw, names, count=None, max_dim=None):
+    """(rng, the matrices `draw(rng, dim)` draws from rng, one dim x dim
+    complex matrix per name in `names`) per trial of `_trials`, in lists of
+    consecutive trials whose matrices take at most BLOCK_BYTES together, or
+    of one trial whose matrices take more.  A trial is counted before it is
+    drawn, so no trial of the next block is held while a block is in use."""
     block, size = [], 0
-    for rng, dim in _trials(cfg, tag):
+    for rng, dim in _trials(cfg, tag, count, max_dim):
         cost = len(names) * 16 * dim * dim
         if block and size + cost > BLOCK_BYTES:
             yield block
             block, size = [], 0
-        block.append((rng, [random_hermitian(rng, dim) for _ in names]))
+        block.append((rng, draw(rng, dim)))
         size += cost
     yield block
 
 
-def _diagonalized(cfg: ScenarioConfig, tag: str, names):
+def _diagonalized(cfg: ScenarioConfig, tag: str, draw, names, count=None, max_dim=None):
     """(rng, matrices, their eigensystems) per trial of `_drawn_blocks`,
-    each block diagonalized by one `eig_hermitians` call."""
-    for block in _drawn_blocks(cfg, tag, names):
+    each block diagonalized by one `eig_hermitians` call; names[k] labels
+    matrix k in validation errors.  What a check draws after its matrices
+    it draws from rng in its own loop: each trial's rng is its own, so the
+    order of draws within a trial is the order the check reads them."""
+    for block in _drawn_blocks(cfg, tag, draw, names, count, max_dim):
         systems = iter(eig_hermitians([m for _, ms in block for m in ms], names * len(block)))
         for rng, ms in block:
             yield rng, ms, [next(systems) for _ in ms]
 
 
-def _pairs(cfg: ScenarioConfig, tag: str):
+def _draw_h(rng, dim):
+    return (random_hermitian(rng, dim),)
+
+
+def _draw_ab(rng, dim):
+    return random_hermitian(rng, dim), random_hermitian(rng, dim)
+
+
+def _pairs(cfg: ScenarioConfig, tag: str, count=None, max_dim=None):
     """(rng, A, B, SpectralPair of A and B) per trial."""
-    for rng, (a, b), (left, right) in _diagonalized(cfg, tag, ("A", "B")):
+    for rng, (a, b), (left, right) in _diagonalized(cfg, tag, _draw_ab, ("A", "B"),
+                                                    count, max_dim):
         yield rng, a, b, doi.SpectralPair(left, right)
 
 
 @_check("linalg.eig_reconstruction", "algebraic")
 def check_eig_reconstruction(cfg):
-    for _, (a,), (e,) in _diagonalized(cfg, "suite-eig", ("A",)):
+    for _, (a,), (e,) in _diagonalized(cfg, "suite-eig", _draw_h, ("A",)):
         yield np.linalg.norm(e.reconstruct() - a) / max(np.linalg.norm(a), 1e-300)
 
 
@@ -326,7 +347,7 @@ def check_dft_order_four(cfg):
 
 @_check("linalg.apply_function_additive", "algebraic")
 def check_apply_function_additive(cfg):
-    for _, _, (e,) in _diagonalized(cfg, "suite-additive", ("A",)):
+    for _, _, (e,) in _diagonalized(cfg, "suite-additive", _draw_h, ("A",)):
         lhs = apply_function(e, lambda x: np.sin(x) + np.exp(x))
         rhs = apply_function(e, np.sin) + apply_function(e, np.exp)
         yield np.abs(lhs - rhs).max() / max(np.abs(rhs).max(), 1.0)
@@ -367,8 +388,8 @@ def check_doi_divided_difference(cfg):
 @_check("doi.hs_norm_equals_power_iteration", "quadrature",
         note="|K| of the n^2 x n^2 transformer matrix K from an SVD")
 def check_doi_hs_norm(cfg):
-    for rng, dim in _trials(cfg, "suite-doi-hs", count=max(2, cfg.trials // 4), max_dim=8):
-        pair = doi.make_spectral_pair(random_hermitian(rng, dim), random_hermitian(rng, dim))
+    for rng, _, _, pair in _pairs(cfg, "suite-doi-hs", count=max(2, cfg.trials // 4), max_dim=8):
+        dim = pair.dim
         sym = doi.SymbolGrid(values=random_complex(rng, (dim, dim)))
         claimed = doi.hs_multiplier_norm(pair, sym)
         # the transformer as a matrix K, one column per matrix unit; its
@@ -422,8 +443,8 @@ def check_triangular_truncation(cfg):
     for dim in cfg.dims:
         if dim < 2:
             continue
-        d = np.diag(np.arange(1.0, dim + 1))
-        pair = doi.make_spectral_pair(d, d)
+        e = eig_hermitian(np.diag(np.arange(1.0, dim + 1)), "D")
+        pair = doi.SpectralPair(e, e)
         sym = doi.triangular_truncation_symbol(pair)
         yield abs(doi.hs_multiplier_norm(pair, sym) - 1.0)
         rng = substream(cfg.seed, "suite-tri", dim)
@@ -432,13 +453,20 @@ def check_triangular_truncation(cfg):
         yield np.abs(doi.triangular_truncation(pair, once) - once).max()
 
 
+def _gapped_solutions(cfg: ScenarioConfig, tag: str, shift_by: float):
+    """(A, B, Y, `solve_gap_pair` of them) per trial, for A and B shifted
+    shift_by above and below 0 and dims capped at 6."""
+    def draw(rng, dim):
+        return (random_hermitian(rng, dim) + shift_by * np.eye(dim),
+                random_hermitian(rng, dim) - shift_by * np.eye(dim))
+    for rng, (a, b), (left, right) in _diagonalized(cfg, tag, draw, ("A", "B"), max_dim=6):
+        y = random_complex(rng, a.shape)
+        yield a, b, y, sylvester.solve_gap_pair(doi.SpectralPair(left, right), a, b, y)
+
+
 @_check("sylvester.doi_matches_kron_and_certificate", sylvester.KRON_AGREEMENT_TOL)
 def check_sylvester_cross_oracle(cfg):
-    for rng, dim in _trials(cfg, "suite-sylv", max_dim=6):
-        a = random_hermitian(rng, dim) + 4.0 * np.eye(dim)
-        b = random_hermitian(rng, dim) - 4.0 * np.eye(dim)
-        y = random_complex(rng, (dim, dim))
-        solution = sylvester.solve_gap(a, b, y)
+    for a, b, y, solution in _gapped_solutions(cfg, "suite-sylv", 4.0):
         yield np.abs(solution.x - sylvester.kron_oracle(a, b, y)).max()
         report = solution.report()
         if not (report.residual_small and report.bound_holds):
@@ -447,11 +475,7 @@ def check_sylvester_cross_oracle(cfg):
 
 @_check("sylvester.pi_over_two_delta_bound", "algebraic")
 def check_sylvester_bound_all_p(cfg):
-    for rng, dim in _trials(cfg, "suite-sylvp", max_dim=6):
-        a = random_hermitian(rng, dim) + 3.5 * np.eye(dim)
-        b = random_hermitian(rng, dim) - 3.5 * np.eye(dim)
-        y = random_complex(rng, (dim, dim))
-        solution = sylvester.solve_gap(a, b, y)
+    for _, _, _, solution in _gapped_solutions(cfg, "suite-sylvp", 3.5):
         for p in (1, 2, np.inf):
             report = solution.report(p)
             yield report.x_norm - report.bound
@@ -469,11 +493,15 @@ def check_trace_formula(cfg):
 
 @_check("shift.properties_a_to_d", "algebraic")
 def check_shift_properties(cfg):
-    for rng, a, b, pair in _pairs(cfg, "suite-props"):
+    def draw(rng, dim):  # A, B, then B + GG* >= B
+        a, b = _draw_ab(rng, dim)
+        g = random_complex(rng, (dim, dim))
+        return a, b, b + g @ g.conj().T
+    names = ("A", "B", "B + GG*")
+    for _, (a, b, _), (left, right, pos) in _diagonalized(cfg, "suite-props", draw, names):
+        pair = doi.SpectralPair(left, right)
         yield from shift.krein_properties(pair, shift.xi_counting(pair), a - b).errors()
-        g = random_complex(rng, a.shape)
-        a_pos = b + g @ g.conj().T
-        xi_pos = shift.xi_counting(doi.SpectralPair(eig_hermitian(a_pos), pair.right))
+        xi_pos = shift.xi_counting(doi.SpectralPair(pos, right))
         if not xi_pos.is_nonnegative:
             yield np.inf
 
@@ -573,8 +601,9 @@ def check_bimeasure_structure(cfg):
 
 @_check("quantization.polymeasure_additivity_and_concatenation", "algebraic")
 def check_polymeasure(cfg):
-    for rng, dim in _trials(cfg, "suite-poly", count=max(2, cfg.trials // 4)):
-        eh = eig_hermitian(random_hermitian(rng, dim))
+    for rng, _, (eh,) in _diagonalized(cfg, "suite-poly", _draw_h, ("H",),
+                                       count=max(2, cfg.trials // 4)):
+        dim = eh.dim
         f0, f2 = random_complex(rng, dim), random_complex(rng, dim)
         e = (rng.random(dim) < 0.5).astype(complex)
         e_prime = 1.0 - e

@@ -4,12 +4,17 @@ When the spectra are a distance delta > 0 apart, the resolvent symbol
 1/(lambda - mu) is bounded on the product of the spectra and the double
 operator integral of that symbol inverts T -> AT - TB; the solution
 carries the certified estimate |X|_p <= pi/(2 delta) |Y|_p in every
-Schatten norm.  The vectorized Kronecker linear system provides a
-cross-check: B's eigenvectors make it block diagonal, and each n x n block
-is solved by LU (Bartels-Stewart; for hermitian B the Schur form is the
-eigendecomposition).  Its eigenvectors of B are `solve_gap`'s V, the same
-`eigh` output bit for bit, so it checks the A side and the operator
-integral's change of basis, not B's eigenvectors.
+Schatten norm.  `solve_gap_pair` solves from eigensystems of A and B it
+is given, so a caller that has diagonalized many operands in one stack
+(the suite's trials) does not diagonalize them again; `solve_gap` is
+`make_spectral_pair` followed by it.  The certificate's norms come from
+one stacked SVD of X, Y and the residual.  The vectorized Kronecker
+linear system provides a cross-check: B's eigenvectors make it block
+diagonal, and each n x n block is solved by LU (Bartels-Stewart; for
+hermitian B the Schur form is the eigendecomposition).  Its eigenvectors
+of B are `solve_gap`'s V, the same `eigh` output bit for bit, so it checks
+the A side and the operator integral's change of basis, not B's
+eigenvectors.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import IllPosedError
-from .linalg import as_complex_matrix, as_hermitian, schatten_norm_of_values, singular_values
+from .linalg import as_complex_matrix, as_finite_array, as_hermitian, schatten_norm_of_values
 from .doi import SpectralPair, doi_apply, make_spectral_pair, symbol_from_function
 
 GAP_FLOOR_FACTOR = 1e-8  # refuse gaps below this times the spectral scale
@@ -70,8 +75,9 @@ def spectral_gap(pair: SpectralPair) -> float:
 class GapSolution:
     """A solve of AX - XB = Y before any norm is taken: the symmetrized A
     and B, Y, the solution X and the spectral gap delta.  The singular
-    values of X, Y and the residual AX - XB - Y are taken once, on the
-    first `report`, and every p reads its norms from them."""
+    values of X, Y and the residual AX - XB - Y are taken once, by one
+    stacked SVD on the first `report`, and every p reads its norms from
+    them."""
 
     a: np.ndarray
     b: np.ndarray
@@ -80,10 +86,11 @@ class GapSolution:
     delta: float
 
     @cached_property
-    def _singular_values(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Singular values of X, Y and AX - XB - Y."""
+    def _singular_values(self) -> np.ndarray:
+        """Singular values of X, Y and AX - XB - Y, one row each."""
         residual = self.a @ self.x - self.x @ self.b - self.y
-        return singular_values(self.x), singular_values(self.y), singular_values(residual)
+        stack = as_finite_array(np.stack([self.x, self.y, residual]), "matrix", 3)
+        return np.linalg.svd(stack, compute_uv=False)
 
     def report(self, p=np.inf) -> GapReport:
         """The certificate in the Schatten p-norm; no eigendecomposition."""
@@ -94,15 +101,21 @@ class GapSolution:
                          residual=schatten_norm_of_values(residual_values, p))
 
 
-def solve_gap(a, b, y) -> GapSolution:
-    """Solve AX - XB = Y through the resolvent-symbol operator integral,
-    diagonalizing A and B once; the solution is `.x`, and `.report(p)`
-    gives the certificate for any number of p.
+def solve_gap_pair(pair: SpectralPair, a, b, y) -> GapSolution:
+    """Solve AX - XB = Y through the resolvent-symbol operator integral on
+    the eigensystems `pair` of A and B, which it takes as given; the
+    solution is `.x`, and `.report(p)` gives the certificate for any
+    number of p.
 
+    The residual AX - XB - Y is taken from A and B themselves, never from
+    the pair, so a pair that is not A's and B's fails `residual_small`.
     Refuses gaps below 1e-8 times the spectral scale: the symbol entries
     blow up like 1/delta and the certificate would be meaningless.
     """
-    pair = make_spectral_pair(a, b)
+    am, bm = as_hermitian(a, "A"), as_hermitian(b, "B")
+    if am.shape != (pair.dim, pair.dim) or bm.shape != am.shape:
+        raise IllPosedError(f"shape mismatch: A {am.shape}, B {bm.shape}, "
+                            f"pair dimension {pair.dim}")
     ym = as_complex_matrix(y, "Y")
     if ym.shape != (pair.dim, pair.dim):
         raise IllPosedError(f"Y has shape {ym.shape}, expected {(pair.dim, pair.dim)}")
@@ -117,8 +130,13 @@ def solve_gap(a, b, y) -> GapSolution:
             f"spectral gap {delta:.3e} is below {GAP_FLOOR_FACTOR:.0e} x scale; "
             f"closest eigenvalue pair {offending}", detail=offending)
     sym = symbol_from_function(pair, lambda lam, mu: 1.0 / (lam - mu))
-    return GapSolution(a=as_hermitian(a, "A"), b=as_hermitian(b, "B"), y=ym,
-                       x=doi_apply(pair, sym, ym), delta=delta)
+    return GapSolution(a=am, b=bm, y=ym, x=doi_apply(pair, sym, ym), delta=delta)
+
+
+def solve_gap(a, b, y) -> GapSolution:
+    """`solve_gap_pair` on the eigensystems of A and B, which
+    `make_spectral_pair` takes in one stacked call."""
+    return solve_gap_pair(make_spectral_pair(a, b), a, b, y)
 
 
 def kron_oracle(a, b, y) -> np.ndarray:
@@ -130,7 +148,7 @@ def kron_oracle(a, b, y) -> np.ndarray:
     into n blocks (A - mu_j I) x_j = (YU)_j, solved as one batched call;
     then X = (XU) U*.  U is `numpy.linalg.eigh` of the symmetrized B, the
     same output bit for bit as the eigenvectors V that `solve_gap` takes
-    from `eig_hermitian`, so the agreement checks the A side, solved by LU
+    from `eig_hermitians`, so the agreement checks the A side, solved by LU
     without diagonalizing A, and the operator integral's change of basis,
     not B's eigenvectors.  The stack of blocks is 16 n^3 complex
     bytes (1.8 MiB at n = 48); the solve is O(n^4) and takes about 4 ms at

@@ -456,9 +456,25 @@ def test_make_spectral_pair_validates_each_operand_once(monkeypatch):
         if getattr(module, "as_hermitian", None) is original:
             monkeypatch.setattr(module, "as_hermitian", counted)
     doi.make_spectral_pair(*seeded_pair(4, 3))
-    assert calls == ["A", "B"]
+    assert calls == [["A", "B"]]  # one stack of both operands
 
 
 def test_make_spectral_pair_names_the_operand_it_refuses():
     with pytest.raises(errors.InputDomainError, match="^B is not hermitian"):
         doi.make_spectral_pair(np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("a_fault, b_fault, named", [
+    ("asymmetric", "non-finite", "^B has non-finite entries"),
+    ("non-finite", "asymmetric", "^A has non-finite entries"),
+    ("asymmetric", "asymmetric", "^A is not hermitian"),
+    ("non-finite", "non-finite", "^A has non-finite entries"),
+])
+def test_make_spectral_pair_names_one_operand_when_both_are_bad(a_fault, b_fault, named):
+    # A and B are validated as one stack: the first check that any operand
+    # fails names the first operand to fail it, so a non-finite B is named
+    # before an asymmetric A
+    faults = {"asymmetric": np.array([[0.0, 1.0], [0.0, 0.0]]),
+              "non-finite": np.array([[np.nan, 0.0], [0.0, 1.0]])}
+    with pytest.raises(errors.InputDomainError, match=named):
+        doi.make_spectral_pair(faults[a_fault], faults[b_fault])

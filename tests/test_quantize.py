@@ -371,6 +371,38 @@ def test_momentum_operator_refuses_a_symbol_whose_inverse_dft_overflows():
         qz.momentum_operator(qz.cycle_space(2), [1e308, 1e308])
 
 
+@pytest.mark.filterwarnings("error")  # numpy's overflow warning must not leak either
+@pytest.mark.parametrize("build", [qz.quantize, qz.qp_norm_upper_bound])
+def test_symbol_routines_refuse_a_symbol_whose_inverse_dft_overflows(build):
+    # the exact row transforms are (1e308, 0); ifft sums before it scales by 1/n
+    with pytest.raises(errors.InputDomainError, match="^sigma overflows in its inverse DFT$"):
+        build(qz.cycle_space(2), np.full((2, 2), 1e308))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+@pytest.mark.parametrize("build", [qz.quantize, qz.qp_norm_upper_bound])
+def test_symbol_routines_name_a_non_finite_symbol_entry_as_such(build, bad):
+    sigma = np.ones((3, 3), dtype=complex)
+    sigma[1, 2] = bad
+    with pytest.raises(errors.InputDomainError, match="^sigma has non-finite entries$"):
+        build(qz.cycle_space(3), sigma)
+
+
+@pytest.mark.parametrize("build", [qz.quantize, qz.qp_norm_upper_bound])
+def test_symbol_routines_make_one_finiteness_pass_over_n_by_n_data(monkeypatch, build):
+    n = 16
+    sigma = random_complex(substream(3, "quant-one-pass"), (n, n))
+    sizes = []
+
+    def counted(x, *args, _original=np.isfinite, **kwargs):
+        sizes.append(np.size(x))
+        return _original(x, *args, **kwargs)
+    monkeypatch.setattr(np, "isfinite", counted)
+    build(qz.cycle_space(n), sigma)
+    assert sizes.count(n * n) == 1, sizes
+
+
 def test_cycle_space_builds_dft_on_demand():
     space = qz.cycle_space(4)
     assert [f.name for f in dataclasses.fields(space)] == ["n"]

@@ -399,6 +399,12 @@ def test_cli_symbol_csv_of_the_wrong_size_exits_2(tmp_path, capsys):
     assert "must be 4x4, got (3, 3)" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")  # numpy's overflow warning must not leak
+def test_cli_symbol_csv_whose_inverse_dft_overflows_exits_2(tmp_path, capsys):
+    assert _quantize_with_symbol(tmp_path, np.full((2, 2), 1e308), 2) == 2
+    assert "usage error: sigma overflows in its inverse DFT\n" in capsys.readouterr().err
+
+
 def test_cli_quantize_reads_a_symbol_csv(tmp_path):
     sigma = random_complex(substream(5, "t-sigma"), (4, 4))
     assert _quantize_with_symbol(tmp_path, sigma, 4) == 0
@@ -563,14 +569,17 @@ def test_sylvester_bound_check_diagonalizes_each_pair_once(monkeypatch):
     calls = _count_eigensolver_calls(monkeypatch)
     record = check_sylvester_bound_all_p(ScenarioConfig(trials=3))
     assert record.passed
-    assert calls == ["eigh"] * 6  # A and B of each trial, for all three p
+    # A and B of the three trials in one block, one stack per dimension (2, 4
+    # and 6), and none again for any p
+    assert calls == ["eigh"] * 3
 
 
 def test_polymeasure_check_diagonalizes_h_once_per_trial(monkeypatch):
     calls = _count_eigensolver_calls(monkeypatch)
     record = check_polymeasure(ScenarioConfig())
     assert record.passed
-    assert calls == ["eigh"] * 5  # max(2, 20 // 4) trials at the default config
+    # max(2, 20 // 4) trials at dims 2, 4, 6, 8, 2: one block, one stack per dimension
+    assert calls == ["eigh"] * 4
 
 
 def _count_oracle_eigensolver_calls(monkeypatch, calls) -> list:
@@ -595,7 +604,8 @@ def test_default_suite_pass_eigendecomposition_count(monkeypatch):
     oracle_calls = _count_oracle_eigensolver_calls(monkeypatch, calls)
     assert run_suite(ScenarioConfig()).passed
     assert oracle_calls == [["eigh"]] * 20, oracle_calls
-    assert len(calls) - 20 <= 169, len(calls)  # 489 when each trial was diagonalized alone
+    # 489 when each trial was diagonalized alone, 169 when ten checks stacked theirs
+    assert len(calls) - 20 == 61, len(calls)
 
 
 def test_default_suite_pass_diagonalizes_only_through_eig_hermitian(monkeypatch):
@@ -625,11 +635,14 @@ def test_default_suite_pass_diagonalizes_only_through_eig_hermitian(monkeypatch)
     assert run_suite(ScenarioConfig()).passed
     # one direct eigh of B per Kronecker cross-check, 20 per default pass
     assert oracle_calls == [["eigh"]] * 20, oracle_calls
-    # the ten checks that draw their trials a block at a time diagonalize
-    # their 360 matrices in 40 stacks, one per dimension and check
-    assert counts["matrices"] == 489, counts
-    assert counts["eigh"] == calls.count("eigh") - 20 == 169, counts
-    assert counts["as_hermitian"] <= 289, counts  # 609 when each matrix was validated alone
+    # the fourteen checks that draw their trials a block at a time diagonalize
+    # their 475 matrices in 54 stacks, one per dimension and check; the
+    # triangular truncation takes one eigensystem for both sides of its pair
+    # (4 matrices), and each one-pair check stacks its A and B (6 in 3)
+    assert counts["matrices"] == 485, counts
+    assert counts["eigh"] == calls.count("eigh") - 20 == 61, counts
+    # 609 when each matrix was validated alone, 289 when ten checks stacked theirs
+    assert counts["as_hermitian"] <= 181, counts
 
 
 def test_suite_memory_does_not_grow_with_trials():
@@ -660,14 +673,14 @@ def shift_pair_files(tmp_path_factory):
 @pytest.mark.parametrize("route", ["counting", "arctan", "fourier", "rank1"])
 def test_cli_shift_route_passes_and_diagonalizes_each_matrix_once(
         tmp_path, monkeypatch, shift_pair_files, route):
-    # one eigendecomposition each for A and B; property c needs none of A - B
+    # one stacked eigendecomposition of A and B; property c needs none of A - B
     calls = _count_eigensolver_calls(monkeypatch)
     a, b = shift_pair_files
     code = cli.main(["--command", "shift", "--route", route, "--a", a, "--b", b,
                      "--eps", "0.002", "--quad-half-width", "4000", "--quad-nodes", "40000",
                      "--out", str(tmp_path)])
     assert code == 0
-    assert calls == ["eigh", "eigh"], calls
+    assert calls == ["eigh"], calls
 
 
 def test_cli_calls_in_one_process_parse_each_matrix_file_once(tmp_path, monkeypatch):
@@ -688,10 +701,10 @@ def test_cli_calls_in_one_process_parse_each_matrix_file_once(tmp_path, monkeypa
 
 
 def test_cli_shift_at_defaults_diagonalizes_a_and_b_and_nothing_else(tmp_path, monkeypatch):
-    # property c is decided from tr(A - B) and |A - B|_1, not from eigvalsh(A - B)
+    # A and B in one stack; property c is decided from tr(A - B) and |A - B|_1, not from eigvalsh(A - B)
     calls = _count_eigensolver_calls(monkeypatch)
     assert cli.main(["--command", "shift", "--out", str(tmp_path)]) == 0
-    assert calls == ["eigh", "eigh"], calls
+    assert calls == ["eigh"], calls
 
 
 def test_cli_fourier_route_builds_no_grid_by_nodes_exponential_table(

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opint import errors, sylvester
-from opint.doi import make_spectral_pair
-from opint.linalg import as_hermitian, schatten_norm
+from opint.doi import SpectralPair, make_spectral_pair
+from opint.linalg import as_hermitian, eig_hermitians, schatten_norm
 from opint.rng import random_complex, random_hermitian, substream
 
 
@@ -80,13 +80,66 @@ def test_solve_gap_reports_take_each_singular_value_set_once(monkeypatch):
         return _original(*args, **kwargs)
     monkeypatch.setattr(np.linalg, "svd", counted)
     reports = [solution.report(p) for p in (1, 2, np.inf)]
-    assert len(svds) == 3  # X, Y and the residual, once each for every p
+    assert len(svds) == 1  # one stack of X, Y and the residual for every p
     monkeypatch.undo()
     x = solution.x
     for p, report in zip((1, 2, np.inf), reports):
         assert report.x_norm == schatten_norm(x, p)
         assert report.y_norm == schatten_norm(y, p)
         assert report.residual == schatten_norm(solution.a @ x - x @ solution.b - y, p)
+
+
+def _report_bits(report: sylvester.GapReport) -> tuple:
+    return tuple(np.float64(getattr(report, f.name)).tobytes()
+                 for f in dataclasses.fields(report))
+
+
+def test_solve_gap_pair_on_a_stack_gives_the_bits_of_solve_gap():
+    # A and B of dims 1, 3 and 6, interleaved, diagonalized in one call
+    dims = [1, 3, 6, 3, 1, 6]
+    operands = []
+    for trial, dim in enumerate(dims):
+        a, b = gapped_pair(13, dim, trial)
+        operands.append((a, b, random_complex(substream(13, "sylv-Y-pair", trial), (dim, dim))))
+    systems = eig_hermitians([m for a, b, _ in operands for m in (a, b)], ["A", "B"] * len(dims))
+    for k, (a, b, y) in enumerate(operands):
+        pair = SpectralPair(systems[2 * k], systems[2 * k + 1])
+        via_pair = sylvester.solve_gap_pair(pair, a, b, y)
+        alone = sylvester.solve_gap(a, b, y)
+        assert via_pair.x.tobytes() == alone.x.tobytes()
+        assert np.float64(via_pair.delta).tobytes() == np.float64(alone.delta).tobytes()
+        for p in (1, 2, np.inf):
+            assert _report_bits(via_pair.report(p)) == _report_bits(alone.report(p))
+
+
+def test_solve_gap_pair_refuses_what_solve_gap_refuses_with_the_same_error():
+    a, b = np.diag([0.0, 5.0, 9.0]), np.diag([5.0, 12.0, 20.0])
+    for y in (np.eye(3), np.eye(2)):  # a gap below the floor, then a wrong Y shape
+        with pytest.raises(errors.IllPosedError) as alone:
+            sylvester.solve_gap(a, b, y)
+        with pytest.raises(errors.IllPosedError) as via_pair:
+            sylvester.solve_gap_pair(make_spectral_pair(a, b), a, b, y)
+        assert str(via_pair.value) == str(alone.value)
+        assert via_pair.value.detail == alone.value.detail
+    a, b = gapped_pair(14, 3)
+    with pytest.raises(errors.IllPosedError, match="^Y has shape"):
+        sylvester.solve_gap_pair(make_spectral_pair(a, b), a, b, np.eye(2))
+
+
+def test_solve_gap_pair_takes_its_residual_from_a_and_b_not_the_pair():
+    a, b = gapped_pair(15, 4)
+    other_a, other_b = gapped_pair(15, 4, trial=1)
+    y = random_complex(substream(15, "sylv-Y-foreign"), (4, 4))
+    assert sylvester.solve_gap_pair(make_spectral_pair(a, b), a, b, y).report().residual_small
+    foreign = sylvester.solve_gap_pair(make_spectral_pair(other_a, other_b), a, b, y)
+    for p in (1, 2, np.inf):
+        assert not foreign.report(p).residual_small
+
+
+def test_solve_gap_pair_refuses_operands_of_another_dimension():
+    a, b = gapped_pair(16, 3)
+    with pytest.raises(errors.IllPosedError, match="shape mismatch"):
+        sylvester.solve_gap_pair(make_spectral_pair(a, b), a[:2, :2], b[:2, :2], np.eye(3))
 
 
 def test_solve_gap_refuses_zero_gap():

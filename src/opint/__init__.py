@@ -8,13 +8,13 @@ diagonalized once: the DOI, Sylvester-gap and spectral shift routes take
 one `SpectralPair` (the rank-one shift route takes only B's `EigenSystem`,
 and `polymeasure_eval` only H's).  The pair's eigensystems are the only
 copy of its spectra: a `SymbolGrid` holds symbol values alone.  The
-Sylvester cross-check `kron_oracle` shares B's `eigh` with `solve_gap` and
-solves A's side by LU, so it checks that side and the change of basis.
+Sylvester cross-check `kron_oracle` reuses the solve's eigensystem of B
+and solves A's side by LU, so it checks that side and the change of basis.
 
 Each rule that several places use has one home:
 - input arrays are checked by `linalg.as_finite_array`, sizes by `linalg.require_size`;
-- hermitian matrices are diagonalized by `linalg.eig_hermitians`, a stack
-  per shape (`eig_hermitian` is its one-matrix case);
+- LAPACK's eigensolver and SVD are called only in `linalg.eig_hermitians`
+  (a stack per shape; `eig_hermitian` is one matrix) and `singular_values`;
 - user functions are evaluated once, on an array, by `linalg.evaluate`;
 - a Sylvester solve is `sylvester.solve_gap_pair` on a given `SpectralPair`
   (`solve_gap` diagonalizes first), whose `GapSolution` gives X and, for

@@ -198,7 +198,7 @@ def run_sylvester(cfg: ScenarioConfig) -> Report:
         y = random_complex(substream(cfg.seed, "cli-sylvester-Y"), a.shape)
     solution = sylvester.solve_gap(a, b, y)
     gap_report = solution.report(cfg.p)
-    cross = float(np.abs(solution.x - sylvester.kron_oracle(a, b, y)).max())
+    cross = float(np.abs(solution.x - sylvester.kron_oracle(a, solution.pair.right, y)).max())
     checks = [
         CheckRecord(name="residual_small", expected=0.0, observed=gap_report.residual,
                     tolerance=gap_report.RESIDUAL_TOL, passed=gap_report.residual_small),

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InputDomainError
 from .linalg import (EigenSystem, apply_function, as_complex_matrix, as_finite_array,
-                     eig_hermitian, eig_hermitians, evaluate, schatten_norm)
+                     eig_hermitians, evaluate, schatten_norm)
 from .quadrature import QuadratureRule, trapezoid_rule
 from .rng import random_complex, random_hermitian, substream
 
@@ -251,9 +251,8 @@ def lipschitz_ratio_experiment(f, lip_const: float, p: float, trials: int, seed:
         if diff_norm == 0.0:
             skipped += 1
             continue
-        ea = eig_hermitian(a)
-        eb = eig_hermitian(b)
-        num = schatten_norm(apply_function(ea, f) - apply_function(eb, f), p)
+        pair = make_spectral_pair(a, b)
+        num = schatten_norm(apply_function(pair.left, f) - apply_function(pair.right, f), p)
         ratios.append(float(num / diff_norm))
     return ExperimentReport(
         op="lipschitz_ratio", params={"f": f_name, "lip_const": lip_const, "p": p, "dim": dim},

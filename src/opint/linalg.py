@@ -11,14 +11,14 @@ arrays, here and in `doi`, `shift` and `quantization`, are validated by
 `as_finite_array`, which refuses what a cast would change rather than
 converting it; callers add only their own shape, sign and integer rules.
 
-Every hermitian eigendecomposition but the independent one inside
-`sylvester.kron_oracle` goes through `eig_hermitians`, which validates and
+Only this module calls LAPACK's eigensolver and SVD.  Every hermitian
+eigendecomposition goes through `eig_hermitians`, which validates and
 diagonalizes the matrices of each shape as one stack: at small n numpy's
 per-call overhead costs more than LAPACK, and one call per stack gives
 each matrix the bits of a call of its own.  `eig_hermitian` is its
-one-matrix case.  A caller bounds the stacks' memory by how many matrices
-it passes at once (`suite` passes blocks of at most `suite.BLOCK_BYTES` of
-operands).
+one-matrix case; `singular_values` also takes a stack.  A caller bounds
+the stacks' memory by how many matrices it passes at once (`suite` passes
+blocks of at most `suite.BLOCK_BYTES` of operands).
 
 A user function f is evaluated once, on the whole array of points it is
 needed at (`evaluate`), never point by point: f must accept an array
@@ -230,9 +230,11 @@ def apply_function(eig: EigenSystem, f) -> np.ndarray:
 
 
 def singular_values(m) -> np.ndarray:
-    """The min(rows, cols) singular values, descending, from LAPACK
-    (`numpy.linalg.svd`)."""
-    return np.linalg.svd(as_complex_matrix(m), compute_uv=False)
+    """The min(rows, cols) singular values, descending, from one LAPACK call
+    (`numpy.linalg.svd`); a (k, rows, cols) stack gives one row per matrix."""
+    a = as_numeric_array(m, "matrix")
+    a = as_finite_array(a, "matrix", 3) if a.ndim == 3 else as_complex_matrix(a)
+    return np.linalg.svd(a, compute_uv=False)
 
 
 def schatten_norm(m, p) -> float:

@@ -19,7 +19,7 @@ from .doi import Decomposition
 from .errors import InputDomainError
 from .linalg import (BOOLEAN_TYPES, EigenSystem, apply_function, as_complex_matrix,
                      as_finite_array, as_numeric_array, dft_unitary, entry_types,
-                     operator_norm, require_size)
+                     operator_norm, require_size, singular_values)
 
 
 @dataclass(frozen=True)
@@ -202,7 +202,7 @@ def cotlar_stein_bound(space: CycleSpace, terms) -> CotlarReport:
         products = f_sq[:, None] * momenta
         if not np.isfinite(products).all():
             raise InputDomainError(f"term products of f_{k} overflow")
-        a[k] = np.sqrt(np.linalg.svd(products, compute_uv=False)[:, 0])
+        a[k] = np.sqrt(singular_values(products)[:, 0])
     bound = float(max(a.sum(axis=1).max(), a.sum(axis=0).max()))
     # sum_k diag(f_k) P(g_k)[x, y] = sum_k f_k[x] ifft(g_k)[(x - y) mod n]
     actual = operator_norm(_circulant_in_place(fs.T @ np.fft.ifft(gs, axis=1)))

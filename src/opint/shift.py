@@ -205,10 +205,14 @@ def _arctan_trace(wa: np.ndarray, wb: np.ndarray, s, eps: float):
             - np.arctan((wb - s) / eps).sum(axis=-1)) / np.pi
 
 
+def _require_positive(x, name: str) -> None:
+    if not (x > 0 and np.isfinite(x)):
+        raise InputDomainError(f"need finite {name} > 0, got {x}")
+
+
 def xi_arctan(pair: SpectralPair, epsilon: float, grid) -> SampledCurve:
     """Regularized route: (1/pi) tr[arctan((A-s)/eps) - arctan((B-s)/eps)]."""
-    if epsilon <= 0:
-        raise InputDomainError(f"need epsilon > 0, got {epsilon}")
+    _require_positive(epsilon, "epsilon")
     g = _as_grid(grid)
     ords = _arctan_trace(pair.left.eigenvalues, pair.right.eigenvalues, g[:, None], epsilon)
     return SampledCurve(abscissae=g, ordinates=ords)
@@ -256,8 +260,7 @@ def xi_fourier(pair: SpectralPair, epsilon: float, grid,
     B.  The errors do not align: at n = 32, X = 4000 and M = 40,000 the
     observed difference is 3e-14 to 5e-14.
     """
-    if epsilon <= 0:
-        raise InputDomainError(f"need epsilon > 0, got {epsilon}")
+    _require_positive(epsilon, "epsilon")
     if quad is None:
         quad = symmetric_open_rule(*DEFAULT_FOURIER_QUAD)
     quad.require_zero_free()
@@ -305,10 +308,8 @@ def xi_rank_one(eb: EigenSystem, w, alpha: float, grid,
     so the values land in [0, 1), matching the counting function for a
     positive rank-one perturbation away from the spectra.
     """
-    if eta <= 0:
-        raise InputDomainError(f"need eta > 0, got {eta}")
-    if alpha <= 0:
-        raise InputDomainError(f"need alpha > 0, got {alpha}")
+    _require_positive(eta, "eta")
+    _require_positive(alpha, "alpha")
     g = _as_grid(grid)
     f = rank_one_cauchy_transform(eb, w, g + 1j * eta)  # validates w
     norm = np.linalg.norm(w)
@@ -376,10 +377,10 @@ def trace_formula_check(pair: SpectralPair, f) -> TraceFormulaResult:
 
 def resolvent_identity_check(pair: SpectralPair, z: complex) -> float:
     """Gap in tr((A-z)^-1 - (B-z)^-1) = -int xi(l)/(l-z)^2 dl, both sides
-    in closed form.  Requires Im z != 0."""
+    in closed form.  Requires a finite z with Im z != 0."""
     z = complex(z)
-    if z.imag == 0.0:
-        raise InputDomainError("z must have nonzero imaginary part")
+    if not (np.isfinite(z) and z.imag != 0.0):
+        raise InputDomainError(f"z must be finite with nonzero imaginary part, got {z}")
     wa, wb = pair.left.eigenvalues, pair.right.eigenvalues
     lhs = np.sum(1.0 / (wa - z)) - np.sum(1.0 / (wb - z))
     rhs = -xi_counting(pair).resolvent_integral(z)

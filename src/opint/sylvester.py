@@ -9,12 +9,11 @@ is given, so a caller that has diagonalized many operands in one stack
 (the suite's trials) does not diagonalize them again; `solve_gap` is
 `make_spectral_pair` followed by it.  The certificate's norms come from
 one stacked SVD of X, Y and the residual.  The vectorized Kronecker
-linear system provides a cross-check: B's eigenvectors make it block
-diagonal, and each n x n block is solved by LU (Bartels-Stewart; for
-hermitian B the Schur form is the eigendecomposition).  Its eigenvectors
-of B are `solve_gap`'s V, the same `eigh` output bit for bit, so it checks
-the A side and the operator integral's change of basis, not B's
-eigenvectors.
+linear system cross-checks the A side: `kron_oracle` takes the solve's
+eigensystem of B, which makes the system block diagonal, and solves each
+n x n block by LU without diagonalizing A (Bartels-Stewart; for hermitian
+B the Schur form is the eigendecomposition), so it checks the A side and
+the operator integral's change of basis, not B's eigenvectors.
 """
 
 from __future__ import annotations
@@ -25,7 +24,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import IllPosedError
-from .linalg import as_complex_matrix, as_finite_array, as_hermitian, schatten_norm_of_values
+from .linalg import (EigenSystem, as_complex_matrix, as_hermitian, schatten_norm_of_values,
+                     singular_values)
 from .doi import SpectralPair, doi_apply, make_spectral_pair, symbol_from_function
 
 GAP_FLOOR_FACTOR = 1e-8  # refuse gaps below this times the spectral scale
@@ -74,23 +74,23 @@ def spectral_gap(pair: SpectralPair) -> float:
 @dataclass(frozen=True)
 class GapSolution:
     """A solve of AX - XB = Y before any norm is taken: the symmetrized A
-    and B, Y, the solution X and the spectral gap delta.  The singular
-    values of X, Y and the residual AX - XB - Y are taken once, by one
-    stacked SVD on the first `report`, and every p reads its norms from
-    them."""
+    and B, Y, the solution X, the spectral gap delta and the `SpectralPair`
+    it was solved from.  The singular values of X, Y and the residual
+    AX - XB - Y are taken once, by one stacked SVD on the first `report`,
+    and every p reads its norms from them."""
 
     a: np.ndarray
     b: np.ndarray
     y: np.ndarray
     x: np.ndarray
     delta: float
+    pair: SpectralPair
 
     @cached_property
     def _singular_values(self) -> np.ndarray:
         """Singular values of X, Y and AX - XB - Y, one row each."""
         residual = self.a @ self.x - self.x @ self.b - self.y
-        stack = as_finite_array(np.stack([self.x, self.y, residual]), "matrix", 3)
-        return np.linalg.svd(stack, compute_uv=False)
+        return singular_values(np.stack([self.x, self.y, residual]))
 
     def report(self, p=np.inf) -> GapReport:
         """The certificate in the Schatten p-norm; no eigendecomposition."""
@@ -130,7 +130,7 @@ def solve_gap_pair(pair: SpectralPair, a, b, y) -> GapSolution:
             f"spectral gap {delta:.3e} is below {GAP_FLOOR_FACTOR:.0e} x scale; "
             f"closest eigenvalue pair {offending}", detail=offending)
     sym = symbol_from_function(pair, lambda lam, mu: 1.0 / (lam - mu))
-    return GapSolution(a=am, b=bm, y=ym, x=doi_apply(pair, sym, ym), delta=delta)
+    return GapSolution(a=am, b=bm, y=ym, x=doi_apply(pair, sym, ym), delta=delta, pair=pair)
 
 
 def solve_gap(a, b, y) -> GapSolution:
@@ -139,31 +139,28 @@ def solve_gap(a, b, y) -> GapSolution:
     return solve_gap_pair(make_spectral_pair(a, b), a, b, y)
 
 
-def kron_oracle(a, b, y) -> np.ndarray:
+def kron_oracle(a, eb: EigenSystem, y) -> np.ndarray:
     """Cross-check route: solve the column-stacking Kronecker system
     (I (x) A - B^T (x) I) vec(X) = vec(Y) by LU with partial pivoting,
     after the change of basis that makes it block diagonal.
 
-    With B = U diag(mu) U*, vec(XU) = (U^T (x) I) vec(X) turns the system
-    into n blocks (A - mu_j I) x_j = (YU)_j, solved as one batched call;
-    then X = (XU) U*.  U is `numpy.linalg.eigh` of the symmetrized B, the
-    same output bit for bit as the eigenvectors V that `solve_gap` takes
-    from `eig_hermitians`, so the agreement checks the A side, solved by LU
-    without diagonalizing A, and the operator integral's change of basis,
-    not B's eigenvectors.  The stack of blocks is 16 n^3 complex
-    bytes (1.8 MiB at n = 48); the solve is O(n^4) and takes about 4 ms at
-    n = 48 on one core.  Refuses n above `KRON_MAX_DIM` with
-    `IllPosedError` before any factorization."""
+    `eb` is the eigensystem B = U diag(mu) U* of the solve being checked
+    (`GapSolution.pair.right`): vec(XU) = (U^T (x) I) vec(X) turns the
+    system into n blocks (A - mu_j I) x_j = (YU)_j, solved as one batched
+    call, and X = (XU) U*.  So the agreement checks the A side, solved by
+    LU without diagonalizing A, and the change of basis, not B's
+    eigenvectors.  The blocks take 16 n^3 bytes (1.8 MiB at n = 48), and
+    the O(n^4) solve about 4 ms there on one core.  Refuses n above
+    `KRON_MAX_DIM` with `IllPosedError` before any factorization."""
     am = as_hermitian(a, "A")
-    bm = as_hermitian(b, "B")
     ym = as_complex_matrix(y, "Y")
     n = am.shape[0]
-    if bm.shape != (n, n) or ym.shape != (n, n):
-        raise IllPosedError(f"shape mismatch: A {am.shape}, B {bm.shape}, Y {ym.shape}")
+    if eb.dim != n or ym.shape != (n, n):
+        raise IllPosedError(f"shape mismatch: A {am.shape}, B {(eb.dim, eb.dim)}, Y {ym.shape}")
     if n > KRON_MAX_DIM:
         raise IllPosedError(f"Kronecker oracle refuses n = {n} > {KRON_MAX_DIM}: "
                             f"its system would be {n * n} x {n * n}")
-    mu, u = np.linalg.eigh(bm)
+    mu, u = eb.eigenvalues, eb.unitary
     # block j is A - mu_j I; its right-hand side is column j of YU
     try:
         x_hat = np.linalg.solve(am - mu[:, None, None] * np.eye(n), (ym @ u).T[:, :, None])

@@ -1,6 +1,8 @@
+import ast
 import json
 import math
 import os
+import re
 import sys
 import threading
 import warnings
@@ -12,6 +14,8 @@ from hypothesis import strategies as st
 
 from opint import doi, errors, linalg, quantization, shift, sylvester
 from opint.rng import random_complex, random_hermitian, substream
+
+SRC_DIR = os.path.dirname(os.path.abspath(linalg.__file__))
 
 
 def test_eig_already_diagonal_is_signed_permutation():
@@ -149,7 +153,7 @@ def _read_only_calls():
         "doi_apply": lambda: doi.doi_apply(pair, sym, y),
         "doi_fourier": lambda: doi.doi_fourier(pair, lambda s: np.exp(-s * s), y),
         "solve_gap": lambda: sylvester.solve_gap(a, b, y).report(),
-        "kron_oracle": lambda: sylvester.kron_oracle(a, b, y),
+        "kron_oracle": lambda: sylvester.kron_oracle(a, linalg.eig_hermitian(b, "B"), y),
         "schatten_norm": lambda: linalg.schatten_norm(y, 3),
         "eig_hermitian": lambda: linalg.eig_hermitian(a),
         "matrix_to_json_dict": lambda: linalg.matrix_to_json_dict(y),
@@ -630,3 +634,51 @@ def test_as_hermitian_holds_each_matrix_of_a_stack_to_its_own_bound():
     assert linalg.as_hermitian(np.stack([big, big]), ["A", "B"]).shape == (2, 2, 2)
     with pytest.raises(errors.InputDomainError, match="^B is not hermitian"):
         linalg.as_hermitian(np.stack([big, small]), ["A", "B"])
+
+
+def _lapack_calls(path) -> list:
+    """(name, line) of each use of numpy.linalg's eigh, eigvalsh or svd in a
+    source file, called as an attribute or imported by name."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), path)
+    names = {"eigh", "eigvalsh", "svd"}
+    found = [(node.attr, node.lineno) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in names
+             and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"]
+    found += [(alias.name, node.lineno) for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg")
+              for alias in node.names if alias.name in names]
+    return found
+
+
+def test_only_linalg_calls_the_lapack_eigensolver_and_svd():
+    files = sorted(name for name in os.listdir(SRC_DIR) if name.endswith(".py"))
+    calls = {name: _lapack_calls(os.path.join(SRC_DIR, name)) for name in files}
+    assert {name for name, found in calls.items() if found} == {"linalg.py"}, calls
+    assert sorted(name for name, _ in calls["linalg.py"]) == ["eigh", "svd"]
+
+
+def test_singular_values_of_a_stack_are_each_matrix_alone_in_one_call(monkeypatch):
+    rng = substream(32, "linalg-svd-stack")
+    stack = random_complex(rng, (3, 4, 6))
+    alone = [linalg.singular_values(m) for m in stack]
+    svds = []
+
+    def counted(*args, _original=np.linalg.svd, **kwargs):
+        svds.append(1)
+        return _original(*args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    values = linalg.singular_values(stack)
+    assert len(svds) == 1 and values.shape == (3, 4)
+    for row, single in zip(values, alone):
+        assert row.tobytes() == single.tobytes()
+
+
+@pytest.mark.parametrize("m, message", [
+    (np.full((2, 3, 3), np.nan), "matrix has non-finite entries"),
+    (np.zeros((2, 2, 2, 2)), "matrix has shape (2, 2, 2, 2), expected a 2-D array"),
+    (np.zeros(3), "matrix has shape (3,), expected a 2-D array"),
+])
+def test_singular_values_refuses_a_bad_stack_or_matrix(m, message):
+    with pytest.raises(errors.InputDomainError, match=f"^{re.escape(message)}"):
+        linalg.singular_values(m)

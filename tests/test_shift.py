@@ -516,6 +516,29 @@ def test_xi_rank_one_validates_input():
         shift.xi_rank_one(b, np.array([1.0, 0.0]), 1.0, np.array([0.0]), eta=0.0)
 
 
+def _xi_route_with(name, value):
+    """The xi route that takes parameter `name`, called with it set to value."""
+    pair = make_spectral_pair(np.diag([0.0, 1.0]), np.diag([0.5, 2.0]))
+    eb, w, grid = pair.right, np.array([0.6, 0.8]), np.array([0.25])
+    return {
+        "xi_arctan": lambda: shift.xi_arctan(pair, value, grid),
+        "xi_arctan_extrapolated": lambda: shift.xi_arctan_extrapolated(pair, value, grid),
+        "xi_fourier": lambda: shift.xi_fourier(pair, value, grid),
+        "eta": lambda: shift.xi_rank_one(eb, w, 1.0, grid, eta=value),
+        "alpha": lambda: shift.xi_rank_one(eb, w, value, grid),
+    }[name]()
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, 0.0, -1.0])
+@pytest.mark.parametrize("route, parameter", [
+    ("xi_arctan", "epsilon"), ("xi_arctan_extrapolated", "epsilon"), ("xi_fourier", "epsilon"),
+    ("eta", "eta"), ("alpha", "alpha"),
+])
+def test_xi_routes_refuse_a_parameter_that_is_not_finite_and_positive(route, parameter, value):
+    with pytest.raises(errors.InputDomainError, match=f"^need finite {parameter} > 0, got"):
+        _xi_route_with(route, value)
+
+
 @pytest.mark.parametrize("shape", [(3,), (2, 1), (1, 2), ()])
 def test_rank_one_routes_refuse_a_w_of_the_wrong_shape(shape):
     eb = eig_hermitian(np.diag([0.0, 1.0]))
@@ -680,6 +703,13 @@ def test_resolvent_identity_seeded():
 def test_resolvent_identity_rejects_real_z():
     with pytest.raises(errors.InputDomainError):
         shift.resolvent_identity_check(make_spectral_pair(np.eye(2), np.eye(2)), 1.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("z", [complex(0.0, np.inf), complex(np.nan, 1.0), complex(np.inf, 1.0)])
+def test_resolvent_identity_refuses_a_non_finite_z_naming_it(z):
+    with pytest.raises(errors.InputDomainError, match="^z must be finite"):
+        shift.resolvent_identity_check(make_spectral_pair(np.eye(2), 2 * np.eye(2)), z)
 
 
 # ---------------------------------------------------------------- arctan rep

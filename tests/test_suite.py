@@ -582,30 +582,12 @@ def test_polymeasure_check_diagonalizes_h_once_per_trial(monkeypatch):
     assert calls == ["eigh"] * 4
 
 
-def _count_oracle_eigensolver_calls(monkeypatch, calls) -> list:
-    """Record, per `kron_oracle` call, the eigensolver calls made inside it;
-    `calls` is the list `_count_eigensolver_calls` fills."""
-    per_call = []
-    original = sylvester.kron_oracle
-
-    def counted(*args, **kwargs):
-        start = len(calls)
-        try:
-            return original(*args, **kwargs)
-        finally:
-            per_call.append(calls[start:])
-    monkeypatch.setattr(sylvester, "kron_oracle", counted)
-    return per_call
-
-
 def test_default_suite_pass_eigendecomposition_count(monkeypatch):
-    # the Kronecker cross-check diagonalizes B on its own, outside the DOI route
+    # the Kronecker cross-check takes B's eigensystem from the solve it checks
     calls = _count_eigensolver_calls(monkeypatch)
-    oracle_calls = _count_oracle_eigensolver_calls(monkeypatch, calls)
     assert run_suite(ScenarioConfig()).passed
-    assert oracle_calls == [["eigh"]] * 20, oracle_calls
     # 489 when each trial was diagonalized alone, 169 when ten checks stacked theirs
-    assert len(calls) - 20 == 61, len(calls)
+    assert calls == ["eigh"] * 61, len(calls)
 
 
 def test_default_suite_pass_diagonalizes_only_through_eig_hermitian(monkeypatch):
@@ -631,18 +613,15 @@ def test_default_suite_pass_diagonalizes_only_through_eig_hermitian(monkeypatch)
             for key, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, key, counted)
-    oracle_calls = _count_oracle_eigensolver_calls(monkeypatch, calls)
     assert run_suite(ScenarioConfig()).passed
-    # one direct eigh of B per Kronecker cross-check, 20 per default pass
-    assert oracle_calls == [["eigh"]] * 20, oracle_calls
     # the fourteen checks that draw their trials a block at a time diagonalize
     # their 475 matrices in 54 stacks, one per dimension and check; the
     # triangular truncation takes one eigensystem for both sides of its pair
     # (4 matrices), and each one-pair check stacks its A and B (6 in 3)
     assert counts["matrices"] == 485, counts
-    assert counts["eigh"] == calls.count("eigh") - 20 == 61, counts
+    assert counts["eigh"] == len(calls) == 61, counts
     # 609 when each matrix was validated alone, 289 when ten checks stacked theirs
-    assert counts["as_hermitian"] <= 181, counts
+    assert counts["as_hermitian"] <= 161, counts
 
 
 def test_suite_memory_does_not_grow_with_trials():
@@ -681,6 +660,16 @@ def test_cli_shift_route_passes_and_diagonalizes_each_matrix_once(
                      "--out", str(tmp_path)])
     assert code == 0
     assert calls == ["eigh"], calls
+
+
+@pytest.mark.parametrize("command, eigh_calls", [("sylvester", 1), ("doi", 20)])
+def test_cli_command_diagonalizes_each_pair_in_one_call(tmp_path, monkeypatch, command,
+                                                         eigh_calls):
+    # sylvester: one stack of A and B, whose B the Kronecker cross-check reuses;
+    # doi: one stack per trial's pair
+    calls = _count_eigensolver_calls(monkeypatch)
+    assert _records(tmp_path, command) == CLI_RECORDS[command]
+    assert calls == ["eigh"] * eigh_calls, calls
 
 
 def test_cli_calls_in_one_process_parse_each_matrix_file_once(tmp_path, monkeypatch):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from opint import errors, sylvester
 from opint.doi import SpectralPair, make_spectral_pair
-from opint.linalg import as_hermitian, eig_hermitians, schatten_norm
+from opint.linalg import as_hermitian, eig_hermitian, eig_hermitians, schatten_norm
 from opint.rng import random_complex, random_hermitian, substream
 
 
@@ -167,7 +167,8 @@ def test_solve_gap_report_json_fields():
 
 
 def test_kron_oracle_scalar():
-    x = sylvester.kron_oracle(np.array([[2.0]]), np.array([[0.0]]), np.array([[3.0]]))
+    x = sylvester.kron_oracle(np.array([[2.0]]), eig_hermitian(np.array([[0.0]]), "B"),
+                              np.array([[3.0]]))
     np.testing.assert_allclose(x, [[1.5]], atol=1e-14)
 
 
@@ -177,7 +178,7 @@ def test_kron_oracle_matches_solve_gap():
         a, b = gapped_pair(7, dim, trial)
         y = random_complex(substream(7, "sylv-cross-Y", trial), (dim, dim))
         x_doi = sylvester.solve_gap(a, b, y).x
-        x_kron = sylvester.kron_oracle(a, b, y)
+        x_kron = sylvester.kron_oracle(a, eig_hermitian(b, "B"), y)
         assert np.abs(x_doi - x_kron).max() <= 1e-8
 
 
@@ -189,13 +190,13 @@ def test_kron_oracle_commuting_shift():
     c = 2.5
     a = b + c * np.eye(4)
     y = b @ b - 0.5 * b + 0.25 * np.eye(4)
-    x = sylvester.kron_oracle(a, b, y)
+    x = sylvester.kron_oracle(a, eig_hermitian(b, "B"), y)
     np.testing.assert_allclose(x, y / c, atol=1e-10)
 
 
 def test_kron_oracle_zero_rhs_uniqueness():
     a, b = gapped_pair(9, 5)
-    x = sylvester.kron_oracle(a, b, np.zeros((5, 5)))
+    x = sylvester.kron_oracle(a, eig_hermitian(b, "B"), np.zeros((5, 5)))
     assert np.abs(x).max() <= 1e-10
 
 
@@ -227,11 +228,18 @@ def test_solve_gap_scale_equivariance_property(dim, seed, k):
 def test_kron_oracle_refuses_n_above_cap_before_forming_system(monkeypatch):
     def no_system(*args, **kwargs):
         raise AssertionError("system formed")
+    n = sylvester.KRON_MAX_DIM + 1
+    eb = eig_hermitian(-np.eye(n), "B")
     monkeypatch.setattr(np.linalg, "eigh", no_system)
     monkeypatch.setattr(np.linalg, "solve", no_system)
-    n = sylvester.KRON_MAX_DIM + 1
     with pytest.raises(errors.IllPosedError, match=f"n = {n} > {sylvester.KRON_MAX_DIM}"):
-        sylvester.kron_oracle(np.eye(n), -np.eye(n), np.eye(n))
+        sylvester.kron_oracle(np.eye(n), eb, np.eye(n))
+
+
+@pytest.mark.parametrize("b_dim, y_dim", [(2, 3), (3, 2)])
+def test_kron_oracle_refuses_operands_of_another_dimension(b_dim, y_dim):
+    with pytest.raises(errors.IllPosedError, match="^shape mismatch: A \\(3, 3\\)"):
+        sylvester.kron_oracle(np.eye(3), eig_hermitian(-np.eye(b_dim), "B"), np.eye(y_dim))
 
 
 def test_kron_oracle_cap_admits_n_48(monkeypatch):
@@ -242,7 +250,7 @@ def test_kron_oracle_cap_admits_n_48(monkeypatch):
         raise Reached
     monkeypatch.setattr(np.linalg, "solve", reached)
     with pytest.raises(Reached):
-        sylvester.kron_oracle(np.eye(48), -np.eye(48), np.eye(48))
+        sylvester.kron_oracle(np.eye(48), eig_hermitian(-np.eye(48), "B"), np.eye(48))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 8, 17])
@@ -260,7 +268,7 @@ def test_kron_oracle_system_is_the_column_stacking_kronecker_matrix(monkeypatch,
         seen.append(system)
         return solve(system, rhs)
     monkeypatch.setattr(np.linalg, "solve", recorded)
-    x = sylvester.kron_oracle(a, b, y)
+    x = sylvester.kron_oracle(a, eig_hermitian(b, "B"), y)
     assert np.abs(x - expected).max() <= 1e-12 * np.abs(expected).max()
     # one batched solve on the blocks A - mu_j I, mu the eigenvalues of B
     [stack] = seen
@@ -278,7 +286,7 @@ def test_kron_oracle_allocates_one_system():
     y = random_complex(substream(12, "sylvester-kron-memory"), (dim, dim))
     tracemalloc.start()
     try:
-        sylvester.kron_oracle(a, b, y)
+        sylvester.kron_oracle(a, eig_hermitian(b, "B"), y)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -288,4 +296,5 @@ def test_kron_oracle_allocates_one_system():
 def test_kron_oracle_refuses_an_exactly_singular_block():
     # A - 1 I = diag(0, 1) is singular: the spectra of A and B share 1
     with pytest.raises(errors.IllPosedError, match="numerically singular"):
-        sylvester.kron_oracle(np.diag([1.0, 2.0]), np.diag([1.0, 3.0]), np.eye(2))
+        sylvester.kron_oracle(np.diag([1.0, 2.0]), eig_hermitian(np.diag([1.0, 3.0]), "B"),
+                              np.eye(2))

@@ -15,6 +15,10 @@ Each rule that several places use has one home:
 - input arrays are checked by `linalg.as_finite_array`, sizes by `linalg.require_size`;
 - LAPACK's eigensolver and SVD are called only in `linalg.eig_hermitians`
   (a stack per shape; `eig_hermitian` is one matrix) and `singular_values`;
+- the spectral core (`EigenSystem`, `apply_function`, the Schatten norms,
+  the `doi` symbols and transformers, `solve_gap_pair`, `kron_oracle`)
+  takes a (k, n, n) stack through its one-matrix code, and a value per
+  matrix is a float for one matrix, an array for a stack (`linalg.per_matrix`);
 - user functions are evaluated once, on an array, by `linalg.evaluate`;
 - a Sylvester solve is `sylvester.solve_gap_pair` on a given `SpectralPair`
   (`solve_gap` diagonalizes first), whose `GapSolution` gives X and, for

@@ -13,6 +13,14 @@ holds that transformer together with the routes that feed it: divided
 difference symbols, the Fourier-kernel route through a time integral,
 finite decompositions phi = sum_t w_t a_t(x) b_t(y), triangular
 truncation, and sampled transformer norms on Schatten classes.
+
+A `SpectralPair` of two stacked eigensystems holds k pairs, and the
+symbols and transformers of this module then hold k matrices: `SymbolGrid`,
+`symbol_from_function`, `divided_difference_symbol`,
+`symbol_from_decomposition` (of a stacked `Decomposition`),
+`hs_multiplier_norm`, `doi_apply` and `doi_fourier` take it through the
+code that takes one pair, and give each pair the bits of its own call.
+`sampled_transformer_norm` stacks its trials' T the same way.
 """
 
 from __future__ import annotations
@@ -22,35 +30,42 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputDomainError
-from .linalg import (EigenSystem, apply_function, as_complex_matrix, as_finite_array,
-                     eig_hermitians, evaluate, schatten_norm)
+from .linalg import (EigenSystem, adjoint, apply_function, as_complex_matrices, as_finite_array,
+                     eig_hermitians, evaluate, per_matrix, schatten_norm)
 from .quadrature import QuadratureRule, trapezoid_rule
 from .rng import random_complex, random_hermitian, substream
 
 DEFAULT_FOURIER_QUAD = (40.0, 4000)  # half-width, node count
 PELLER_SLACK = 1e-10  # relative rounding slack on the Peller bound
+SAMPLE_BLOCK_BYTES = 1 << 20  # of T per stack of `sampled_transformer_norm`
 
 
 @dataclass(frozen=True)
 class SpectralPair:
-    """Eigensystems of two hermitian matrices of equal dimension."""
+    """Eigensystems of two hermitian matrices of equal dimension, or of two
+    stacks of them of equal shape (pair k is left[k] and right[k])."""
 
     left: EigenSystem
     right: EigenSystem
 
     def __post_init__(self):
-        if self.left.dim != self.right.dim:
-            raise InputDomainError(
-                f"spectral pair dimension mismatch: {self.left.dim} vs {self.right.dim}")
+        if self.left.eigenvalues.shape != self.right.eigenvalues.shape:
+            raise InputDomainError(f"spectral pair dimension mismatch: "
+                                   f"{self.left.eigenvalues.shape} vs {self.right.eigenvalues.shape}")
 
     @property
     def dim(self) -> int:
         return self.left.dim
 
     @property
-    def spectral_scale(self) -> float:
-        return float(max(np.abs(self.left.eigenvalues).max(),
-                         np.abs(self.right.eigenvalues).max()))
+    def shape(self) -> tuple:
+        """The shape (..., n, n) of the pair's operators, and of its symbols."""
+        return self.left.unitary.shape
+
+    @property
+    def spectral_scale(self):
+        return per_matrix(np.maximum(np.abs(self.left.eigenvalues).max(axis=-1),
+                                     np.abs(self.right.eigenvalues).max(axis=-1)))
 
 
 def make_spectral_pair(a, b) -> SpectralPair:
@@ -63,7 +78,8 @@ def make_spectral_pair(a, b) -> SpectralPair:
 
 @dataclass(frozen=True)
 class SymbolGrid:
-    """Values of a symbol on the product of a pair's two spectra.
+    """Values of a symbol on the product of a pair's two spectra (of each
+    pair of a stack: values (..., n, n)).
 
     Row i belongs to the i-th eigenvalue of the left operand and column j
     to the j-th of the right one; the eigenvalues themselves live only in
@@ -73,30 +89,30 @@ class SymbolGrid:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", as_complex_matrix(self.values, "values"))
+        object.__setattr__(self, "values", as_complex_matrices(self.values, "values"))
 
-    def sup_norm(self) -> float:
-        return float(np.abs(self.values).max())
+    def sup_norm(self):
+        return per_matrix(np.abs(self.values).max(axis=(-2, -1)))
 
 
 def symbol_from_function(pair: SpectralPair, phi) -> SymbolGrid:
     """Sample a closed-form symbol phi(lambda, mu) on the spectra."""
     lam = pair.left.eigenvalues
     mu = pair.right.eigenvalues
-    return SymbolGrid(values=phi(lam[:, None], mu[None, :]))
+    return SymbolGrid(values=phi(lam[..., :, None], mu[..., None, :]))
 
 
 def divided_difference_symbol(pair: SpectralPair, f, f_prime) -> SymbolGrid:
     """Difference-quotient symbol (f(l) - f(m))/(l - m), with f' on the
     near-diagonal |l - m| <= 1e-9 * spectral scale to avoid cancellation."""
-    lam = pair.left.eigenvalues[:, None]
-    mu = pair.right.eigenvalues[None, :]
+    lam = pair.left.eigenvalues[..., :, None]
+    mu = pair.right.eigenvalues[..., None, :]
     gap = lam - mu
-    near = np.abs(gap) <= 1e-9 * pair.spectral_scale
+    near = np.abs(gap) <= 1e-9 * np.asarray(pair.spectral_scale)[..., None, None]
     safe_gap = np.where(near, 1.0, gap)
     fl = np.asarray(f(pair.left.eigenvalues), dtype=np.complex128)
     fm = np.asarray(f(pair.right.eigenvalues), dtype=np.complex128)
-    quotient = (fl[:, None] - fm[None, :]) / safe_gap
+    quotient = (fl[..., :, None] - fm[..., None, :]) / safe_gap
     diag = np.asarray(f_prime((lam + mu) / 2.0), dtype=np.complex128)
     values = np.where(near, diag, quotient)
     if not np.isfinite(values).all():
@@ -105,23 +121,27 @@ def divided_difference_symbol(pair: SpectralPair, f, f_prime) -> SymbolGrid:
 
 
 def _check_grid(pair: SpectralPair, sym: SymbolGrid):
-    if sym.values.shape != (pair.dim, pair.dim):
+    if sym.values.shape != pair.shape:
         raise InputDomainError(
-            f"symbol grid {sym.values.shape} does not match pair dimension {pair.dim}")
+            f"symbol grid {sym.values.shape} does not match pair dimension {pair.shape}")
 
 
 def doi_apply(pair: SpectralPair, sym: SymbolGrid, t) -> np.ndarray:
-    """Apply the double operator integral of `sym` to T."""
+    """Apply the double operator integral of `sym` to T: U (Phi .* (U* T V)) V*
+    for each pair of a stack.  T is (..., n, n), its leading axes
+    broadcast against the pair's (numpy's rules), and each matrix product
+    is the one of a pair and a matrix alone."""
     _check_grid(pair, sym)
-    tm = as_complex_matrix(t, "T")
-    if tm.shape != (pair.dim, pair.dim):
-        raise InputDomainError(f"T has shape {tm.shape}, expected {(pair.dim, pair.dim)}")
+    tm = as_complex_matrices(t, "T")
+    if tm.shape[-2:] != pair.shape[-2:] or not all(
+            i == j or 1 in (i, j) for i, j in zip(tm.shape[::-1], pair.shape[::-1])):
+        raise InputDomainError(f"T has shape {tm.shape}, expected {pair.shape}")
     u = pair.left.unitary
     v = pair.right.unitary
-    return u @ (sym.values * (u.conj().T @ tm @ v)) @ v.conj().T
+    return u @ (sym.values * (adjoint(u) @ tm @ v)) @ adjoint(v)
 
 
-def hs_multiplier_norm(pair: SpectralPair, sym: SymbolGrid) -> float:
+def hs_multiplier_norm(pair: SpectralPair, sym: SymbolGrid):
     """Exact C2 -> C2 transformer norm: the sup of |phi| on the grid."""
     _check_grid(pair, sym)
     return sym.sup_norm()
@@ -140,29 +160,41 @@ def doi_fourier(pair: SpectralPair, f, t, quad: QuadratureRule | None = None) ->
     fhat(lambda - mu), fhat(x) = int e^{-i x s} f(s) ds; it must agree
     with `doi_apply` on that symbol to quadrature tolerance.  f is called
     once, on the array of nodes; `doi_apply` validates T.
+
+    For a stacked pair the symbols are built one pair at a time, so only
+    one pair's two (dim x nodes) tables are held, and the transformer is
+    one `doi_apply` on the stack.
     """
     if quad is None:
         quad = trapezoid_rule(*DEFAULT_FOURIER_QUAD)
-    samples = evaluate(f, quad.nodes, "quadrature node")
-    left = quad.phase_table(-pair.left.eigenvalues)
-    left *= quad.weights * samples
-    values = left @ quad.phase_table(pair.right.eigenvalues).T  # the table of +mu is conj(R)
+    coeff = quad.weights * evaluate(f, quad.nodes, "quadrature node")
+    lam, mu = pair.left.eigenvalues, pair.right.eigenvalues
+    values = np.empty(pair.shape, dtype=np.complex128)
+    for k in np.ndindex(lam.shape[:-1]):
+        left = quad.phase_table(-lam[k])
+        left *= coeff
+        values[k] = left @ quad.phase_table(mu[k]).T  # the table of +mu is conj(R)
     return doi_apply(pair, SymbolGrid(values=values), t)
 
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Finite family phi(l, m) = sum_t weights[t] alphas[t](l) betas[t](m)."""
+    """Finite family phi(l, m) = sum_t weights[t] alphas[t](l) betas[t](m),
+    or a stack of them: alphas (..., terms, n_left), betas (..., terms,
+    n_right) and weights (..., terms).  Members of a stack with fewer terms
+    fill the rest with terms of weight 0."""
 
     alphas: np.ndarray  # (terms, n_left)
     betas: np.ndarray   # (terms, n_right)
     weights: np.ndarray  # (terms,) non-negative
 
     def __post_init__(self):
-        a = as_finite_array(self.alphas, "alphas", 2)
-        b = as_finite_array(self.betas, "betas", 2)
-        w = as_finite_array(self.weights, "weights", 1, float)
-        if a.shape[0] != w.size or b.shape[0] != w.size or w.size == 0:
+        a = as_finite_array(self.alphas, "alphas", None)
+        if a.ndim < 2:
+            raise InputDomainError(f"alphas has shape {a.shape}, expected a 2-D array")
+        b = as_finite_array(self.betas, "betas", a.ndim)
+        w = as_finite_array(self.weights, "weights", a.ndim - 1, float)
+        if a.shape[:-1] != w.shape or b.shape[:-1] != w.shape or w.shape[-1] == 0:
             raise InputDomainError("decomposition term counts disagree or are empty")
         if (w < 0).any():
             raise InputDomainError("decomposition weights must be non-negative")
@@ -171,20 +203,21 @@ class Decomposition:
         object.__setattr__(self, "weights", w)
 
 
-def peller_bound(d: Decomposition) -> float:
+def peller_bound(d: Decomposition):
     """Trace-class transformer bound sum_t w_t |a_t|_inf |b_t|_inf; a
     sampled C1 norm passes against it up to bound * (1 + PELLER_SLACK)."""
-    return float(np.sum(d.weights
-                        * np.abs(d.alphas).max(axis=1)
-                        * np.abs(d.betas).max(axis=1)))
+    return per_matrix(np.sum(d.weights
+                             * np.abs(d.alphas).max(axis=-1)
+                             * np.abs(d.betas).max(axis=-1), axis=-1))
 
 
 def symbol_from_decomposition(pair: SpectralPair, d: Decomposition) -> SymbolGrid:
-    if d.alphas.shape[1] != pair.dim or d.betas.shape[1] != pair.dim:
+    if d.alphas.shape[-1] != pair.dim or d.betas.shape[-1] != pair.dim:
         raise InputDomainError(
-            f"decomposition vectors sized ({d.alphas.shape[1]}, {d.betas.shape[1]}), "
+            f"decomposition vectors sized ({d.alphas.shape[-1]}, {d.betas.shape[-1]}), "
             f"pair dimension is {pair.dim}")
-    values = np.einsum("t,ti,tj->ij", d.weights.astype(np.complex128), d.alphas, d.betas)
+    values = np.einsum("...t,...ti,...tj->...ij", d.weights.astype(np.complex128),
+                       d.alphas, d.betas)
     return SymbolGrid(values=values)
 
 
@@ -204,15 +237,21 @@ def sampled_transformer_norm(pair: SpectralPair, sym: SymbolGrid, p, trials: int
 
     Exact C_p transformer norms are not computable for p != 2; this is a
     best-of-N random search over the unit ball of C_p, so the value it
-    returns is a certified lower bound only.
+    returns is a certified lower bound only.  Trial k's T is drawn from
+    substream(seed, tag, k); the trials go through `doi_apply` and the two
+    Schatten norms as stacks of at most SAMPLE_BLOCK_BYTES of T.  A NaN
+    ratio is skipped, as Python's max(best, ratio) skips it.
     """
     _check_grid(pair, sym)
     best = 0.0
     n = pair.dim
-    for trial in range(trials):
-        rng = substream(seed, tag, trial)
-        t = random_complex(rng, (n, n))
-        best = max(best, schatten_norm(doi_apply(pair, sym, t), p) / schatten_norm(t, p))
+    per_block = max(1, SAMPLE_BLOCK_BYTES // (16 * n * n))
+    for start in range(0, trials, per_block):
+        t = np.stack([random_complex(substream(seed, tag, trial), (n, n))
+                      for trial in range(start, min(start + per_block, trials))])
+        ratios = schatten_norm(doi_apply(pair, sym, t), p) / schatten_norm(t, p)
+        for ratio in ratios.tolist():
+            best = max(best, ratio)
     return best
 
 

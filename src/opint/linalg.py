@@ -16,9 +16,18 @@ eigendecomposition goes through `eig_hermitians`, which validates and
 diagonalizes the matrices of each shape as one stack: at small n numpy's
 per-call overhead costs more than LAPACK, and one call per stack gives
 each matrix the bits of a call of its own.  `eig_hermitian` is its
-one-matrix case; `singular_values` also takes a stack.  A caller bounds
-the stacks' memory by how many matrices it passes at once (`suite` passes
-blocks of at most `suite.BLOCK_BYTES` of operands).
+one-matrix case.
+
+The spectral core takes a (k, n, n) stack through the code that takes one
+matrix, and gives each matrix of the stack the bits of its own call (one
+matrix product or LAPACK call per matrix, exact max reductions, and sums
+over each matrix's last axis): a stacked `EigenSystem` (`dim`,
+`reconstruct`, `projector`), `evaluate`, `apply_function`,
+`singular_values`, `schatten_norm`, `schatten_norm_of_values`,
+`operator_norm` and `trace_norm`.  A value per matrix is a float for one
+matrix and an array for a stack (`per_matrix`).  A caller bounds the
+stacks' memory by how many matrices it passes at once (`suite` passes
+blocks whose arithmetic takes at most `suite.BLOCK_BYTES`).
 
 A user function f is evaluated once, on the whole array of points it is
 needed at (`evaluate`), never point by point: f must accept an array
@@ -91,6 +100,16 @@ def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
+def as_complex_matrices(m, name: str = "matrix") -> np.ndarray:
+    """`as_finite_array` of a non-empty complex matrix, or of a stack of
+    them with any number of leading axes."""
+    a = as_numeric_array(m, name)
+    a = as_finite_array(a, name, max(a.ndim, 2))
+    if 0 in a.shape[-2:]:
+        raise InputDomainError(f"{name} must be a non-empty 2-D array, got shape {a.shape}")
+    return a
+
+
 def as_hermitian(m, name="matrix") -> np.ndarray:
     """Validate hermitian symmetry and return the exactly symmetrized
     matrix (H + H*)/2.  The asymmetry may reach `HERMITIAN_TOL` times the
@@ -136,7 +155,8 @@ def as_hermitian(m, name="matrix") -> np.ndarray:
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Spectral decomposition H = U diag(w) U* with w ascending.
+    """Spectral decomposition H = U diag(w) U* with w ascending, or a stack
+    of them: eigenvalues (..., n) and unitaries (..., n, n).
 
     Column j of `unitary` is an eigenvector of eigenvalue `eigenvalues[j]`,
     as LAPACK returns it.  Only the projections u u* onto selections of
@@ -149,29 +169,63 @@ class EigenSystem:
 
     @property
     def dim(self) -> int:
-        return self.eigenvalues.size
+        return self.eigenvalues.shape[-1]
 
     def reconstruct(self) -> np.ndarray:
         u = self.unitary
-        return (u * self.eigenvalues) @ u.conj().T
+        return (u * self.eigenvalues[..., None, :]) @ adjoint(u)
 
     def projector(self, mask) -> np.ndarray:
-        """Spectral projector onto the eigenvalues selected by a boolean mask."""
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (self.dim,):
+        """Spectral projector onto the eigenvalues selected by a boolean mask,
+        one flag per eigenvalue ((..., n) for a stack).  The selected columns
+        of each matrix are multiplied as one product per selection size, as
+        the matrix's own u[:, mask] @ u[:, mask]*: numpy does a one-column
+        product without BLAS, so zeroing the other columns would round
+        differently."""
+        try:
+            flags = np.asarray(mask)
+        except ValueError as exc:  # ragged
+            raise InputDomainError(f"projector mask is not an array of flags ({exc})") from exc
+        if flags.dtype != bool or (not isinstance(mask, np.ndarray)
+                                   and not entry_types(mask, flags.ndim) <= BOOLEAN_TYPES):
+            raise InputDomainError(f"projector mask must hold booleans, got dtype {flags.dtype}")
+        if flags.shape != self.eigenvalues.shape:
             raise InputDomainError("projector mask must have one flag per eigenvalue")
-        u = self.unitary[:, mask]
-        return u @ u.conj().T
+        n = self.dim
+        u = self.unitary.reshape(-1, n, n)
+        flags = flags.reshape(-1, n)
+        counts = flags.sum(axis=1)
+        order = np.argsort(~flags, axis=1, kind="stable")  # selected columns first, in order
+        out = np.empty_like(u)
+        for count in set(counts.tolist()):
+            rows = counts == count
+            selected = np.take_along_axis(u[rows], order[rows, None, :count], axis=2)
+            out[rows] = selected @ adjoint(selected)
+        return out.reshape(self.unitary.shape)
 
 
-def eig_hermitians(matrices, names) -> list[EigenSystem]:
-    """Diagonalize hermitian matrices with LAPACK (`numpy.linalg.eigh`):
-    one `EigenSystem` per matrix, `names[k]` labelling `matrices[k]` in
-    validation errors.
+def adjoint(m: np.ndarray) -> np.ndarray:
+    """The conjugate transpose of a matrix, or of each matrix of a stack."""
+    return m.conj().swapaxes(-1, -2)
 
-    The matrices of each shape are stacked and go through one `as_hermitian`
+
+def per_matrix(x):
+    """A value per matrix: a Python float or bool for one matrix, the array
+    for a stack."""
+    if getattr(x, "ndim", 0):
+        return x
+    return x.item() if isinstance(x, (np.generic, np.ndarray)) else x
+
+
+def eig_hermitians(matrices, names):
+    """Diagonalize hermitian matrices with LAPACK (`numpy.linalg.eigh`),
+    `names[k]` labelling `matrices[k]` in validation errors.
+
+    A sequence of matrices gives a list of one `EigenSystem` per matrix.
+    Its matrices of each shape are stacked and go through one `as_hermitian`
     and one `eigh`: at small n their cost is mostly per call, not per
-    matrix.  The stack holds a copy of its matrices, and the eigensystems
+    matrix.  One (k, n, n) ndarray gives one stacked `EigenSystem`, from one
+    such call.  The stack holds a copy of its matrices, and the eigensystems
     of a stack view one (k, n, n) array of eigenvectors, so callers bound
     how many matrices they pass at once.  Each eigensystem has the
     bits `eigh` gives its matrix alone: eigenvalues ascending, and the
@@ -179,20 +233,26 @@ def eig_hermitians(matrices, names) -> list[EigenSystem]:
     reads them only through products u u*, which a column's unit phase (or
     the choice of basis inside a repeated eigenvalue) cancels out of.
     """
+    if isinstance(matrices, np.ndarray) and matrices.ndim == 3:
+        return _eigh_stack(matrices, names)
     matrices = [as_numeric_array(m, name) for m, name in zip(matrices, names, strict=True)]
     shapes: dict[tuple, list[int]] = {}
     for k, m in enumerate(matrices):
         shapes.setdefault(m.shape, []).append(k)
     systems = [None] * len(matrices)
     for ks in shapes.values():
-        if len(ks) == 1:  # a stack of one needs no copy
-            h = as_hermitian(matrices[ks[0]], names[ks[0]])[None]
-        else:
-            h = as_hermitian(np.stack([matrices[k] for k in ks]), [names[k] for k in ks])
-        w, v = np.linalg.eigh(h)
-        for k, wk, vk in zip(ks, w, v):
-            systems[k] = EigenSystem(wk, vk)
+        # a stack of one needs no copy
+        h = matrices[ks[0]][None] if len(ks) == 1 else np.stack([matrices[k] for k in ks])
+        stack = _eigh_stack(h, [names[k] for k in ks])
+        for k, w, v in zip(ks, stack.eigenvalues, stack.unitary):
+            systems[k] = EigenSystem(w, v)
     return systems
+
+
+def _eigh_stack(h, names) -> EigenSystem:
+    """The stacked eigensystem of a (k, n, n) stack h from one `as_hermitian`
+    and one `eigh`."""
+    return EigenSystem(*np.linalg.eigh(as_hermitian(h, names)))
 
 
 def eig_hermitian(h, name: str = "matrix") -> EigenSystem:
@@ -201,45 +261,48 @@ def eig_hermitian(h, name: str = "matrix") -> EigenSystem:
 
 
 def evaluate(f, x: np.ndarray, point: str = "point") -> np.ndarray:
-    """f(x) from one call of f on the whole 1-D array x, as complex128.
+    """f(x) from one call of f on the whole array x (the eigenvalues of a
+    stack are one (k, n) array), as complex128.
 
-    Raises EvaluationError naming the first bad `point` of x: x[0] if f
-    raises or returns another shape, else the first point f is not finite at.
+    Raises EvaluationError naming the first bad `point` of x in C order:
+    the first point if f raises or returns another shape, else the first
+    point f is not finite at.
     """
     try:
         values = np.asarray(f(x), dtype=np.complex128)
     except Exception as exc:
-        raise EvaluationError(f"function failed at {point} {x[0]}: {exc}") from exc
+        raise EvaluationError(f"function failed at {point} {x.flat[0]}: {exc}") from exc
     if values.shape != x.shape:
-        raise EvaluationError(f"function gave shape {values.shape} at {point} {x[0]}")
+        raise EvaluationError(f"function gave shape {values.shape} at {point} {x.flat[0]}")
     bad = ~np.isfinite(values)
     if bad.any():
-        raise EvaluationError(f"function not finite at {point} {x[np.argmax(bad)]}")
+        raise EvaluationError(f"function not finite at {point} {x.flat[np.argmax(bad)]}")
     return values
 
 
 def apply_function(eig: EigenSystem, f) -> np.ndarray:
-    """Functional calculus: U diag(f(w)) U*.
+    """Functional calculus: U diag(f(w)) U*, for each matrix of a stack.
 
     `f` may be real- or complex-valued; the result is hermitian exactly
     when f is real on the spectrum.  f is called once on the array of
     eigenvalues; `evaluate` names the offending eigenvalue when that fails.
     """
     u = eig.unitary
-    return (u * evaluate(f, eig.eigenvalues, "eigenvalue")) @ u.conj().T
+    return (u * evaluate(f, eig.eigenvalues, "eigenvalue")[..., None, :]) @ adjoint(u)
 
 
 def singular_values(m) -> np.ndarray:
     """The min(rows, cols) singular values, descending, from one LAPACK call
     (`numpy.linalg.svd`); a (k, rows, cols) stack gives one row per matrix."""
-    a = as_numeric_array(m, "matrix")
-    a = as_finite_array(a, "matrix", 3) if a.ndim == 3 else as_complex_matrix(a)
+    a = as_complex_matrices(m, "matrix")
+    if a.ndim > 3:
+        raise InputDomainError(f"matrix has shape {a.shape}, expected a 2-D array")
     return np.linalg.svd(a, compute_uv=False)
 
 
-def schatten_norm(m, p) -> float:
+def schatten_norm(m, p):
     """Schatten p-norm: the l^p norm of the singular values; p=inf gives
-    the operator norm.
+    the operator norm.  A (k, rows, cols) stack gives one norm per matrix.
 
     For other p the singular values are scaled by the largest one before
     the power is taken (Blue's overflow-safe norm), so large p or large
@@ -248,22 +311,25 @@ def schatten_norm(m, p) -> float:
     return schatten_norm_of_values(singular_values(m), p)
 
 
-def schatten_norm_of_values(s: np.ndarray, p) -> float:
-    """`schatten_norm` of a matrix whose singular values, descending, are s."""
+def schatten_norm_of_values(s: np.ndarray, p):
+    """`schatten_norm` of a matrix whose singular values, descending, are s
+    (of each matrix of a stack, for one row of s per matrix)."""
     if not (p == np.inf or p >= 1):  # also rejects nan
         raise InputDomainError(f"Schatten norm needs p >= 1 or p = inf, got {p}")
-    if p == np.inf or s[0] == 0.0:
-        return float(s[0])
+    top = s[..., :1]
+    if p == np.inf:
+        return per_matrix(top[..., 0])
     if p == 1:
-        return float(s.sum())
-    return float(s[0] * ((s / s[0]) ** p).sum() ** (1.0 / p))
+        return per_matrix(s.sum(axis=-1))
+    scale = top if top.all() else top + (top == 0.0)  # a zero matrix has norm 0
+    return per_matrix(top[..., 0] * ((s / scale) ** p).sum(axis=-1) ** (1.0 / p))
 
 
-def operator_norm(m) -> float:
+def operator_norm(m):
     return schatten_norm(m, np.inf)
 
 
-def trace_norm(m) -> float:
+def trace_norm(m):
     return schatten_norm(m, 1)
 
 

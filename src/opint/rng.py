@@ -7,11 +7,13 @@ trials can run in any order or in parallel and still reproduce exactly.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
 
 
+@functools.lru_cache(maxsize=256)  # each tag is hashed once per process
 def _tag_key(tag: str) -> int:
     digest = hashlib.sha256(tag.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")

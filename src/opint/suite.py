@@ -17,14 +17,23 @@ operands per trial takes them from `_diagonalized`.  A check gives it a
 draw function, which draws the trial's hermitian matrices from its rng
 first, in the order the check reads them (A and B; A and B shifted apart
 for the Sylvester checks; A, B and B + GG* for Krein's properties).
-`_diagonalized` draws a block of trials' matrices, at most `BLOCK_BYTES`
-of them, and diagonalizes the block with one stacked `eigh` per dimension
-(`linalg.eig_hermitians`); the check then draws the rest of the trial (a
-Sylvester Y, a symbol) from the same rng.  Each trial's rng is its own
-substream, so drawing ahead changes no number, and the budget keeps the
-stacks from growing with the trial count.  The Sylvester checks solve
-from those eigensystems (`sylvester.solve_gap_pair`) and do not
-diagonalize again.
+`_drawn_blocks` draws a block of trials' matrices: the block budget
+`BLOCK_BYTES` counts `WORKING_SET` times the bytes drawn, the stacked
+arithmetic's working set.  `_diagonalized` diagonalizes each block with
+one stacked `eigh` per dimension (`linalg.eig_hermitians`) and gives the
+check, per block and dimension, the stacks of operands and their stacked
+eigensystems, views of the `eigh` output.  The check then draws the rest
+of each trial (a Sylvester Y, a symbol) from its rng.  Each trial's rng
+is its own substream, so drawing ahead changes no number, and the budget
+keeps the stacks from growing with the trial count.
+
+The linalg, doi and Sylvester checks take their per-trial errors as
+arrays, one library call per stack (a stacked `doi.SpectralPair`,
+`sylvester.solve_gap_pair` on the stacked eigensystems, stacked Schatten
+norms); the shift and quantization checks take their trials one at a
+time from `_each_trial`.  Frobenius norms stay per matrix, since a norm
+over a stack's axes rounds differently, so reports are byte-identical to
+a trial-at-a-time run.
 """
 
 from __future__ import annotations
@@ -39,8 +48,9 @@ import numpy as np
 
 from . import doi, quantization, shift, sylvester
 from .errors import ConfigError
-from .linalg import (apply_function, dft_unitary, eig_hermitian, eig_hermitians, operator_norm,
-                     schatten_norm, schatten_norm_of_values, singular_values, trace_norm)
+from .linalg import (EigenSystem, apply_function, dft_unitary, eig_hermitian, eig_hermitians,
+                     operator_norm, schatten_norm, schatten_norm_of_values, singular_values,
+                     trace_norm)
 from .quadrature import symmetric_open_rule, trapezoid_rule
 from .rng import random_complex, random_hermitian, random_unit_vector, substream
 
@@ -78,6 +88,10 @@ MAX_TERMS = 16
 # diagonalized) from growing with --trials.  A trial over the budget is a
 # block of its own; the default config (dims 2-8, 20 trials) is one block.
 BLOCK_BYTES = 1 << 20
+# bytes of a block's stacked arithmetic per byte drawn: the stack's copy of
+# the operands, their symmetrized copy and eigenvectors, and one stack of
+# products at a time
+WORKING_SET = 4
 
 
 @dataclass
@@ -248,14 +262,16 @@ def _check(name, bound, note="", floor=0.0):
     """Register a generator of errors as the suite check `name`.
 
     `bound` is a number or a TOLERANCE_DEFAULTS name, and `note` is
-    formatted with cfg.  The check records the worst error: `floor` if
-    none is yielded, NaN if any is NaN.
+    formatted with cfg.  The generator yields numbers or arrays of them
+    (one per trial of a stack).  The check records the worst error:
+    `floor` if none is yielded, NaN if any is NaN.
     """
     def register(errors):
         @functools.wraps(errors)
         def check(cfg):
             limit = cfg.tolerance(bound) if isinstance(bound, str) else float(bound)
-            worst = float(np.max([floor, *errors(cfg)]))  # np.max propagates NaN
+            # an error is a number or an array of one per trial; np.max propagates NaN
+            worst = float(np.max(np.concatenate([np.ravel(e) for e in (floor, *errors(cfg))])))
             return CheckRecord(name=name, expected=limit, observed=worst, tolerance=limit,
                                passed=bool(worst <= limit), note=note.format(cfg=cfg))
         SUITE_CHECKS.append(check)
@@ -274,12 +290,13 @@ def _trials(cfg: ScenarioConfig, tag: str, count=None, max_dim=None):
 def _drawn_blocks(cfg: ScenarioConfig, tag: str, draw, names, count=None, max_dim=None):
     """(rng, the matrices `draw(rng, dim)` draws from rng, one dim x dim
     complex matrix per name in `names`) per trial of `_trials`, in lists of
-    consecutive trials whose matrices take at most BLOCK_BYTES together, or
-    of one trial whose matrices take more.  A trial is counted before it is
-    drawn, so no trial of the next block is held while a block is in use."""
+    consecutive trials whose stacked arithmetic takes at most BLOCK_BYTES
+    together (`WORKING_SET` times the bytes drawn), or of one trial whose
+    arithmetic takes more.  A trial is counted before it is drawn, so no
+    trial of the next block is held while a block is in use."""
     block, size = [], 0
     for rng, dim in _trials(cfg, tag, count, max_dim):
-        cost = len(names) * 16 * dim * dim
+        cost = WORKING_SET * len(names) * 16 * dim * dim
         if block and size + cost > BLOCK_BYTES:
             yield block
             block, size = [], 0
@@ -288,16 +305,44 @@ def _drawn_blocks(cfg: ScenarioConfig, tag: str, draw, names, count=None, max_di
     yield block
 
 
+def _by_dim(block):
+    """The items of a block grouped by the dimension of their first matrix,
+    each group in trial order."""
+    groups = {}
+    for item in block:
+        groups.setdefault(item[1][0].shape[-1], []).append(item)
+    return groups.values()
+
+
 def _diagonalized(cfg: ScenarioConfig, tag: str, draw, names, count=None, max_dim=None):
-    """(rng, matrices, their eigensystems) per trial of `_drawn_blocks`,
-    each block diagonalized by one `eig_hermitians` call; names[k] labels
-    matrix k in validation errors.  What a check draws after its matrices
-    it draws from rng in its own loop: each trial's rng is its own, so the
-    order of draws within a trial is the order the check reads them."""
+    """(rngs, operands, eigensystems) per block of `_drawn_blocks` and
+    dimension: the rngs of the block's trials of that dimension, in trial
+    order; per name, the (k, dim, dim) stack of those trials' matrices; and
+    per name their stacked `EigenSystem`, a view of one `eig_hermitians`
+    call on all of them (names[j] labels the matrices of stack j in
+    validation errors).  What a check draws after its matrices it draws
+    from each rng in turn: each trial's rng is its own, so the order of
+    draws within a trial is the order the check reads them."""
     for block in _drawn_blocks(cfg, tag, draw, names, count, max_dim):
-        systems = iter(eig_hermitians([m for _, ms in block for m in ms], names * len(block)))
-        for rng, ms in block:
-            yield rng, ms, [next(systems) for _ in ms]
+        stacks = [([rng for rng, _ in group],
+                   np.stack([ms[j] for j in range(len(names)) for _, ms in group]))
+                  for group in _by_dim(block)]
+        block.clear()  # the stacks hold copies of the drawn matrices
+        for rngs, stack in stacks:
+            k = len(rngs)
+            systems = eig_hermitians(stack, [name for name in names for _ in rngs])
+            cut = [slice(j * k, (j + 1) * k) for j in range(len(names))]
+            yield (rngs, tuple(stack[c] for c in cut),
+                   tuple(EigenSystem(systems.eigenvalues[c], systems.unitary[c]) for c in cut))
+
+
+def _each_trial(cfg: ScenarioConfig, tag: str, draw, names, count=None, max_dim=None):
+    """(rng, matrices, eigensystems) per trial of `_diagonalized`, for the
+    checks that take one trial at a time: views of the trial's matrices and
+    eigensystems in their stacks."""
+    for rngs, stacks, systems in _diagonalized(cfg, tag, draw, names, count, max_dim):
+        eigensystems = [map(EigenSystem, e.eigenvalues, e.unitary) for e in systems]
+        yield from zip(rngs, zip(*stacks), zip(*eigensystems))
 
 
 def _draw_h(rng, dim):
@@ -308,26 +353,40 @@ def _draw_ab(rng, dim):
     return random_hermitian(rng, dim), random_hermitian(rng, dim)
 
 
+def _complex_stack(rngs, dim):
+    """One dim x dim `random_complex` draw from each rng, stacked."""
+    return np.stack([random_complex(rng, (dim, dim)) for rng in rngs])
+
+
+def _max_abs(m):
+    """The largest entry modulus of each matrix of a stack."""
+    return np.abs(m).max(axis=(-2, -1))
+
+
 def _pairs(cfg: ScenarioConfig, tag: str, count=None, max_dim=None):
-    """(rng, A, B, SpectralPair of A and B) per trial."""
-    for rng, (a, b), (left, right) in _diagonalized(cfg, tag, _draw_ab, ("A", "B"),
-                                                    count, max_dim):
-        yield rng, a, b, doi.SpectralPair(left, right)
+    """(rngs, A, B, SpectralPair of A and B) per stack of `_diagonalized`."""
+    for rngs, (a, b), (left, right) in _diagonalized(cfg, tag, _draw_ab, ("A", "B"),
+                                                     count, max_dim):
+        yield rngs, a, b, doi.SpectralPair(left, right)
 
 
 @_check("linalg.eig_reconstruction", "algebraic")
 def check_eig_reconstruction(cfg):
     for _, (a,), (e,) in _diagonalized(cfg, "suite-eig", _draw_h, ("A",)):
-        yield np.linalg.norm(e.reconstruct() - a) / max(np.linalg.norm(a), 1e-300)
+        # Frobenius norms one matrix at a time: over a stack's axes they round differently
+        for error, ak in zip(e.reconstruct() - a, a):
+            yield np.linalg.norm(error) / max(np.linalg.norm(ak), 1e-300)
 
 
 @_check("linalg.schatten_monotone_in_1_over_p", "algebraic")
 def check_schatten_monotone(cfg):
     ps = [1, 1.5, 2, 4, np.inf]
-    for rng, dim in _trials(cfg, "suite-schatten"):
-        s = singular_values(random_complex(rng, (dim, dim)))
-        norms = [schatten_norm_of_values(s, p) for p in ps]
-        yield max(hi - lo for lo, hi in zip(norms, norms[1:]))
+    for block in _drawn_blocks(cfg, "suite-schatten",
+                               lambda rng, dim: (random_complex(rng, (dim, dim)),), ("M",)):
+        for group in _by_dim(block):
+            s = singular_values(np.stack([m for _, (m,) in group]))
+            norms = [schatten_norm_of_values(s, p) for p in ps]
+            yield np.max([hi - lo for lo, hi in zip(norms, norms[1:])], axis=0)
 
 
 @_check("linalg.hoelder_trace_duality", "algebraic")
@@ -350,29 +409,31 @@ def check_apply_function_additive(cfg):
     for _, _, (e,) in _diagonalized(cfg, "suite-additive", _draw_h, ("A",)):
         lhs = apply_function(e, lambda x: np.sin(x) + np.exp(x))
         rhs = apply_function(e, np.sin) + apply_function(e, np.exp)
-        yield np.abs(lhs - rhs).max() / max(np.abs(rhs).max(), 1.0)
+        yield _max_abs(lhs - rhs) / np.maximum(_max_abs(rhs), 1.0)
 
 
 @_check("doi.identity_symbol_acts_trivially", "algebraic")
 def check_doi_identity_transformer(cfg):
-    for rng, _, _, pair in _pairs(cfg, "suite-doi-id"):
+    for rngs, _, _, pair in _pairs(cfg, "suite-doi-id"):
         sym = doi.symbol_from_function(pair, lambda lam, mu: np.ones_like(lam * mu, dtype=complex))
-        t = random_complex(rng, (pair.dim, pair.dim))
-        yield np.abs(doi.doi_apply(pair, sym, t) - t).max()
+        t = _complex_stack(rngs, pair.dim)
+        yield _max_abs(doi.doi_apply(pair, sym, t) - t)
 
 
 @_check("doi.localization_identity", "algebraic")
 def check_doi_localization(cfg):
-    for rng, _, _, pair in _pairs(cfg, "suite-doi-loc"):
+    for rngs, _, _, pair in _pairs(cfg, "suite-doi-loc"):
         sym = doi.symbol_from_function(pair, lambda lam, mu: np.sin(lam) + 1j * np.cos(mu))
-        mask_l = pair.left.eigenvalues <= float(rng.uniform(-1, 1))
-        mask_r = pair.right.eigenvalues > float(rng.uniform(-1, 1))
-        cut = doi.SymbolGrid(values=sym.values * np.outer(mask_l, mask_r))
-        t = random_complex(rng, (pair.dim, pair.dim))
+        draws = [(rng.uniform(-1, 1), rng.uniform(-1, 1), random_complex(rng, (pair.dim, pair.dim)))
+                 for rng in rngs]
+        cut_l, cut_r, t = (np.stack(d) for d in zip(*draws))
+        mask_l = pair.left.eigenvalues <= cut_l[:, None]
+        mask_r = pair.right.eigenvalues > cut_r[:, None]
+        cut = doi.SymbolGrid(values=sym.values * (mask_l[:, :, None] * mask_r[:, None, :]))
         lhs = doi.doi_apply(pair, cut, t)
         rhs = (pair.left.projector(mask_l) @ doi.doi_apply(pair, sym, t)
                @ pair.right.projector(mask_r))
-        yield np.abs(lhs - rhs).max()
+        yield _max_abs(lhs - rhs)
 
 
 @_check("doi.divided_difference_maps_difference", 1e-9,
@@ -381,22 +442,24 @@ def check_doi_divided_difference(cfg):
     for _, a, b, pair in _pairs(cfg, "suite-doi-dd"):
         sym = doi.divided_difference_symbol(pair, lambda x: x**2, lambda x: 2 * x)
         lhs = doi.doi_apply(pair, sym, a - b)
-        scale = max(np.abs(a @ a - b @ b).max(), 1.0)
-        yield np.abs(lhs - (a @ a - b @ b)).max() / scale
+        rhs = a @ a - b @ b
+        yield _max_abs(lhs - rhs) / np.maximum(_max_abs(rhs), 1.0)
 
 
 @_check("doi.hs_norm_equals_power_iteration", "quadrature",
         note="|K| of the n^2 x n^2 transformer matrix K from an SVD")
 def check_doi_hs_norm(cfg):
-    for rng, _, _, pair in _pairs(cfg, "suite-doi-hs", count=max(2, cfg.trials // 4), max_dim=8):
+    for rngs, _, _, pair in _pairs(cfg, "suite-doi-hs", count=max(2, cfg.trials // 4),
+                                   max_dim=8):
         dim = pair.dim
-        sym = doi.SymbolGrid(values=random_complex(rng, (dim, dim)))
+        sym = doi.SymbolGrid(values=_complex_stack(rngs, dim))
         claimed = doi.hs_multiplier_norm(pair, sym)
-        # the transformer as a matrix K, one column per matrix unit; its
+        # each trial's transformer as a matrix K, one column per matrix unit,
+        # from one doi_apply of the (dim^2, 1) units on the pairs; its
         # operator norm never reads sup |phi|
-        units = np.eye(dim * dim).reshape(dim * dim, dim, dim)
-        k = np.stack([doi.doi_apply(pair, sym, e).ravel() for e in units], axis=1)
-        yield abs(claimed - operator_norm(k))
+        units = np.eye(dim * dim).reshape(dim * dim, 1, dim, dim)
+        images = doi.doi_apply(pair, sym, units).reshape(dim * dim, len(rngs), dim * dim)
+        yield np.abs(claimed - operator_norm(images.transpose(1, 2, 0)))
 
 
 @_check("doi.fourier_route_matches_symbol_route", 1e-3,
@@ -418,24 +481,35 @@ def check_doi_fourier_cross_route(cfg):
         note="slack covers the quadrature's own l1 mass error")
 def check_doi_fourier_norm_mass(cfg):
     quad = trapezoid_rule(40.0, 2000)
-    for rng, _, _, pair in _pairs(cfg, "suite-doi-mass"):
-        t = random_complex(rng, (pair.dim, pair.dim))
-        t /= operator_norm(t)
+    for rngs, _, _, pair in _pairs(cfg, "suite-doi-mass"):
+        t = _complex_stack(rngs, pair.dim)
+        t /= operator_norm(t)[:, None, None]
         yield operator_norm(doi.doi_fourier(pair, lambda s: np.exp(-np.abs(s)), t, quad)) - 2.0
+
+
+# decomposition terms per trial of the Peller check: 1 to PELLER_TERMS, and
+# a stack fills each trial's unused terms with weight 0
+PELLER_TERMS = 3
 
 
 @_check("doi.peller_bound_dominates_sampled_c1", 0.0, floor=-np.inf)
 def check_peller_bound(cfg):
-    for rng, _, _, pair in _pairs(cfg, "suite-peller"):
-        k = int(rng.integers(1, 4))
-        d = doi.Decomposition(alphas=random_complex(rng, (k, pair.dim)),
-                              betas=random_complex(rng, (k, pair.dim)),
-                              weights=rng.uniform(0.1, 2.0, k))
+    for rngs, _, _, pair in _pairs(cfg, "suite-peller"):
+        k, dim = len(rngs), pair.dim
+        alphas = np.zeros((k, PELLER_TERMS, dim), dtype=complex)
+        betas = np.zeros_like(alphas)
+        weights = np.zeros((k, PELLER_TERMS))
+        t = np.empty((k, dim, dim), dtype=complex)
+        for trial, rng in enumerate(rngs):
+            terms = int(rng.integers(1, PELLER_TERMS + 1))
+            alphas[trial, :terms] = random_complex(rng, (terms, dim))
+            betas[trial, :terms] = random_complex(rng, (terms, dim))
+            weights[trial, :terms] = rng.uniform(0.1, 2.0, terms)
+            t[trial] = random_complex(rng, (dim, dim))
+        d = doi.Decomposition(alphas=alphas, betas=betas, weights=weights)
         sym = doi.symbol_from_decomposition(pair, d)
-        bound = doi.peller_bound(d)
-        t = random_complex(rng, (pair.dim, pair.dim))
-        t /= trace_norm(t)
-        yield trace_norm(doi.doi_apply(pair, sym, t)) - bound * (1 + doi.PELLER_SLACK)
+        t /= trace_norm(t)[:, None, None]
+        yield trace_norm(doi.doi_apply(pair, sym, t)) - doi.peller_bound(d) * (1 + doi.PELLER_SLACK)
 
 
 @_check("doi.triangular_truncation_idempotent_norm_one", "algebraic")
@@ -454,22 +528,22 @@ def check_triangular_truncation(cfg):
 
 
 def _gapped_solutions(cfg: ScenarioConfig, tag: str, shift_by: float):
-    """(A, B, Y, `solve_gap_pair` of them) per trial, for A and B shifted
-    shift_by above and below 0 and dims capped at 6."""
+    """(A, B, Y, `solve_gap_pair` of them) per stack of `_diagonalized`, for
+    A and B shifted shift_by above and below 0 and dims capped at 6."""
     def draw(rng, dim):
         return (random_hermitian(rng, dim) + shift_by * np.eye(dim),
                 random_hermitian(rng, dim) - shift_by * np.eye(dim))
-    for rng, (a, b), (left, right) in _diagonalized(cfg, tag, draw, ("A", "B"), max_dim=6):
-        y = random_complex(rng, a.shape)
+    for rngs, (a, b), (left, right) in _diagonalized(cfg, tag, draw, ("A", "B"), max_dim=6):
+        y = _complex_stack(rngs, a.shape[-1])
         yield a, b, y, sylvester.solve_gap_pair(doi.SpectralPair(left, right), a, b, y)
 
 
 @_check("sylvester.doi_matches_kron_and_certificate", sylvester.KRON_AGREEMENT_TOL)
 def check_sylvester_cross_oracle(cfg):
     for a, _, y, solution in _gapped_solutions(cfg, "suite-sylv", 4.0):
-        yield np.abs(solution.x - sylvester.kron_oracle(a, solution.pair.right, y)).max()
+        yield _max_abs(solution.x - sylvester.kron_oracle(a, solution.pair.right, y))
         report = solution.report()
-        if not (report.residual_small and report.bound_holds):
+        if not np.all(report.residual_small & report.bound_holds):
             yield np.inf
 
 
@@ -483,7 +557,8 @@ def check_sylvester_bound_all_p(cfg):
 
 @_check("shift.krein_trace_formula", 1e-9)
 def check_trace_formula(cfg):
-    for rng, _, _, pair in _pairs(cfg, "suite-trace"):
+    for rng, _, (left, right) in _each_trial(cfg, "suite-trace", _draw_ab, ("A", "B")):
+        pair = doi.SpectralPair(left, right)
         mu = shift.AtomicMeasure(points=rng.uniform(0.3, 2.5, 3) * rng.choice([-1, 1], 3),
                                  weights=rng.uniform(0.2, 1.5, 3))
         f, _ = shift.admissible_f(mu)
@@ -498,7 +573,7 @@ def check_shift_properties(cfg):
         g = random_complex(rng, (dim, dim))
         return a, b, b + g @ g.conj().T
     names = ("A", "B", "B + GG*")
-    for _, (a, b, _), (left, right, pos) in _diagonalized(cfg, "suite-props", draw, names):
+    for _, (a, b, _), (left, right, pos) in _each_trial(cfg, "suite-props", draw, names):
         pair = doi.SpectralPair(left, right)
         yield from shift.krein_properties(pair, shift.xi_counting(pair), a - b).errors()
         xi_pos = shift.xi_counting(doi.SpectralPair(pos, right))
@@ -536,8 +611,8 @@ def check_rank_one_route(cfg):
 
 @_check("shift.resolvent_trace_identity", 1e-12)
 def check_resolvent_identity(cfg):
-    for _, _, _, pair in _pairs(cfg, "suite-resolvent"):
-        yield shift.resolvent_identity_check(pair, 0.3 + 0.7j)
+    for _, _, (left, right) in _each_trial(cfg, "suite-resolvent", _draw_ab, ("A", "B")):
+        yield shift.resolvent_identity_check(doi.SpectralPair(left, right), 0.3 + 0.7j)
 
 
 @_check("shift.arctan_kernel_representation", "quadrature")
@@ -601,8 +676,8 @@ def check_bimeasure_structure(cfg):
 
 @_check("quantization.polymeasure_additivity_and_concatenation", "algebraic")
 def check_polymeasure(cfg):
-    for rng, _, (eh,) in _diagonalized(cfg, "suite-poly", _draw_h, ("H",),
-                                       count=max(2, cfg.trials // 4)):
+    for rng, _, (eh,) in _each_trial(cfg, "suite-poly", _draw_h, ("H",),
+                                     count=max(2, cfg.trials // 4)):
         dim = eh.dim
         f0, f2 = random_complex(rng, dim), random_complex(rng, dim)
         e = (rng.random(dim) < 0.5).astype(complex)

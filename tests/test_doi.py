@@ -478,3 +478,25 @@ def test_make_spectral_pair_names_one_operand_when_both_are_bad(a_fault, b_fault
               "non-finite": np.array([[np.nan, 0.0], [0.0, 1.0]])}
     with pytest.raises(errors.InputDomainError, match=named):
         doi.make_spectral_pair(faults[a_fault], faults[b_fault])
+
+
+def test_sampled_transformer_norm_stacks_its_trials_and_skips_a_nan_ratio(monkeypatch):
+    a, b = seeded_pair(41, 4)
+    pair = doi.make_spectral_pair(a, b)
+    sym = doi.SymbolGrid(values=random_complex(substream(41, "doi-sampled-sym"), (4, 4)))
+    ts = [random_complex(substream(7, "doi-sampled", trial), (4, 4)) for trial in range(5)]
+    ratios = [linalg.schatten_norm(doi.doi_apply(pair, sym, t), 1.5) / linalg.schatten_norm(t, 1.5)
+              for t in ts]
+    assert doi.sampled_transformer_norm(pair, sym, 1.5, 5, 7, "doi-sampled") == max(ratios)
+    calls = []
+
+    def first_ratio_nan(m, p, _original=doi.schatten_norm):
+        norms = _original(m, p)
+        if not calls:  # the numerators of the first stack
+            norms[0] = np.nan
+        calls.append(np.shape(m))
+        return norms
+    monkeypatch.setattr(doi, "schatten_norm", first_ratio_nan)
+    # Python's max(best, nan) keeps best, where np.max would give nan
+    assert doi.sampled_transformer_norm(pair, sym, 1.5, 5, 7, "doi-sampled") == max(ratios[1:])
+    assert calls == [(5, 4, 4), (5, 4, 4)]

@@ -527,6 +527,21 @@ def test_projector_from_mask():
     assert np.trace(p).real == pytest.approx(mask.sum(), abs=1e-10)
 
 
+@pytest.mark.parametrize("mask", [[0, 1], [1.7, 0], [np.nan, True], np.array([0, 1]),
+                                  np.array([1.0, 0.0]), [True, 1], [[True], [False]]])
+def test_projector_refuses_a_mask_that_is_not_boolean(mask):
+    # an index list, numbers or a NaN flag were read as flags
+    e = linalg.eig_hermitian(np.diag([0.0, 1.0]))
+    with pytest.raises(errors.InputDomainError, match="mask"):
+        e.projector(mask)
+
+
+@pytest.mark.parametrize("mask", [[False, True], np.array([False, True]), [np.False_, True]])
+def test_projector_takes_a_boolean_array_or_a_sequence_of_bools(mask):
+    e = linalg.eig_hermitian(np.diag([0.0, 1.0]))
+    assert e.projector(mask).tobytes() == np.diag([0.0, 1.0]).astype(complex).tobytes()
+
+
 def _eigh_test_matrices():
     for n in (1, 2, 3, 5, 8, 17, 64, 128):
         rng = substream(21, "phase-reference", n)

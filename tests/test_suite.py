@@ -590,6 +590,19 @@ def test_default_suite_pass_eigendecomposition_count(monkeypatch):
     assert calls == ["eigh"] * 61, len(calls)
 
 
+def test_default_suite_pass_singular_value_count(monkeypatch):
+    svds = []
+
+    def counted(*args, _original=np.linalg.svd, **kwargs):
+        svds.append(1)
+        return _original(*args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    assert run_suite(ScenarioConfig()).passed
+    # 242 when the checks took their norms one trial at a time; stacked, one
+    # SVD per block, dimension and norm
+    assert len(svds) == 127, len(svds)
+
+
 def test_default_suite_pass_diagonalizes_only_through_eig_hermitian(monkeypatch):
     # wrap the names in every opint namespace that binds them, as the
     # benchmark's tracer does; eig_hermitian is the one-matrix eig_hermitians

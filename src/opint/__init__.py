@@ -16,9 +16,17 @@ Each rule that several places use has one home:
 - LAPACK's eigensolver and SVD are called only in `linalg.eig_hermitians`
   (a stack per shape; `eig_hermitian` is one matrix) and `singular_values`;
 - the spectral core (`EigenSystem`, `apply_function`, the Schatten norms,
-  the `doi` symbols and transformers, `solve_gap_pair`, `kron_oracle`)
-  takes a (k, n, n) stack through its one-matrix code, and a value per
-  matrix is a float for one matrix, an array for a stack (`linalg.per_matrix`);
+  the `doi` symbols and transformers, `solve_gap_pair`, `kron_oracle`),
+  the counting shift function with its functionals and identities
+  (`xi_counting`, `krein_properties`, `trace_formula_check`,
+  `resolvent_identity_check`, `AtomicMeasure`, `admissible_f`) and the
+  quantization (`quantize`, `qp_norm_upper_bound`, `polymeasure_eval`,
+  `SequenceBimeasure` and the bimeasure functions) take a (k, ...) stack
+  through their one-matrix code, and a value per matrix is a float for one
+  matrix, an array for a stack (`linalg.per_matrix`); a value that one
+  matrix takes from one number (a modulus, a complex product, a power) a
+  stack takes with `linalg.scalar_abs`, `scalar_mul` or `scalar_pow`, which
+  round as for one number;
 - user functions are evaluated once, on an array, by `linalg.evaluate`;
 - a Sylvester solve is `sylvester.solve_gap_pair` on a given `SpectralPair`
   (`solve_gap` diagonalizes first), whose `GapSolution` gives X and, for

@@ -25,7 +25,12 @@ over each matrix's last axis): a stacked `EigenSystem` (`dim`,
 `reconstruct`, `projector`), `evaluate`, `apply_function`,
 `singular_values`, `schatten_norm`, `schatten_norm_of_values`,
 `operator_norm` and `trace_norm`.  A value per matrix is a float for one
-matrix and an array for a stack (`per_matrix`).  A caller bounds the
+matrix and an array for a stack (`per_matrix`).  numpy rounds some
+operations on one number differently from the same operations on an
+array (on CPUs with AVX-512: complex `abs`, complex products, `power`),
+so a value that one matrix takes from one number, a stack takes with
+`scalar_abs`, `scalar_mul` or `scalar_pow`, which round as for one
+number.  A caller bounds the
 stacks' memory by how many matrices it passes at once (`suite` passes
 blocks whose arithmetic takes at most `suite.BLOCK_BYTES`).
 
@@ -90,6 +95,13 @@ def as_finite_array(x, name: str, ndim: int | None, dtype=np.complex128) -> np.n
     if not np.isfinite(a).all():  # complex isfinite: both parts finite
         raise InputDomainError(f"{name} has non-finite entries")
     return a
+
+
+def as_finite_vectors(x, name: str, dtype=np.complex128) -> np.ndarray:
+    """`as_finite_array` of a vector, or of a stack of them with any number
+    of leading axes."""
+    a = as_numeric_array(x, name, dtype)
+    return as_finite_array(a, name, max(a.ndim, 1), dtype)
 
 
 def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
@@ -217,6 +229,29 @@ def per_matrix(x):
     return x.item() if isinstance(x, (np.generic, np.ndarray)) else x
 
 
+def scalar_abs(z) -> np.ndarray:
+    """|z| of each entry of z, rounded as for one complex number (C's hypot)."""
+    z = np.asarray(z)
+    return np.hypot(z.real, z.imag)
+
+
+def scalar_mul(x, y) -> np.ndarray:
+    """x * y of each pair of complex entries, rounded as for one pair of
+    numbers: four real products, none fused into an add."""
+    x, y = np.asarray(x), np.asarray(y)
+    out = np.empty(np.broadcast(x, y).shape, dtype=np.complex128)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
+
+
+def scalar_pow(x, y) -> np.ndarray:
+    """x ** y of each entry of the real array x, rounded as numpy raises one
+    number to a power (C's pow)."""
+    x = np.asarray(x, dtype=float)
+    return np.reshape([v ** y for v in x.ravel()], x.shape)
+
+
 def eig_hermitians(matrices, names):
     """Diagonalize hermitian matrices with LAPACK (`numpy.linalg.eigh`),
     `names[k]` labelling `matrices[k]` in validation errors.
@@ -322,7 +357,7 @@ def schatten_norm_of_values(s: np.ndarray, p):
     if p == 1:
         return per_matrix(s.sum(axis=-1))
     scale = top if top.all() else top + (top == 0.0)  # a zero matrix has norm 0
-    return per_matrix(top[..., 0] * ((s / scale) ** p).sum(axis=-1) ** (1.0 / p))
+    return per_matrix(top[..., 0] * scalar_pow(((s / scale) ** p).sum(axis=-1), 1.0 / p))
 
 
 def operator_norm(m):

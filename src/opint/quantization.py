@@ -7,6 +7,16 @@ almost-orthogonality certificate for sums Q(f_k) P(g_k), closed-form
 bounds on the norm of a quantized symbol, a rank-one sequence bimeasure
 with its Grothendieck-style norms, and the alternating multiplication/
 semigroup products that realize discrete path-integral slices.
+
+A stack of symbols (..., n, n) goes through `quantize` and
+`qp_norm_upper_bound` by the code that takes one symbol, and a stack of
+sequences phi (..., n) is a stack of `SequenceBimeasure`s, which
+`bimeasure_eval`, `bimeasure_integrate` (of a stacked `doi.Decomposition`),
+`bimeasure_integrate_grid`, `semivariation` and `l1_norm` take the same
+way; `polymeasure_eval` takes a stacked `EigenSystem` with a stack of
+vectors in each slot.  Each member of a stack gets the bits of its own
+call.  The projectors and `cotlar_stein_bound` take one subset or term
+list at a time.
 """
 
 from __future__ import annotations
@@ -17,9 +27,10 @@ import numpy as np
 
 from .doi import Decomposition
 from .errors import InputDomainError
-from .linalg import (BOOLEAN_TYPES, EigenSystem, apply_function, as_complex_matrix,
-                     as_finite_array, as_numeric_array, dft_unitary, entry_types,
-                     operator_norm, require_size, singular_values)
+from .linalg import (BOOLEAN_TYPES, EigenSystem, apply_function, as_complex_matrices,
+                     as_finite_array, as_finite_vectors, as_numeric_array, dft_unitary,
+                     entry_types, operator_norm, per_matrix, require_size, scalar_abs,
+                     scalar_mul, singular_values)
 
 
 @dataclass(frozen=True)
@@ -64,49 +75,59 @@ def _indicator(space: CycleSpace, subset, name: str) -> np.ndarray:
     return d
 
 
-def _symbol_vector(n: int, v, name: str) -> np.ndarray:
-    v = as_finite_array(v, name, 1)
-    if v.size != n:
-        raise InputDomainError(f"{name} must be a length-{n} vector, got {v.shape}")
+def _symbol_vector(shape: tuple, v, name: str) -> np.ndarray:
+    """v as a symbol vector of shape (n,), or as a stack of them of `shape`."""
+    v = as_finite_array(v, name, len(shape))
+    if v.shape != shape:
+        expected = f"a length-{shape[0]} vector" if len(shape) == 1 else f"of shape {shape}"
+        raise InputDomainError(f"{name} must be {expected}, got {v.shape}")
     return v
 
 
 def _symbol_matrix(n: int, m, name: str) -> np.ndarray:
-    m = as_complex_matrix(m, name)
-    if m.shape != (n, n):
+    """m as an n x n symbol, or as a stack of them."""
+    m = as_complex_matrices(m, name)
+    if m.shape[-2:] != (n, n):
         raise InputDomainError(f"{name} must be {n}x{n}, got {m.shape}")
     return m
 
 
 def _symbol_row_ifft(n: int, sigma) -> np.ndarray:
-    """ifft(sigma, axis=1) of an n x n symbol sigma.  Refuses a sigma with a
-    non-finite entry, as `_symbol_matrix` does, and a finite sigma whose
-    inverse DFT overflows.  A non-finite entry makes its whole row of the
-    output non-finite, so one finiteness pass over the output finds both,
-    and sigma itself is read again only to tell them apart."""
+    """ifft(sigma, axis=-1) of an n x n symbol sigma, or of a stack of them.
+    Refuses a sigma with a non-finite entry, as `_symbol_matrix` does, and
+    a finite sigma whose inverse DFT overflows.  A non-finite entry makes
+    its whole row of the output non-finite, so one finiteness pass over
+    the output finds both, and sigma itself is read again only to tell
+    them apart."""
     m = as_numeric_array(sigma, "sigma")
-    if m.shape != (n, n):
+    if m.shape[-2:] != (n, n):
         _symbol_matrix(n, m, "sigma")  # refuses m with the error of the first rule it breaks
     with np.errstate(over="ignore", invalid="ignore"):
-        a = np.fft.ifft(m, axis=1)
+        a = np.fft.ifft(m, axis=-1)
     if not np.isfinite(a).all():
-        as_complex_matrix(m, "sigma")  # "sigma has non-finite entries"
+        as_complex_matrices(m, "sigma")  # "sigma has non-finite entries"
         raise InputDomainError("sigma overflows in its inverse DFT")
     return a
 
 
 def _circulant_in_place(c: np.ndarray) -> np.ndarray:
-    """Turn the n x n rows c into M[x, y] = c[x, (x - y) mod n], in place.
+    """Turn the n x n rows c into M[x, y] = c[x, (x - y) mod n], in place,
+    for one matrix or for each matrix of a stack.
 
-    Row x of M is row x of c reversed and rotated by x + 1; each row is
-    copied once into an n-long scratch row and written back as two slices,
-    M[x, :x + 1] = row[x::-1] and M[x, x + 1:] = row[:x:-1].  Returns c.
+    Row x of M is row x of c reversed and rotated by x + 1.  The loop runs
+    over x, on the rows x of every matrix at once: they are copied once
+    into a scratch row per matrix and written back as two slices,
+    M[x, :x + 1] = row[x::-1] and M[x, x + 1:] = row[:x:-1].  The stack's
+    axes are viewed last, so each slice is one index of the row's first
+    axis, as cheap as for one matrix.  Returns c.
     """
-    row = np.empty(c.shape[1], dtype=c.dtype)
-    for x in range(c.shape[0]):
-        row[:] = c[x]
-        c[x, :x + 1] = row[x::-1]
-        c[x, x + 1:] = row[:x:-1]
+    stack = list(range(c.ndim - 2))
+    rows = np.moveaxis(c, stack, [axis - len(stack) for axis in stack])  # (n, n, *stack)
+    scratch = np.empty(rows.shape[1:], dtype=c.dtype)
+    for x, row in enumerate(rows):
+        scratch[:] = row
+        row[:x + 1] = scratch[x::-1]
+        row[x + 1:] = scratch[:x:-1]
     return c
 
 
@@ -141,14 +162,15 @@ def momentum_projector(space: CycleSpace, f) -> np.ndarray:
 
 def momentum_operator(space: CycleSpace, g) -> np.ndarray:
     """P(g) = F* diag(g) F, the circulant of the inverse DFT of g (refused if it overflows)."""
-    c = np.fft.ifft(_symbol_vector(space.n, g, "g"))
+    c = np.fft.ifft(_symbol_vector((space.n,), g, "g"))
     if not np.isfinite(c).all():
         raise InputDomainError("g overflows in its inverse DFT")
     return _circulant_of_vector(c)
 
 
 def quantize(space: CycleSpace, sigma) -> np.ndarray:
-    """Quantization M = sum_{x, xi} sigma(x, xi) Q_x P_xi, i.e.
+    """Quantization M = sum_{x, xi} sigma(x, xi) Q_x P_xi, of a symbol or of
+    each symbol of a stack (..., n, n), i.e.
 
         M[x, y] = (1/n) sum_xi sigma(x, xi) e^{2 pi i xi (x - y)/n}.
 
@@ -193,8 +215,8 @@ def cotlar_stein_bound(space: CycleSpace, terms) -> CotlarReport:
     terms = list(terms)
     if not terms:
         raise InputDomainError("need at least one (f, g) term")
-    fs = np.stack([_symbol_vector(space.n, f, f"f_{k}") for k, (f, _) in enumerate(terms)])
-    gs = np.stack([_symbol_vector(space.n, g, f"g_{k}") for k, (_, g) in enumerate(terms)])
+    fs = np.stack([_symbol_vector((space.n,), f, f"f_{k}") for k, (f, _) in enumerate(terms)])
+    gs = np.stack([_symbol_vector((space.n,), g, f"g_{k}") for k, (_, g) in enumerate(terms)])
     # P(|g_j|^2), stacked: k n^2 entries, where the pairwise products would hold k^2 n^2
     momenta = _circulant_of_vector(np.fft.ifft(np.abs(gs) ** 2, axis=1))
     a = np.empty((len(terms), len(terms)))
@@ -215,11 +237,12 @@ def qp_norm_upper_bound(space: CycleSpace, sigma) -> dict:
     for the unitary shifts (S^j)[x, y] = [x - y = j mod n], so its entries
     are a's: `hilbert_schmidt` = |a|_F = |sigma|_F / sqrt(n) is its Frobenius
     norm, and `shift_triangle` = sum_j max_x |a[x, j]|.  The first is the
-    smaller on random symbols, the second on symbols smooth in xi."""
+    smaller on random symbols, the second on symbols smooth in xi.  A stack
+    of symbols gives an array of each bound, one entry per symbol."""
     a = _symbol_row_ifft(space.n, sigma)
-    hilbert_schmidt = float(np.sqrt(np.sum(np.abs(a) ** 2)))
-    shift_triangle = float(np.abs(a).max(axis=0).sum())
-    return {"upper_bound": min(hilbert_schmidt, shift_triangle),
+    hilbert_schmidt = per_matrix(np.sqrt(np.sum(np.abs(a) ** 2, axis=(-2, -1))))
+    shift_triangle = per_matrix(np.abs(a).max(axis=-2).sum(axis=-1))
+    return {"upper_bound": per_matrix(np.minimum(hilbert_schmidt, shift_triangle)),
             "hilbert_schmidt": hilbert_schmidt, "shift_triangle": shift_triangle,
             "label": "deterministic: the smaller of two closed-form upper bounds"}
 
@@ -231,59 +254,74 @@ class SequenceBimeasure:
         m(E x F) = (sum_{j in E} phi(j) (-1)^j) (sum_{k in F} phi(k) (-1)^k)
 
     with 1-based index sets E, F inside {1..n}.  The alternating phase is
-    computed exactly as (-1)^j.
+    computed exactly as (-1)^j.  A stack of sequences, phi (..., n), is a
+    stack of bimeasures: the functions below then give one value per
+    bimeasure, and take decompositions and symbols stacked the same way.
     """
 
     phi: np.ndarray
 
     def __post_init__(self):
-        phi = as_finite_array(self.phi, "phi", 1)
-        if phi.size == 0:
+        phi = as_finite_vectors(self.phi, "phi")
+        if phi.shape[-1] == 0:
             raise InputDomainError("phi must be a non-empty sequence")
         object.__setattr__(self, "phi", phi)
 
     @property
     def n(self) -> int:
-        return self.phi.size
+        return self.phi.shape[-1]
+
+    @property
+    def stack(self) -> tuple:
+        """The shape of the stack, () for one bimeasure."""
+        return self.phi.shape[:-1]
 
     @property
     def signed(self) -> np.ndarray:
         signs = np.where(np.arange(1, self.n + 1) % 2 == 1, -1.0, 1.0)
         return self.phi * signs
 
-    def l1_norm(self) -> float:
-        return float(np.abs(self.phi).sum())
+    def l1_norm(self):
+        return per_matrix(np.abs(self.phi).sum(axis=-1))
 
 
-def bimeasure_eval(b: SequenceBimeasure, e, f) -> complex:
+def bimeasure_eval(b: SequenceBimeasure, e, f):
     """m(E x F) for 1-based index sets: the product of the two signed sums."""
     ie = _index_set(e, 1, b.n, "E") - 1
     jf = _index_set(f, 1, b.n, "F") - 1
     signed = b.signed
-    return complex(signed[ie].sum() * signed[jf].sum())
+    # np.take keeps each sequence's selected entries contiguous, so each is
+    # summed as one sequence's own are
+    sums = [np.take(signed, idx, axis=-1).sum(axis=-1) for idx in (ie, jf)]
+    return per_matrix(scalar_mul(*sums))
 
 
-def bimeasure_integrate(b: SequenceBimeasure, d: Decomposition) -> complex:
+def bimeasure_integrate(b: SequenceBimeasure, d: Decomposition):
     """Integral of the symbol sum_t w_t a_t (x) b_t against the bimeasure."""
-    if d.alphas.shape[1] != b.n or d.betas.shape[1] != b.n:
+    if d.alphas.shape[-1] != b.n or d.betas.shape[-1] != b.n:
         raise InputDomainError(
-            f"decomposition vectors sized ({d.alphas.shape[1]}, {d.betas.shape[1]}), "
+            f"decomposition vectors sized ({d.alphas.shape[-1]}, {d.betas.shape[-1]}), "
             f"bimeasure has n = {b.n}")
-    signed = b.signed
-    left = d.alphas @ signed
-    right = d.betas @ signed
-    return complex(np.sum(d.weights * left * right))
+    if d.weights.shape[:-1] != b.stack:
+        raise InputDomainError(f"decomposition stack {d.weights.shape[:-1]} does not match "
+                               f"the bimeasure stack {b.stack}")
+    signed = b.signed[..., :, None]
+    left = (d.alphas @ signed)[..., 0]
+    right = (d.betas @ signed)[..., 0]
+    return per_matrix(np.sum(d.weights * left * right, axis=-1))
 
 
-def bimeasure_integrate_grid(b: SequenceBimeasure, psi) -> complex:
+def bimeasure_integrate_grid(b: SequenceBimeasure, psi):
     """Direct double sum of a gridwise symbol psi(j, k): the oracle that
     any exact decomposition of psi must integrate to."""
     p = _symbol_matrix(b.n, psi, "psi")
+    if p.shape[:-2] != b.stack:
+        raise InputDomainError(f"psi has shape {p.shape}, expected {b.stack + (b.n, b.n)}")
     signed = b.signed
-    return complex(signed @ p @ signed)
+    return per_matrix((signed[..., None, :] @ p @ signed[..., :, None])[..., 0, 0])
 
 
-def semivariation(b: SequenceBimeasure) -> float:
+def semivariation(b: SequenceBimeasure):
     """sup |m(f (x) g)| over the sup-norm unit balls, found by aligning
     unimodular f, g with the phases of the signed sequence (the optimum
     for this product bimeasure): the value is the squared l1 norm."""
@@ -291,8 +329,8 @@ def semivariation(b: SequenceBimeasure) -> float:
     moduli = np.where(signed == 0, 1.0, np.abs(signed))
     f = np.conj(signed) / moduli  # unimodular, aligned; entries with phi = 0 contribute nothing
     f = np.where(signed == 0, 1.0, f)
-    aligned_sum = (f * signed).sum()
-    return float(abs(aligned_sum * aligned_sum))
+    aligned_sum = (f * signed).sum(axis=-1)
+    return per_matrix(scalar_abs(scalar_mul(aligned_sum, aligned_sum)))
 
 
 def grothendieck_norm(d: Decomposition) -> float:
@@ -309,9 +347,12 @@ def polymeasure_eval(f_list, times, eh: EigenSystem) -> np.ndarray:
         diag(f_n) e^{-i (t_n - t_{n-1}) H} ... diag(f_1) e^{-i t_1 H} diag(f_0)
 
     for strictly increasing positive times, from the eigensystem `eh` of H;
-    separately additive in every multiplication slot.
+    separately additive in every multiplication slot.  For a stacked `eh`
+    each slot is a stack of vectors, one per matrix, and the times are
+    shared.
     """
-    f_list = [_symbol_vector(eh.dim, f, f"slot {k}") for k, f in enumerate(f_list)]
+    f_list = [_symbol_vector(eh.eigenvalues.shape, f, f"slot {k}")
+              for k, f in enumerate(f_list)]
     times = as_finite_array(times, "times", 1, float)
     if len(f_list) == 0:
         raise InputDomainError("need at least one multiplication slot")
@@ -319,10 +360,18 @@ def polymeasure_eval(f_list, times, eh: EigenSystem) -> np.ndarray:
         raise InputDomainError(f"{len(f_list)} slots need {len(f_list) - 1} times, got {times.size}")
     if times.size and (times[0] <= 0 or (np.diff(times) <= 0).any()):
         raise InputDomainError("times must be strictly increasing and positive")
-    out = np.diag(f_list[0])
+    out = _diagonal(f_list[0])
     gaps = np.diff(np.concatenate([[0.0], times]))
     for f, dt in zip(f_list[1:], gaps):
         evolution = apply_function(eh, lambda x: np.exp(-1j * dt * x))
-        out = np.diag(f) @ evolution @ out
+        out = _diagonal(f) @ evolution @ out
     return out
+
+
+def _diagonal(v: np.ndarray) -> np.ndarray:
+    """diag(v) of a vector v, or of each vector of a stack."""
+    n = v.shape[-1]
+    d = np.zeros(v.shape + (n,), dtype=v.dtype)
+    d[..., np.arange(n), np.arange(n)] = v
+    return d
 

@@ -12,6 +12,16 @@ Every route takes (A, B) diagonalized once, as one `doi.SpectralPair`
 (from `doi.make_spectral_pair`), which the double operator integrals take
 too; the rank-one route needs only B and takes B's `EigenSystem`.
 
+The counting route and the identities checked on it take a stacked pair
+through the code that takes one pair, and give each pair the bits of its
+own call: `xi_counting` gives a stack of `ShiftFunction`s, padded to a
+common width, whose `integral`, `l1`, `support`, `integrate_derivative`,
+`resolvent_integral`, `is_nonnegative` and `is_zero` give one value per
+function; `krein_properties`, `trace_formula_check` and
+`resolvent_identity_check` give one per pair, and `AtomicMeasure` and
+`admissible_f` take a stack of measures, one per pair.  A value per pair
+is a float for one pair and an array for a stack (`linalg.per_matrix`).
+
 The Fourier route and the arctan representation sum over quadrature
 nodes through the square-root phase split of
 `quadrature.QuadratureRule.phase_factors`, whose docstring bounds the
@@ -20,13 +30,15 @@ phase error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .doi import SpectralPair
 from .errors import IllPosedError, InputDomainError
-from .linalg import EigenSystem, apply_function, as_finite_array, as_numeric_array, trace_norm
+from .linalg import (EigenSystem, apply_function, as_finite_array, as_finite_vectors,
+                     as_numeric_array, per_matrix, scalar_abs, trace_norm)
 from .quadrature import QuadratureRule, symmetric_open_rule
 
 DEFAULT_FOURIER_QUAD = (200.0, 8000)   # half-width, node count
@@ -37,31 +49,69 @@ DEFAULT_ETA = 1e-6
 @dataclass(frozen=True)
 class ShiftFunction:
     """Piecewise-constant integer function: values[k] on
-    [breakpoints[k], breakpoints[k+1]), zero outside the span.
+    [breakpoints[k], breakpoints[k+1]), zero outside the span; or a stack of
+    them, breakpoints (..., W) and values (..., W - 1).
 
-    The canonical empty instance (no breakpoints) is the zero function.
+    The canonical empty instance (no breakpoints) is the zero function.  A
+    stack pads each of its functions to the common width W by repeating the
+    function's last breakpoint with value 0 (a zero function repeats any one
+    point): padded intervals have zero length and hold exact zeros, and
+    each functional sums a function's own intervals only, so a function of
+    a stack gets the bits of its own instance.
     """
 
     breakpoints: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        bp = as_finite_array(self.breakpoints, "breakpoints", 1, float)
-        v = np.asarray(self.values)
-        if bp.size == 1 or v.size != max(bp.size - 1, 0):
+        bp = as_finite_vectors(self.breakpoints, "breakpoints", float)
+        v = as_finite_array(self.values, "values", bp.ndim, float)
+        width = bp.shape[-1]
+        if width == 1 or v.shape != bp.shape[:-1] + (max(width - 1, 0),):
             raise InputDomainError("need one value per interval between breakpoints")
-        if (np.diff(bp) <= 0).any():
-            raise InputDomainError("breakpoints must be strictly ascending")
+        lengths = np.diff(bp, axis=-1)
+        padded = lengths == 0
+        if (lengths < 0).any() or (padded[..., :-1] & ~padded[..., 1:]).any():
+            raise InputDomainError("breakpoints must be strictly ascending "
+                                   "(a stack pads a function by repeating its last one)")
+        if (v[padded] != 0).any():
+            raise InputDomainError("padded intervals of a stack must hold 0")
         if not np.array_equal(v, v.astype(np.int64)):
             raise InputDomainError("shift function values must be integers")
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", v.astype(np.int64))
 
     @property
-    def is_zero(self) -> bool:
-        return self.values.size == 0
+    def _intervals(self) -> np.ndarray:
+        """The number of intervals of each function, its padding not counted."""
+        return (np.diff(self.breakpoints, axis=-1) > 0).sum(axis=-1)
+
+    def _interval_sum(self, terms: np.ndarray):
+        """Each function's sum of its terms (..., W - 1), one per interval, as
+        numpy sums them for that function alone: the functions with equally
+        many intervals are summed together, without their padding."""
+        rows = terms.reshape(math.prod(terms.shape[:-1]), terms.shape[-1])
+        counts = self._intervals.reshape(-1)
+        out = np.zeros(rows.shape[0], dtype=terms.dtype)
+        for count in set(counts.tolist()):
+            same = counts == count
+            out[same] = rows[same, :count].sum(axis=-1)
+        return per_matrix(out.reshape(terms.shape[:-1]))
+
+    def _span(self) -> np.ndarray:
+        """(..., 2): each function's first and last breakpoint, NaN for a
+        zero function."""
+        bp = self.breakpoints
+        ends = bp[..., [0, -1]] if bp.shape[-1] else np.zeros(bp.shape[:-1] + (2,))
+        return np.where(self._intervals[..., None] > 0, ends, np.nan)
+
+    @property
+    def is_zero(self):
+        return per_matrix(self._intervals == 0)
 
     def __call__(self, x) -> np.ndarray:
+        if self.breakpoints.ndim != 1:
+            raise InputDomainError("a stack of shift functions is evaluated one function at a time")
         x = as_numeric_array(x, "x", float)
         out = np.zeros(x.shape, dtype=np.int64)
         idx = np.searchsorted(self.breakpoints, x, side="right") - 1
@@ -69,44 +119,72 @@ class ShiftFunction:
         out[inside] = self.values[idx[inside]]
         return out
 
-    def integral(self) -> float:
-        return float(np.sum(self.values * np.diff(self.breakpoints)))
+    def integral(self):
+        return self._interval_sum(self.values * np.diff(self.breakpoints, axis=-1))
 
-    def l1(self) -> float:
-        return float(np.sum(np.abs(self.values) * np.diff(self.breakpoints)))
+    def l1(self):
+        return self._interval_sum(np.abs(self.values) * np.diff(self.breakpoints, axis=-1))
 
     def support(self):
-        if self.is_zero:
-            return None
-        return float(self.breakpoints[0]), float(self.breakpoints[-1])
+        """(first, last) breakpoint, None for the zero function; for a stack,
+        two arrays, NaN for its zero functions."""
+        span = self._span()
+        if span.ndim > 1:
+            return span[..., 0], span[..., 1]
+        return None if self.is_zero else (float(span[0]), float(span[1]))
 
-    def integrate_derivative(self, f) -> complex:
+    def integrate_derivative(self, f):
         """Exact integral of f' against this function: telescoped
-        antiderivative differences over each constancy interval."""
+        antiderivative differences over each constancy interval.  f is
+        called once, on the breakpoints."""
         fb = np.asarray(f(self.breakpoints), dtype=np.complex128)
-        return complex(np.sum(self.values * (fb[1:] - fb[:-1])))
+        return self._interval_sum(self.values * (fb[..., 1:] - fb[..., :-1]))
 
-    def resolvent_integral(self, z: complex) -> complex:
+    def resolvent_integral(self, z: complex):
         """Exact integral of xi(l) / (l - z)^2 dl for Im z != 0."""
         inv = 1.0 / (self.breakpoints - z)
-        return complex(np.sum(self.values * (inv[:-1] - inv[1:])))
+        return self._interval_sum(self.values * (inv[..., :-1] - inv[..., 1:]))
 
     @property
-    def is_nonnegative(self) -> bool:
+    def is_nonnegative(self):
         """Krein's property (c) for a pair with A >= B: xi >= 0 everywhere."""
-        return bool((self.values >= 0).all())
+        return per_matrix((self.values >= 0).all(axis=-1))
 
 
 def xi_counting(pair: SpectralPair) -> ShiftFunction:
     """Exact shift function: xi(l) = #{eigs of B <= l} - #{eigs of A <= l},
-    kept at the points where it changes value (none for the zero function)."""
+    kept at the points where it changes value (none for the zero function);
+    for a stacked pair, the stack of each pair's function, padded.
+
+    The 2n eigenvalues of A and B are sorted together, and xi after each is
+    the running count of +1 per eigenvalue of B and -1 per one of A.  A
+    breakpoint ends a run of equal eigenvalues across which xi changes."""
     wa, wb = pair.left.eigenvalues, pair.right.eigenvalues
-    bp = np.unique(np.concatenate([wa, wb]))
-    counts = (np.searchsorted(wb, bp[:-1], side="right")
-              - np.searchsorted(wa, bp[:-1], side="right"))
-    padded = np.concatenate([[0], counts, [0]])  # xi = 0 outside the spectra
-    change = np.flatnonzero(np.diff(padded))
-    return ShiftFunction(bp[change], padded[change[:-1] + 1])
+    n = wa.shape[-1]
+    points = np.concatenate([wa, wb], axis=-1).reshape(-1, 2 * n)
+    rows = np.arange(points.shape[0])[:, None]
+    order = points.argsort(axis=-1, kind="stable")
+    points = points[rows, order]
+    steps = np.where(order < n, -1, 1)
+    after = steps.cumsum(axis=-1)
+    new_run = np.ones(points.shape, dtype=bool)
+    new_run[:, 1:] = points[:, 1:] != points[:, :-1]
+    run_ends = np.ones(points.shape, dtype=bool)
+    run_ends[:, :-1] = new_run[:, 1:]
+    index = np.arange(2 * n)
+    run_start = np.maximum.accumulate(np.where(new_run, index, 0), axis=-1)
+    # xi before a run is `after` less the step at the run's first point
+    kept = run_ends & (after != (after - steps)[rows, run_start])
+    counts = kept.sum(axis=-1, keepdims=True)
+    # the kept points first, in order; a stack pads with each function's last one
+    keep = (~kept).argsort(axis=-1, kind="stable")[:, :counts.max()]
+    column = np.arange(keep.shape[-1])
+    last_kept = points[rows, np.where(kept, index, 0).max(axis=-1, keepdims=True)]
+    bp = np.where(column < counts, points[rows, keep], last_kept)
+    values = np.where(column < counts - 1, after[rows, keep], 0)[:, :-1]
+    stack = wa.shape[:-1]
+    return ShiftFunction(bp.reshape(stack + bp.shape[-1:]),
+                         values.reshape(stack + values.shape[-1:]))
 
 
 @dataclass(frozen=True)
@@ -114,7 +192,9 @@ class KreinProperties:
     """Krein's properties of xi = xi_counting(A, B) that hold for every
     pair: (a) int xi = tr(A - B), (b) int |xi| <= |A - B|_1 and (d) supp xi
     lies in the joint spectral interval [min spec, max spec] of A and B.
-    Property (c), xi >= 0, holds for the pairs that are `monotone`."""
+    Property (c), xi >= 0, holds for the pairs that are `monotone`.  For a
+    stacked pair each field, and each value below, is an array with one
+    entry per pair."""
 
     MONOTONE_TOL = 1e-12  # relative rounding slack on |A - B|_1 = tr(A - B)
 
@@ -125,41 +205,44 @@ class KreinProperties:
     support_reach: float  # how far supp xi reaches outside the interval; -inf for xi = 0
 
     @property
-    def trace_scale(self) -> float:
+    def trace_scale(self):
         """max(1, |tr(A - B)|): (a) is judged relative to it, so a tolerance
         tol allows |int xi - tr(A - B)| up to tol * trace_scale."""
-        return max(1.0, abs(self.trace))
+        return per_matrix(np.maximum(1.0, np.abs(self.trace)))
 
     @property
-    def trace_norm_scale(self) -> float:
+    def trace_norm_scale(self):
         """max(1, |A - B|_1): (b) is judged relative to it, so a tolerance
         tol allows int |xi| to exceed |A - B|_1 by up to tol * trace_norm_scale."""
-        return max(1.0, self.trace_norm)
+        return per_matrix(np.maximum(1.0, self.trace_norm))
 
-    def errors(self) -> tuple[float, float, float]:
+    def errors(self) -> tuple:
         """(a) relative to `trace_scale`, (b) relative to `trace_norm_scale`
         and (d) as an error, each at most rounding when its property holds."""
-        return (abs(self.integral - self.trace) / self.trace_scale,
-                (self.l1 - self.trace_norm) / self.trace_norm_scale, self.support_reach)
+        return (per_matrix(np.abs(self.integral - self.trace) / self.trace_scale),
+                per_matrix((self.l1 - self.trace_norm) / self.trace_norm_scale),
+                self.support_reach)
 
     @property
-    def monotone(self) -> bool:
+    def monotone(self):
         """A >= B, decided without another eigendecomposition: |A - B|_1
         exceeds tr(A - B) by twice the size of A - B's negative part."""
-        return bool(self.trace_norm - self.trace
-                    <= self.MONOTONE_TOL * max(1.0, self.trace_norm))
+        return per_matrix(np.asarray(self.trace_norm - self.trace
+                                     <= self.MONOTONE_TOL * np.maximum(1.0, self.trace_norm)))
 
 
 def krein_properties(pair: SpectralPair, xi: ShiftFunction, difference) -> KreinProperties:
     """Properties (a), (b) and (d) of xi = xi_counting(pair), where
-    `difference` is A - B for the two matrices the pair diagonalizes."""
+    `difference` is A - B for the two matrices the pair diagonalizes (or
+    the stack of them)."""
     wa, wb = pair.left.eigenvalues, pair.right.eigenvalues
-    sup = xi.support()
-    reach = (-np.inf if sup is None
-             else max(min(wa.min(), wb.min()) - sup[0], sup[1] - max(wa.max(), wb.max())))
-    return KreinProperties(trace=float(np.trace(difference).real), integral=xi.integral(),
-                           trace_norm=trace_norm(difference), l1=xi.l1(),
-                           support_reach=float(reach))
+    span = xi._span()
+    reach = np.maximum(np.minimum(wa.min(axis=-1), wb.min(axis=-1)) - span[..., 0],
+                       span[..., 1] - np.maximum(wa.max(axis=-1), wb.max(axis=-1)))
+    return KreinProperties(
+        trace=per_matrix(np.trace(difference, axis1=-2, axis2=-1).real), integral=xi.integral(),
+        trace_norm=trace_norm(difference), l1=xi.l1(),
+        support_reach=per_matrix(np.where(np.isnan(span[..., 0]), -np.inf, reach)))
 
 
 @dataclass(frozen=True)
@@ -322,14 +405,15 @@ def xi_rank_one(eb: EigenSystem, w, alpha: float, grid,
 
 @dataclass(frozen=True)
 class AtomicMeasure:
-    """Finite positive measure sum_m weights[m] delta(points[m]), points != 0."""
+    """Finite positive measure sum_m weights[m] delta(points[m]), points != 0;
+    or a stack of them, points and weights (..., M)."""
 
     points: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        s = as_finite_array(self.points, "points", 1, float)
-        w = as_finite_array(self.weights, "weights", 1, float)
+        s = as_finite_vectors(self.points, "points", float)
+        w = as_finite_vectors(self.weights, "weights", float)
         if s.shape != w.shape:
             raise InputDomainError("atomic measure needs matching points/weights")
         if (s == 0.0).any():
@@ -342,49 +426,62 @@ class AtomicMeasure:
 
 def admissible_f(mu: AtomicMeasure):
     """Build f(x) = i sum_m w_m (e^{-i s_m x} - 1)/s_m and its derivative
-    f'(x) = sum_m w_m e^{-i s_m x}; |f'| is bounded by the total mass."""
-    s = mu.points
-    w = mu.weights
+    f'(x) = sum_m w_m e^{-i s_m x}; |f'| is bounded by the total mass.
 
-    def phase(x):
-        return np.exp(-1j * np.multiply.outer(as_numeric_array(x, "x", float), s))
+    For a stack of measures (points (..., M)), f and f' take points x whose
+    leading axes are the stack's, and x[i, ...] meets measure i."""
+    stack = mu.points.shape[:-1]
+
+    def atoms(x):
+        """x, and the points and weights with one axis per axis of x."""
+        x = as_numeric_array(x, "x", float)
+        if x.shape[:len(stack)] != stack:
+            raise InputDomainError(f"x has shape {x.shape}, expected leading axes {stack}")
+        shape = stack + (1,) * (x.ndim - len(stack)) + mu.points.shape[-1:]
+        return x, mu.points.reshape(shape), mu.weights.reshape(shape)
 
     def f(x):
-        return 1j * np.sum(w * (phase(x) - 1.0) / s, axis=-1)
+        x, s, w = atoms(x)
+        return 1j * np.sum(w * (np.exp(-1j * (x[..., None] * s)) - 1.0) / s, axis=-1)
 
     def f_prime(x):
-        return np.sum(w * phase(x), axis=-1)
+        x, s, w = atoms(x)
+        return np.sum(w * np.exp(-1j * (x[..., None] * s)), axis=-1)
 
     return f, f_prime
 
 
 @dataclass(frozen=True)
 class TraceFormulaResult:
+    """The two sides of the trace formula, or of each pair of a stack."""
+
     lhs: complex
     rhs: complex
 
     @property
-    def gap(self) -> float:
-        return abs(self.lhs - self.rhs)
+    def gap(self):
+        return per_matrix(scalar_abs(np.asarray(self.lhs) - self.rhs))
 
 
 def trace_formula_check(pair: SpectralPair, f) -> TraceFormulaResult:
     """Compare tr(f(A) - f(B)) with the exact integral of f' against the
     counting-function xi, computed from the antiderivative f itself."""
-    lhs = complex(np.trace(apply_function(pair.left, f) - apply_function(pair.right, f)))
-    return TraceFormulaResult(lhs=lhs, rhs=xi_counting(pair).integrate_derivative(f))
+    lhs = np.trace(apply_function(pair.left, f) - apply_function(pair.right, f),
+                   axis1=-2, axis2=-1)
+    return TraceFormulaResult(lhs=per_matrix(lhs), rhs=xi_counting(pair).integrate_derivative(f))
 
 
-def resolvent_identity_check(pair: SpectralPair, z: complex) -> float:
+def resolvent_identity_check(pair: SpectralPair, z: complex):
     """Gap in tr((A-z)^-1 - (B-z)^-1) = -int xi(l)/(l-z)^2 dl, both sides
-    in closed form.  Requires a finite z with Im z != 0."""
+    in closed form, for the pair or each pair of a stack.  Requires a
+    finite z with Im z != 0."""
     z = complex(z)
     if not (np.isfinite(z) and z.imag != 0.0):
         raise InputDomainError(f"z must be finite with nonzero imaginary part, got {z}")
     wa, wb = pair.left.eigenvalues, pair.right.eigenvalues
-    lhs = np.sum(1.0 / (wa - z)) - np.sum(1.0 / (wb - z))
+    lhs = np.sum(1.0 / (wa - z), axis=-1) - np.sum(1.0 / (wb - z), axis=-1)
     rhs = -xi_counting(pair).resolvent_integral(z)
-    return float(abs(lhs - rhs))
+    return per_matrix(scalar_abs(lhs - rhs))
 
 
 def arctan_rep_value(t, quad: QuadratureRule | None = None):

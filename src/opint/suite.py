@@ -12,33 +12,43 @@ decorator appends it to `SUITE_CHECKS`, in definition order, as a
 (cfg) -> CheckRecord callable that reduces the errors to the worst one
 (NaN if any error is NaN) and compares it with the check's bound.
 `_trials` yields each trial's (rng, dim): the substream of (seed, tag,
-trial) and the configured dims in turn.  Every check that draws hermitian
-operands per trial takes them from `_diagonalized`.  A check gives it a
-draw function, which draws the trial's hermitian matrices from its rng
-first, in the order the check reads them (A and B; A and B shifted apart
-for the Sylvester checks; A, B and B + GG* for Krein's properties).
-`_drawn_blocks` draws a block of trials' matrices: the block budget
-`BLOCK_BYTES` counts `WORKING_SET` times the bytes drawn, the stacked
-arithmetic's working set.  `_diagonalized` diagonalizes each block with
-one stacked `eigh` per dimension (`linalg.eig_hermitians`) and gives the
-check, per block and dimension, the stacks of operands and their stacked
-eigensystems, views of the `eigh` output.  The check then draws the rest
-of each trial (a Sylvester Y, a symbol) from its rng.  Each trial's rng
-is its own substream, so drawing ahead changes no number, and the budget
-keeps the stacks from growing with the trial count.
+trial) and the configured dims (or a check's own) in turn.  A check that
+draws per trial gives `_drawn_blocks` a draw function, which draws the
+trial's arrays from its rng first, in the order the check reads them (A
+and B; A and B shifted apart for the Sylvester checks; A, B and B + GG*
+for Krein's properties; a symbol and its cut and projectors for the
+localization of `quantize`).  `_drawn_blocks` draws a block of trials:
+the block budget `BLOCK_BYTES` counts `WORKING_SET` times the bytes
+drawn, the stacked arithmetic's working set.  `_diagonalized`
+diagonalizes the hermitian operands of each block with one stacked `eigh`
+per dimension (`linalg.eig_hermitians`) and gives the check, per block
+and dimension, the stacks of operands and their stacked eigensystems,
+views of the `eigh` output.  The check then draws the rest of each trial
+(a Sylvester Y, a measure, a decomposition) from its rng.  Each trial's
+rng is its own substream, so drawing ahead changes no number, and the
+budget keeps the stacks from growing with the trial count.
 
-The linalg, doi and Sylvester checks take their per-trial errors as
-arrays, one library call per stack (a stacked `doi.SpectralPair`,
+Every check that draws per trial takes its per-trial errors as arrays,
+one library call per block and dimension: a stacked `doi.SpectralPair`,
 `sylvester.solve_gap_pair` on the stacked eigensystems, stacked Schatten
-norms); the shift and quantization checks take their trials one at a
-time from `_each_trial`.  Frobenius norms stay per matrix, since a norm
-over a stack's axes rounds differently, so reports are byte-identical to
-a trial-at-a-time run.
+norms, a stack of shift functions, measures, symbols or bimeasures.  The
+Peller and bimeasure checks draw 1 to 3 decomposition terms per trial:
+the Peller check pads them with terms of weight 0, and the bimeasure
+check integrates the trials of each term count as one stack, since a
+padded term count changes how BLAS sums the terms.  Frobenius norms stay
+per matrix, since a norm over a stack's axes rounds differently, and a
+value that a one-trial run took from one number (a modulus, a complex
+product, a power) is taken with `linalg.scalar_abs`, `scalar_mul` or
+`scalar_pow`, so reports are byte-identical to a trial-at-a-time run.
+`quantization.cotlar_stein_certificate`, whose n and term count vary per
+trial, takes its trials one at a time; the other checks draw once, once
+per dimension, or not at all.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass, field, fields
@@ -48,9 +58,9 @@ import numpy as np
 
 from . import doi, quantization, shift, sylvester
 from .errors import ConfigError
-from .linalg import (EigenSystem, apply_function, dft_unitary, eig_hermitian, eig_hermitians,
-                     operator_norm, schatten_norm, schatten_norm_of_values, singular_values,
-                     trace_norm)
+from .linalg import (EigenSystem, adjoint, apply_function, dft_unitary, eig_hermitian,
+                     eig_hermitians, operator_norm, scalar_abs, scalar_pow,
+                     schatten_norm_of_values, singular_values, trace_norm)
 from .quadrature import symmetric_open_rule, trapezoid_rule
 from .rng import random_complex, random_hermitian, random_unit_vector, substream
 
@@ -279,23 +289,29 @@ def _check(name, bound, note="", floor=0.0):
     return register
 
 
-def _trials(cfg: ScenarioConfig, tag: str, count=None, max_dim=None):
-    """(rng, dim) per trial: substream(seed, tag, trial) and the dims cycled,
-    capped at max_dim; cfg.trials trials unless count is given."""
+def _trials(cfg: ScenarioConfig, tag: str, count=None, dims=None):
+    """(rng, dim) per trial: substream(seed, tag, trial) and the dims cycled
+    (cfg.dims unless dims is given); cfg.trials trials unless count is given."""
+    dims = cfg.dims if dims is None else dims
     for trial in range(cfg.trials if count is None else count):
-        dim = cfg.dims[trial % len(cfg.dims)]
-        yield substream(cfg.seed, tag, trial), dim if max_dim is None else min(dim, max_dim)
+        yield substream(cfg.seed, tag, trial), dims[trial % len(dims)]
 
 
-def _drawn_blocks(cfg: ScenarioConfig, tag: str, draw, names, count=None, max_dim=None):
-    """(rng, the matrices `draw(rng, dim)` draws from rng, one dim x dim
-    complex matrix per name in `names`) per trial of `_trials`, in lists of
-    consecutive trials whose stacked arithmetic takes at most BLOCK_BYTES
-    together (`WORKING_SET` times the bytes drawn), or of one trial whose
-    arithmetic takes more.  A trial is counted before it is drawn, so no
-    trial of the next block is held while a block is in use."""
+def _capped(cfg: ScenarioConfig, cap: int) -> list:
+    """The configured dims, each capped at `cap`."""
+    return [min(dim, cap) for dim in cfg.dims]
+
+
+def _drawn_blocks(cfg: ScenarioConfig, tag: str, draw, names, count=None, dims=None):
+    """(rng, the arrays `draw(rng, dim)` draws from rng, one per name in
+    `names`, each at most a dim x dim complex matrix) per trial of
+    `_trials`, in lists of consecutive trials, in trial order, whose stacked
+    arithmetic takes at most BLOCK_BYTES together (`WORKING_SET` times the
+    bytes of the matrices drawn), or of one trial whose arithmetic takes
+    more.  A trial is counted before it is drawn, so no trial of the next
+    block is held while a block is in use."""
     block, size = [], 0
-    for rng, dim in _trials(cfg, tag, count, max_dim):
+    for rng, dim in _trials(cfg, tag, count, dims):
         cost = WORKING_SET * len(names) * 16 * dim * dim
         if block and size + cost > BLOCK_BYTES:
             yield block
@@ -306,15 +322,15 @@ def _drawn_blocks(cfg: ScenarioConfig, tag: str, draw, names, count=None, max_di
 
 
 def _by_dim(block):
-    """The items of a block grouped by the dimension of their first matrix,
-    each group in trial order."""
+    """The items of a block grouped by the last dimension of the first array
+    each drew (item[1][0]), each group in trial order."""
     groups = {}
     for item in block:
         groups.setdefault(item[1][0].shape[-1], []).append(item)
     return groups.values()
 
 
-def _diagonalized(cfg: ScenarioConfig, tag: str, draw, names, count=None, max_dim=None):
+def _diagonalized(cfg: ScenarioConfig, tag: str, draw, names, count=None, dims=None):
     """(rngs, operands, eigensystems) per block of `_drawn_blocks` and
     dimension: the rngs of the block's trials of that dimension, in trial
     order; per name, the (k, dim, dim) stack of those trials' matrices; and
@@ -323,7 +339,7 @@ def _diagonalized(cfg: ScenarioConfig, tag: str, draw, names, count=None, max_di
     validation errors).  What a check draws after its matrices it draws
     from each rng in turn: each trial's rng is its own, so the order of
     draws within a trial is the order the check reads them."""
-    for block in _drawn_blocks(cfg, tag, draw, names, count, max_dim):
+    for block in _drawn_blocks(cfg, tag, draw, names, count, dims):
         stacks = [([rng for rng, _ in group],
                    np.stack([ms[j] for j in range(len(names)) for _, ms in group]))
                   for group in _by_dim(block)]
@@ -334,15 +350,6 @@ def _diagonalized(cfg: ScenarioConfig, tag: str, draw, names, count=None, max_di
             cut = [slice(j * k, (j + 1) * k) for j in range(len(names))]
             yield (rngs, tuple(stack[c] for c in cut),
                    tuple(EigenSystem(systems.eigenvalues[c], systems.unitary[c]) for c in cut))
-
-
-def _each_trial(cfg: ScenarioConfig, tag: str, draw, names, count=None, max_dim=None):
-    """(rng, matrices, eigensystems) per trial of `_diagonalized`, for the
-    checks that take one trial at a time: views of the trial's matrices and
-    eigensystems in their stacks."""
-    for rngs, stacks, systems in _diagonalized(cfg, tag, draw, names, count, max_dim):
-        eigensystems = [map(EigenSystem, e.eigenvalues, e.unitary) for e in systems]
-        yield from zip(rngs, zip(*stacks), zip(*eigensystems))
 
 
 def _draw_h(rng, dim):
@@ -363,10 +370,15 @@ def _max_abs(m):
     return np.abs(m).max(axis=(-2, -1))
 
 
-def _pairs(cfg: ScenarioConfig, tag: str, count=None, max_dim=None):
+def _stacked(group, j):
+    """The (k, ...) stack of the j-th array that each trial of a group drew."""
+    return np.stack([drawn[j] for _, drawn, *_ in group])
+
+
+def _pairs(cfg: ScenarioConfig, tag: str, count=None, dims=None):
     """(rngs, A, B, SpectralPair of A and B) per stack of `_diagonalized`."""
     for rngs, (a, b), (left, right) in _diagonalized(cfg, tag, _draw_ab, ("A", "B"),
-                                                     count, max_dim):
+                                                     count, dims):
         yield rngs, a, b, doi.SpectralPair(left, right)
 
 
@@ -384,18 +396,29 @@ def check_schatten_monotone(cfg):
     for block in _drawn_blocks(cfg, "suite-schatten",
                                lambda rng, dim: (random_complex(rng, (dim, dim)),), ("M",)):
         for group in _by_dim(block):
-            s = singular_values(np.stack([m for _, (m,) in group]))
+            s = singular_values(_stacked(group, 0))
             norms = [schatten_norm_of_values(s, p) for p in ps]
             yield np.max([hi - lo for lo, hi in zip(norms, norms[1:])], axis=0)
 
 
+# the dual exponents (p, q) of the Hoelder check: trial t takes pair t mod 3
+HOELDER_EXPONENTS = ((1, np.inf), (2, 2), (4, 4 / 3))
+
+
 @_check("linalg.hoelder_trace_duality", "algebraic")
 def check_hoelder_duality(cfg):
-    pairs = [(1, np.inf), (2, 2), (4, 4 / 3)]
-    for trial, (rng, dim) in enumerate(_trials(cfg, "suite-hoelder")):
-        m, n = random_complex(rng, (dim, dim)), random_complex(rng, (dim, dim))
-        p, q = pairs[trial % len(pairs)]
-        yield abs(np.trace(m @ n.conj().T)) - schatten_norm(m, p) * schatten_norm(n, q)
+    def draw(rng, dim):
+        return random_complex(rng, (dim, dim)), random_complex(rng, (dim, dim))
+    exponents = itertools.cycle(range(len(HOELDER_EXPONENTS)))
+    for block in _drawn_blocks(cfg, "suite-hoelder", draw, ("M", "N")):
+        # blocks are consecutive trials in trial order
+        for group in _by_dim([(*item, next(exponents)) for item in block]):
+            m, n = _stacked(group, 0), _stacked(group, 1)
+            sm, sn = singular_values(m), singular_values(n)
+            bounds = np.stack([schatten_norm_of_values(sm, p) * schatten_norm_of_values(sn, q)
+                               for p, q in HOELDER_EXPONENTS])
+            bound = bounds[[which for *_, which in group], np.arange(len(group))]
+            yield scalar_abs(np.trace(m @ adjoint(n), axis1=-2, axis2=-1)) - bound
 
 
 @_check("linalg.dft_fourth_power_identity", "algebraic")
@@ -450,7 +473,7 @@ def check_doi_divided_difference(cfg):
         note="|K| of the n^2 x n^2 transformer matrix K from an SVD")
 def check_doi_hs_norm(cfg):
     for rngs, _, _, pair in _pairs(cfg, "suite-doi-hs", count=max(2, cfg.trials // 4),
-                                   max_dim=8):
+                                   dims=_capped(cfg, 8)):
         dim = pair.dim
         sym = doi.SymbolGrid(values=_complex_stack(rngs, dim))
         claimed = doi.hs_multiplier_norm(pair, sym)
@@ -533,7 +556,8 @@ def _gapped_solutions(cfg: ScenarioConfig, tag: str, shift_by: float):
     def draw(rng, dim):
         return (random_hermitian(rng, dim) + shift_by * np.eye(dim),
                 random_hermitian(rng, dim) - shift_by * np.eye(dim))
-    for rngs, (a, b), (left, right) in _diagonalized(cfg, tag, draw, ("A", "B"), max_dim=6):
+    for rngs, (a, b), (left, right) in _diagonalized(cfg, tag, draw, ("A", "B"),
+                                                     dims=_capped(cfg, 6)):
         y = _complex_stack(rngs, a.shape[-1])
         yield a, b, y, sylvester.solve_gap_pair(doi.SpectralPair(left, right), a, b, y)
 
@@ -557,13 +581,13 @@ def check_sylvester_bound_all_p(cfg):
 
 @_check("shift.krein_trace_formula", 1e-9)
 def check_trace_formula(cfg):
-    for rng, _, (left, right) in _each_trial(cfg, "suite-trace", _draw_ab, ("A", "B")):
-        pair = doi.SpectralPair(left, right)
-        mu = shift.AtomicMeasure(points=rng.uniform(0.3, 2.5, 3) * rng.choice([-1, 1], 3),
-                                 weights=rng.uniform(0.2, 1.5, 3))
-        f, _ = shift.admissible_f(mu)
+    for rngs, _, _, pair in _pairs(cfg, "suite-trace"):
+        atoms = [(rng.uniform(0.3, 2.5, 3) * rng.choice([-1, 1], 3), rng.uniform(0.2, 1.5, 3))
+                 for rng in rngs]
+        points, weights = (np.stack(x) for x in zip(*atoms))
+        f, _ = shift.admissible_f(shift.AtomicMeasure(points=points, weights=weights))
         res = shift.trace_formula_check(pair, f)
-        yield res.gap / (1.0 + abs(res.lhs))
+        yield res.gap / (1.0 + scalar_abs(res.lhs))
 
 
 @_check("shift.properties_a_to_d", "algebraic")
@@ -573,11 +597,11 @@ def check_shift_properties(cfg):
         g = random_complex(rng, (dim, dim))
         return a, b, b + g @ g.conj().T
     names = ("A", "B", "B + GG*")
-    for _, (a, b, _), (left, right, pos) in _each_trial(cfg, "suite-props", draw, names):
+    for _, (a, b, _), (left, right, pos) in _diagonalized(cfg, "suite-props", draw, names):
         pair = doi.SpectralPair(left, right)
         yield from shift.krein_properties(pair, shift.xi_counting(pair), a - b).errors()
         xi_pos = shift.xi_counting(doi.SpectralPair(pos, right))
-        if not xi_pos.is_nonnegative:
+        if not np.all(xi_pos.is_nonnegative):
             yield np.inf
 
 
@@ -611,8 +635,8 @@ def check_rank_one_route(cfg):
 
 @_check("shift.resolvent_trace_identity", 1e-12)
 def check_resolvent_identity(cfg):
-    for _, _, (left, right) in _each_trial(cfg, "suite-resolvent", _draw_ab, ("A", "B")):
-        yield shift.resolvent_identity_check(doi.SpectralPair(left, right), 0.3 + 0.7j)
+    for _, _, _, pair in _pairs(cfg, "suite-resolvent"):
+        yield shift.resolvent_identity_check(pair, 0.3 + 0.7j)
 
 
 @_check("shift.arctan_kernel_representation", "quadrature")
@@ -624,24 +648,32 @@ def check_arctan_representation(cfg):
 def check_quantize_localization(cfg):
     n = min(cfg.n, 8)
     space = quantization.cycle_space(n)
-    for rng, _ in _trials(cfg, "suite-qloc"):
+
+    def draw(rng, _):  # sigma, sigma cut to E x F, Q(E) and P(F)
         sigma = random_complex(rng, (n, n))
-        e = np.flatnonzero(rng.random(n) < 0.5)
-        f = np.flatnonzero(rng.random(n) < 0.5)
-        cut = sigma * np.outer(np.isin(np.arange(n), e), np.isin(np.arange(n), f))
-        lhs = (quantization.position_projector(space, e) @ quantization.quantize(space, sigma)
-               @ quantization.momentum_projector(space, f))
-        yield np.abs(quantization.quantize(space, cut) - lhs).max()
+        in_e, in_f = rng.random(n) < 0.5, rng.random(n) < 0.5
+        return (sigma, sigma * np.outer(in_e, in_f),
+                quantization.position_projector(space, np.flatnonzero(in_e)),
+                quantization.momentum_projector(space, np.flatnonzero(in_f)))
+    for block in _drawn_blocks(cfg, "suite-qloc", draw, ("sigma", "cut", "Q(E)", "P(F)"),
+                               dims=[n]):
+        sigma, cut, q, p = (_stacked(block, j) for j in range(4))
+        lhs = q @ quantization.quantize(space, sigma) @ p
+        yield _max_abs(quantization.quantize(space, cut) - lhs)
 
 
 @_check("quantization.product_symbol_factorizes", 1e-12)
 def check_quantize_product_symbol(cfg):
-    for rng, n in _trials(cfg, "suite-qprod"):
-        space = quantization.cycle_space(n)
+    def draw(rng, n):  # f (x) g, diag(f) and diag(g)
         fvec, gvec = random_complex(rng, n), random_complex(rng, n)
-        lhs = quantization.quantize(space, np.outer(fvec, gvec))
-        rhs = np.diag(fvec) @ space.dft.conj().T @ np.diag(gvec) @ space.dft
-        yield np.abs(lhs - rhs).max()
+        return np.outer(fvec, gvec), np.diag(fvec), np.diag(gvec)
+    for block in _drawn_blocks(cfg, "suite-qprod", draw, ("f (x) g", "diag(f)", "diag(g)")):
+        for group in _by_dim(block):
+            sigma, diag_f, diag_g = (_stacked(group, j) for j in range(3))
+            space = quantization.cycle_space(sigma.shape[-1])
+            lhs = quantization.quantize(space, sigma)
+            rhs = diag_f @ space.dft.conj().T @ diag_g @ space.dft
+            yield _max_abs(lhs - rhs)
 
 
 @_check("quantization.cotlar_stein_certificate", 0.0,
@@ -657,39 +689,49 @@ def check_cotlar_certificate(cfg):
 @_check("quantization.bimeasure_additivity_and_representation", "algebraic")
 def check_bimeasure_structure(cfg):
     n = 6
-    for rng, _ in _trials(cfg, "suite-bim"):
+
+    def draw(rng, _):  # phi, normalized
         phi = random_complex(rng, n)
-        b = quantization.SequenceBimeasure(phi / np.linalg.norm(phi))
-        e1, e2, f = [1, 3], [4, 6], [2, 5]
+        return (phi / np.linalg.norm(phi),)
+    e1, e2, f = [1, 3], [4, 6], [2, 5]
+    for block in _drawn_blocks(cfg, "suite-bim", draw, ("phi",), dims=[n]):
+        b = quantization.SequenceBimeasure(_stacked(block, 0))
         lhs = quantization.bimeasure_eval(b, e1 + e2, f)
         rhs = quantization.bimeasure_eval(b, e1, f) + quantization.bimeasure_eval(b, e2, f)
-        yield abs(lhs - rhs)
-        k = int(rng.integers(1, 4))
-        d = doi.Decomposition(alphas=random_complex(rng, (k, n)),
-                              betas=random_complex(rng, (k, n)),
-                              weights=rng.uniform(0.1, 2.0, k))
-        psi = np.einsum("t,ti,tj->ij", d.weights.astype(complex), d.alphas, d.betas)
-        yield abs(quantization.bimeasure_integrate(b, d)
-                  - quantization.bimeasure_integrate_grid(b, psi))
-        yield abs(quantization.semivariation(b) - b.l1_norm() ** 2)
+        yield scalar_abs(lhs - rhs)
+        yield np.abs(quantization.semivariation(b) - scalar_pow(b.l1_norm(), 2))
+        # each trial's 1 to 3 terms; the trials of one term count integrate as one stack
+        terms = {}
+        for trial, (rng, _) in enumerate(block):
+            k = int(rng.integers(1, 4))
+            terms.setdefault(k, []).append((trial, random_complex(rng, (k, n)),
+                                            random_complex(rng, (k, n)), rng.uniform(0.1, 2.0, k)))
+        for group in terms.values():
+            trials, alphas, betas, weights = (np.stack(x) for x in zip(*group))
+            d = doi.Decomposition(alphas=alphas, betas=betas, weights=weights)
+            psi = np.einsum("...t,...ti,...tj->...ij", d.weights.astype(complex), d.alphas, d.betas)
+            part = quantization.SequenceBimeasure(b.phi[trials])
+            yield scalar_abs(quantization.bimeasure_integrate(part, d)
+                             - quantization.bimeasure_integrate_grid(part, psi))
 
 
 @_check("quantization.polymeasure_additivity_and_concatenation", "algebraic")
 def check_polymeasure(cfg):
-    for rng, _, (eh,) in _each_trial(cfg, "suite-poly", _draw_h, ("H",),
-                                     count=max(2, cfg.trials // 4)):
+    for rngs, _, (eh,) in _diagonalized(cfg, "suite-poly", _draw_h, ("H",),
+                                        count=max(2, cfg.trials // 4)):
         dim = eh.dim
-        f0, f2 = random_complex(rng, dim), random_complex(rng, dim)
-        e = (rng.random(dim) < 0.5).astype(complex)
+        draws = [(random_complex(rng, dim), random_complex(rng, dim),
+                  (rng.random(dim) < 0.5).astype(complex)) for rng in rngs]
+        f0, f2, e = (np.stack(x) for x in zip(*draws))
         e_prime = 1.0 - e
         times = [0.6, 1.4]
         combined = quantization.polymeasure_eval([f0, e + e_prime, f2], times, eh)
         split = (quantization.polymeasure_eval([f0, e, f2], times, eh)
                  + quantization.polymeasure_eval([f0, e_prime, f2], times, eh))
-        yield np.abs(combined - split).max()
+        yield _max_abs(combined - split)
         direct = quantization.polymeasure_eval([f0, f2], [1.7], eh)
-        threaded = quantization.polymeasure_eval([f0, np.ones(dim), f2], [0.5, 1.7], eh)
-        yield np.abs(threaded - direct).max()
+        threaded = quantization.polymeasure_eval([f0, np.ones_like(f0), f2], [0.5, 1.7], eh)
+        yield _max_abs(threaded - direct)
 
 
 def run_suite(cfg: ScenarioConfig) -> Report:

@@ -40,6 +40,8 @@ ENTRY_POINTS = {
                                lambda x: qz.polymeasure_eval([ONES, ONES], x, EB)),
     "ShiftFunction": ("breakpoints", np.array([0.0, 1.0]), True,
                       lambda x: shift.ShiftFunction(breakpoints=x, values=[1])),
+    "ShiftFunction.values": ("values", np.array([1.0]), True,
+                             lambda x: shift.ShiftFunction(breakpoints=[0.0, 1.0], values=x)),
     "SampledCurve.abscissae": ("abscissae", PAIR_OF, True,
                                lambda x: shift.SampledCurve(abscissae=x, ordinates=ONES)),
     "SampledCurve.ordinates": ("ordinates", PAIR_OF, True,
@@ -88,6 +90,18 @@ def test_entry_points_refuse_a_bad_array_naming_the_argument(entry, kind):
     call(good)
     with pytest.raises(errors.InputDomainError, match=f"^{name} {MESSAGES[kind]}"):
         call(bad_input(kind, good))
+
+
+@pytest.mark.parametrize("values, message", [
+    ([True], "values is not a numeric array"),            # was stored as the integer 1
+    ([[1]], r"values has shape \(1, 1\), expected a 1-D array"),  # was kept as a 2-D array
+    ([1 + 0j], "values must be real"),                    # leaked a ComplexWarning
+])
+def test_shift_function_values_are_read_as_finite_real_numbers(values, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(errors.InputDomainError, match=f"^{message}"):
+            shift.ShiftFunction(breakpoints=[0.0, 1.0], values=values)
 
 
 @pytest.mark.parametrize("dtype, ndim", [(np.complex128, 2), (np.complex128, 1), (float, 1)])

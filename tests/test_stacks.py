@@ -1,7 +1,8 @@
-"""The spectral core on (k, n, n) stacks: each entry point that takes a stack
-gives each matrix the bits of its one-matrix call, and refuses a bad stack
-with the error that names the argument (or the matrix, as `as_hermitian`
-names it)."""
+"""The spectral core, the shift functions and the quantization on stacks:
+each entry point that takes a stack gives each matrix (or pair, measure,
+symbol or sequence) the bits of its one-matrix call, and refuses a bad
+stack with the error that names the argument (or the matrix, as
+`as_hermitian` names it)."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from opint import doi, errors, linalg, sylvester
+from opint import doi, errors, linalg, quantization, shift, sylvester
 from opint.quadrature import trapezoid_rule
 from opint.rng import random_complex, random_hermitian, substream
 
@@ -27,12 +28,15 @@ def _operands(k: int, n: int, trial: int = 0):
     terms = 2
     decomposition = (random_complex(rng, (k, terms, n)), random_complex(rng, (k, terms, n)),
                      rng.uniform(0.1, 2.0, (k, terms)))
+    atoms = (rng.uniform(0.3, 2.5, (k, 3)) * rng.choice([-1.0, 1.0], (k, 3)),
+             rng.uniform(0.2, 1.5, (k, 3)))
     left = linalg.eig_hermitians(a, ["A"] * k)
     right = linalg.eig_hermitians(b, ["B"] * k)
     stacked = SimpleNamespace(a=a, b=b, t=t, mask=mask, decomposition=decomposition,
-                              pair=doi.SpectralPair(left, right))
+                              atoms=atoms, pair=doi.SpectralPair(left, right))
     singles = [SimpleNamespace(a=a[i], b=b[i], t=t[i], mask=list(mask[i]),
                                decomposition=tuple(x[i] for x in decomposition),
+                               atoms=tuple(x[i] for x in atoms),
                                pair=doi.make_spectral_pair(a[i], b[i]))
                for i in range(k)]
     return stacked, singles
@@ -53,6 +57,39 @@ def _solution(ops):
     return (solution.x, solution.delta, *(getattr(r, f) for r in reports
                                           for f in ("x_norm", "y_norm", "bound", "residual",
                                                     "residual_small", "bound_holds")))
+
+
+def _xi(ops):
+    return shift.xi_counting(ops.pair)
+
+
+def _admissible_f(ops):
+    points, weights = ops.atoms
+    return shift.admissible_f(shift.AtomicMeasure(points=points, weights=weights))[0]
+
+
+def _krein(ops):
+    props = shift.krein_properties(ops.pair, _xi(ops), ops.a - ops.b)
+    return (props.trace, props.integral, props.trace_norm, props.l1, props.support_reach,
+            props.trace_scale, props.trace_norm_scale, *props.errors(), props.monotone)
+
+
+def _trace_formula(ops):
+    result = shift.trace_formula_check(ops.pair, _admissible_f(ops))
+    return result.lhs, result.rhs, result.gap
+
+
+def _space(ops):
+    return quantization.cycle_space(ops.pair.dim)
+
+
+def _bimeasure(ops):
+    return quantization.SequenceBimeasure(ops.t[..., 0, :])
+
+
+def _polymeasure(ops):
+    slots = [ops.t[..., 0, :], ops.t[..., -1, :], ops.t[..., :, 0]]
+    return quantization.polymeasure_eval(slots, [0.5, 1.2], ops.pair.left)
 
 
 ENTRY_POINTS = {
@@ -79,6 +116,31 @@ ENTRY_POINTS = {
     "trace_norm": lambda ops: linalg.trace_norm(ops.t),
     "solve_gap_pair": _solution,
     "kron_oracle": lambda ops: sylvester.kron_oracle(ops.a, ops.pair.right, ops.t),
+    "ShiftFunction.integral": lambda ops: _xi(ops).integral(),
+    "ShiftFunction.l1": lambda ops: _xi(ops).l1(),
+    "ShiftFunction.support": lambda ops: _xi(ops).support(),
+    "ShiftFunction.integrate_derivative": lambda ops: _xi(ops).integrate_derivative(
+        _admissible_f(ops)),
+    "ShiftFunction.resolvent_integral": lambda ops: _xi(ops).resolvent_integral(0.3 + 0.7j),
+    "ShiftFunction.is_nonnegative": lambda ops: np.asarray(_xi(ops).is_nonnegative),
+    "ShiftFunction.is_zero": lambda ops: np.asarray(_xi(ops).is_zero),
+    "krein_properties": _krein,
+    "admissible_f": lambda ops: _admissible_f(ops)(ops.pair.left.eigenvalues),
+    "trace_formula_check": _trace_formula,
+    "resolvent_identity_check": lambda ops: shift.resolvent_identity_check(ops.pair, 0.3 + 0.7j),
+    "quantize": lambda ops: quantization.quantize(_space(ops), ops.t),
+    "qp_norm_upper_bound": lambda ops: tuple(
+        quantization.qp_norm_upper_bound(_space(ops), ops.t)[key]
+        for key in ("upper_bound", "hilbert_schmidt", "shift_triangle")),
+    "polymeasure_eval": _polymeasure,
+    "SequenceBimeasure.l1_norm": lambda ops: _bimeasure(ops).l1_norm(),
+    "bimeasure_eval": lambda ops: quantization.bimeasure_eval(
+        _bimeasure(ops), [1, ops.pair.dim], [ops.pair.dim]),
+    "bimeasure_integrate": lambda ops: quantization.bimeasure_integrate(
+        _bimeasure(ops), _decomposition(ops)),
+    "bimeasure_integrate_grid": lambda ops: quantization.bimeasure_integrate_grid(
+        _bimeasure(ops), ops.t),
+    "semivariation": lambda ops: quantization.semivariation(_bimeasure(ops)),
 }
 
 
@@ -90,18 +152,32 @@ def _bits(x) -> bytes:
 @pytest.mark.parametrize("k", [1, 3])
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 def test_a_stack_gives_each_matrix_the_bits_of_its_one_matrix_call(entry, k, n):
-    stacked, singles = _operands(k, n)
-    run = ENTRY_POINTS[entry]
+    _assert_each_matrix_has_its_bits(ENTRY_POINTS[entry], *_operands(k, n))
+
+
+# the entry points that take a value per matrix from an operation whose
+# rounding differs between numpy's one-number and array forms on some CPUs
+# (a power, a complex modulus or product), which a stack of 3 rarely shows
+ROUNDING_ENTRY_POINTS = ["schatten_norm", "trace_formula_check", "resolvent_identity_check",
+                         "bimeasure_eval", "semivariation"]
+
+
+@pytest.mark.parametrize("entry", ROUNDING_ENTRY_POINTS)
+def test_a_large_stack_gives_each_matrix_the_bits_of_its_one_matrix_call(entry):
+    _assert_each_matrix_has_its_bits(ENTRY_POINTS[entry], *_operands(200, 3))
+
+
+def _assert_each_matrix_has_its_bits(run, stacked, singles):
     out = run(stacked)
     for i, ops in enumerate(singles):
         alone = run(ops)
         if isinstance(alone, tuple):
-            assert [_bits(x[i]) for x in out] == [_bits(x) for x in alone], entry
+            assert [_bits(x[i]) for x in out] == [_bits(x) for x in alone]
         elif isinstance(alone, int):  # the dimension of each matrix of the stack
             assert out == alone
         else:
             assert type(alone) is not np.ndarray or alone.shape == out[i].shape
-            assert _bits(out[i]) == _bits(alone), entry
+            assert _bits(out[i]) == _bits(alone)
 
 
 def _with_nan(m):
@@ -150,6 +226,46 @@ BAD_STACKS = {
                       errors.IllPosedError, "^shape mismatch: A"),
     "kron_oracle A": (lambda ops: sylvester.kron_oracle(_with_nan(ops.a), ops.pair.right, ops.t),
                       errors.InputDomainError, "^A has non-finite entries"),
+    "ShiftFunction values of another width": (
+        lambda ops: shift.ShiftFunction(breakpoints=_xi(ops).breakpoints,
+                                        values=_xi(ops).values[..., :-1]),
+        errors.InputDomainError, "^need one value per interval"),
+    "ShiftFunction padding before a breakpoint": (
+        lambda ops: shift.ShiftFunction(breakpoints=np.tile([0.0, 1.0, 1.0, 2.0], (len(ops.a), 1)),
+                                        values=np.zeros((len(ops.a), 3))),
+        errors.InputDomainError, "^breakpoints must be strictly ascending"),
+    "ShiftFunction padding holding a value": (
+        lambda ops: shift.ShiftFunction(breakpoints=np.tile([0.0, 1.0, 1.0], (len(ops.a), 1)),
+                                        values=np.ones((len(ops.a), 2))),
+        errors.InputDomainError, "^padded intervals of a stack must hold 0"),
+    "ShiftFunction evaluated as a stack": (
+        lambda ops: _xi(ops)(np.zeros(2)),
+        errors.InputDomainError, "^a stack of shift functions is evaluated one function at a time"),
+    "AtomicMeasure weights of another shape": (
+        lambda ops: shift.AtomicMeasure(points=ops.atoms[0], weights=ops.atoms[1][..., :2]),
+        errors.InputDomainError, "^atomic measure needs matching points/weights"),
+    "admissible_f x of another stack": (
+        lambda ops: _admissible_f(ops)(np.zeros((len(ops.a) + 1, 2))),
+        errors.InputDomainError, "^x has shape"),
+    "quantize sigma": (lambda ops: quantization.quantize(_space(ops), _with_nan(ops.t)),
+                       errors.InputDomainError, "^sigma has non-finite entries"),
+    "quantize sigma of another size": (
+        lambda ops: quantization.quantize(_space(ops), ops.t[:, :2, :2]),
+        errors.InputDomainError, "^sigma must be 3x3"),
+    "polymeasure_eval slot of another stack": (
+        lambda ops: quantization.polymeasure_eval([ops.t[[0, *range(len(ops.a))], 0]], [],
+                                                  ops.pair.left),
+        errors.InputDomainError, "^slot 0 must be of shape"),
+    "SequenceBimeasure phi": (
+        lambda ops: quantization.SequenceBimeasure(_with_nan(ops.t)[..., 0]),
+        errors.InputDomainError, "^phi has non-finite entries"),
+    "bimeasure_integrate decomposition of another stack": (
+        lambda ops: quantization.bimeasure_integrate(
+            quantization.SequenceBimeasure(ops.t[0, 0]), _decomposition(ops)),
+        errors.InputDomainError, "^decomposition stack"),
+    "bimeasure_integrate_grid psi of another stack": (
+        lambda ops: quantization.bimeasure_integrate_grid(_bimeasure(ops), ops.t[0]),
+        errors.InputDomainError, "^psi has shape"),
 }
 
 

@@ -18,11 +18,13 @@ from opint.linalg import save_matrix
 from opint.rng import random_complex, random_hermitian, substream
 from opint.quadrature import QuadratureRule, symmetric_open_rule
 from opint.suite import (SUITE_CHECKS, ScenarioConfig, check_arctan_representation,
-                         check_doi_divided_difference,
+                         check_bimeasure_structure, check_doi_divided_difference,
                          check_doi_fourier_cross_route, check_doi_identity_transformer,
-                         check_doi_localization, check_peller_bound, check_polymeasure,
+                         check_doi_localization, check_hoelder_duality, check_peller_bound,
+                         check_polymeasure, check_quantize_localization,
+                         check_quantize_product_symbol, check_resolvent_identity,
                          check_shift_properties, check_sylvester_bound_all_p,
-                         check_sylvester_cross_oracle, run_suite)
+                         check_sylvester_cross_oracle, check_trace_formula, run_suite)
 
 SRC = str(Path(opint.__file__).resolve().parent.parent)
 
@@ -598,9 +600,22 @@ def test_default_suite_pass_singular_value_count(monkeypatch):
         return _original(*args, **kwargs)
     monkeypatch.setattr(np.linalg, "svd", counted)
     assert run_suite(ScenarioConfig()).passed
-    # 242 when the checks took their norms one trial at a time; stacked, one
-    # SVD per block, dimension and norm
-    assert len(svds) == 127, len(svds)
+    # 242 when the checks took their norms one trial at a time, 127 while the
+    # Hoelder and Krein-property checks still did; stacked, one SVD per
+    # block, dimension and norm
+    assert len(svds) == 79, len(svds)
+
+
+def test_default_suite_pass_draws_each_trial_from_its_own_substream(monkeypatch):
+    # stacking draws ahead, but every trial still reads its own substream
+    calls = []
+
+    def counted(*args, _original=suite_mod.substream):
+        calls.append(args)
+        return _original(*args)
+    monkeypatch.setattr(suite_mod, "substream", counted)
+    assert run_suite(ScenarioConfig()).passed
+    assert len(calls) == 366 and len(set(calls)) == 366, len(calls)
 
 
 def test_default_suite_pass_diagonalizes_only_through_eig_hermitian(monkeypatch):
@@ -637,19 +652,37 @@ def test_default_suite_pass_diagonalizes_only_through_eig_hermitian(monkeypatch)
     assert counts["as_hermitian"] <= 161, counts
 
 
+# the checks that took their trials one at a time until the shift and
+# quantization checks were stacked
+LAST_STACKED_CHECKS = [check_hoelder_duality, check_trace_formula, check_shift_properties,
+                       check_resolvent_identity, check_quantize_localization,
+                       check_quantize_product_symbol, check_bimeasure_structure,
+                       check_polymeasure]
+
+
+def _peak_bytes(run, cfg) -> int:
+    tracemalloc.start()
+    try:
+        assert run(cfg).passed
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_suite_memory_does_not_grow_with_trials():
     # the checks draw and diagonalize their trials a block at a time; at
-    # dims [128] a block holds two trials' pairs, and stacking all twelve
+    # dims [128] each trial is a block of its own, and stacking all twelve
     # would add about 22 MiB to the peak
-    peaks = []
-    for trials in (1, 12):
-        tracemalloc.start()
-        try:
-            assert run_suite(ScenarioConfig(dims=[128], trials=trials)).passed
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+    peaks = [_peak_bytes(run_suite, ScenarioConfig(dims=[128], trials=trials))
+             for trials in (1, 12)]
     assert peaks[1] - peaks[0] <= 1.5 * suite_mod.BLOCK_BYTES, peaks
+    # each of the last checks to be stacked alone, where the suite's peak
+    # cannot hide it: from the second block on a check still holds the
+    # previous one while the next is drawn, so its growth counts from 2 trials
+    for check in LAST_STACKED_CHECKS:
+        peaks = [_peak_bytes(check, ScenarioConfig(dims=[128], trials=trials))
+                 for trials in (2, 12)]
+        assert peaks[1] - peaks[0] <= 0.5 * suite_mod.BLOCK_BYTES, (check.__name__, peaks)
 
 
 @pytest.fixture(scope="module")

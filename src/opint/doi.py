@@ -20,7 +20,9 @@ symbols and transformers of this module then hold k matrices: `SymbolGrid`,
 `symbol_from_decomposition` (of a stacked `Decomposition`),
 `hs_multiplier_norm`, `doi_apply` and `doi_fourier` take it through the
 code that takes one pair, and give each pair the bits of its own call.
-`sampled_transformer_norm` stacks its trials' T the same way.
+`sampled_transformer_norm` stacks its trials' T the same way, and it and
+`lipschitz_ratio_experiment` draw their trials a block at a time through
+`_trial_blocks`.
 """
 
 from __future__ import annotations
@@ -33,11 +35,11 @@ from .errors import InputDomainError
 from .linalg import (EigenSystem, adjoint, apply_function, as_complex_matrices, as_finite_array,
                      eig_hermitians, evaluate, per_matrix, schatten_norm)
 from .quadrature import QuadratureRule, trapezoid_rule
-from .rng import random_complex, random_hermitian, substream
+from .rng import complex_stacks, hermitian_stacks, substreams
 
 DEFAULT_FOURIER_QUAD = (40.0, 4000)  # half-width, node count
 PELLER_SLACK = 1e-10  # relative rounding slack on the Peller bound
-SAMPLE_BLOCK_BYTES = 1 << 20  # of T per stack of `sampled_transformer_norm`
+SAMPLE_BLOCK_BYTES = 1 << 20  # of the matrices drawn per block of sampled trials
 
 
 @dataclass(frozen=True)
@@ -231,6 +233,15 @@ def triangular_truncation(pair: SpectralPair, t) -> np.ndarray:
     return doi_apply(pair, triangular_truncation_symbol(pair), t)
 
 
+def _trial_blocks(seed: int, tag: str, trials: int, trial_bytes: int):
+    """The generators of trials 0..trials-1 of (seed, tag), in lists of
+    consecutive trials whose draws, `trial_bytes` each, take at most
+    SAMPLE_BLOCK_BYTES (or of one trial)."""
+    per_block = max(1, SAMPLE_BLOCK_BYTES // trial_bytes)
+    for start in range(0, trials, per_block):
+        yield substreams(seed, tag, range(start, min(start + per_block, trials)))
+
+
 def sampled_transformer_norm(pair: SpectralPair, sym: SymbolGrid, p, trials: int,
                              seed: int, tag: str = "transformer-norm") -> float:
     """Sampled lower bound of the C_p -> C_p norm of the multiplier.
@@ -239,16 +250,14 @@ def sampled_transformer_norm(pair: SpectralPair, sym: SymbolGrid, p, trials: int
     best-of-N random search over the unit ball of C_p, so the value it
     returns is a certified lower bound only.  Trial k's T is drawn from
     substream(seed, tag, k); the trials go through `doi_apply` and the two
-    Schatten norms as stacks of at most SAMPLE_BLOCK_BYTES of T.  A NaN
-    ratio is skipped, as Python's max(best, ratio) skips it.
+    Schatten norms as the stacks of `_trial_blocks`.  A NaN ratio is
+    skipped, as Python's max(best, ratio) skips it.
     """
     _check_grid(pair, sym)
     best = 0.0
     n = pair.dim
-    per_block = max(1, SAMPLE_BLOCK_BYTES // (16 * n * n))
-    for start in range(0, trials, per_block):
-        t = np.stack([random_complex(substream(seed, tag, trial), (n, n))
-                      for trial in range(start, min(start + per_block, trials))])
+    for rngs in _trial_blocks(seed, tag, trials, 16 * n * n):
+        t = complex_stacks(rngs, 1, (n, n))[0]
         ratios = schatten_norm(doi_apply(pair, sym, t), p) / schatten_norm(t, p)
         for ratio in ratios.tolist():
             best = max(best, ratio)
@@ -275,7 +284,8 @@ def lipschitz_ratio_experiment(f, lip_const: float, p: float, trials: int, seed:
     For p = 2 the ratio is provably <= lip_const; for other p the theory
     guarantees a finite constant without giving its value, so the report
     only records what was seen.  Trials with A = B carry no ratio and are
-    skipped (counted in `skipped`).
+    skipped (counted in `skipped`).  Trial k's A and B are drawn from
+    substream(seed, "lipschitz", k), a block of `_trial_blocks` at a time.
     """
     if not 1 < p < np.inf:
         raise InputDomainError(f"p must lie in the open interval (1, inf), got {p}")
@@ -283,16 +293,15 @@ def lipschitz_ratio_experiment(f, lip_const: float, p: float, trials: int, seed:
         raise InputDomainError("need at least one trial")
     ratios = []
     skipped = 0
-    for trial in range(trials):
-        rng = substream(seed, "lipschitz", trial)
-        a, b = random_hermitian(rng, dim), random_hermitian(rng, dim)
-        diff_norm = schatten_norm(a - b, p)
-        if diff_norm == 0.0:
-            skipped += 1
-            continue
-        pair = make_spectral_pair(a, b)
-        num = schatten_norm(apply_function(pair.left, f) - apply_function(pair.right, f), p)
-        ratios.append(float(num / diff_norm))
+    for rngs in _trial_blocks(seed, "lipschitz", trials, 2 * 16 * dim * dim):
+        for a, b in zip(*hermitian_stacks(rngs, 2, dim)):
+            diff_norm = schatten_norm(a - b, p)
+            if diff_norm == 0.0:
+                skipped += 1
+                continue
+            pair = make_spectral_pair(a, b)
+            num = schatten_norm(apply_function(pair.left, f) - apply_function(pair.right, f), p)
+            ratios.append(float(num / diff_norm))
     return ExperimentReport(
         op="lipschitz_ratio", params={"f": f_name, "lip_const": lip_const, "p": p, "dim": dim},
         seed=seed, trials=trials, max_ratio=max(ratios) if ratios else 0.0,

@@ -49,11 +49,12 @@ def cycle_space(n: int) -> CycleSpace:
     return CycleSpace(n=n)
 
 
-def _index_set(subset, low: int, high: int, name: str) -> np.ndarray:
-    """The sorted distinct elements of a 1-D sequence of integer indices in
-    low..high.  Scalars, booleans and floats are refused with
-    `InputDomainError`, not cast: a mask [True, False, True], an index 1.7 or
-    a True among integers (`entry_types`) would silently name other elements."""
+def _indices(subset, low: int, high: int, name: str) -> np.ndarray:
+    """A 1-D sequence of integer indices in low..high as an int64 array (an
+    int64 ndarray is returned uncopied), duplicates kept.  Scalars, booleans
+    and floats are refused with `InputDomainError`, not cast: a mask [True,
+    False, True], an index 1.7 or a True among integers (`entry_types`)
+    would silently name other elements."""
     idx = np.asarray(subset)
     if idx.ndim != 1:
         raise InputDomainError(f"{name} must be a 1-D sequence of indices, "
@@ -62,16 +63,17 @@ def _index_set(subset, low: int, high: int, name: str) -> np.ndarray:
         raise InputDomainError(f"{name} must hold integer indices, got dtype {idx.dtype}")
     if not isinstance(subset, np.ndarray) and not BOOLEAN_TYPES.isdisjoint(entry_types(subset, 1)):
         raise InputDomainError(f"{name} must hold integer indices, not booleans")
-    idx = np.unique(idx.astype(np.int64, copy=False))
-    if idx.size and (idx[0] < low or idx[-1] > high):
+    idx = idx.astype(np.int64, copy=False)
+    if idx.size and (idx.min() < low or idx.max() > high):
         raise InputDomainError(f"{name} contains indices outside {low}..{high}")
     return idx
 
 
 def _indicator(space: CycleSpace, subset, name: str) -> np.ndarray:
-    """The 0/1 vector of a subset of Z_n, given by its elements 0..n-1."""
+    """The 0/1 vector of a subset of Z_n, given by its elements 0..n-1 (a
+    repeated element sets the same 1)."""
     d = np.zeros(space.n)
-    d[_index_set(subset, 0, space.n - 1, name)] = 1.0
+    d[_indices(subset, 0, space.n - 1, name)] = 1.0
     return d
 
 
@@ -286,9 +288,10 @@ class SequenceBimeasure:
 
 
 def bimeasure_eval(b: SequenceBimeasure, e, f):
-    """m(E x F) for 1-based index sets: the product of the two signed sums."""
-    ie = _index_set(e, 1, b.n, "E") - 1
-    jf = _index_set(f, 1, b.n, "F") - 1
+    """m(E x F) for 1-based index sets: the product of the two signed sums
+    over their distinct elements."""
+    ie = np.unique(_indices(e, 1, b.n, "E")) - 1
+    jf = np.unique(_indices(f, 1, b.n, "F")) - 1
     signed = b.signed
     # np.take keeps each sequence's selected entries contiguous, so each is
     # summed as one sequence's own are

@@ -11,22 +11,26 @@ Each check is a generator of its per-trial errors.  The `_check`
 decorator appends it to `SUITE_CHECKS`, in definition order, as a
 (cfg) -> CheckRecord callable that reduces the errors to the worst one
 (NaN if any error is NaN) and compares it with the check's bound.
-`_trials` yields each trial's (rng, dim): the substream of (seed, tag,
-trial) and the configured dims (or a check's own) in turn.  A check that
-draws per trial gives `_drawn_blocks` a draw function, which draws the
-trial's arrays from its rng first, in the order the check reads them (A
-and B; A and B shifted apart for the Sylvester checks; A, B and B + GG*
-for Krein's properties; a symbol and its cut and projectors for the
-localization of `quantize`).  `_drawn_blocks` draws a block of trials:
-the block budget `BLOCK_BYTES` counts `WORKING_SET` times the bytes
-drawn, the stacked arithmetic's working set.  `_diagonalized`
-diagonalizes the hermitian operands of each block with one stacked `eigh`
-per dimension (`linalg.eig_hermitians`) and gives the check, per block
-and dimension, the stacks of operands and their stacked eigensystems,
-views of the `eigh` output.  The check then draws the rest of each trial
-(a Sylvester Y, a measure, a decomposition) from its rng.  Each trial's
-rng is its own substream, so drawing ahead changes no number, and the
-budget keeps the stacks from growing with the trial count.
+
+Trial t of a check draws from substream(seed, tag, t), at dimension
+dims[t % len(dims)] of the configured dims (or of the check's own).  A
+check that draws per trial gives `_drawn_blocks` a draw function.
+`_blocks` cuts the trials into blocks of consecutive trials whose
+stacked arithmetic, `WORKING_SET` times the bytes drawn, fits
+`BLOCK_BYTES`.  Once per block and dimension, `_drawn_blocks` makes the
+generators of those trials with one `rng.substreams` call and calls
+`draw(rngs, dim)`, which returns stacks (k, ...) of one member per trial:
+A and B; A and B shifted apart for the Sylvester checks; A, B and B + GG*
+for Krein's properties; a symbol, its cut and projectors for the
+localization of `quantize`.  It draws them with `rng.complex_stacks` and
+`hermitian_stacks`, which read each generator in the order a
+trial-at-a-time draw reads it.  `_diagonalized` diagonalizes those
+stacks with one `eigh` (`linalg.eig_hermitians`) and gives the check the
+stacks and their stacked eigensystems, views of the `eigh` output.  The
+check then draws the rest of each trial (a Sylvester Y, a measure, a
+decomposition) from the same generators.  Each trial's generator is its
+own, so drawing ahead changes no number, and the budget keeps the stacks
+from growing with the trial count.
 
 Every check that draws per trial takes its per-trial errors as arrays,
 one library call per block and dimension: a stacked `doi.SpectralPair`,
@@ -48,7 +52,6 @@ per dimension, or not at all.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 from dataclasses import dataclass, field, fields
@@ -62,7 +65,8 @@ from .linalg import (EigenSystem, adjoint, apply_function, dft_unitary, eig_herm
                      eig_hermitians, operator_norm, scalar_abs, scalar_pow,
                      schatten_norm_of_values, singular_values, trace_norm)
 from .quadrature import symmetric_open_rule, trapezoid_rule
-from .rng import random_complex, random_hermitian, random_unit_vector, substream
+from .rng import (complex_stacks, hermitian_part, hermitian_stacks, random_complex,
+                  random_hermitian, random_unit_vector, substream, substreams)
 
 TOLERANCE_DEFAULTS = {
     "algebraic": 1e-10,    # exact identities up to rounding
@@ -90,13 +94,14 @@ MAX_QUAD_NODES = 1_000_000
 MAX_DIM = 1024   # n and every dim
 MAX_TERMS = 16
 
-# Bytes of the matrices a check's draw function returns, every one of them,
-# per block of trials that `_diagonalized` draws before it diagonalizes
-# them, one `eigh` per dimension: stacking amortizes numpy's
-# per-call overhead, which dominates at small dims, and the budget keeps the
-# stacks (several copies of the operands while they are symmetrized and
-# diagonalized) from growing with --trials.  A trial over the budget is a
-# block of its own; the default config (dims 2-8, 20 trials) is one block.
+# Bytes of the matrices a check's draw function returns (one dim x dim
+# complex matrix per name and trial) per block of trials that `_blocks`
+# forms.  A block is drawn and diagonalized with one call per dimension:
+# stacking amortizes numpy's per-call overhead, which dominates at small
+# dims, and the budget keeps the stacks (several copies of the operands
+# while they are symmetrized and diagonalized) from growing with --trials.
+# A trial over the budget is a block of its own; the default config (dims
+# 2-8, 20 trials) is one block.
 BLOCK_BYTES = 1 << 20
 # bytes of a block's stacked arithmetic per byte drawn: the stack's copy of
 # the operands, their symmetrized copy and eigenvectors, and one stack of
@@ -289,90 +294,80 @@ def _check(name, bound, note="", floor=0.0):
     return register
 
 
-def _trials(cfg: ScenarioConfig, tag: str, count=None, dims=None):
-    """(rng, dim) per trial: substream(seed, tag, trial) and the dims cycled
-    (cfg.dims unless dims is given); cfg.trials trials unless count is given."""
-    dims = cfg.dims if dims is None else dims
-    for trial in range(cfg.trials if count is None else count):
-        yield substream(cfg.seed, tag, trial), dims[trial % len(dims)]
-
-
 def _capped(cfg: ScenarioConfig, cap: int) -> list:
     """The configured dims, each capped at `cap`."""
     return [min(dim, cap) for dim in cfg.dims]
 
 
-def _drawn_blocks(cfg: ScenarioConfig, tag: str, draw, names, count=None, dims=None):
-    """(rng, the arrays `draw(rng, dim)` draws from rng, one per name in
-    `names`, each at most a dim x dim complex matrix) per trial of
-    `_trials`, in lists of consecutive trials, in trial order, whose stacked
-    arithmetic takes at most BLOCK_BYTES together (`WORKING_SET` times the
-    bytes of the matrices drawn), or of one trial whose arithmetic takes
-    more.  A trial is counted before it is drawn, so no trial of the next
-    block is held while a block is in use."""
-    block, size = [], 0
-    for rng, dim in _trials(cfg, tag, count, dims):
-        cost = WORKING_SET * len(names) * 16 * dim * dim
+def _blocks(cfg: ScenarioConfig, matrices: int, count=None, dims=None):
+    """Blocks of consecutive trials, each a dict of the trials of each
+    dimension in trial order: cfg.trials trials (count if given) whose dims
+    cycle through cfg.dims (or dims), cut where the stacked arithmetic of
+    `matrices` dim x dim complex matrices per trial (`WORKING_SET` times
+    their bytes) would pass BLOCK_BYTES.  A trial over the budget is a
+    block of its own."""
+    dims = cfg.dims if dims is None else dims
+    block, size = {}, 0
+    for trial in range(cfg.trials if count is None else count):
+        dim = dims[trial % len(dims)]
+        cost = WORKING_SET * matrices * 16 * dim * dim
         if block and size + cost > BLOCK_BYTES:
             yield block
-            block, size = [], 0
-        block.append((rng, draw(rng, dim)))
+            block, size = {}, 0
+        block.setdefault(dim, []).append(trial)
         size += cost
     yield block
 
 
-def _by_dim(block):
-    """The items of a block grouped by the last dimension of the first array
-    each drew (item[1][0]), each group in trial order."""
-    groups = {}
-    for item in block:
-        groups.setdefault(item[1][0].shape[-1], []).append(item)
-    return groups.values()
+def _drawn_blocks(cfg: ScenarioConfig, tag: str, draw, names, count=None, dims=None):
+    """(trials, rngs, draw(rngs, dim)) per block of `_blocks` and dimension:
+    the block's trials of that dimension, their generators (substreams of
+    (seed, tag)), and the stacks that one call of `draw` draws from them,
+    one per name in `names`, each at most (k, dim, dim) complex.  Each
+    block and dimension is drawn when the previous one has been used."""
+    for block in _blocks(cfg, len(names), count, dims):
+        for dim, trials in block.items():
+            rngs = substreams(cfg.seed, tag, trials)
+            yield trials, rngs, draw(rngs, dim)
 
 
 def _diagonalized(cfg: ScenarioConfig, tag: str, draw, names, count=None, dims=None):
-    """(rngs, operands, eigensystems) per block of `_drawn_blocks` and
-    dimension: the rngs of the block's trials of that dimension, in trial
-    order; per name, the (k, dim, dim) stack of those trials' matrices; and
-    per name their stacked `EigenSystem`, a view of one `eig_hermitians`
-    call on all of them (names[j] labels the matrices of stack j in
-    validation errors).  What a check draws after its matrices it draws
-    from each rng in turn: each trial's rng is its own, so the order of
+    """(rngs, operands, eigensystems) per block and dimension of
+    `_drawn_blocks`: the generators; per name, the (k, dim, dim) stack that
+    `draw(rngs, dim)` drew, of hermitian matrices; and per name their
+    stacked `EigenSystem`, a view of one `eig_hermitians` call on all of
+    them (names[j] labels the matrices of stack j in validation errors).
+    A draw that returns one (len(names), k, dim, dim) array is diagonalized
+    without a copy.  What a check draws after its matrices it draws from
+    the same generators: each trial's generator is its own, so the order of
     draws within a trial is the order the check reads them."""
-    for block in _drawn_blocks(cfg, tag, draw, names, count, dims):
-        stacks = [([rng for rng, _ in group],
-                   np.stack([ms[j] for j in range(len(names)) for _, ms in group]))
-                  for group in _by_dim(block)]
-        block.clear()  # the stacks hold copies of the drawn matrices
-        for rngs, stack in stacks:
-            k = len(rngs)
-            systems = eig_hermitians(stack, [name for name in names for _ in rngs])
-            cut = [slice(j * k, (j + 1) * k) for j in range(len(names))]
-            yield (rngs, tuple(stack[c] for c in cut),
-                   tuple(EigenSystem(systems.eigenvalues[c], systems.unitary[c]) for c in cut))
+    for _, rngs, drawn in _drawn_blocks(cfg, tag, draw, names, count, dims):
+        k, dim = len(rngs), drawn[0].shape[-1]
+        stack = np.reshape(drawn, (len(names) * k, dim, dim))
+        del drawn  # a drawn tuple is copied into the stack: keep the one copy
+        systems = eig_hermitians(stack, [name for name in names for _ in rngs])
+        values = systems.eigenvalues.reshape(len(names), k, dim)
+        vectors = systems.unitary.reshape(len(names), k, dim, dim)
+        yield (rngs, tuple(stack.reshape(len(names), k, dim, dim)),
+               tuple(EigenSystem(w, u) for w, u in zip(values, vectors)))
 
 
-def _draw_h(rng, dim):
-    return (random_hermitian(rng, dim),)
+def _draw_h(rngs, dim):
+    return hermitian_stacks(rngs, 1, dim)
 
 
-def _draw_ab(rng, dim):
-    return random_hermitian(rng, dim), random_hermitian(rng, dim)
+def _draw_ab(rngs, dim):
+    return hermitian_stacks(rngs, 2, dim)
 
 
-def _complex_stack(rngs, dim):
-    """One dim x dim `random_complex` draw from each rng, stacked."""
-    return np.stack([random_complex(rng, (dim, dim)) for rng in rngs])
+def _complex_stack(rngs, shape):
+    """One `random_complex(rng, shape)` draw from each generator, stacked."""
+    return complex_stacks(rngs, 1, shape)[0]
 
 
 def _max_abs(m):
     """The largest entry modulus of each matrix of a stack."""
     return np.abs(m).max(axis=(-2, -1))
-
-
-def _stacked(group, j):
-    """The (k, ...) stack of the j-th array that each trial of a group drew."""
-    return np.stack([drawn[j] for _, drawn, *_ in group])
 
 
 def _pairs(cfg: ScenarioConfig, tag: str, count=None, dims=None):
@@ -393,12 +388,11 @@ def check_eig_reconstruction(cfg):
 @_check("linalg.schatten_monotone_in_1_over_p", "algebraic")
 def check_schatten_monotone(cfg):
     ps = [1, 1.5, 2, 4, np.inf]
-    for block in _drawn_blocks(cfg, "suite-schatten",
-                               lambda rng, dim: (random_complex(rng, (dim, dim)),), ("M",)):
-        for group in _by_dim(block):
-            s = singular_values(_stacked(group, 0))
-            norms = [schatten_norm_of_values(s, p) for p in ps]
-            yield np.max([hi - lo for lo, hi in zip(norms, norms[1:])], axis=0)
+    for _, _, (m,) in _drawn_blocks(cfg, "suite-schatten",
+                                    lambda rngs, dim: complex_stacks(rngs, 1, (dim, dim)), ("M",)):
+        s = singular_values(m)
+        norms = [schatten_norm_of_values(s, p) for p in ps]
+        yield np.max([hi - lo for lo, hi in zip(norms, norms[1:])], axis=0)
 
 
 # the dual exponents (p, q) of the Hoelder check: trial t takes pair t mod 3
@@ -407,18 +401,14 @@ HOELDER_EXPONENTS = ((1, np.inf), (2, 2), (4, 4 / 3))
 
 @_check("linalg.hoelder_trace_duality", "algebraic")
 def check_hoelder_duality(cfg):
-    def draw(rng, dim):
-        return random_complex(rng, (dim, dim)), random_complex(rng, (dim, dim))
-    exponents = itertools.cycle(range(len(HOELDER_EXPONENTS)))
-    for block in _drawn_blocks(cfg, "suite-hoelder", draw, ("M", "N")):
-        # blocks are consecutive trials in trial order
-        for group in _by_dim([(*item, next(exponents)) for item in block]):
-            m, n = _stacked(group, 0), _stacked(group, 1)
-            sm, sn = singular_values(m), singular_values(n)
-            bounds = np.stack([schatten_norm_of_values(sm, p) * schatten_norm_of_values(sn, q)
-                               for p, q in HOELDER_EXPONENTS])
-            bound = bounds[[which for *_, which in group], np.arange(len(group))]
-            yield scalar_abs(np.trace(m @ adjoint(n), axis1=-2, axis2=-1)) - bound
+    for trials, _, (m, n) in _drawn_blocks(
+            cfg, "suite-hoelder", lambda rngs, dim: complex_stacks(rngs, 2, (dim, dim)),
+            ("M", "N")):
+        sm, sn = singular_values(m), singular_values(n)
+        bounds = np.stack([schatten_norm_of_values(sm, p) * schatten_norm_of_values(sn, q)
+                           for p, q in HOELDER_EXPONENTS])
+        bound = bounds[np.remainder(trials, len(HOELDER_EXPONENTS)), np.arange(len(trials))]
+        yield scalar_abs(np.trace(m @ adjoint(n), axis1=-2, axis2=-1)) - bound
 
 
 @_check("linalg.dft_fourth_power_identity", "algebraic")
@@ -439,7 +429,7 @@ def check_apply_function_additive(cfg):
 def check_doi_identity_transformer(cfg):
     for rngs, _, _, pair in _pairs(cfg, "suite-doi-id"):
         sym = doi.symbol_from_function(pair, lambda lam, mu: np.ones_like(lam * mu, dtype=complex))
-        t = _complex_stack(rngs, pair.dim)
+        t = _complex_stack(rngs, (pair.dim, pair.dim))
         yield _max_abs(doi.doi_apply(pair, sym, t) - t)
 
 
@@ -447,9 +437,8 @@ def check_doi_identity_transformer(cfg):
 def check_doi_localization(cfg):
     for rngs, _, _, pair in _pairs(cfg, "suite-doi-loc"):
         sym = doi.symbol_from_function(pair, lambda lam, mu: np.sin(lam) + 1j * np.cos(mu))
-        draws = [(rng.uniform(-1, 1), rng.uniform(-1, 1), random_complex(rng, (pair.dim, pair.dim)))
-                 for rng in rngs]
-        cut_l, cut_r, t = (np.stack(d) for d in zip(*draws))
+        cut_l, cut_r = np.array([rng.uniform(-1, 1, 2) for rng in rngs]).T
+        t = _complex_stack(rngs, (pair.dim, pair.dim))
         mask_l = pair.left.eigenvalues <= cut_l[:, None]
         mask_r = pair.right.eigenvalues > cut_r[:, None]
         cut = doi.SymbolGrid(values=sym.values * (mask_l[:, :, None] * mask_r[:, None, :]))
@@ -475,7 +464,7 @@ def check_doi_hs_norm(cfg):
     for rngs, _, _, pair in _pairs(cfg, "suite-doi-hs", count=max(2, cfg.trials // 4),
                                    dims=_capped(cfg, 8)):
         dim = pair.dim
-        sym = doi.SymbolGrid(values=_complex_stack(rngs, dim))
+        sym = doi.SymbolGrid(values=_complex_stack(rngs, (dim, dim)))
         claimed = doi.hs_multiplier_norm(pair, sym)
         # each trial's transformer as a matrix K, one column per matrix unit,
         # from one doi_apply of the (dim^2, 1) units on the pairs; its
@@ -505,7 +494,7 @@ def check_doi_fourier_cross_route(cfg):
 def check_doi_fourier_norm_mass(cfg):
     quad = trapezoid_rule(40.0, 2000)
     for rngs, _, _, pair in _pairs(cfg, "suite-doi-mass"):
-        t = _complex_stack(rngs, pair.dim)
+        t = _complex_stack(rngs, (pair.dim, pair.dim))
         t /= operator_norm(t)[:, None, None]
         yield operator_norm(doi.doi_fourier(pair, lambda s: np.exp(-np.abs(s)), t, quad)) - 2.0
 
@@ -522,13 +511,12 @@ def check_peller_bound(cfg):
         alphas = np.zeros((k, PELLER_TERMS, dim), dtype=complex)
         betas = np.zeros_like(alphas)
         weights = np.zeros((k, PELLER_TERMS))
-        t = np.empty((k, dim, dim), dtype=complex)
         for trial, rng in enumerate(rngs):
             terms = int(rng.integers(1, PELLER_TERMS + 1))
-            alphas[trial, :terms] = random_complex(rng, (terms, dim))
-            betas[trial, :terms] = random_complex(rng, (terms, dim))
+            drawn = complex_stacks([rng], 2, (terms, dim))[:, 0]
+            alphas[trial, :terms], betas[trial, :terms] = drawn
             weights[trial, :terms] = rng.uniform(0.1, 2.0, terms)
-            t[trial] = random_complex(rng, (dim, dim))
+        t = _complex_stack(rngs, (dim, dim))  # each trial's T after its weights
         d = doi.Decomposition(alphas=alphas, betas=betas, weights=weights)
         sym = doi.symbol_from_decomposition(pair, d)
         t /= trace_norm(t)[:, None, None]
@@ -553,12 +541,12 @@ def check_triangular_truncation(cfg):
 def _gapped_solutions(cfg: ScenarioConfig, tag: str, shift_by: float):
     """(A, B, Y, `solve_gap_pair` of them) per stack of `_diagonalized`, for
     A and B shifted shift_by above and below 0 and dims capped at 6."""
-    def draw(rng, dim):
-        return (random_hermitian(rng, dim) + shift_by * np.eye(dim),
-                random_hermitian(rng, dim) - shift_by * np.eye(dim))
+    def draw(rngs, dim):
+        a, b = hermitian_stacks(rngs, 2, dim)
+        return a + shift_by * np.eye(dim), b - shift_by * np.eye(dim)
     for rngs, (a, b), (left, right) in _diagonalized(cfg, tag, draw, ("A", "B"),
                                                      dims=_capped(cfg, 6)):
-        y = _complex_stack(rngs, a.shape[-1])
+        y = _complex_stack(rngs, a.shape[1:])
         yield a, b, y, sylvester.solve_gap_pair(doi.SpectralPair(left, right), a, b, y)
 
 
@@ -592,10 +580,10 @@ def check_trace_formula(cfg):
 
 @_check("shift.properties_a_to_d", "algebraic")
 def check_shift_properties(cfg):
-    def draw(rng, dim):  # A, B, then B + GG* >= B
-        a, b = _draw_ab(rng, dim)
-        g = random_complex(rng, (dim, dim))
-        return a, b, b + g @ g.conj().T
+    def draw(rngs, dim):  # A, B, then B + GG* >= B
+        a, b, g = complex_stacks(rngs, 3, (dim, dim))
+        a, b = hermitian_part(a), hermitian_part(b)
+        return a, b, b + g @ adjoint(g)
     names = ("A", "B", "B + GG*")
     for _, (a, b, _), (left, right, pos) in _diagonalized(cfg, "suite-props", draw, names):
         pair = doi.SpectralPair(left, right)
@@ -649,40 +637,41 @@ def check_quantize_localization(cfg):
     n = min(cfg.n, 8)
     space = quantization.cycle_space(n)
 
-    def draw(rng, _):  # sigma, sigma cut to E x F, Q(E) and P(F)
-        sigma = random_complex(rng, (n, n))
-        in_e, in_f = rng.random(n) < 0.5, rng.random(n) < 0.5
-        return (sigma, sigma * np.outer(in_e, in_f),
-                quantization.position_projector(space, np.flatnonzero(in_e)),
-                quantization.momentum_projector(space, np.flatnonzero(in_f)))
-    for block in _drawn_blocks(cfg, "suite-qloc", draw, ("sigma", "cut", "Q(E)", "P(F)"),
-                               dims=[n]):
-        sigma, cut, q, p = (_stacked(block, j) for j in range(4))
+    def draw(rngs, _):  # sigma, sigma cut to E x F, Q(E) and P(F)
+        sigma = _complex_stack(rngs, (n, n))
+        in_e, in_f = np.array([rng.random((2, n)) < 0.5 for rng in rngs]).swapaxes(0, 1)
+        return (sigma, sigma * (in_e[:, :, None] * in_f[:, None, :]),
+                np.array([quantization.position_projector(space, np.flatnonzero(e)) for e in in_e]),
+                np.array([quantization.momentum_projector(space, np.flatnonzero(f)) for f in in_f]))
+    for _, _, (sigma, cut, q, p) in _drawn_blocks(cfg, "suite-qloc", draw,
+                                                  ("sigma", "cut", "Q(E)", "P(F)"), dims=[n]):
         lhs = q @ quantization.quantize(space, sigma) @ p
         yield _max_abs(quantization.quantize(space, cut) - lhs)
 
 
 @_check("quantization.product_symbol_factorizes", 1e-12)
 def check_quantize_product_symbol(cfg):
-    def draw(rng, n):  # f (x) g, diag(f) and diag(g)
-        fvec, gvec = random_complex(rng, n), random_complex(rng, n)
-        return np.outer(fvec, gvec), np.diag(fvec), np.diag(gvec)
-    for block in _drawn_blocks(cfg, "suite-qprod", draw, ("f (x) g", "diag(f)", "diag(g)")):
-        for group in _by_dim(block):
-            sigma, diag_f, diag_g = (_stacked(group, j) for j in range(3))
-            space = quantization.cycle_space(sigma.shape[-1])
-            lhs = quantization.quantize(space, sigma)
-            rhs = diag_f @ space.dft.conj().T @ diag_g @ space.dft
-            yield _max_abs(lhs - rhs)
+    def draw(rngs, n):  # f (x) g, diag(f) and diag(g)
+        fvec, gvec = complex_stacks(rngs, 2, n)
+        diags = np.zeros((2, len(rngs), n, n), dtype=complex)
+        diags[..., np.arange(n), np.arange(n)] = fvec, gvec
+        return fvec[:, :, None] * gvec[:, None, :], *diags
+    for _, _, (sigma, diag_f, diag_g) in _drawn_blocks(cfg, "suite-qprod", draw,
+                                                       ("f (x) g", "diag(f)", "diag(g)")):
+        space = quantization.cycle_space(sigma.shape[-1])
+        lhs = quantization.quantize(space, sigma)
+        rhs = diag_f @ space.dft.conj().T @ diag_g @ space.dft
+        yield _max_abs(lhs - rhs)
 
 
 @_check("quantization.cotlar_stein_certificate", 0.0,
         note="actual norm never exceeds the certified M", floor=-np.inf)
 def check_cotlar_certificate(cfg):
-    for rng, _ in _trials(cfg, "suite-cotlar", count=max(2, cfg.trials // 2)):
+    for rng in substreams(cfg.seed, "suite-cotlar", range(max(2, cfg.trials // 2))):
         n = int(rng.choice([4, 8]))
         k = int(rng.integers(1, 5))
-        terms = [(random_complex(rng, n), random_complex(rng, n)) for _ in range(k)]
+        fg = complex_stacks([rng], 2 * k, n)[:, 0]  # f_1, g_1, f_2, ...
+        terms = list(zip(fg[::2], fg[1::2]))
         yield quantization.cotlar_stein_bound(quantization.cycle_space(n), terms).excess
 
 
@@ -690,22 +679,22 @@ def check_cotlar_certificate(cfg):
 def check_bimeasure_structure(cfg):
     n = 6
 
-    def draw(rng, _):  # phi, normalized
-        phi = random_complex(rng, n)
-        return (phi / np.linalg.norm(phi),)
+    def draw(rngs, _):  # phi, normalized (a norm per vector: over a stack it rounds differently)
+        phi = _complex_stack(rngs, n)
+        return (phi / np.array([np.linalg.norm(v) for v in phi])[:, None],)
     e1, e2, f = [1, 3], [4, 6], [2, 5]
-    for block in _drawn_blocks(cfg, "suite-bim", draw, ("phi",), dims=[n]):
-        b = quantization.SequenceBimeasure(_stacked(block, 0))
+    for _, rngs, (phi,) in _drawn_blocks(cfg, "suite-bim", draw, ("phi",), dims=[n]):
+        b = quantization.SequenceBimeasure(phi)
         lhs = quantization.bimeasure_eval(b, e1 + e2, f)
         rhs = quantization.bimeasure_eval(b, e1, f) + quantization.bimeasure_eval(b, e2, f)
         yield scalar_abs(lhs - rhs)
         yield np.abs(quantization.semivariation(b) - scalar_pow(b.l1_norm(), 2))
         # each trial's 1 to 3 terms; the trials of one term count integrate as one stack
         terms = {}
-        for trial, (rng, _) in enumerate(block):
+        for trial, rng in enumerate(rngs):
             k = int(rng.integers(1, 4))
-            terms.setdefault(k, []).append((trial, random_complex(rng, (k, n)),
-                                            random_complex(rng, (k, n)), rng.uniform(0.1, 2.0, k)))
+            terms.setdefault(k, []).append((trial, *complex_stacks([rng], 2, (k, n))[:, 0],
+                                            rng.uniform(0.1, 2.0, k)))
         for group in terms.values():
             trials, alphas, betas, weights = (np.stack(x) for x in zip(*group))
             d = doi.Decomposition(alphas=alphas, betas=betas, weights=weights)
@@ -720,9 +709,8 @@ def check_polymeasure(cfg):
     for rngs, _, (eh,) in _diagonalized(cfg, "suite-poly", _draw_h, ("H",),
                                         count=max(2, cfg.trials // 4)):
         dim = eh.dim
-        draws = [(random_complex(rng, dim), random_complex(rng, dim),
-                  (rng.random(dim) < 0.5).astype(complex)) for rng in rngs]
-        f0, f2, e = (np.stack(x) for x in zip(*draws))
+        f0, f2 = complex_stacks(rngs, 2, dim)
+        e = np.array([rng.random(dim) < 0.5 for rng in rngs]).astype(complex)
         e_prime = 1.0 - e
         times = [0.6, 1.4]
         combined = quantization.polymeasure_eval([f0, e + e_prime, f2], times, eh)

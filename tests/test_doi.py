@@ -424,12 +424,11 @@ def test_lipschitz_arctan_p4_finite_and_recorded():
 
 def test_lipschitz_skips_equal_pairs(monkeypatch):
     # the first trial draws A = B; the others draw as usual
-    draws = []
-
-    def drawn(rng, dim, _original=doi.random_hermitian):
-        draws.append(_original(rng, dim))
-        return draws[0] if len(draws) == 2 else draws[-1]
-    monkeypatch.setattr(doi, "random_hermitian", drawn)
+    def drawn(rngs, count, dim, _original=doi.hermitian_stacks):
+        a, b = stacks = _original(rngs, count, dim)
+        b[0] = a[0]
+        return stacks
+    monkeypatch.setattr(doi, "hermitian_stacks", drawn)
     report = doi.lipschitz_ratio_experiment(np.arctan, 1.0, p=2, trials=5, seed=26, dim=4)
     assert report.skipped == 1
     assert len(report.per_trial) == 4

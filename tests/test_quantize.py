@@ -79,8 +79,14 @@ def test_index_set_takes_an_int64_array_without_copying_it(monkeypatch):
         return _unique(idx, *args, **kwargs)
 
     monkeypatch.setattr(np, "unique", recording_unique)
+    assert qz._indices(subset, 0, 3, "E") is subset
+    # the projectors index with the array itself: a repeated index sets the same 1
     assert qz.position_projector(qz.cycle_space(4), subset).trace() == 2
-    assert len(seen) == 1 and seen[0] is subset
+    assert not seen
+    # bimeasure_eval sums over the distinct indices, taken from the array itself
+    b = qz.SequenceBimeasure(np.array([1.0, 2.0, 3.0]))
+    assert qz.bimeasure_eval(b, subset, [2]) == qz.bimeasure_eval(b, [1, 3], [2])
+    assert len(seen) == 4 and seen[0] is subset
 
 
 def test_momentum_projector_full_set_is_identity():

@@ -60,16 +60,17 @@ def test_suite_checks_are_the_check_functions_in_definition_order():
 def test_no_substream_tag_is_shared_by_two_checks(monkeypatch):
     owner, users = [None], {}
 
-    def recorded(seed, tag, *args, _original=suite_mod.substream):
-        users.setdefault(tag, set()).add(owner[0])
-        return _original(seed, tag, *args)
-
     def owned(fn):
         def check(cfg):
             owner[0] = fn.__name__
             return fn(cfg)
         return check
-    monkeypatch.setattr(suite_mod, "substream", recorded)
+    # the suite makes its generators through substream and substreams
+    for name in ("substream", "substreams"):
+        def recorded(seed, tag, *args, _original=getattr(suite_mod, name)):
+            users.setdefault(tag, set()).add(owner[0])
+            return _original(seed, tag, *args)
+        monkeypatch.setattr(suite_mod, name, recorded)
     monkeypatch.setattr(suite_mod, "SUITE_CHECKS", [owned(fn) for fn in SUITE_CHECKS])
     assert run_suite(ScenarioConfig()).passed
     assert users and all(len(checks) == 1 for checks in users.values()), users
@@ -607,15 +608,22 @@ def test_default_suite_pass_singular_value_count(monkeypatch):
 
 
 def test_default_suite_pass_draws_each_trial_from_its_own_substream(monkeypatch):
-    # stacking draws ahead, but every trial still reads its own substream
-    calls = []
+    # stacking draws ahead, but every trial still reads its own substream:
+    # count the (seed, tag, trial) of every generator substream and
+    # substreams make
+    made = []
 
-    def counted(*args, _original=suite_mod.substream):
-        calls.append(args)
-        return _original(*args)
-    monkeypatch.setattr(suite_mod, "substream", counted)
+    def one(seed, tag, trial=0, _original=suite_mod.substream):
+        made.append((seed, tag, trial))
+        return _original(seed, tag, trial)
+
+    def many(seed, tag, trials, _original=suite_mod.substreams):
+        made.extend((seed, tag, trial) for trial in trials)
+        return _original(seed, tag, trials)
+    monkeypatch.setattr(suite_mod, "substream", one)
+    monkeypatch.setattr(suite_mod, "substreams", many)
     assert run_suite(ScenarioConfig()).passed
-    assert len(calls) == 366 and len(set(calls)) == 366, len(calls)
+    assert len(made) == 366 and len(set(made)) == 366, len(made)
 
 
 def test_default_suite_pass_diagonalizes_only_through_eig_hermitian(monkeypatch):

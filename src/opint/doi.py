@@ -20,26 +20,26 @@ symbols and transformers of this module then hold k matrices: `SymbolGrid`,
 `symbol_from_decomposition` (of a stacked `Decomposition`),
 `hs_multiplier_norm`, `doi_apply` and `doi_fourier` take it through the
 code that takes one pair, and give each pair the bits of its own call.
-`sampled_transformer_norm` stacks its trials' T the same way, and it and
-`lipschitz_ratio_experiment` draw their trials a block at a time through
-`_trial_blocks`.
+`sampled_transformer_norm` stacks its trials' T the same way, and
+`lipschitz_ratio_experiment` its trials' pairs; both take their trials a
+block of `rng.trial_blocks`, the suite's block rule, at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
 from .errors import InputDomainError
 from .linalg import (EigenSystem, adjoint, apply_function, as_complex_matrices, as_finite_array,
-                     eig_hermitians, evaluate, per_matrix, schatten_norm)
+                     eig_hermitians, evaluate, per_matrix, require_size, schatten_norm)
 from .quadrature import QuadratureRule, trapezoid_rule
-from .rng import complex_stacks, hermitian_stacks, substreams
+from .rng import complex_stacks, hermitian_stacks, substreams, trial_blocks
 
 DEFAULT_FOURIER_QUAD = (40.0, 4000)  # half-width, node count
 PELLER_SLACK = 1e-10  # relative rounding slack on the Peller bound
-SAMPLE_BLOCK_BYTES = 1 << 20  # of the matrices drawn per block of sampled trials
 
 
 @dataclass(frozen=True)
@@ -233,15 +233,6 @@ def triangular_truncation(pair: SpectralPair, t) -> np.ndarray:
     return doi_apply(pair, triangular_truncation_symbol(pair), t)
 
 
-def _trial_blocks(seed: int, tag: str, trials: int, trial_bytes: int):
-    """The generators of trials 0..trials-1 of (seed, tag), in lists of
-    consecutive trials whose draws, `trial_bytes` each, take at most
-    SAMPLE_BLOCK_BYTES (or of one trial)."""
-    per_block = max(1, SAMPLE_BLOCK_BYTES // trial_bytes)
-    for start in range(0, trials, per_block):
-        yield substreams(seed, tag, range(start, min(start + per_block, trials)))
-
-
 def sampled_transformer_norm(pair: SpectralPair, sym: SymbolGrid, p, trials: int,
                              seed: int, tag: str = "transformer-norm") -> float:
     """Sampled lower bound of the C_p -> C_p norm of the multiplier.
@@ -250,14 +241,15 @@ def sampled_transformer_norm(pair: SpectralPair, sym: SymbolGrid, p, trials: int
     best-of-N random search over the unit ball of C_p, so the value it
     returns is a certified lower bound only.  Trial k's T is drawn from
     substream(seed, tag, k); the trials go through `doi_apply` and the two
-    Schatten norms as the stacks of `_trial_blocks`.  A NaN ratio is
-    skipped, as Python's max(best, ratio) skips it.
+    Schatten norms as the stacks of `rng.trial_blocks` (one matrix per
+    trial).  A NaN ratio is skipped, as Python's max(best, ratio) skips it.
     """
     _check_grid(pair, sym)
+    require_size(trials, "trials")
     best = 0.0
     n = pair.dim
-    for rngs in _trial_blocks(seed, tag, trials, 16 * n * n):
-        t = complex_stacks(rngs, 1, (n, n))[0]
+    for block in trial_blocks(trials, [n], 1):
+        t = complex_stacks(substreams(seed, tag, block[n]), 1, (n, n))[0]
         ratios = schatten_norm(doi_apply(pair, sym, t), p) / schatten_norm(t, p)
         for ratio in ratios.tolist():
             best = max(best, ratio)
@@ -285,23 +277,27 @@ def lipschitz_ratio_experiment(f, lip_const: float, p: float, trials: int, seed:
     guarantees a finite constant without giving its value, so the report
     only records what was seen.  Trials with A = B carry no ratio and are
     skipped (counted in `skipped`).  Trial k's A and B are drawn from
-    substream(seed, "lipschitz", k), a block of `_trial_blocks` at a time.
+    substream(seed, "lipschitz", k).  Each block of `rng.trial_blocks` takes
+    one Schatten norm of its differences A - B, one `eig_hermitians` and
+    `apply_function` of the A's and B's of its trials not skipped, and one
+    norm of the f(A) - f(B), so each ratio has the bits of a trial alone.
     """
-    if not 1 < p < np.inf:
-        raise InputDomainError(f"p must lie in the open interval (1, inf), got {p}")
-    if trials < 1:
-        raise InputDomainError("need at least one trial")
+    if not isinstance(p, Real) or not 1 < p < np.inf:  # True is 1, outside the interval
+        raise InputDomainError(f"p must lie in the open interval (1, inf), got {p!r}")
+    require_size(trials, "trials")
+    require_size(dim, "dim")
     ratios = []
     skipped = 0
-    for rngs in _trial_blocks(seed, "lipschitz", trials, 2 * 16 * dim * dim):
-        for a, b in zip(*hermitian_stacks(rngs, 2, dim)):
-            diff_norm = schatten_norm(a - b, p)
-            if diff_norm == 0.0:
-                skipped += 1
-                continue
-            pair = make_spectral_pair(a, b)
-            num = schatten_norm(apply_function(pair.left, f) - apply_function(pair.right, f), p)
-            ratios.append(float(num / diff_norm))
+    for block in trial_blocks(trials, [dim], 2):
+        a, b = hermitian_stacks(substreams(seed, "lipschitz", block[dim]), 2, dim)
+        diff_norms = schatten_norm(a - b, p)
+        kept = diff_norms != 0.0
+        k = int(kept.sum())
+        skipped += len(kept) - k
+        if k:
+            f_ab = apply_function(eig_hermitians(np.concatenate([a[kept], b[kept]]),
+                                                 ["A"] * k + ["B"] * k), f)
+            ratios += (schatten_norm(f_ab[:k] - f_ab[k:], p) / diff_norms[kept]).tolist()
     return ExperimentReport(
         op="lipschitz_ratio", params={"f": f_name, "lip_const": lip_const, "p": p, "dim": dim},
         seed=seed, trials=trials, max_ratio=max(ratios) if ratios else 0.0,

@@ -30,9 +30,9 @@ operations on one number differently from the same operations on an
 array (on CPUs with AVX-512: complex `abs`, complex products, `power`),
 so a value that one matrix takes from one number, a stack takes with
 `scalar_abs`, `scalar_mul` or `scalar_pow`, which round as for one
-number.  A caller bounds the
-stacks' memory by how many matrices it passes at once (`suite` passes
-blocks whose arithmetic takes at most `suite.BLOCK_BYTES`).
+number.  A caller bounds the stacks' memory by how many matrices it
+passes at once (the suite and `doi` pass the blocks of `rng.trial_blocks`,
+whose arithmetic takes at most `rng.BLOCK_BYTES`).
 
 A user function f is evaluated once, on the whole array of points it is
 needed at (`evaluate`), never point by point: f must accept an array
@@ -47,6 +47,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import chain
+from numbers import Real
 
 import numpy as np
 
@@ -349,8 +350,8 @@ def schatten_norm(m, p):
 def schatten_norm_of_values(s: np.ndarray, p):
     """`schatten_norm` of a matrix whose singular values, descending, are s
     (of each matrix of a stack, for one row of s per matrix)."""
-    if not (p == np.inf or p >= 1):  # also rejects nan
-        raise InputDomainError(f"Schatten norm needs p >= 1 or p = inf, got {p}")
+    if isinstance(p, bool) or not isinstance(p, Real) or not (p == np.inf or p >= 1):  # or nan
+        raise InputDomainError(f"Schatten norm needs a real p >= 1 or p = inf, got {p!r}")
     top = s[..., :1]
     if p == np.inf:
         return per_matrix(top[..., 0])

@@ -6,6 +6,10 @@ trials can run in any order or in parallel and still reproduce exactly.
 `substreams` makes the generators of many trials of one (seed, tag), and
 `substream` is its one-trial case.
 
+`trial_blocks` is the one rule that cuts a seeded experiment's trials into
+blocks: the suite's checks and `doi`'s sampled experiments draw and compute
+a block at a time, so their memory stays flat in the trial count.
+
 The stacked draws read a list of generators at once.  `complex_stacks(rngs,
 count, shape)` gives what `count` successive `random_complex(rng, shape)`
 calls give from each generator, and `hermitian_stacks` what successive
@@ -31,6 +35,17 @@ from .linalg import adjoint
 SEED_MASK = 2**64 - 1  # a seed is taken modulo 2**64, so -1 is 2**64 - 1
 _WORD_MASK = 2**32 - 1
 _POOL_WORDS = 4  # numpy's SeedSequence pool size, in 32-bit words
+
+# Bytes that `trial_blocks` allows a block's stacked arithmetic: stacking
+# amortizes numpy's per-call overhead, which dominates at small dims, and the
+# budget keeps the stacks from growing with the trial count.  A caller that
+# keeps a block's arrays while it draws the next (a suite check's loop
+# variables do) holds two blocks, so its footprint reaches twice the budget.
+# The suite's and the CLI's default configs (dims 2-8, 20 trials) are one block.
+BLOCK_BYTES = 1 << 20
+# bytes of stacked arithmetic per byte drawn: the operands' copy, their
+# symmetrized copy and eigenvectors, and one stack of products at a time
+WORKING_SET = 4
 
 
 @functools.lru_cache(maxsize=256)  # each tag is hashed once per process
@@ -85,6 +100,24 @@ def substreams(seed: int, tag: str, trials) -> list:
 def substream(seed: int, tag: str, trial: int = 0) -> np.random.Generator:
     """Independent generator for one trial of one named experiment."""
     return substreams(seed, tag, (trial,))[0]
+
+
+def trial_blocks(count: int, dims, matrices: int):
+    """Blocks of the trials 0..count-1, consecutive and in order, each a dict
+    from dim to its trials, trial t at dims[t % len(dims)].  A block ends where
+    `WORKING_SET` times the bytes of `matrices` dim x dim complex matrices per
+    trial would pass BLOCK_BYTES; a trial over the budget is a block alone."""
+    block, size = {}, 0
+    for trial in range(count):
+        dim = dims[trial % len(dims)]
+        cost = WORKING_SET * matrices * 16 * dim * dim
+        if block and size + cost > BLOCK_BYTES:
+            yield block
+            block, size = {}, 0
+        block.setdefault(dim, []).append(trial)
+        size += cost
+    if block:
+        yield block
 
 
 def complex_stacks(rngs, count: int, shape) -> np.ndarray:

@@ -15,14 +15,14 @@ decorator appends it to `SUITE_CHECKS`, in definition order, as a
 Trial t of a check draws from substream(seed, tag, t), at dimension
 dims[t % len(dims)] of the configured dims (or of the check's own).  A
 check that draws per trial gives `_drawn_blocks` a draw function.
-`_blocks` cuts the trials into blocks of consecutive trials whose
-stacked arithmetic, `WORKING_SET` times the bytes drawn, fits
-`BLOCK_BYTES`.  Once per block and dimension, `_drawn_blocks` makes the
-generators of those trials with one `rng.substreams` call and calls
-`draw(rngs, dim)`, which returns stacks (k, ...) of one member per trial:
-A and B; A and B shifted apart for the Sylvester checks; A, B and B + GG*
-for Krein's properties; a symbol, its cut and projectors for the
-localization of `quantize`.  It draws them with `rng.complex_stacks` and
+`rng.trial_blocks`, the package's one block rule, cuts the trials into
+blocks of consecutive trials whose stacked arithmetic, `rng.WORKING_SET`
+times the bytes drawn, fits `rng.BLOCK_BYTES`.  Once per block and
+dimension, `_drawn_blocks` makes the generators of those trials with one
+`rng.substreams` call and calls `draw(rngs, dim)`, which returns stacks
+(k, ...) of one member per trial: A and B; A and B shifted apart for the
+Sylvester checks; A, B and B + GG* for Krein's properties; a symbol, its
+cut and projectors for the localization of `quantize`.  It draws them with `rng.complex_stacks` and
 `hermitian_stacks`, which read each generator in the order a
 trial-at-a-time draw reads it.  `_diagonalized` diagonalizes those
 stacks with one `eigh` (`linalg.eig_hermitians`) and gives the check the
@@ -66,7 +66,7 @@ from .linalg import (EigenSystem, adjoint, apply_function, dft_unitary, eig_herm
                      schatten_norm_of_values, singular_values, trace_norm)
 from .quadrature import symmetric_open_rule, trapezoid_rule
 from .rng import (complex_stacks, hermitian_part, hermitian_stacks, random_complex,
-                  random_hermitian, random_unit_vector, substream, substreams)
+                  random_hermitian, random_unit_vector, substream, substreams, trial_blocks)
 
 TOLERANCE_DEFAULTS = {
     "algebraic": 1e-10,    # exact identities up to rounding
@@ -93,20 +93,6 @@ MAX_GRID_POINTS = 10_000
 MAX_QUAD_NODES = 1_000_000
 MAX_DIM = 1024   # n and every dim
 MAX_TERMS = 16
-
-# Bytes of the matrices a check's draw function returns (one dim x dim
-# complex matrix per name and trial) per block of trials that `_blocks`
-# forms.  A block is drawn and diagonalized with one call per dimension:
-# stacking amortizes numpy's per-call overhead, which dominates at small
-# dims, and the budget keeps the stacks (several copies of the operands
-# while they are symmetrized and diagonalized) from growing with --trials.
-# A trial over the budget is a block of its own; the default config (dims
-# 2-8, 20 trials) is one block.
-BLOCK_BYTES = 1 << 20
-# bytes of a block's stacked arithmetic per byte drawn: the stack's copy of
-# the operands, their symmetrized copy and eigenvectors, and one stack of
-# products at a time
-WORKING_SET = 4
 
 
 @dataclass
@@ -299,33 +285,14 @@ def _capped(cfg: ScenarioConfig, cap: int) -> list:
     return [min(dim, cap) for dim in cfg.dims]
 
 
-def _blocks(cfg: ScenarioConfig, matrices: int, count=None, dims=None):
-    """Blocks of consecutive trials, each a dict of the trials of each
-    dimension in trial order: cfg.trials trials (count if given) whose dims
-    cycle through cfg.dims (or dims), cut where the stacked arithmetic of
-    `matrices` dim x dim complex matrices per trial (`WORKING_SET` times
-    their bytes) would pass BLOCK_BYTES.  A trial over the budget is a
-    block of its own."""
-    dims = cfg.dims if dims is None else dims
-    block, size = {}, 0
-    for trial in range(cfg.trials if count is None else count):
-        dim = dims[trial % len(dims)]
-        cost = WORKING_SET * matrices * 16 * dim * dim
-        if block and size + cost > BLOCK_BYTES:
-            yield block
-            block, size = {}, 0
-        block.setdefault(dim, []).append(trial)
-        size += cost
-    yield block
-
-
 def _drawn_blocks(cfg: ScenarioConfig, tag: str, draw, names, count=None, dims=None):
-    """(trials, rngs, draw(rngs, dim)) per block of `_blocks` and dimension:
-    the block's trials of that dimension, their generators (substreams of
-    (seed, tag)), and the stacks that one call of `draw` draws from them,
-    one per name in `names`, each at most (k, dim, dim) complex.  Each
-    block and dimension is drawn when the previous one has been used."""
-    for block in _blocks(cfg, len(names), count, dims):
+    """(trials, rngs, draw(rngs, dim)) per block of `rng.trial_blocks`
+    (cfg.trials trials, or count, at cfg.dims, or dims) and dimension: the
+    trials, their generators (substreams of (seed, tag)), and the stacks one
+    call of `draw` draws from them, one per name, each at most (k, dim, dim)
+    complex.  Each block and dimension is drawn when the previous one has
+    been used."""
+    for block in trial_blocks(count or cfg.trials, dims or cfg.dims, len(names)):
         for dim, trials in block.items():
             rngs = substreams(cfg.seed, tag, trials)
             yield trials, rngs, draw(rngs, dim)

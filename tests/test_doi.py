@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from opint import doi, errors, linalg
+from opint import rng as rng_mod
 from opint.quadrature import QuadratureRule, trapezoid_rule
 from opint.rng import random_complex, random_hermitian, substream
 
@@ -422,21 +423,135 @@ def test_lipschitz_arctan_p4_finite_and_recorded():
     assert len(report.per_trial) == 25
 
 
-def test_lipschitz_skips_equal_pairs(monkeypatch):
-    # the first trial draws A = B; the others draw as usual
-    def drawn(rngs, count, dim, _original=doi.hermitian_stacks):
+def _equal_pairs(monkeypatch, equal):
+    """Make the stacked experiment's trials in `equal` draw A = B: B is
+    drawn and then set to A, counting trials over the blocks in order."""
+    drawn = [0]
+
+    def draw(rngs, count, dim, _original=doi.hermitian_stacks):
         a, b = stacks = _original(rngs, count, dim)
-        b[0] = a[0]
+        for j in range(len(rngs)):
+            if drawn[0] + j in equal:
+                b[j] = a[j]
+        drawn[0] += len(rngs)
         return stacks
-    monkeypatch.setattr(doi, "hermitian_stacks", drawn)
+    monkeypatch.setattr(doi, "hermitian_stacks", draw)
+
+
+def test_lipschitz_skips_equal_pairs(monkeypatch):
+    _equal_pairs(monkeypatch, {0})  # the first trial draws A = B; the others draw as usual
     report = doi.lipschitz_ratio_experiment(np.arctan, 1.0, p=2, trials=5, seed=26, dim=4)
     assert report.skipped == 1
     assert len(report.per_trial) == 4
 
 
-def test_lipschitz_rejects_bad_p():
-    with pytest.raises(errors.InputDomainError):
-        doi.lipschitz_ratio_experiment(np.arctan, 1.0, p=1, trials=1, seed=0)
+@pytest.mark.parametrize("p", [1, True, np.inf, np.nan, "x", None])
+def test_lipschitz_rejects_bad_p(p):
+    with pytest.raises(errors.InputDomainError, match="^p must lie"):
+        doi.lipschitz_ratio_experiment(np.arctan, 1.0, p=p, trials=1, seed=0)
+
+
+BAD_SIZES = [0, -3, True, np.False_, 2.5, 2.0, "2", None]
+
+
+@pytest.mark.parametrize("trials", BAD_SIZES)
+def test_lipschitz_refuses_a_trial_count_that_is_not_a_size(trials):
+    with pytest.raises(errors.InputDomainError, match="^trials must be an integer >= 1"):
+        doi.lipschitz_ratio_experiment(np.arctan, 1.0, p=2, trials=trials, seed=0)
+
+
+@pytest.mark.parametrize("dim", BAD_SIZES)
+def test_lipschitz_refuses_a_dim_that_is_not_a_size(dim):
+    with pytest.raises(errors.InputDomainError, match="^dim must be an integer >= 1"):
+        doi.lipschitz_ratio_experiment(np.arctan, 1.0, p=2, trials=2, seed=0, dim=dim)
+
+
+@pytest.mark.parametrize("trials", BAD_SIZES)
+def test_sampled_transformer_norm_refuses_a_trial_count_that_is_not_a_size(trials):
+    pair = doi.make_spectral_pair(*seeded_pair(41, 3))
+    sym = doi.SymbolGrid(values=np.ones((3, 3)))
+    with pytest.raises(errors.InputDomainError, match="^trials must be an integer >= 1"):
+        doi.sampled_transformer_norm(pair, sym, 1, trials=trials, seed=0)
+
+
+def test_lipschitz_takes_numpy_integer_sizes():
+    report = doi.lipschitz_ratio_experiment(np.arctan, 1.0, p=2, trials=np.int64(3), seed=0,
+                                            dim=np.int32(2))
+    assert report.per_trial == doi.lipschitz_ratio_experiment(np.arctan, 1.0, p=2, trials=3,
+                                                              seed=0, dim=2).per_trial
+
+
+def _lipschitz_one_trial_at_a_time(f, p, trials, seed, dim, equal=()):
+    """(ratios, skipped) of the Lipschitz experiment taken a trial at a time:
+    each pair drawn, its difference normed, diagonalized and f applied
+    alone.  The trials in `equal` draw B and then set it to A."""
+    ratios, skipped = [], 0
+    for trial in range(trials):
+        g = substream(seed, "lipschitz", trial)
+        a, b = random_hermitian(g, dim), random_hermitian(g, dim)
+        if trial in equal:
+            b = a.copy()
+        diff_norm = linalg.schatten_norm(a - b, p)
+        if diff_norm == 0.0:
+            skipped += 1
+            continue
+        pair = doi.make_spectral_pair(a, b)
+        num = linalg.schatten_norm(linalg.apply_function(pair.left, f)
+                                   - linalg.apply_function(pair.right, f), p)
+        ratios.append(float(num / diff_norm))
+    return ratios, skipped
+
+
+LIPSCHITZ_CASES = {
+    # name: (f, p, trials, seed, dim, trials with A = B, block budget or None)
+    "cli-defaults": (np.arctan, 4.0, 20, 42, 8, (), None),
+    "n-1": (np.arctan, 4.0, 30, 3, 1, (), None),
+    "identity-p3": (lambda x: np.asarray(x, dtype=complex), 3.0, 12, 23, 5, (), None),
+    "abs-p1.5": (np.abs, 1.5, 15, 7, 6, (), None),
+    "skipped-in-a-block": (np.arctan, 2.0, 9, 26, 4, (0, 5), None),
+    "several-blocks": (np.arctan, 4.0, 20, 42, 8, (), 3 * 4 * 2 * 16 * 64),
+    "several-blocks-skipped": (np.abs, 400.0, 11, 8, 3, (2, 3, 7), 2 * 4 * 2 * 16 * 9),
+    "one-trial-blocks": (np.arctan, 2.0, 4, 5, 8, (1,), 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LIPSCHITZ_CASES))
+def test_stacked_lipschitz_equals_one_trial_at_a_time(monkeypatch, case):
+    f, p, trials, seed, dim, equal, budget = LIPSCHITZ_CASES[case]
+    if budget is not None:
+        monkeypatch.setattr(rng_mod, "BLOCK_BYTES", budget)
+    blocks = []
+
+    def counted(seed, tag, block, _original=doi.substreams):
+        blocks.append(list(block))
+        return _original(seed, tag, block)
+    monkeypatch.setattr(doi, "substreams", counted)
+    _equal_pairs(monkeypatch, set(equal))
+    report = doi.lipschitz_ratio_experiment(f, 1.0, p=p, trials=trials, seed=seed, dim=dim)
+    ratios, skipped = _lipschitz_one_trial_at_a_time(f, p, trials, seed, dim, set(equal))
+    assert np.array(report.per_trial).tobytes() == np.array(ratios).tobytes()
+    assert report.skipped == skipped == len(equal)
+    assert report.max_ratio == max(ratios)
+    assert sum(blocks, []) == list(range(trials))
+    if budget is None:
+        assert len(blocks) == 1
+    else:
+        assert len(blocks) == -(-trials // max(1, budget // (4 * 2 * 16 * dim * dim)))
+
+
+def test_lipschitz_block_of_skipped_trials_diagonalizes_nothing(monkeypatch):
+    # blocks of two trials; the second block is all A = B and makes no eigh call
+    monkeypatch.setattr(rng_mod, "BLOCK_BYTES", 2 * 4 * 2 * 16 * 9)
+    _equal_pairs(monkeypatch, {2, 3})
+    eighs = []
+
+    def counted(*args, _original=np.linalg.eigh, **kwargs):
+        eighs.append(1)
+        return _original(*args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    report = doi.lipschitz_ratio_experiment(np.arctan, 1.0, p=2, trials=6, seed=4, dim=3)
+    assert report.skipped == 2 and len(report.per_trial) == 4
+    assert len(eighs) == 2
 
 
 def test_symbol_grid_rejects_non_finite():
@@ -499,3 +614,13 @@ def test_sampled_transformer_norm_stacks_its_trials_and_skips_a_nan_ratio(monkey
     # Python's max(best, nan) keeps best, where np.max would give nan
     assert doi.sampled_transformer_norm(pair, sym, 1.5, 5, 7, "doi-sampled") == max(ratios[1:])
     assert calls == [(5, 4, 4), (5, 4, 4)]
+    # blocks of two trials: the same best ratio, from stacks of at most two
+    monkeypatch.setattr(rng_mod, "BLOCK_BYTES", 2 * 4 * 16 * 4 * 4)
+    shapes = []
+
+    def recorded(m, p, _original=linalg.schatten_norm):
+        shapes.append(np.shape(m)[0])
+        return _original(m, p)
+    monkeypatch.setattr(doi, "schatten_norm", recorded)
+    assert doi.sampled_transformer_norm(pair, sym, 1.5, 5, 7, "doi-sampled") == max(ratios)
+    assert shapes == [2, 2, 2, 2, 1, 1]

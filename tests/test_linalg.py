@@ -268,6 +268,22 @@ def test_schatten_rejects_nan_p():
         linalg.schatten_norm(np.eye(2), np.nan)
 
 
+@pytest.mark.parametrize("p", [True, False, np.True_, "x", "inf", None, 2 + 0j, [2]],
+                         ids=repr)
+def test_schatten_rejects_a_p_that_is_not_a_real_number(p):
+    # True once read as 1 and gave the trace norm, 7 for diag(3, 4)
+    with pytest.raises(errors.InputDomainError, match="^Schatten norm needs a real p"):
+        linalg.schatten_norm(np.diag([3.0, 4.0]), p)
+    with pytest.raises(errors.InputDomainError, match="^Schatten norm needs a real p"):
+        linalg.schatten_norm_of_values(np.array([[4.0, 3.0]]), p)
+
+
+@pytest.mark.parametrize("p, norm", [(1, 7.0), (np.int64(1), 7.0), (2.0, 5.0),
+                                     (np.float64(2), 5.0), (np.inf, 4.0)])
+def test_schatten_takes_python_and_numpy_real_p(p, norm):
+    assert linalg.schatten_norm(np.diag([3.0, 4.0]), p) == norm
+
+
 def test_schatten_large_p_does_not_overflow():
     # 10**400 overflows a double
     assert linalg.schatten_norm(np.diag([10.0, 1.0]), 400) == 10.0

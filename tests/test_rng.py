@@ -127,3 +127,46 @@ def test_stacked_draws_equal_successive_draws_per_generator(k, dim, matrix, coun
             for j in range(count):
                 m = g.standard_normal((dim, dim)) + 1j * g.standard_normal((dim, dim))
                 assert hermitian[j, trial].tobytes() == ((m + m.conj().T) / 2.0).tobytes()
+
+
+def _cost(dim, matrices):
+    return rng.WORKING_SET * matrices * 16 * dim * dim
+
+
+@pytest.mark.parametrize("count, dims, matrices, budget", [
+    (20, [2, 4, 6, 8], 2, None),      # the default config: one block
+    (3, [128], 2, None),              # each trial over the budget
+    (9, [1, 3, 5, 16], 1, None),
+    (40, [2, 2, 5, 8, 3], 3, 4000),   # several blocks, dims repeated
+    (17, [64, 2, 200, 8], 1, None),   # over-budget trials among small ones
+    (7, [4], 4, 1),                   # every trial over the budget
+    (1, [8], 2, None),
+])
+def test_trial_blocks_partition_the_trials_in_order_within_the_budget(
+        monkeypatch, count, dims, matrices, budget):
+    if budget is not None:
+        monkeypatch.setattr(rng, "BLOCK_BYTES", budget)
+    blocks = list(rng.trial_blocks(count, dims, matrices))
+    # each block's trials, in trial order, are the next run of consecutive trials
+    runs = [sorted(t for trials in block.values() for t in trials) for block in blocks]
+    assert sum(runs, []) == list(range(count))
+    for block in blocks:
+        for dim, trials in block.items():
+            assert trials == sorted(trials)
+            assert all(dims[t % len(dims)] == dim for t in trials)
+    for run, following in zip(runs, runs[1:] + [None]):
+        size = sum(_cost(dims[t % len(dims)], matrices) for t in run)
+        # within the budget, or one trial alone over it
+        assert size <= rng.BLOCK_BYTES or len(run) == 1, run
+        if following is not None:  # cut only where the next trial would pass the budget
+            assert size + _cost(dims[following[0] % len(dims)], matrices) > rng.BLOCK_BYTES
+
+
+def test_trial_blocks_put_an_over_budget_trial_in_a_block_alone():
+    # dims 2, 300, 2, 2: trial 1 costs 11.5 MB against the 1 MiB budget
+    blocks = list(rng.trial_blocks(6, [2, 300, 2, 2], 2))
+    assert blocks == [{2: [0]}, {300: [1]}, {2: [2, 3, 4]}, {300: [5]}]
+
+
+def test_trial_blocks_of_no_trials_is_no_block():
+    assert list(rng.trial_blocks(0, [8], 2)) == []

@@ -15,7 +15,7 @@ import opint
 from opint import cli, doi, linalg, quantization, shift, sylvester
 from opint import suite as suite_mod
 from opint.linalg import save_matrix
-from opint.rng import random_complex, random_hermitian, substream
+from opint.rng import BLOCK_BYTES, random_complex, random_hermitian, substream
 from opint.quadrature import QuadratureRule, symmetric_open_rule
 from opint.suite import (SUITE_CHECKS, ScenarioConfig, check_arctan_representation,
                          check_bimeasure_structure, check_doi_divided_difference,
@@ -683,14 +683,14 @@ def test_suite_memory_does_not_grow_with_trials():
     # would add about 22 MiB to the peak
     peaks = [_peak_bytes(run_suite, ScenarioConfig(dims=[128], trials=trials))
              for trials in (1, 12)]
-    assert peaks[1] - peaks[0] <= 1.5 * suite_mod.BLOCK_BYTES, peaks
+    assert peaks[1] - peaks[0] <= 1.5 * BLOCK_BYTES, peaks
     # each of the last checks to be stacked alone, where the suite's peak
     # cannot hide it: from the second block on a check still holds the
     # previous one while the next is drawn, so its growth counts from 2 trials
     for check in LAST_STACKED_CHECKS:
         peaks = [_peak_bytes(check, ScenarioConfig(dims=[128], trials=trials))
                  for trials in (2, 12)]
-        assert peaks[1] - peaks[0] <= 0.5 * suite_mod.BLOCK_BYTES, (check.__name__, peaks)
+        assert peaks[1] - peaks[0] <= 0.5 * BLOCK_BYTES, (check.__name__, peaks)
 
 
 @pytest.fixture(scope="module")
@@ -716,14 +716,28 @@ def test_cli_shift_route_passes_and_diagonalizes_each_matrix_once(
     assert calls == ["eigh"], calls
 
 
-@pytest.mark.parametrize("command, eigh_calls", [("sylvester", 1), ("doi", 20)])
+@pytest.mark.parametrize("command, eigh_calls", [("sylvester", 1), ("doi", 1)])
 def test_cli_command_diagonalizes_each_pair_in_one_call(tmp_path, monkeypatch, command,
                                                          eigh_calls):
     # sylvester: one stack of A and B, whose B the Kronecker cross-check reuses;
-    # doi: one stack per trial's pair
+    # doi: the 20 trials' pairs are one block, one stack (20 when each trial
+    # was diagonalized alone)
     calls = _count_eigensolver_calls(monkeypatch)
     assert _records(tmp_path, command) == CLI_RECORDS[command]
     assert calls == ["eigh"] * eigh_calls, calls
+
+
+def test_cli_doi_takes_its_norms_in_two_singular_value_calls(tmp_path, monkeypatch):
+    # one stack of the 20 differences A - B and one of f(A) - f(B) (40 when
+    # each trial took its two norms alone)
+    svds = []
+
+    def counted(*args, _original=np.linalg.svd, **kwargs):
+        svds.append(1)
+        return _original(*args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    assert _records(tmp_path, "doi") == CLI_RECORDS["doi"]
+    assert len(svds) == 2, len(svds)
 
 
 def test_cli_calls_in_one_process_parse_each_matrix_file_once(tmp_path, monkeypatch):

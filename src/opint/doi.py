@@ -20,9 +20,10 @@ symbols and transformers of this module then hold k matrices: `SymbolGrid`,
 `symbol_from_decomposition` (of a stacked `Decomposition`),
 `hs_multiplier_norm`, `doi_apply` and `doi_fourier` take it through the
 code that takes one pair, and give each pair the bits of its own call.
-`sampled_transformer_norm` stacks its trials' T the same way, and
-`lipschitz_ratio_experiment` its trials' pairs; both take their trials a
-block of `rng.trial_blocks`, the suite's block rule, at a time.
+`sampled_transformer_norm` takes one pair and stacks its trials' T the
+same way, and `lipschitz_ratio_experiment` its trials' pairs; both take
+their trials a block of `rng.trial_blocks`, the suite's block rule, at a
+time.
 """
 
 from __future__ import annotations
@@ -243,7 +244,10 @@ def sampled_transformer_norm(pair: SpectralPair, sym: SymbolGrid, p, trials: int
     substream(seed, tag, k); the trials go through `doi_apply` and the two
     Schatten norms as the stacks of `rng.trial_blocks` (one matrix per
     trial).  A NaN ratio is skipped, as Python's max(best, ratio) skips it.
+    A stacked pair is refused: its trials would mix the pairs.
     """
+    if pair.left.eigenvalues.ndim != 1:
+        raise InputDomainError(f"need one spectral pair, got a stack of shape {pair.shape}")
     _check_grid(pair, sym)
     require_size(trials, "trials")
     best = 0.0

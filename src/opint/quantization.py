@@ -13,10 +13,11 @@ A stack of symbols (..., n, n) goes through `quantize` and
 sequences phi (..., n) is a stack of `SequenceBimeasure`s, which
 `bimeasure_eval`, `bimeasure_integrate` (of a stacked `doi.Decomposition`),
 `bimeasure_integrate_grid`, `semivariation` and `l1_norm` take the same
-way; `polymeasure_eval` takes a stacked `EigenSystem` with a stack of
-vectors in each slot.  Each member of a stack gets the bits of its own
-call.  The projectors and `cotlar_stein_bound` take one subset or term
-list at a time.
+way; `grothendieck_norm` takes a stacked `doi.Decomposition`, as
+`doi.peller_bound` does, and `polymeasure_eval` a stacked `EigenSystem`
+with a stack of vectors in each slot.  Each member of a stack gets the
+bits of its own call.  The projectors and `cotlar_stein_bound` take one
+subset or term list at a time.
 """
 
 from __future__ import annotations
@@ -336,12 +337,13 @@ def semivariation(b: SequenceBimeasure):
     return per_matrix(scalar_abs(scalar_mul(aligned_sum, aligned_sum)))
 
 
-def grothendieck_norm(d: Decomposition) -> float:
+def grothendieck_norm(d: Decomposition):
     """Square-function norm of a decomposition: the product of the sup
-    norms of (sum_t w_t |a_t|^2)^(1/2) and (sum_t w_t |b_t|^2)^(1/2)."""
-    wa = np.sqrt(np.sum(d.weights[:, None] * np.abs(d.alphas) ** 2, axis=0))
-    wb = np.sqrt(np.sum(d.weights[:, None] * np.abs(d.betas) ** 2, axis=0))
-    return float(wa.max() * wb.max())
+    norms of (sum_t w_t |a_t|^2)^(1/2) and (sum_t w_t |b_t|^2)^(1/2); one
+    per decomposition of a stack (`linalg.per_matrix`)."""
+    wa = np.sqrt(np.sum(d.weights[..., None] * np.abs(d.alphas) ** 2, axis=-2))
+    wb = np.sqrt(np.sum(d.weights[..., None] * np.abs(d.betas) ** 2, axis=-2))
+    return per_matrix(wa.max(axis=-1) * wb.max(axis=-1))
 
 
 def polymeasure_eval(f_list, times, eh: EigenSystem) -> np.ndarray:

@@ -14,13 +14,14 @@ too; the rank-one route needs only B and takes B's `EigenSystem`.
 
 The counting route and the identities checked on it take a stacked pair
 through the code that takes one pair, and give each pair the bits of its
-own call: `xi_counting` gives a stack of `ShiftFunction`s, padded to a
-common width, whose `integral`, `l1`, `support`, `integrate_derivative`,
-`resolvent_integral`, `is_nonnegative` and `is_zero` give one value per
-function; `krein_properties`, `trace_formula_check` and
-`resolvent_identity_check` give one per pair, and `AtomicMeasure` and
-`admissible_f` take a stack of measures, one per pair.  A value per pair
-is a float for one pair and an array for a stack (`linalg.per_matrix`).
+own call: `xi_counting` gives a stack of `ShiftFunction`s, each with a
+breakpoint at each of its pair's 2n eigenvalues, whose `integral`, `l1`,
+`support`, `integrate_derivative`, `resolvent_integral`, `is_nonnegative`
+and `is_zero` give one value per function; `krein_properties`,
+`trace_formula_check` and `resolvent_identity_check` give one per pair,
+and `AtomicMeasure` and `admissible_f` take a stack of measures, one per
+pair.  A value per pair is a float for one pair and an array for a stack
+(`linalg.per_matrix`).
 
 The Fourier route and the arctan representation sum over quadrature
 nodes through the square-root phase split of
@@ -30,7 +31,6 @@ phase error.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,12 +52,10 @@ class ShiftFunction:
     [breakpoints[k], breakpoints[k+1]), zero outside the span; or a stack of
     them, breakpoints (..., W) and values (..., W - 1).
 
-    The canonical empty instance (no breakpoints) is the zero function.  A
-    stack pads each of its functions to the common width W by repeating the
-    function's last breakpoint with value 0 (a zero function repeats any one
-    point): padded intervals have zero length and hold exact zeros, and
-    each functional sums a function's own intervals only, so a function of
-    a stack gets the bits of its own instance.
+    Breakpoints ascend, not strictly, and an interval of length 0 holds 0,
+    so each functional is one sum over every interval, and a function of a
+    stack gets the bits of the same function alone.  The canonical empty
+    instance (no breakpoints) is the zero function.
     """
 
     breakpoints: np.ndarray
@@ -70,44 +68,27 @@ class ShiftFunction:
         if width == 1 or v.shape != bp.shape[:-1] + (max(width - 1, 0),):
             raise InputDomainError("need one value per interval between breakpoints")
         lengths = np.diff(bp, axis=-1)
-        padded = lengths == 0
-        if (lengths < 0).any() or (padded[..., :-1] & ~padded[..., 1:]).any():
-            raise InputDomainError("breakpoints must be strictly ascending "
-                                   "(a stack pads a function by repeating its last one)")
-        if (v[padded] != 0).any():
-            raise InputDomainError("padded intervals of a stack must hold 0")
+        if (lengths < 0).any():
+            raise InputDomainError("breakpoints must ascend")
+        if (v[lengths == 0] != 0).any():
+            raise InputDomainError("an interval of length 0 must hold 0")
         if not np.array_equal(v, v.astype(np.int64)):
             raise InputDomainError("shift function values must be integers")
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", v.astype(np.int64))
 
-    @property
-    def _intervals(self) -> np.ndarray:
-        """The number of intervals of each function, its padding not counted."""
-        return (np.diff(self.breakpoints, axis=-1) > 0).sum(axis=-1)
-
-    def _interval_sum(self, terms: np.ndarray):
-        """Each function's sum of its terms (..., W - 1), one per interval, as
-        numpy sums them for that function alone: the functions with equally
-        many intervals are summed together, without their padding."""
-        rows = terms.reshape(math.prod(terms.shape[:-1]), terms.shape[-1])
-        counts = self._intervals.reshape(-1)
-        out = np.zeros(rows.shape[0], dtype=terms.dtype)
-        for count in set(counts.tolist()):
-            same = counts == count
-            out[same] = rows[same, :count].sum(axis=-1)
-        return per_matrix(out.reshape(terms.shape[:-1]))
-
     def _span(self) -> np.ndarray:
-        """(..., 2): each function's first and last breakpoint, NaN for a
-        zero function."""
-        bp = self.breakpoints
-        ends = bp[..., [0, -1]] if bp.shape[-1] else np.zeros(bp.shape[:-1] + (2,))
-        return np.where(self._intervals[..., None] > 0, ends, np.nan)
+        """(..., 2): each function's first and last breakpoint around its
+        nonzero values, NaN for a zero function."""
+        bp, nonzero = self.breakpoints, self.values != 0
+        ends = np.stack([np.where(nonzero, bp[..., :-1], np.inf).min(axis=-1, initial=np.inf),
+                         np.where(nonzero, bp[..., 1:], -np.inf).max(axis=-1, initial=-np.inf)],
+                        axis=-1)
+        return np.where(nonzero.any(axis=-1, keepdims=True), ends, np.nan)
 
     @property
     def is_zero(self):
-        return per_matrix(self._intervals == 0)
+        return per_matrix((self.values == 0).all(axis=-1))
 
     def __call__(self, x) -> np.ndarray:
         if self.breakpoints.ndim != 1:
@@ -120,10 +101,10 @@ class ShiftFunction:
         return out
 
     def integral(self):
-        return self._interval_sum(self.values * np.diff(self.breakpoints, axis=-1))
+        return per_matrix((self.values * np.diff(self.breakpoints, axis=-1)).sum(axis=-1))
 
     def l1(self):
-        return self._interval_sum(np.abs(self.values) * np.diff(self.breakpoints, axis=-1))
+        return per_matrix((np.abs(self.values) * np.diff(self.breakpoints, axis=-1)).sum(axis=-1))
 
     def support(self):
         """(first, last) breakpoint, None for the zero function; for a stack,
@@ -138,12 +119,12 @@ class ShiftFunction:
         antiderivative differences over each constancy interval.  f is
         called once, on the breakpoints."""
         fb = np.asarray(f(self.breakpoints), dtype=np.complex128)
-        return self._interval_sum(self.values * (fb[..., 1:] - fb[..., :-1]))
+        return per_matrix((self.values * (fb[..., 1:] - fb[..., :-1])).sum(axis=-1))
 
     def resolvent_integral(self, z: complex):
         """Exact integral of xi(l) / (l - z)^2 dl for Im z != 0."""
         inv = 1.0 / (self.breakpoints - z)
-        return self._interval_sum(self.values * (inv[..., :-1] - inv[..., 1:]))
+        return per_matrix((self.values * (inv[..., :-1] - inv[..., 1:])).sum(axis=-1))
 
     @property
     def is_nonnegative(self):
@@ -153,38 +134,18 @@ class ShiftFunction:
 
 def xi_counting(pair: SpectralPair) -> ShiftFunction:
     """Exact shift function: xi(l) = #{eigs of B <= l} - #{eigs of A <= l},
-    kept at the points where it changes value (none for the zero function);
-    for a stacked pair, the stack of each pair's function, padded.
+    with a breakpoint at each of the 2n eigenvalues of A and B; for a
+    stacked pair, the stack of each pair's function.
 
-    The 2n eigenvalues of A and B are sorted together, and xi after each is
-    the running count of +1 per eigenvalue of B and -1 per one of A.  A
-    breakpoint ends a run of equal eigenvalues across which xi changes."""
-    wa, wb = pair.left.eigenvalues, pair.right.eigenvalues
-    n = wa.shape[-1]
-    points = np.concatenate([wa, wb], axis=-1).reshape(-1, 2 * n)
-    rows = np.arange(points.shape[0])[:, None]
+    The 2n eigenvalues are sorted together, and xi after each is the
+    running count of +1 per eigenvalue of B and -1 per one of A, but 0 on
+    an interval of length 0, between equal eigenvalues."""
+    wa = pair.left.eigenvalues
+    points = np.concatenate([wa, pair.right.eigenvalues], axis=-1)
     order = points.argsort(axis=-1, kind="stable")
-    points = points[rows, order]
-    steps = np.where(order < n, -1, 1)
-    after = steps.cumsum(axis=-1)
-    new_run = np.ones(points.shape, dtype=bool)
-    new_run[:, 1:] = points[:, 1:] != points[:, :-1]
-    run_ends = np.ones(points.shape, dtype=bool)
-    run_ends[:, :-1] = new_run[:, 1:]
-    index = np.arange(2 * n)
-    run_start = np.maximum.accumulate(np.where(new_run, index, 0), axis=-1)
-    # xi before a run is `after` less the step at the run's first point
-    kept = run_ends & (after != (after - steps)[rows, run_start])
-    counts = kept.sum(axis=-1, keepdims=True)
-    # the kept points first, in order; a stack pads with each function's last one
-    keep = (~kept).argsort(axis=-1, kind="stable")[:, :counts.max()]
-    column = np.arange(keep.shape[-1])
-    last_kept = points[rows, np.where(kept, index, 0).max(axis=-1, keepdims=True)]
-    bp = np.where(column < counts, points[rows, keep], last_kept)
-    values = np.where(column < counts - 1, after[rows, keep], 0)[:, :-1]
-    stack = wa.shape[:-1]
-    return ShiftFunction(bp.reshape(stack + bp.shape[-1:]),
-                         values.reshape(stack + values.shape[-1:]))
+    bp = np.take_along_axis(points, order, axis=-1)
+    after = np.where(order < wa.shape[-1], -1, 1).cumsum(axis=-1)[..., :-1]
+    return ShiftFunction(bp, np.where(np.diff(bp, axis=-1) > 0, after, 0))
 
 
 @dataclass(frozen=True)

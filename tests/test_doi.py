@@ -474,6 +474,16 @@ def test_sampled_transformer_norm_refuses_a_trial_count_that_is_not_a_size(trial
         doi.sampled_transformer_norm(pair, sym, 1, trials=trials, seed=0)
 
 
+@pytest.mark.parametrize("trials", [1, 3, 5])
+def test_sampled_transformer_norm_refuses_a_stacked_pair(trials):
+    a, b = (np.stack(m) for m in zip(*(seeded_pair(42, 4, trial=k) for k in range(3))))
+    pair = doi.SpectralPair(linalg.eig_hermitians(a, ["A"] * 3),
+                            linalg.eig_hermitians(b, ["B"] * 3))
+    sym = doi.SymbolGrid(values=random_complex(substream(42, "doi-stacked-sym"), (3, 4, 4)))
+    with pytest.raises(errors.InputDomainError, match="^need one spectral pair"):
+        doi.sampled_transformer_norm(pair, sym, 1, trials=trials, seed=0)
+
+
 def test_lipschitz_takes_numpy_integer_sizes():
     report = doi.lipschitz_ratio_experiment(np.arctan, 1.0, p=2, trials=np.int64(3), seed=0,
                                             dim=np.int32(2))

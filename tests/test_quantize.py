@@ -620,6 +620,21 @@ def test_grothendieck_norm_below_term_cost_for_normalized_atoms():
         assert qz.grothendieck_norm(d) <= cost + 1e-10
 
 
+@pytest.mark.parametrize("terms, n", [(4, 4), (2, 5), (9, 3), (17, 1), (1, 6)])
+def test_grothendieck_norm_of_a_stack_is_each_decompositions_norm(terms, n):
+    # term counts equal to n and not, up to past numpy's 8-way unrolled sums
+    rng = substream(16, f"quant-groth-stack-{terms}-{n}")
+    alphas, betas = random_complex(rng, (3, terms, n)), random_complex(rng, (3, terms, n))
+    weights = rng.uniform(0.1, 2.0, (3, terms))
+    norms = qz.grothendieck_norm(Decomposition(alphas=alphas, betas=betas, weights=weights))
+    assert norms.shape == (3,)
+    for i in range(3):
+        alone = qz.grothendieck_norm(Decomposition(alphas=alphas[i], betas=betas[i],
+                                                   weights=weights[i]))
+        assert type(alone) is float
+        assert norms[i].tobytes() == np.float64(alone).tobytes()
+
+
 def test_grothendieck_ratio_experiment_reports_only():
     ratios = []
     for trial in range(30):

@@ -162,32 +162,15 @@ def test_xi_counting_support_inside_joint_interval():
         assert hi <= max(wa.max(), wb.max()) + 1e-12
 
 
-def _xi_counting_run_merge(pair):
-    """Reference for `xi_counting`: the counts on every interval between
-    sorted eigenvalues, with equal neighbours merged and zero ends dropped
-    one run at a time."""
+def _xi_counting_joint_spectrum(pair):
+    """Reference for `xi_counting`: the sorted joint spectrum of A and B,
+    and on each interval between neighbours the count N_B - N_A there, or 0
+    on an interval of length 0."""
     wa, wb = pair.left.eigenvalues, pair.right.eigenvalues
-    breakpoints = np.unique(np.concatenate([wa, wb]))
-    values = (np.searchsorted(wb, breakpoints[:-1], side="right")
-              - np.searchsorted(wa, breakpoints[:-1], side="right"))
-    bp = [float(breakpoints[0])] if breakpoints.size else []
-    vals = []
-    for k, v in enumerate(values):
-        v = int(v)
-        if vals and v == vals[-1]:
-            bp[-1] = float(breakpoints[k + 1])
-        else:
-            vals.append(v)
-            bp.append(float(breakpoints[k + 1]))
-    while vals and vals[0] == 0:
-        vals.pop(0)
-        bp.pop(0)
-    while vals and vals[-1] == 0:
-        vals.pop()
-        bp.pop()
-    if not vals:
-        return np.zeros(0), np.zeros(0, dtype=np.int64)
-    return np.asarray(bp), np.asarray(vals, dtype=np.int64)
+    breakpoints = np.sort(np.concatenate([wa, wb]))
+    values = [int((wb <= lo).sum() - (wa <= lo).sum()) if hi > lo else 0
+              for lo, hi in zip(breakpoints[:-1], breakpoints[1:])]
+    return breakpoints, np.asarray(values, dtype=np.int64)
 
 
 def _counting_reference_pairs():
@@ -203,11 +186,11 @@ def _counting_reference_pairs():
     yield np.array([[0.5]]), np.array([[0.5]])
 
 
-def test_xi_counting_matches_run_merging_reference():
+def test_xi_counting_matches_joint_spectrum_reference():
     for a, b in _counting_reference_pairs():
         pair = make_spectral_pair(a, b)
         xi = shift.xi_counting(pair)
-        breakpoints, values = _xi_counting_run_merge(pair)
+        breakpoints, values = _xi_counting_joint_spectrum(pair)
         assert xi.breakpoints.tobytes() == breakpoints.tobytes()
         assert xi.values.dtype == values.dtype
         assert np.array_equal(xi.values, values)

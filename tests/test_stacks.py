@@ -136,6 +136,7 @@ ENTRY_POINTS = {
     "SequenceBimeasure.l1_norm": lambda ops: _bimeasure(ops).l1_norm(),
     "bimeasure_eval": lambda ops: quantization.bimeasure_eval(
         _bimeasure(ops), [1, ops.pair.dim], [ops.pair.dim]),
+    "grothendieck_norm": lambda ops: quantization.grothendieck_norm(_decomposition(ops)),
     "bimeasure_integrate": lambda ops: quantization.bimeasure_integrate(
         _bimeasure(ops), _decomposition(ops)),
     "bimeasure_integrate_grid": lambda ops: quantization.bimeasure_integrate_grid(
@@ -165,6 +166,54 @@ ROUNDING_ENTRY_POINTS = ["schatten_norm", "trace_formula_check", "resolvent_iden
 @pytest.mark.parametrize("entry", ROUNDING_ENTRY_POINTS)
 def test_a_large_stack_gives_each_matrix_the_bits_of_its_one_matrix_call(entry):
     _assert_each_matrix_has_its_bits(ENTRY_POINTS[entry], *_operands(200, 3))
+
+
+def _tied_operands():
+    """Stacked 4 x 4 pairs whose members have A = B, a repeated eigenvalue,
+    an eigenvalue shared by A and B, and no ties; and the same pairs one at
+    a time."""
+    rng = substream(3, "stacks-tied")
+    h = random_hermitian(rng, 4)
+    a = np.stack([h, np.diag([1.0, 1.0, 2.0, 2.0]), np.diag([0.0, 1.0, 2.0, 9.0]),
+                  random_hermitian(rng, 4)])
+    b = np.stack([h, np.diag([0.0, 1.0, 1.0, 3.0]), np.diag([1.0, 2.0, 5.0, 9.0]),
+                  random_hermitian(rng, 4)])
+    atoms = (rng.uniform(0.3, 2.5, (4, 3)) * rng.choice([-1.0, 1.0], (4, 3)),
+             rng.uniform(0.2, 1.5, (4, 3)))
+    pair = doi.SpectralPair(linalg.eig_hermitians(a, ["A"] * 4),
+                            linalg.eig_hermitians(b, ["B"] * 4))
+    stacked = SimpleNamespace(a=a, b=b, atoms=atoms, pair=pair)
+    singles = [SimpleNamespace(a=a[i], b=b[i], atoms=tuple(x[i] for x in atoms),
+                               pair=doi.make_spectral_pair(a[i], b[i])) for i in range(4)]
+    return stacked, singles
+
+
+def _support(ops):
+    """The support, with the stack's (NaN, NaN) for the zero function's None."""
+    support = _xi(ops).support()
+    return (np.nan, np.nan) if support is None else support
+
+
+SHIFT_ENTRY_POINTS = {entry: ENTRY_POINTS[entry] for entry in ENTRY_POINTS
+                      if entry.startswith("ShiftFunction.") or entry in (
+                          "krein_properties", "trace_formula_check", "resolvent_identity_check")}
+SHIFT_ENTRY_POINTS["ShiftFunction.support"] = _support
+
+
+@pytest.mark.parametrize("entry", sorted(SHIFT_ENTRY_POINTS))
+def test_a_stack_of_tied_spectra_gives_each_pair_the_bits_of_its_one_pair_call(entry):
+    _assert_each_matrix_has_its_bits(SHIFT_ENTRY_POINTS[entry], *_tied_operands())
+
+
+def test_a_stack_of_tied_spectra_has_the_joint_spectrum_as_breakpoints():
+    stacked, singles = _tied_operands()
+    xi = shift.xi_counting(stacked.pair)
+    assert xi.breakpoints.shape == (4, 8)
+    assert np.asarray(xi.is_zero).tolist() == [True, False, False, False]
+    for i, ops in enumerate(singles):
+        alone = shift.xi_counting(ops.pair)
+        assert _bits(xi.breakpoints[i]) == _bits(alone.breakpoints)
+        assert _bits(xi.values[i]) == _bits(alone.values)
 
 
 def _assert_each_matrix_has_its_bits(run, stacked, singles):
@@ -230,14 +279,10 @@ BAD_STACKS = {
         lambda ops: shift.ShiftFunction(breakpoints=_xi(ops).breakpoints,
                                         values=_xi(ops).values[..., :-1]),
         errors.InputDomainError, "^need one value per interval"),
-    "ShiftFunction padding before a breakpoint": (
-        lambda ops: shift.ShiftFunction(breakpoints=np.tile([0.0, 1.0, 1.0, 2.0], (len(ops.a), 1)),
-                                        values=np.zeros((len(ops.a), 3))),
-        errors.InputDomainError, "^breakpoints must be strictly ascending"),
-    "ShiftFunction padding holding a value": (
+    "ShiftFunction interval of length 0 holding a value": (
         lambda ops: shift.ShiftFunction(breakpoints=np.tile([0.0, 1.0, 1.0], (len(ops.a), 1)),
                                         values=np.ones((len(ops.a), 2))),
-        errors.InputDomainError, "^padded intervals of a stack must hold 0"),
+        errors.InputDomainError, "^an interval of length 0 must hold 0"),
     "ShiftFunction evaluated as a stack": (
         lambda ops: _xi(ops)(np.zeros(2)),
         errors.InputDomainError, "^a stack of shift functions is evaluated one function at a time"),

@@ -14,7 +14,7 @@ and solves A's side by LU, so it checks that side and the change of basis.
 Each rule that several places use has one home:
 - input arrays are checked by `linalg.as_finite_array`, sizes by `linalg.require_size`;
 - LAPACK's eigensolver and SVD are called only in `linalg.eig_hermitians`
-  (a stack per shape; `eig_hermitian` is one matrix) and `singular_values`;
+  (one (k, n, n) stack; `eig_hermitian` is a stack of one) and `singular_values`;
 - the spectral core (`EigenSystem`, `apply_function`, the Schatten norms,
   the `doi` symbols and transformers, `solve_gap_pair`, `kron_oracle`),
   the counting shift function with its functionals and identities

@@ -35,7 +35,8 @@ import numpy as np
 
 from .errors import InputDomainError
 from .linalg import (EigenSystem, adjoint, apply_function, as_complex_matrices, as_finite_array,
-                     eig_hermitians, evaluate, per_matrix, require_size, schatten_norm)
+                     as_hermitian, as_numeric_array, eig_hermitians, evaluate, per_matrix,
+                     require_size, schatten_norm)
 from .quadrature import QuadratureRule, trapezoid_rule
 from .rng import complex_stacks, hermitian_stacks, substreams, trial_blocks
 
@@ -70,13 +71,25 @@ class SpectralPair:
         return per_matrix(np.maximum(np.abs(self.left.eigenvalues).max(axis=-1),
                                      np.abs(self.right.eigenvalues).max(axis=-1)))
 
+    def require_one(self) -> None:
+        """Refuse a stacked pair, for the routes that take one pair."""
+        if self.left.eigenvalues.ndim != 1:
+            raise InputDomainError(f"need one spectral pair, got a stack of shape {self.shape}")
+
 
 def make_spectral_pair(a, b) -> SpectralPair:
-    """The eigensystems of A and B from one `eig_hermitians` call: A and B
-    of one shape are validated and diagonalized as one stack, and a bad
-    operand is named as `as_hermitian` names a bad matrix of a stack."""
-    left, right = eig_hermitians([a, b], ["A", "B"])
-    return SpectralPair(left=left, right=right)
+    """The eigensystems of A and B of one shape, validated and diagonalized
+    as one stack by `eig_hermitians`, which names a bad operand as it names
+    a bad matrix of a stack.  A and B of two shapes are refused: a bad one
+    with the error `eig_hermitian` gives it alone (A's first), else with the
+    dimension mismatch."""
+    a, b = as_numeric_array(a, "A"), as_numeric_array(b, "B")
+    if a.shape != b.shape:
+        for m, name in ((a, "A"), (b, "B")):
+            as_hermitian(m[None], [name])  # a stack of one, as eig_hermitian validates it
+        raise InputDomainError(f"spectral pair dimension mismatch: {a.shape[:1]} vs {b.shape[:1]}")
+    e = eig_hermitians(np.stack([a, b]), ["A", "B"])
+    return SpectralPair(*(EigenSystem(w, u) for w, u in zip(e.eigenvalues, e.unitary)))
 
 
 @dataclass(frozen=True)
@@ -246,8 +259,7 @@ def sampled_transformer_norm(pair: SpectralPair, sym: SymbolGrid, p, trials: int
     trial).  A NaN ratio is skipped, as Python's max(best, ratio) skips it.
     A stacked pair is refused: its trials would mix the pairs.
     """
-    if pair.left.eigenvalues.ndim != 1:
-        raise InputDomainError(f"need one spectral pair, got a stack of shape {pair.shape}")
+    pair.require_one()
     _check_grid(pair, sym)
     require_size(trials, "trials")
     best = 0.0

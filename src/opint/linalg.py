@@ -13,10 +13,9 @@ converting it; callers add only their own shape, sign and integer rules.
 
 Only this module calls LAPACK's eigensolver and SVD.  Every hermitian
 eigendecomposition goes through `eig_hermitians`, which validates and
-diagonalizes the matrices of each shape as one stack: at small n numpy's
-per-call overhead costs more than LAPACK, and one call per stack gives
-each matrix the bits of a call of its own.  `eig_hermitian` is its
-one-matrix case.
+diagonalizes one (k, n, n) stack in one call: at small n numpy's per-call
+overhead costs more than LAPACK, and one call per stack gives each matrix
+the bits of a call of its own.  `eig_hermitian` is its stack of one.
 
 The spectral core takes a (k, n, n) stack through the code that takes one
 matrix, and gives each matrix of the stack the bits of its own call (one
@@ -130,28 +129,32 @@ def as_hermitian(m, name="matrix") -> np.ndarray:
     most 1), so the rounding of computed products is accepted at every
     scale.
 
-    m is one matrix named `name`, or a stack (k, n, n) of k matrices with
-    `name` the sequence of their k names.  Each matrix of a stack is held
+    m is one matrix or a (k, n, n) stack of k matrices, named by one str
+    `name` (for a stack, every matrix's name), or m is a (k, n, n) stack
+    and `name` the sequence of its k names.  Each matrix of a stack is held
     to its own bound, and a bad one is refused with the error it gets
     alone, naming it (with several bad ones, the first to fail the first
     check that any fails).
     """
     single = isinstance(name, str)
     names = [name] if single else list(name)
-    a = as_numeric_array(m, names[0])
+    first = names[0]
+    a = as_numeric_array(m, first)
+    if single and a.ndim == 3:
+        single, names = False, names * len(a)
     if not single and a.shape[:1] != (len(names),):
         raise ValueError(f"a stack of shape {a.shape} needs one name per matrix, "
                          f"got {len(names)}")
     shape = a.shape if single else a.shape[1:]
     if len(shape) != 2:
-        raise InputDomainError(f"{names[0]} has shape {shape}, expected a 2-D array")
+        raise InputDomainError(f"{first} has shape {shape}, expected a 2-D array")
     if not np.isfinite(a).all():  # complex isfinite: both parts finite
         finite = np.isfinite(a).reshape(len(names), -1).all(axis=1)
         raise InputDomainError(f"{names[np.argmin(finite)]} has non-finite entries")
     if a.size == 0:
-        raise InputDomainError(f"{names[0]} must be a non-empty 2-D array, got shape {shape}")
+        raise InputDomainError(f"{first} must be a non-empty 2-D array, got shape {shape}")
     if shape[0] != shape[1]:
-        raise InputDomainError(f"{names[0]} must be square, got shape {shape}")
+        raise InputDomainError(f"{first} must be square, got shape {shape}")
     ah = a.conj().swapaxes(-1, -2)
     asym = np.abs(a - ah)
     if asym.max() > HERMITIAN_TOL:  # the bound is at least that, so only then is the scale needed
@@ -190,11 +193,7 @@ class EigenSystem:
 
     def projector(self, mask) -> np.ndarray:
         """Spectral projector onto the eigenvalues selected by a boolean mask,
-        one flag per eigenvalue ((..., n) for a stack).  The selected columns
-        of each matrix are multiplied as one product per selection size, as
-        the matrix's own u[:, mask] @ u[:, mask]*: numpy does a one-column
-        product without BLAS, so zeroing the other columns would round
-        differently."""
+        one flag per eigenvalue ((..., n) for a stack): U diag(mask) U*."""
         try:
             flags = np.asarray(mask)
         except ValueError as exc:  # ragged
@@ -204,17 +203,8 @@ class EigenSystem:
             raise InputDomainError(f"projector mask must hold booleans, got dtype {flags.dtype}")
         if flags.shape != self.eigenvalues.shape:
             raise InputDomainError("projector mask must have one flag per eigenvalue")
-        n = self.dim
-        u = self.unitary.reshape(-1, n, n)
-        flags = flags.reshape(-1, n)
-        counts = flags.sum(axis=1)
-        order = np.argsort(~flags, axis=1, kind="stable")  # selected columns first, in order
-        out = np.empty_like(u)
-        for count in set(counts.tolist()):
-            rows = counts == count
-            selected = np.take_along_axis(u[rows], order[rows, None, :count], axis=2)
-            out[rows] = selected @ adjoint(selected)
-        return out.reshape(self.unitary.shape)
+        u = self.unitary
+        return (u * flags[..., None, :]) @ adjoint(u)
 
 
 def adjoint(m: np.ndarray) -> np.ndarray:
@@ -253,47 +243,24 @@ def scalar_pow(x, y) -> np.ndarray:
     return np.reshape([v ** y for v in x.ravel()], x.shape)
 
 
-def eig_hermitians(matrices, names):
-    """Diagonalize hermitian matrices with LAPACK (`numpy.linalg.eigh`),
-    `names[k]` labelling `matrices[k]` in validation errors.
-
-    A sequence of matrices gives a list of one `EigenSystem` per matrix.
-    Its matrices of each shape are stacked and go through one `as_hermitian`
-    and one `eigh`: at small n their cost is mostly per call, not per
-    matrix.  One (k, n, n) ndarray gives one stacked `EigenSystem`, from one
-    such call.  The stack holds a copy of its matrices, and the eigensystems
-    of a stack view one (k, n, n) array of eigenvectors, so callers bound
-    how many matrices they pass at once.  Each eigensystem has the
-    bits `eigh` gives its matrix alone: eigenvalues ascending, and the
-    eigenvectors as LAPACK returns them, with no phase convention.  opint
-    reads them only through products u u*, which a column's unit phase (or
-    the choice of basis inside a repeated eigenvalue) cancels out of.
+def eig_hermitians(stack, names) -> EigenSystem:
+    """The stacked `EigenSystem` of a (k, n, n) stack of hermitian matrices,
+    `names[j]` labelling matrix j in validation errors, from one
+    `as_hermitian` and one LAPACK call (`numpy.linalg.eigh`): at small n
+    their cost is mostly per call, not per matrix.  Each matrix gets the
+    bits `eigh` gives it alone: eigenvalues ascending, and the eigenvectors
+    as LAPACK returns them, with no phase convention.  opint reads them
+    only through products u u*, which a column's unit phase (or the choice
+    of basis inside a repeated eigenvalue) cancels out of.  A caller bounds
+    the memory by how many matrices it passes at once.
     """
-    if isinstance(matrices, np.ndarray) and matrices.ndim == 3:
-        return _eigh_stack(matrices, names)
-    matrices = [as_numeric_array(m, name) for m, name in zip(matrices, names, strict=True)]
-    shapes: dict[tuple, list[int]] = {}
-    for k, m in enumerate(matrices):
-        shapes.setdefault(m.shape, []).append(k)
-    systems = [None] * len(matrices)
-    for ks in shapes.values():
-        # a stack of one needs no copy
-        h = matrices[ks[0]][None] if len(ks) == 1 else np.stack([matrices[k] for k in ks])
-        stack = _eigh_stack(h, [names[k] for k in ks])
-        for k, w, v in zip(ks, stack.eigenvalues, stack.unitary):
-            systems[k] = EigenSystem(w, v)
-    return systems
-
-
-def _eigh_stack(h, names) -> EigenSystem:
-    """The stacked eigensystem of a (k, n, n) stack h from one `as_hermitian`
-    and one `eigh`."""
-    return EigenSystem(*np.linalg.eigh(as_hermitian(h, names)))
+    return EigenSystem(*np.linalg.eigh(as_hermitian(stack, list(names))))
 
 
 def eig_hermitian(h, name: str = "matrix") -> EigenSystem:
-    """`eig_hermitians` of the one matrix h."""
-    return eig_hermitians([h], [name])[0]
+    """`eig_hermitians` of the one matrix h, as a stack of one."""
+    e = eig_hermitians(as_numeric_array(h, name)[None], [name])
+    return EigenSystem(e.eigenvalues[0], e.unitary[0])
 
 
 def evaluate(f, x: np.ndarray, point: str = "point") -> np.ndarray:

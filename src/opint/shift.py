@@ -21,7 +21,8 @@ and `is_zero` give one value per function; `krein_properties`,
 `trace_formula_check` and `resolvent_identity_check` give one per pair,
 and `AtomicMeasure` and `admissible_f` take a stack of measures, one per
 pair.  A value per pair is a float for one pair and an array for a stack
-(`linalg.per_matrix`).
+(`linalg.per_matrix`).  The regularized routes and `far_from_spectra`
+take one pair and refuse a stack (`doi.SpectralPair.require_one`).
 
 The Fourier route and the arctan representation sum over quadrature
 nodes through the square-root phase split of
@@ -237,6 +238,7 @@ def _as_grid(grid) -> np.ndarray:
 def far_from_spectra(pair: SpectralPair, grid, distance: float) -> np.ndarray:
     """Mask of the grid points at distance >= `distance` from the joint
     spectrum of A and B, where a regularized xi is compared with xi_counting."""
+    pair.require_one()
     g = _as_grid(grid)
     evs = np.concatenate([pair.left.eigenvalues, pair.right.eigenvalues])
     return np.abs(g[:, None] - evs).min(axis=1) >= distance
@@ -256,6 +258,7 @@ def _require_positive(x, name: str) -> None:
 
 def xi_arctan(pair: SpectralPair, epsilon: float, grid) -> SampledCurve:
     """Regularized route: (1/pi) tr[arctan((A-s)/eps) - arctan((B-s)/eps)]."""
+    pair.require_one()
     _require_positive(epsilon, "epsilon")
     g = _as_grid(grid)
     ords = _arctan_trace(pair.left.eigenvalues, pair.right.eigenvalues, g[:, None], epsilon)
@@ -265,6 +268,7 @@ def xi_arctan(pair: SpectralPair, epsilon: float, grid) -> SampledCurve:
 def xi_arctan_extrapolated(pair: SpectralPair, epsilon: float, grid) -> SampledCurve:
     """Two-term Richardson extrapolation of the arctan route over the
     geometric ladder (eps, eps/2); first-order in eps, so 2 xi_{e/2} - xi_e."""
+    pair.require_one()
     coarse = xi_arctan(pair, epsilon, grid)
     fine = xi_arctan(pair, epsilon / 2.0, grid)
     return SampledCurve(abscissae=coarse.abscissae,
@@ -304,6 +308,7 @@ def xi_fourier(pair: SpectralPair, epsilon: float, grid,
     B.  The errors do not align: at n = 32, X = 4000 and M = 40,000 the
     observed difference is 3e-14 to 5e-14.
     """
+    pair.require_one()
     _require_positive(epsilon, "epsilon")
     if quad is None:
         quad = symmetric_open_rule(*DEFAULT_FOURIER_QUAD)

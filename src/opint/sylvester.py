@@ -16,9 +16,11 @@ B the Schur form is the eigendecomposition), so it checks the A side and
 the operator integral's change of basis, not B's eigenvectors.
 
 `solve_gap_pair`, `GapSolution`, `GapReport` and `kron_oracle` also take a
-(k, n, n) stack of A, B and Y with a stacked pair: one solve, one SVD of
-the 3k matrices and one batched LU of the k n blocks serve all k, and each
-gives every solve the bits of its own call.
+(k, n, n) stack of A, B and Y with a stacked pair: `linalg.as_hermitian`
+validates the stack of A's (and of B's) under its one name, each matrix
+to its own bound, and one solve, one SVD of the 3k matrices and one
+batched LU of the k n blocks serve all k, each giving every solve the
+bits of its own call.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import IllPosedError
-from .linalg import (EigenSystem, adjoint, as_complex_matrices, as_hermitian, as_numeric_array,
-                     per_matrix, schatten_norm_of_values, singular_values)
+from .linalg import (EigenSystem, adjoint, as_complex_matrices, as_hermitian, per_matrix,
+                     schatten_norm_of_values, singular_values)
 from .doi import SpectralPair, doi_apply, make_spectral_pair, symbol_from_function
 
 GAP_FLOOR_FACTOR = 1e-8  # refuse gaps below this times the spectral scale
@@ -70,13 +72,6 @@ class GapReport:
     @property
     def bound_holds(self):
         return per_matrix(self.x_norm <= self.bound * (1 + self.BOUND_SLACK))
-
-
-def _hermitian(m, name: str) -> np.ndarray:
-    """`as_hermitian` of one matrix, or of a (k, n, n) stack of k matrices
-    each named `name`."""
-    a = as_numeric_array(m, name)
-    return as_hermitian(a, name if a.ndim != 3 else [name] * len(a))
 
 
 def spectral_gap(pair: SpectralPair):
@@ -130,7 +125,7 @@ def solve_gap_pair(pair: SpectralPair, a, b, y) -> GapSolution:
     stack, naming the first): the symbol entries blow up like 1/delta and
     the certificate would be meaningless.
     """
-    am, bm = _hermitian(a, "A"), _hermitian(b, "B")
+    am, bm = as_hermitian(a, "A"), as_hermitian(b, "B")
     if am.shape != pair.shape or bm.shape != am.shape:
         raise IllPosedError(f"shape mismatch: A {am.shape}, B {bm.shape}, "
                             f"pair dimension {pair.dim}")
@@ -172,7 +167,7 @@ def kron_oracle(a, eb: EigenSystem, y) -> np.ndarray:
     the O(n^4) solve about 4 ms there on one core.  A (k, n, n) stack of
     A, B and Y is solved as one batched call of its k n blocks.  Refuses n
     above `KRON_MAX_DIM` with `IllPosedError` before any factorization."""
-    am = _hermitian(a, "A")
+    am = as_hermitian(a, "A")
     ym = as_complex_matrices(y, "Y")
     n = am.shape[-1]
     if eb.unitary.shape != am.shape or ym.shape != am.shape:

@@ -39,6 +39,30 @@ def test_make_spectral_pair_dimension_mismatch():
         doi.make_spectral_pair(np.eye(2), np.eye(3))
 
 
+_NOT_HERMITIAN = np.triu(np.ones((3, 3)))
+_NON_FINITE = np.diag([np.nan, 1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("a, b, error", [
+    pytest.param(np.eye(3), np.eye(4), "spectral pair dimension mismatch: (3,) vs (4,)",
+                 id="both-good"),
+    pytest.param(_NOT_HERMITIAN, np.eye(4), "A", id="bad-a"),
+    pytest.param(np.eye(3), _NON_FINITE, "B", id="bad-b"),
+    pytest.param(_NOT_HERMITIAN, _NON_FINITE, "A", id="both-bad"),
+    pytest.param(np.stack([np.eye(3)] * 2), np.eye(4), "A", id="a-stack"),
+    pytest.param(np.eye(3), np.ones((4, 5)), "B", id="b-not-square"),
+])
+def test_make_spectral_pair_refuses_two_shapes_with_the_bad_operands_error_first(a, b, error):
+    # an operand refused alone, as eig_hermitian refuses it, else the mismatch
+    if error in "AB":
+        with pytest.raises(errors.InputDomainError) as alone:
+            linalg.eig_hermitian(a if error == "A" else b, error)
+        error = str(alone.value)
+    with pytest.raises(errors.InputDomainError) as refused:
+        doi.make_spectral_pair(a, b)
+    assert str(refused.value) == error
+
+
 def test_doi_apply_constant_symbol_is_identity_transformer():
     a, b = seeded_pair(3, 4)
     pair = doi.make_spectral_pair(a, b)

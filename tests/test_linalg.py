@@ -628,13 +628,15 @@ def test_eig_hermitians_gives_each_matrix_the_bits_of_eig_hermitian():
     rng = substream(29, "linalg-stacked")
     dims = (1, 2, 5, 8, 8, 5, 2, 1, 5, 8, 2)
     matrices = [random_hermitian(rng, n) for n in dims]
-    names = [f"M{k}" for k in range(len(dims))]
-    systems = linalg.eig_hermitians(matrices, names)
-    assert len(systems) == len(matrices)
-    for m, name, e in zip(matrices, names, systems):
-        alone = linalg.eig_hermitian(m, name)
-        assert e.eigenvalues.tobytes() == alone.eigenvalues.tobytes()
-        assert e.unitary.tobytes() == alone.unitary.tobytes()
+    for n in sorted(set(dims)):
+        ks = [k for k, d in enumerate(dims) if d == n]
+        names = [f"M{k}" for k in ks]
+        stacked = linalg.eig_hermitians(np.stack([matrices[k] for k in ks]), names)
+        assert stacked.unitary.shape == (len(ks), n, n)
+        for j, (k, name) in enumerate(zip(ks, names)):
+            alone = linalg.eig_hermitian(matrices[k], name)
+            assert stacked.eigenvalues[j].tobytes() == alone.eigenvalues.tobytes()
+            assert stacked.unitary[j].tobytes() == alone.unitary.tobytes()
 
 
 @pytest.mark.parametrize("fault, message", [
@@ -653,8 +655,30 @@ def test_eig_hermitians_refuses_a_bad_matrix_with_its_error_alone(fault, message
         linalg.eig_hermitian(bad, "C")
     assert str(alone.value).startswith(f"C {message}")
     with pytest.raises(errors.InputDomainError) as stacked:
-        linalg.eig_hermitians(matrices, ["A", "B", "C", "D", "E"])
+        linalg.eig_hermitians(np.stack(matrices[0::2]), ["A", "C", "E"])
     assert str(stacked.value) == str(alone.value)
+    assert linalg.eig_hermitians(np.stack(matrices[1::2]), ["B", "D"]).unitary.shape == (2, 4, 4)
+
+
+@pytest.mark.parametrize("shape, names, error, message", [
+    pytest.param((3, 3), ["A"] * 3, errors.InputDomainError,
+                 r"^A has shape \(3,\), expected a 2-D array", id="matrix-n-names"),
+    pytest.param((1, 1), ["A"], errors.InputDomainError,
+                 r"^A has shape \(1,\), expected a 2-D array", id="1x1-matrix"),
+    pytest.param((1, 2, 3, 3), ["A"], errors.InputDomainError,
+                 r"^A has shape \(2, 3, 3\), expected a 2-D array", id="4-d"),
+    pytest.param((3, 3), ["A"], ValueError,
+                 r"^a stack of shape \(3, 3\) needs one name per matrix, got 1", id="matrix"),
+    pytest.param((2, 3, 3), ["A"], ValueError, "needs one name per matrix, got 1",
+                 id="fewer-names"),
+    pytest.param((2, 3, 3), ["A", "B", "C"], ValueError, "needs one name per matrix, got 3",
+                 id="more-names"),
+    pytest.param((2, 3, 3), "A", ValueError, "needs one name per matrix, got 1", id="str-name"),
+])
+def test_eig_hermitians_refuses_what_is_not_a_stack_with_one_name_per_matrix(
+        shape, names, error, message):
+    with pytest.raises(error, match=message):
+        linalg.eig_hermitians(np.ones(shape), names)
 
 
 def test_as_hermitian_holds_each_matrix_of_a_stack_to_its_own_bound():
@@ -665,6 +689,25 @@ def test_as_hermitian_holds_each_matrix_of_a_stack_to_its_own_bound():
     assert linalg.as_hermitian(np.stack([big, big]), ["A", "B"]).shape == (2, 2, 2)
     with pytest.raises(errors.InputDomainError, match="^B is not hermitian"):
         linalg.as_hermitian(np.stack([big, small]), ["A", "B"])
+
+
+def test_as_hermitian_names_every_matrix_of_a_stack_by_its_one_name():
+    # a str name names each matrix of a (k, n, n) stack, held to its own bound
+    big = np.diag([1e4, 1.0]).astype(complex)
+    small = np.eye(2, dtype=complex)
+    big[0, 1] = small[0, 1] = 1e-9
+    stack = np.stack([big, big, big])
+    assert linalg.as_hermitian(stack, "A").tobytes() == linalg.as_hermitian(
+        stack, ["A"] * 3).tobytes()
+    with pytest.raises(errors.InputDomainError) as alone:
+        linalg.as_hermitian(small, "A")
+    assert str(alone.value).startswith("A is not hermitian: max asymmetry")
+    for k in range(3):
+        bad = stack.copy()
+        bad[k] = small
+        with pytest.raises(errors.InputDomainError) as stacked:
+            linalg.as_hermitian(bad, "A")
+        assert str(stacked.value) == str(alone.value)
 
 
 def _lapack_calls(path) -> list:

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opint import errors, shift
-from opint.doi import make_spectral_pair
-from opint.linalg import apply_function, eig_hermitian, schatten_norm, trace_norm
+from opint.doi import SpectralPair, make_spectral_pair
+from opint.linalg import apply_function, eig_hermitian, eig_hermitians, schatten_norm, trace_norm
 from opint.quadrature import QuadratureRule, symmetric_open_rule, trapezoid_rule
 from opint.rng import random_complex, random_hermitian, random_unit_vector, substream
 
@@ -141,6 +141,27 @@ def test_property_b_is_judged_relative_to_the_trace_norm(trace_norm):
                                      support_reach=0.0).errors()[1]
     assert l1_excess(np.nextafter(trace_norm, np.inf)) <= tol
     assert l1_excess(trace_norm + 1e-6 * trace_norm) > tol
+
+
+ONE_PAIR_ROUTES = {
+    "xi_arctan": lambda pair, grid: shift.xi_arctan(pair, 0.1, grid),
+    "xi_arctan_extrapolated": lambda pair, grid: shift.xi_arctan_extrapolated(pair, 0.1, grid),
+    "xi_fourier": lambda pair, grid: shift.xi_fourier(pair, 0.1, grid,
+                                                      symmetric_open_rule(40.0, 400)),
+    "far_from_spectra": lambda pair, grid: shift.far_from_spectra(pair, grid, 0.1),
+}
+
+
+@pytest.mark.parametrize("points", [3, 5])
+@pytest.mark.parametrize("route", sorted(ONE_PAIR_ROUTES))
+def test_one_pair_routes_refuse_a_stacked_pair(route, points):
+    # 3 pairs of 4 x 4 matrices: on 3 grid points a route would pair point i
+    # with pair i, or sum the pairs, instead of refusing
+    a, b = (np.stack(m) for m in zip(*(seeded_pair(43, 4, trial=k) for k in range(3))))
+    pair = SpectralPair(eig_hermitians(a, ["A"] * 3), eig_hermitians(b, ["B"] * 3))
+    with pytest.raises(errors.InputDomainError,
+                       match=r"^need one spectral pair, got a stack of shape \(3, 4, 4\)$"):
+        ONE_PAIR_ROUTES[route](pair, np.linspace(-2.0, 2.0, points))
 
 
 def test_far_from_spectra_keeps_points_at_least_the_distance_away():

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from opint import errors, sylvester
 from opint.doi import SpectralPair, make_spectral_pair
-from opint.linalg import as_hermitian, eig_hermitian, eig_hermitians, schatten_norm
+from opint.linalg import (EigenSystem, as_hermitian, eig_hermitian, eig_hermitians,
+                          schatten_norm)
 from opint.rng import random_complex, random_hermitian, substream
 
 
@@ -95,21 +96,27 @@ def _report_bits(report: sylvester.GapReport) -> tuple:
 
 
 def test_solve_gap_pair_on_a_stack_gives_the_bits_of_solve_gap():
-    # A and B of dims 1, 3 and 6, interleaved, diagonalized in one call
+    # A and B of dims 1, 3 and 6, interleaved: the A's and B's of each
+    # dimension diagonalized in one call
     dims = [1, 3, 6, 3, 1, 6]
     operands = []
     for trial, dim in enumerate(dims):
         a, b = gapped_pair(13, dim, trial)
         operands.append((a, b, random_complex(substream(13, "sylv-Y-pair", trial), (dim, dim))))
-    systems = eig_hermitians([m for a, b, _ in operands for m in (a, b)], ["A", "B"] * len(dims))
-    for k, (a, b, y) in enumerate(operands):
-        pair = SpectralPair(systems[2 * k], systems[2 * k + 1])
-        via_pair = sylvester.solve_gap_pair(pair, a, b, y)
-        alone = sylvester.solve_gap(a, b, y)
-        assert via_pair.x.tobytes() == alone.x.tobytes()
-        assert np.float64(via_pair.delta).tobytes() == np.float64(alone.delta).tobytes()
-        for p in (1, 2, np.inf):
-            assert _report_bits(via_pair.report(p)) == _report_bits(alone.report(p))
+    for dim in sorted(set(dims)):
+        ops = [op for op, d in zip(operands, dims) if d == dim]
+        k = len(ops)
+        systems = eig_hermitians(np.stack([a for a, _, _ in ops] + [b for _, b, _ in ops]),
+                                 ["A"] * k + ["B"] * k)
+        for j, (a, b, y) in enumerate(ops):
+            pair = SpectralPair(*(EigenSystem(systems.eigenvalues[i], systems.unitary[i])
+                                  for i in (j, k + j)))
+            via_pair = sylvester.solve_gap_pair(pair, a, b, y)
+            alone = sylvester.solve_gap(a, b, y)
+            assert via_pair.x.tobytes() == alone.x.tobytes()
+            assert np.float64(via_pair.delta).tobytes() == np.float64(alone.delta).tobytes()
+            for p in (1, 2, np.inf):
+                assert _report_bits(via_pair.report(p)) == _report_bits(alone.report(p))
 
 
 def test_solve_gap_pair_refuses_what_solve_gap_refuses_with_the_same_error():

@@ -10,9 +10,10 @@ i.e. entrywise multiplication in the rotated coordinates.  A symbol
 (`SymbolGrid`) is the matrix Phi alone: it carries no copy of the
 eigenvalues, which live only in the pair's two `EigenSystem`s.  This module
 holds that transformer together with the routes that feed it: divided
-difference symbols, the Fourier-kernel route through a time integral,
-finite decompositions phi = sum_t w_t a_t(x) b_t(y), triangular
-truncation, and sampled transformer norms on Schatten classes.
+difference symbols, the Fourier-kernel route through a time integral
+(one `QuadratureRule.phase_sum` per pair, no (n x M) table), finite
+decompositions phi = sum_t w_t a_t(x) b_t(y), triangular truncation, and
+sampled transformer norms on Schatten classes.
 
 A `SpectralPair` of two stacked eigensystems holds k pairs, and the
 symbols and transformers of this module then hold k matrices: `SymbolGrid`,
@@ -167,30 +168,25 @@ def doi_fourier(pair: SpectralPair, f, t, quad: QuadratureRule | None = None) ->
     """Time-integral route: sum_m w_m e^{-i t_m A} T e^{i t_m B} f(t_m).
 
     In the joint eigenbases this sum is the Schur multiplier with symbol
-    sum_m w_m f(t_m) e^{-i t_m (lambda - mu)}, built here as one product
-    L (w f) R* of two (dim x nodes) tables L = e^{-i lambda t_m} and
-    R = e^{-i mu t_m}.  `QuadratureRule.phase_table` builds them as
-    products of the square-root phase factors, whose error bound
+    sum_m w_m f(t_m) e^{-i t_m (lambda - mu)}, built here as one
+    `QuadratureRule.phase_sum` over the dim^2 phases mu_j - lambda_i, which
+    holds one 64-phase block and no (dim x nodes) table, within the bound that
     `QuadratureRule.phase_factors` gives.  For integrable f the sum
     approximates the integral whose symbol is the Fourier transform
     fhat(lambda - mu), fhat(x) = int e^{-i x s} f(s) ds; it must agree
     with `doi_apply` on that symbol to quadrature tolerance.  f is called
     once, on the array of nodes; `doi_apply` validates T.
 
-    For a stacked pair the symbols are built one pair at a time, so only
-    one pair's two (dim x nodes) tables are held, and the transformer is
+    For a stacked pair the symbols are built one pair at a time, so each
+    has the bits of its one-pair call, and the transformer is
     one `doi_apply` on the stack.
     """
     if quad is None:
         quad = trapezoid_rule(*DEFAULT_FOURIER_QUAD)
     coeff = quad.weights * evaluate(f, quad.nodes, "quadrature node")
     lam, mu = pair.left.eigenvalues, pair.right.eigenvalues
-    values = np.empty(pair.shape, dtype=np.complex128)
-    for k in np.ndindex(lam.shape[:-1]):
-        left = quad.phase_table(-lam[k])
-        left *= coeff
-        values[k] = left @ quad.phase_table(mu[k]).T  # the table of +mu is conj(R)
-    return doi_apply(pair, SymbolGrid(values=values), t)
+    values = [quad.phase_sum(mu[k] - lam[k][:, None], coeff) for k in np.ndindex(lam.shape[:-1])]
+    return doi_apply(pair, SymbolGrid(values=np.reshape(values, pair.shape)), t)
 
 
 @dataclass(frozen=True)

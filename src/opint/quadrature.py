@@ -10,15 +10,16 @@ A rule's nodes are an arithmetic progression (its constructor refuses
 others), so it can split every e^{i phi x_m} into two factors of about
 sqrt(M) columns, and build each factor from two exponential tables of about
 M^{1/4} columns (`QuadratureRule.phase_factors`): about 4 M^{1/4}
-exponentials per phase.  The Fourier sums of `doi` and `shift` go through
-`phase_table`, `node_sums` and `phase_sum`, which take and give one entry
-per node: the split's layout stays in this module.
+exponentials per phase.  Every Fourier sum of `doi` and `shift` goes through
+`node_sums` (over phases, per node) or `phase_sum` (over nodes, per phase),
+which take and give one entry per node: the split's layout stays here.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -90,10 +91,9 @@ class QuadratureRule:
         return _split(self.nodes.size)
 
     def phase_factors(self, phi) -> tuple[np.ndarray, np.ndarray]:
-        """Square-root phase split of e^{i phi_k x_m} over the M nodes.
-        The phases phi are real and finite, of any shape, read in C order;
-        this, `phase_table`, `node_sums` and `phase_sum` refuse others with
-        InputDomainError naming phi.
+        """Square-root phase split of e^{i phi_k x_m} over the M nodes.  The
+        phases phi are real and finite, of any shape, read in C order; this,
+        `node_sums` and `phase_sum` refuse others with InputDomainError naming phi.
 
         With x_m = x0 + h m, B = ceil(sqrt(M)), J = ceil(M / B) and
         m = B j + r,
@@ -101,9 +101,8 @@ class QuadratureRule:
             e^{i phi_k x_m} = P[k, j] Q[k, r],
             P = e^{i phi (x0 + h B j)},  Q = e^{i phi h r},
 
-        of shapes (K, J) and (K, B).  The factors also cover the J B - M
-        indices past the last node, which `phase_table` and `node_sums` drop
-        and `phase_sum` never reads.
+        of shapes (K, J) and (K, B).  The factors also cover the J B - M indices
+        past the last node, which `node_sums` drops and `phase_sum` never reads.
 
         Each factor is a geometric progression in its column index, so it is
         split the same way: with b = ceil(sqrt(J)), j = b j1 + j0,
@@ -152,13 +151,6 @@ class QuadratureRule:
         q = (e[:, i:i + q1, None] * e[:, None, i + q1:]).reshape(k, q1 * q0)[:, :cols]
         return p, q
 
-    def phase_table(self, phi) -> np.ndarray:
-        """The (K, M) table e^{i phi_k x_m}, as products of `phase_factors`
-        (complex multiplies, not exponentials)."""
-        p, q = self.phase_factors(phi)
-        table = (p[:, :, None] * q[:, None, :]).reshape(p.shape[0], -1)
-        return table[:, :self.nodes.size]
-
     def node_sums(self, phi) -> np.ndarray:
         """The M-vector sum_k e^{i phi_k x_m}: one (J x K)(K x B) product of
         the factors of `phase_factors`, cut to the M nodes.  It is a view of
@@ -184,6 +176,9 @@ class QuadratureRule:
         every block of a call with K > 1 to hold at least two phases: numpy
         turns a one-column product C Q^T into a matrix-vector product, which
         rounds differently, so a lone last phase joins the block before it.
+        With complex coefficients a phase's sum can still change in its last
+        bits with the other phases of its call: a caller that needs each
+        member's bits alone calls this once per member, as `doi_fourier` does.
         """
         coeff = np.asarray(coeff)
         if coeff.shape != self.nodes.shape:
@@ -205,13 +200,22 @@ class QuadratureRule:
         return sums
 
 
+def _rule_arguments(half_width, n_nodes) -> tuple[float, int]:
+    """The builders' one argument check, made before any array is built."""
+    if isinstance(half_width, bool) or not isinstance(half_width, Real) or not (
+            0 < half_width <= float(np.finfo(float).max) / 4):  # `steps` reach 4 half_width
+        raise ConfigError(f"half_width: expected a real in (0, max float / 4], got {half_width!r}")
+    if isinstance(n_nodes, bool) or not isinstance(n_nodes, Integral) or n_nodes < 2:
+        raise ConfigError(f"n_nodes: expected an integer >= 2, got {n_nodes!r}")
+    return float(half_width), int(n_nodes)
+
+
 def trapezoid_rule(half_width: float, n_nodes: int) -> QuadratureRule:
     """Uniform trapezoid nodes on [-half_width, half_width].  np.linspace's
     node m is fl(fl(m s) - W), s = fl(2W / (M - 1)), as is the rule's x0 + h m
     (x0 = -W, h = s), but for the last, set to W: it is off the progression
     by |W - fl(fl((M - 1) s) - W)| <= 5u W, to first order in u = 2^-53."""
-    if half_width <= 0 or n_nodes < 2:
-        raise ConfigError("need half_width > 0 and at least 2 nodes")
+    half_width, n_nodes = _rule_arguments(half_width, n_nodes)
     nodes = np.linspace(-half_width, half_width, n_nodes)
     h = nodes[1] - nodes[0]
     weights = np.full(n_nodes, h)
@@ -232,10 +236,9 @@ def symmetric_open_rule(half_width: float, n_nodes: int) -> QuadratureRule:
     to first order a node is off it by h (k + 1/2)|t_k - t_{M/2-1}| <= 4u X,
     4u X from c and fl(m h') (m h' <= 2X), and u X from the sum: 9u X.
     """
-    if half_width <= 0:
-        raise ConfigError("need half_width > 0")
-    if n_nodes < 2 or n_nodes % 2 != 0:
-        raise ConfigError("symmetric open rule needs an even node count >= 2")
+    half_width, n_nodes = _rule_arguments(half_width, n_nodes)
+    if n_nodes % 2:
+        raise ConfigError(f"n_nodes: expected an even count, got {n_nodes}")
     h = 2.0 * half_width / n_nodes
     positive = h / 2.0 + h * np.arange(n_nodes // 2)
     nodes = np.concatenate([-positive[::-1], positive])

@@ -293,8 +293,9 @@ def test_doi_fourier_matches_the_direct_exponential_formula(dim):
 
 
 def test_doi_fourier_forms_no_dim_by_nodes_exponential_table(monkeypatch):
-    # the phase split forms 2 dim (J + B) <= 4 dim ceil(sqrt(M)) complex
-    # exponentials; the direct tables would form 2 dim M = 64000
+    # one phase_sum over the 64 phase differences forms 32 complex
+    # exponentials per phase, 64 x 32 = 2,048; the direct tables would form
+    # 2 dim M = 64,000
     dim, nodes = 8, 4000
     pair = doi.make_spectral_pair(*seeded_pair(20, dim))
     quad = trapezoid_rule(40.0, nodes)

@@ -26,6 +26,12 @@ def _direct_bound(quad, phi):
     return np.abs(phi) * (7 * U * big_x + 2 * U * quad.h * (cols - 1) + delta) + 12 * U
 
 
+def _table(quad, phi):
+    """The (K, M) table e^{i phi_k x_m}, as products of `phase_factors`."""
+    p, q = quad.phase_factors(phi)
+    return (p[:, :, None] * q[:, None, :]).reshape(p.shape[0], -1)[:, :quad.nodes.size]
+
+
 def one_node_rule(half_width, n_nodes):
     assert n_nodes == 1
     return QuadratureRule(np.array([half_width / 3.0]), np.array([1.0]))
@@ -56,7 +62,7 @@ def test_phase_factors_table_and_sum_match_direct_exponentials(rule, nodes):
     assert np.all(q[:, 0] == 1.0)
     assert np.all(np.abs(p - direct[:, ::cols]) <= bound)
 
-    table = quad.phase_table(PHI)
+    table = _table(quad, PHI)
     assert table.shape == (PHI.size, nodes)
     assert np.all(np.abs(table - direct) <= bound)
 
@@ -199,7 +205,7 @@ def test_phase_table_is_within_the_documented_bound_of_a_longdouble_reference(
     big_x = np.abs(quad.nodes).max()
     bound = np.abs(PHI) * (6 * U * big_x + 3 * U * quad.h * n_max + delta) + 15 * U
     exact = np.exp(1j * np.outer(PHI.astype(np.longdouble), x))
-    err = np.abs(quad.phase_table(PHI) - exact).astype(float)
+    err = np.abs(_table(quad, PHI) - exact).astype(float)
     assert np.all(err <= bound[:, None])
 
 
@@ -244,9 +250,65 @@ def test_builders_construct_within_their_stated_distance_from_x0_plus_h_m(half_w
         assert deviation <= roundoffs * (1 + 1e-9) * U * np.abs(x).max()
 
 
+@pytest.mark.parametrize("rule, args, name", [
+    (trapezoid_rule, (40.0, 3.0), "n_nodes"),
+    (trapezoid_rule, (40.0, 4.0), "n_nodes"),
+    (symmetric_open_rule, (40.0, 4.0), "n_nodes"),
+    (trapezoid_rule, (40.0, "4"), "n_nodes"),
+    (symmetric_open_rule, (40.0, "4"), "n_nodes"),
+    (trapezoid_rule, (40.0, 1), "n_nodes"),
+    (trapezoid_rule, (40.0, np.True_), "n_nodes"),
+    (symmetric_open_rule, (40.0, 5), "n_nodes"),
+    (trapezoid_rule, ("40", 4), "half_width"),
+    (symmetric_open_rule, ("40", 4), "half_width"),
+    (trapezoid_rule, (True, 10), "half_width"),
+    (symmetric_open_rule, (True, 10), "half_width"),
+    (trapezoid_rule, (1 + 0j, 10), "half_width"),
+    (trapezoid_rule, (np.inf, 4000), "half_width"),
+    (symmetric_open_rule, (np.inf, 4000), "half_width"),
+    (trapezoid_rule, (1e308, 4000), "half_width"),
+    (symmetric_open_rule, (1e308, 4000), "half_width"),
+    (symmetric_open_rule, (np.float64(1e308), 4000), "half_width"),
+    (trapezoid_rule, (10 ** 400, 10), "half_width"),
+    (trapezoid_rule, (np.nan, 10), "half_width"),
+    (trapezoid_rule, (0, 10), "half_width"),
+    (symmetric_open_rule, (-1.0, 10), "half_width"),
+])
+def test_rule_builders_refuse_bad_arguments_naming_them(rule, args, name):
+    # a ConfigError before any array is built: no bare TypeError, no numpy
+    # overflow warning, and no boolean read as 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(errors.ConfigError, match=f"^{name}: expected"):
+            rule(*args)
+
+
+@pytest.mark.parametrize("rule, nodes", [
+    *((trapezoid_rule, m) for m in (2, 3, 4, 5, 26, 4000, 4001)),
+    *((symmetric_open_rule, m) for m in (2, 4, 26, 4000)),
+])
+def test_rule_builders_take_half_widths_up_to_a_quarter_of_the_largest_float(rule, nodes):
+    # at M = 2 and 3 the constructor's step vectors reach 4 half_width
+    limit = np.finfo(float).max / 4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        quad = rule(limit, nodes)
+        assert np.isfinite(quad.steps).all() and np.isfinite(quad.weights).all()
+        with pytest.raises(errors.ConfigError, match="^half_width: expected"):
+            rule(np.nextafter(limit, np.inf), nodes)
+
+
+def test_rule_builders_read_integer_and_numpy_arguments_alike():
+    for rule, nodes in ((trapezoid_rule, 4001), (symmetric_open_rule, 4000)):
+        want = rule(40.0, nodes)
+        for args in ((40, nodes), (np.float64(40.0), np.int64(nodes)), (np.int32(40), nodes)):
+            got = rule(*args)
+            assert (got.nodes.tobytes(), got.weights.tobytes()) == (
+                want.nodes.tobytes(), want.weights.tobytes())
+
+
 PHASE_ROUTINES = {
     "phase_factors": lambda quad, phi: quad.phase_factors(phi),
-    "phase_table": lambda quad, phi: quad.phase_table(phi),
     "node_sums": lambda quad, phi: quad.node_sums(phi),
     "phase_sum": lambda quad, phi: quad.phase_sum(phi, np.ones(quad.nodes.size)),
 }

@@ -111,6 +111,10 @@ ENTRY_POINTS = {
     "doi_apply": lambda ops: doi.doi_apply(
         ops.pair, doi.symbol_from_function(ops.pair, lambda lam, mu: lam * mu + 1j), ops.t),
     "doi_fourier": lambda ops: doi.doi_fourier(ops.pair, lambda s: np.exp(-s * s), ops.t, QUAD),
+    # complex node coefficients, whose phase sums round with the other
+    # phases of their call: each pair's symbol must be a call of its own
+    "doi_fourier complex f": lambda ops: doi.doi_fourier(
+        ops.pair, lambda s: np.exp(-s * s) * (1 + 0.5j * np.cos(s)), ops.t, QUAD),
     "schatten_norm": lambda ops: tuple(linalg.schatten_norm(ops.t, p) for p in (1, 1.5, 2, 7)),
     "operator_norm": lambda ops: linalg.operator_norm(ops.t),
     "trace_norm": lambda ops: linalg.trace_norm(ops.t),

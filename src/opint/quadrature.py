@@ -1,13 +1,15 @@
 """Composite trapezoid rules on symmetric intervals.
 
-Two node layouts are provided: a plain uniform grid over [-W, W], and a
-half-step-offset grid whose nodes come in exact +/- pairs and never touch
-the origin.  The offset layout is what the oscillatory-integral routines
-use, since their integrands are only defined away from 0 (they extend
+A rule is its step h and node count M: `QuadratureRule(h, M)` has the M
+centred nodes fl(h (m - (M - 1)/2)), in exact +/- pairs, with a node at 0,
+exactly 0.0, just when M is odd.  `trapezoid_rule` lays them over [-W, W];
+`symmetric_open_rule` offsets them by half a step, so they never touch the
+origin.  The offset layout is what the oscillatory-integral routines use,
+since their integrands are only defined away from 0 (they extend
 continuously, but the sampled formula divides by the node).
 
-A rule's nodes are an arithmetic progression (its constructor refuses
-others), so it can split every e^{i phi x_m} into two factors of about
+A rule's nodes are an arithmetic progression (the constructor builds
+them as one), so it can split every e^{i phi x_m} into two factors of about
 sqrt(M) columns, and build each factor from two exponential tables of about
 M^{1/4} columns (`QuadratureRule.phase_factors`): about 4 M^{1/4}
 exponentials per phase.  Every Fourier sum of `doi` and `shift` goes through
@@ -18,6 +20,7 @@ which take and give one entry per node: the split's layout stays here.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from numbers import Integral, Real
 
@@ -40,47 +43,48 @@ def _split(size: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes and weights of a one-dimensional quadrature.  The constructor
-    measures once how far the nodes lie from x0 + h m, x0 = nodes[0] and
-    h = (nodes[-1] - x0) / (M - 1) (0 when M = 1), and refuses more than
-    16 eps X = 32u X (X = max|node|, eps = 2^-52) with `ConfigError`.  It
-    also forms `steps`, the four step vectors of `phase_factors`."""
+    """The composite trapezoid rule of step h on M = n_nodes centred nodes
+    x_m = fl(h t_m), t_m = m - (M - 1)/2: weights h, and h/2 at the ends.
+    The constructor builds `nodes`, `weights`, x0 = nodes[0] and `steps`
+    (see `phase_factors`).  Before any array is built it refuses with
+    `ConfigError` an n_nodes that is not an integer >= 2, and an h below
+    twice the smallest normal float (a node could round to 0) or whose
+    largest step product, fl(fl(h B b) max(ceil(J / b) - 1, 1)), overflows:
+    every node and other step entry is smaller."""
 
-    nodes: np.ndarray
-    weights: np.ndarray
-    x0: float = field(init=False)
-    h: float = field(init=False)
-    steps: np.ndarray = field(init=False, repr=False)
+    h: float
+    n_nodes: int
+    nodes: np.ndarray = field(init=False, repr=False, compare=False)
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
+    x0: float = field(init=False, repr=False, compare=False)
+    steps: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        if nodes.ndim != 1 or nodes.shape != weights.shape or nodes.size == 0:
-            raise ConfigError("quadrature needs matching, non-empty node/weight vectors")
-        if not (np.isfinite(nodes).all() and np.isfinite(weights).all()):
-            raise ConfigError("quadrature nodes/weights must be finite")
+        n_nodes, h = _node_count(self.n_nodes), self.h
+        rows, cols = _split(n_nodes)
+        (p1, p0), (q1, q0) = _split(rows), _split(cols)
+        if isinstance(h, bool) or not isinstance(h, Real) or not (
+                2 * sys.float_info.min <= h <= sys.float_info.max
+                and float(h) * (cols * p0) * max(p1 - 1, 1) <= sys.float_info.max):
+            raise ConfigError(f"h: expected a real >= 2 min normal float whose {n_nodes}-node "
+                              f"steps are finite, got {h!r}")
+        h = float(h)
+        nodes = np.arange(n_nodes, dtype=float)
+        nodes -= (n_nodes - 1) / 2
+        nodes *= h
+        weights = np.full(n_nodes, h)
+        weights[0] = weights[-1] = h / 2.0
         x0 = float(nodes[0])
-        h = float(nodes[-1] - x0) / (nodes.size - 1) if nodes.size > 1 else 0.0
-        scratch = np.arange(nodes.size, dtype=float)
-        scratch *= h
-        scratch += x0
-        np.subtract(nodes, scratch, out=scratch)
-        deviation = float(np.abs(scratch, out=scratch).max())
-        if deviation > 16 * np.finfo(float).eps * max(nodes.max(), -nodes.min()):
-            raise ConfigError("quadrature nodes are not an arithmetic progression "
-                              f"(off by {deviation:.3e})")
         # each step vector is its scalar step times the column index, the form
         # that the error bound of phase_factors counts
-        rows, cols = _split(nodes.size)
-        (p1, p0), (q1, q0) = _split(rows), _split(cols)
         steps = np.concatenate([x0 + h * (cols * p0) * np.arange(p1), h * cols * np.arange(p0),
                                 h * q0 * np.arange(q1), h * np.arange(q0)])
-        for name, value in (("nodes", nodes), ("weights", weights), ("x0", x0), ("h", h),
-                            ("steps", steps)):
+        for name, value in (("h", h), ("n_nodes", n_nodes), ("nodes", nodes),
+                            ("weights", weights), ("x0", x0), ("steps", steps)):
             object.__setattr__(self, name, value)
 
     def require_zero_free(self):
-        if np.count_nonzero(self.nodes) < self.nodes.size:
+        if self.n_nodes % 2:  # node (M - 1)/2 is h 0 = 0.0
             raise ConfigError("quadrature places a node at exactly 0")
 
     @property
@@ -88,7 +92,7 @@ class QuadratureRule:
         """(J, B) of the square-root phase split of `phase_factors`:
         B = ceil(sqrt(M)) columns and J = ceil(M / B) rows, node m at
         row m // B and column m % B."""
-        return _split(self.nodes.size)
+        return _split(self.n_nodes)
 
     def phase_factors(self, phi) -> tuple[np.ndarray, np.ndarray]:
         """Square-root phase split of e^{i phi_k x_m} over the M nodes.  The
@@ -119,11 +123,9 @@ class QuadratureRule:
 
         Error.  Let u be the unit roundoff, X = max|x_m|, N = min(B b, M) - 1
         and delta the largest distance of a node from x0 + h m in exact
-        arithmetic.  The constructor measures the distance D from the
-        rounded fl(x0 + fl(h m)), which is within 3u X of x0 + h m, so
-        delta <= D + 3u X (D is at most 5u X and 9u X for the two rules of
-        this module, 32u X for any rule).  To first order in u the four
-        phases of P[k, j] Q[k, r] add up to phi_k x_m within
+        arithmetic.  Each node is within u |x_m| of h t_m and x0 within u X of
+        -h (M - 1)/2, so delta <= 2u X by construction.  To first order in u
+        the four phases of P[k, j] Q[k, r] add up to phi_k x_m within
         |phi_k| (6 u X + 3 u h N + delta): 5u X from forming
         x0 + (h B b) j1 (two roundings of a product of at most 2X, one of
         the sum), u X from its product with phi_k, 3u h (B j0 + c r1) + 2u h r0
@@ -139,9 +141,9 @@ class QuadratureRule:
         coefficients c_m is within (E(phi_k) + (J + B) u) sum_m |c_m| of the
         exact sum, the second term from the two matrix products of
         `phase_sum`.  The errors do not align: against an np.longdouble
-        reference, the largest entry error per phase is 0.08 to 0.51 of
+        reference, the largest entry error per phase is 0.11 to 0.47 of
         E(phi_k) on both rules at 2,000 <= M <= 40,000 and |phi| <= 10, and
-        at most 0.24 of it at M <= 26.
+        at most 0.20 of it at M <= 26.
         """
         rows, cols = self.split_shape
         (p1, p0), (q1, q0) = _split(rows), _split(cols)
@@ -156,15 +158,17 @@ class QuadratureRule:
         the factors of `phase_factors`, cut to the M nodes.  It is a view of
         that product, so callers can build node coefficients on it in place."""
         p, q = self.phase_factors(phi)
-        return (p.T @ q).ravel()[:self.nodes.size]
+        return (p.T @ q).ravel()[:self.n_nodes]
 
     def phase_sum(self, phi, coeff) -> np.ndarray:
         """sum_m coeff[m] e^{i phi_k x_m} for each k, from `phase_factors`
         without the full table.  `coeff` holds exactly one coefficient per
-        node, else `ConfigError`, and is not copied.  With M = F B + r, its
-        first F B entries are viewed as the (F, B) matrix C of the split, and
-        the sums are the diagonal of P[:, :F] (C Q^T) plus, when r > 0, the
-        last row's P[:, F] (Q[:, :r] c_tail) for the r tail coefficients.
+        node, else `ConfigError`, and finite numbers, else InputDomainError
+        naming coeff; real ones are read as float and others as complex128,
+        uncopied when they are so already.  With M = F B + r, its first F B
+        entries are viewed as the (F, B) matrix C of the split, and the sums
+        are the diagonal of P[:, :F] (C Q^T) plus, when r > 0, the last row's
+        P[:, F] (Q[:, :r] c_tail) for the r tail coefficients.
 
         The phases go through in blocks of `PHASE_BLOCK` = 64.  Besides the
         K sums, only one block's P, Q and C Q^T are held: 64 (2 J + B)
@@ -180,12 +184,13 @@ class QuadratureRule:
         bits with the other phases of its call: a caller that needs each
         member's bits alone calls this once per member, as `doi_fourier` does.
         """
-        coeff = np.asarray(coeff)
-        if coeff.shape != self.nodes.shape:
+        coeff = as_finite_array(coeff, "coeff", None,
+                                np.complex128 if np.iscomplexobj(coeff) else float)
+        if coeff.shape != (self.n_nodes,):
             raise ConfigError(f"phase_sum takes one coefficient per node, not shape {coeff.shape}")
         phi = as_finite_array(phi, "phi", None, float).ravel()
         cols = self.split_shape[1]
-        full = self.nodes.size // cols
+        full = self.n_nodes // cols
         body, tail = coeff[:full * cols].reshape(full, cols), coeff[full * cols:]
         sums = np.empty(phi.size, dtype=np.complex128)
         starts = list(range(0, phi.size, PHASE_BLOCK))
@@ -200,48 +205,37 @@ class QuadratureRule:
         return sums
 
 
+def _node_count(n_nodes) -> int:
+    """n_nodes as an int, if it is an integer >= 2, else `ConfigError`."""
+    if isinstance(n_nodes, bool) or not isinstance(n_nodes, Integral) or n_nodes < 2:
+        raise ConfigError(f"n_nodes: expected an integer >= 2, got {n_nodes!r}")
+    return int(n_nodes)
+
+
 def _rule_arguments(half_width, n_nodes) -> tuple[float, int]:
     """The builders' one argument check, made before any array is built."""
     if isinstance(half_width, bool) or not isinstance(half_width, Real) or not (
-            0 < half_width <= float(np.finfo(float).max) / 4):  # `steps` reach 4 half_width
+            0 < half_width <= sys.float_info.max / 4):  # `steps` reach 4 half_width
         raise ConfigError(f"half_width: expected a real in (0, max float / 4], got {half_width!r}")
-    if isinstance(n_nodes, bool) or not isinstance(n_nodes, Integral) or n_nodes < 2:
-        raise ConfigError(f"n_nodes: expected an integer >= 2, got {n_nodes!r}")
-    return float(half_width), int(n_nodes)
+    return float(half_width), _node_count(n_nodes)
 
 
 def trapezoid_rule(half_width: float, n_nodes: int) -> QuadratureRule:
-    """Uniform trapezoid nodes on [-half_width, half_width].  np.linspace's
-    node m is fl(fl(m s) - W), s = fl(2W / (M - 1)), as is the rule's x0 + h m
-    (x0 = -W, h = s), but for the last, set to W: it is off the progression
-    by |W - fl(fl((M - 1) s) - W)| <= 5u W, to first order in u = 2^-53."""
+    """The rule of step 2W / (M - 1) on [-half_width, half_width]; its end
+    nodes +/-fl(h (M - 1)/2) are within 2u W of +/-W."""
     half_width, n_nodes = _rule_arguments(half_width, n_nodes)
-    nodes = np.linspace(-half_width, half_width, n_nodes)
-    h = nodes[1] - nodes[0]
-    weights = np.full(n_nodes, h)
-    weights[0] = weights[-1] = h / 2.0
-    return QuadratureRule(nodes, weights)
+    return QuadratureRule(2.0 * half_width / (n_nodes - 1), n_nodes)
 
 
 def symmetric_open_rule(half_width: float, n_nodes: int) -> QuadratureRule:
-    """Half-step-offset trapezoid nodes: exact +/- pairs, none at 0.
+    """Half-step-offset trapezoid nodes: the rule of step h = 2W / M on an
+    even count M, exact +/- pairs, none at 0.
 
-    The node span is [-(W - h/2), W - h/2] with spacing h = 2W/n; the two
-    outermost strips of width h/2 are dropped, which only matters for
-    integrands that have not decayed by +/-W.
-
-    Node M/2 + k is p_k = fl(h/2 + fl(h k)) = h (k + 1/2)(1 + t_k), |t_k| <= 2u,
-    and node M/2 - 1 - k is -p_k.  With X = p_{M/2-1} the rule's progression
-    is fl(fl(m h') - X), h' = fl(2X / (M - 1)) = h (1 + t_{M/2-1})(1 + c), so
-    to first order a node is off it by h (k + 1/2)|t_k - t_{M/2-1}| <= 4u X,
-    4u X from c and fl(m h') (m h' <= 2X), and u X from the sum: 9u X.
+    The node span is [-(W - h/2), W - h/2]; the two outermost strips of
+    width h/2 are dropped, which only matters for integrands that have not
+    decayed by +/-W.
     """
     half_width, n_nodes = _rule_arguments(half_width, n_nodes)
     if n_nodes % 2:
         raise ConfigError(f"n_nodes: expected an even count, got {n_nodes}")
-    h = 2.0 * half_width / n_nodes
-    positive = h / 2.0 + h * np.arange(n_nodes // 2)
-    nodes = np.concatenate([-positive[::-1], positive])
-    weights = np.full(n_nodes, h)
-    weights[0] = weights[-1] = h / 2.0
-    return QuadratureRule(nodes, weights)
+    return QuadratureRule(2.0 * half_width / n_nodes, n_nodes)

@@ -282,8 +282,8 @@ def xi_fourier(pair: SpectralPair, epsilon: float, grid,
         xi_eps(s) = (1/2 pi i) int e^{-i s x - eps|x|} tr(e^{i x A} - e^{i x B}) / x dx,
 
     summed over the M nodes x_m of `quad`, which must not place a node at
-    0 (the integrand is defined there only by continuous extension), else
-    `ConfigError`.  Note the kernel orientation: pairing e^{-isx} with
+    0 (the integrand is defined there only by continuous extension): an
+    odd M does, and raises `ConfigError`.  Note the kernel orientation: pairing e^{-isx} with
     tr(e^{+ixA} - e^{+ixB}) is what reproduces the counting function;
     flipping both signs reproduces -xi.
 
@@ -459,7 +459,8 @@ def arctan_rep_value(t, quad: QuadratureRule | None = None):
     the real part, which is Im(sum_m c_m e^{i s_m t}) / 2.  The c_m are
     formed once per call and the sums for every t are one
     `QuadratureRule.phase_sum`, within the error bound that
-    `QuadratureRule.phase_factors` gives.  A node at 0 raises `ConfigError`.
+    `QuadratureRule.phase_factors` gives.  A node at 0, which a rule has
+    just when its node count is odd, raises `ConfigError`.
     """
     if quad is None:
         quad = symmetric_open_rule(*DEFAULT_ARCTAN_QUAD)

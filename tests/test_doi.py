@@ -204,11 +204,16 @@ def _exp_i(h, s):
 
 @pytest.mark.parametrize("dim", [1, 3, 6])
 def test_doi_fourier_single_node_is_exponential_sandwich(dim):
+    # an f that is 1 / w at node s and 0 at the others keeps the one term at
+    # s: nodes +-|s| of the two-node rule of step 2|s|, or the middle node 0
+    # of the three-node rule of step 1
     a, b = seeded_pair(15, dim)
     pair = doi.make_spectral_pair(a, b)
     t = random_complex(substream(15, "doi-f1", dim), (dim, dim))
     for s in (-7.5, -0.3, 0.0, 1.0, 12.25):
-        out = doi.doi_fourier(pair, np.ones_like, t, QuadratureRule([s], [1.0]))
+        quad = QuadratureRule(2 * abs(s), 2) if s else QuadratureRule(1.0, 3)
+        assert np.count_nonzero(quad.nodes == s) == 1
+        out = doi.doi_fourier(pair, lambda x: (x == s) / quad.weights, t, quad)
         expected = _exp_i(a, -s) @ t @ _exp_i(b, s)
         assert np.abs(out - expected).max() <= 1e-12
 
@@ -218,7 +223,7 @@ def test_doi_fourier_matches_node_by_node_sum():
     a, b = seeded_pair(16, 5)
     pair = doi.make_spectral_pair(a, b)
     t = random_complex(substream(16, "doi-fsum"), (5, 5))
-    quad = QuadratureRule(np.linspace(-3.0, 4.0, 9), np.linspace(0.5, 1.5, 9))
+    quad = QuadratureRule(0.875, 9)
 
     def f(s):
         return np.exp(-np.abs(s)) + 0.25j * s
@@ -236,7 +241,8 @@ def test_doi_fourier_matches_node_by_node_sum():
 ])
 def test_doi_fourier_refuses_a_bad_f_naming_a_node(f, match):
     pair = doi.make_spectral_pair(*seeded_pair(4, 3))
-    quad = QuadratureRule([-2.0, 0.0, 2.0], [1.0, 1.0, 1.0])
+    quad = QuadratureRule(2.0, 3)
+    assert quad.nodes.tolist() == [-2.0, 0.0, 2.0]
     with np.errstate(divide="ignore"), pytest.raises(errors.EvaluationError, match=match):
         doi.doi_fourier(pair, f, np.eye(3), quad)
 
@@ -310,18 +316,6 @@ def test_doi_fourier_forms_no_dim_by_nodes_exponential_table(monkeypatch):
     monkeypatch.setattr(np, "exp", counting_exp)
     doi.doi_fourier(pair, lambda s: exp(-np.abs(s)), np.eye(dim), quad)
     assert 0 < sum(counted) <= 4 * dim * (math.isqrt(nodes - 1) + 1)
-
-
-@pytest.mark.parametrize("nodes", [
-    np.array([-3.0, -1.0, 1.0, 2.0, 4.0]),
-    np.linspace(-10.0, 10.0, 20) + np.eye(20)[7] * 1e-9,
-], ids=["geometric", "one-node-moved"])
-def test_doi_fourier_rejects_non_uniform_rule(nodes):
-    # the rule refuses the nodes when it is built, before doi_fourier sees them
-    pair = doi.make_spectral_pair(*seeded_pair(21, 3))
-    with pytest.raises(errors.ConfigError, match="not an arithmetic progression"):
-        doi.doi_fourier(pair, lambda s: np.exp(-np.abs(s)), np.eye(3),
-                        QuadratureRule(nodes, np.ones_like(nodes)))
 
 
 def test_doi_fourier_transformer_norm_within_l1_mass():

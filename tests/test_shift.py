@@ -401,6 +401,19 @@ def test_xi_fourier_rejects_zero_node():
                          trapezoid_rule(10.0, 21))  # odd count puts a node at 0
 
 
+def test_fourier_routes_refuse_the_odd_trapezoid_rule_whose_middle_node_is_0():
+    # the middle node of an odd trapezoid rule is exactly 0, so both routes
+    # refuse the rule; when it was rounded to 2.84e-14 both took it, and
+    # arctan_rep_value(1.0) was off by 3.0e-3
+    quad = trapezoid_rule(200.0, 42001)
+    assert quad.nodes[21000] == 0.0 and np.count_nonzero(quad.nodes) == 42000
+    pair = make_spectral_pair(*seeded_pair(42, 8))
+    with pytest.raises(errors.ConfigError, match="^quadrature places a node at exactly 0$"):
+        shift.xi_fourier(pair, 0.01, np.linspace(-4, 4, 161), quad)
+    with pytest.raises(errors.ConfigError, match="^quadrature places a node at exactly 0$"):
+        shift.arctan_rep_value(1.0, quad)
+
+
 def test_xi_fourier_agrees_with_arctan_route():
     a, b = seeded_pair(14, 4)
     grid = np.linspace(-3, 3, 31)
@@ -449,32 +462,19 @@ def _dense_setting():
 def _small_rule_setting(nodes):
     # tiny rules; at 10 and 14 nodes the last row of the square-root split is short
     a, b = seeded_pair(17, 3)
-    quad = (QuadratureRule(np.array([0.7]), np.array([1.0])) if nodes == 1
-            else symmetric_open_rule(3.0, nodes))
-    return make_spectral_pair(a, b), 0.05, np.linspace(-2, 2, 9), quad
+    return make_spectral_pair(a, b), 0.05, np.linspace(-2, 2, 9), symmetric_open_rule(3.0, nodes)
 
 
 @pytest.mark.parametrize("setting", [
     _canonical_setting, _cli_default_setting, _dense_setting,
-    *(functools.partial(_small_rule_setting, m) for m in (1, 2, 10, 14)),
-], ids=["suite-canonical", "cli-default-n8", "dense-n32", "m1", "m2", "m10", "m14"])
+    *(functools.partial(_small_rule_setting, m) for m in (2, 10, 14)),
+], ids=["suite-canonical", "cli-default-n8", "dense-n32", "m2", "m10", "m14"])
 def test_xi_fourier_matches_blocked_node_sum(setting):
     # both evaluations round each phase by about u|phi|X, which xi_fourier's
     # docstring bounds; at X = 4000 the observed gap is 5e-14
     pair, eps, grid, quad = setting()
     ords = shift.xi_fourier(pair, eps, grid, quad).ordinates
     assert np.abs(ords - _blocked_fourier(pair, eps, grid, quad)).max() <= 1e-12
-
-
-@pytest.mark.parametrize("nodes", [
-    np.array([-3.0, -1.0, 1.0, 2.0, 4.0]),
-    symmetric_open_rule(10.0, 20).nodes + np.eye(20)[7] * 1e-9,
-], ids=["geometric", "one-node-moved"])
-def test_xi_fourier_rejects_non_uniform_rule(nodes):
-    # the rule refuses the nodes when it is built, before xi_fourier sees them
-    with pytest.raises(errors.ConfigError, match="not an arithmetic progression"):
-        shift.xi_fourier(make_spectral_pair(np.eye(2), np.zeros((2, 2))), 0.01,
-                         np.array([0.5]), QuadratureRule(nodes, np.ones_like(nodes)))
 
 
 # ---------------------------------------------------------------- rank one
@@ -804,16 +804,6 @@ def test_xi_fourier_memory_does_not_grow_with_the_grid():
     finally:
         tracemalloc.stop()
     assert peak <= 5 * quad.nodes.nbytes
-
-
-@pytest.mark.parametrize("nodes", [
-    np.array([-3.0, -1.0, 1.0, 2.0, 4.0]),
-    symmetric_open_rule(10.0, 20).nodes + np.eye(20)[7] * 1e-9,
-], ids=["geometric", "one-node-moved"])
-def test_arctan_rep_rejects_non_uniform_rule(nodes):
-    # the rule refuses the nodes when it is built, before arctan_rep_value sees them
-    with pytest.raises(errors.ConfigError, match="not an arithmetic progression"):
-        shift.arctan_rep_value(1.0, QuadratureRule(nodes, np.ones_like(nodes)))
 
 
 @pytest.mark.parametrize("z, message", [

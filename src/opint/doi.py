@@ -127,11 +127,11 @@ def divided_difference_symbol(pair: SpectralPair, f, f_prime) -> SymbolGrid:
     gap = lam - mu
     near = np.abs(gap) <= 1e-9 * np.asarray(pair.spectral_scale)[..., None, None]
     safe_gap = np.where(near, 1.0, gap)
-    fl = np.asarray(f(pair.left.eigenvalues), dtype=np.complex128)
-    fm = np.asarray(f(pair.right.eigenvalues), dtype=np.complex128)
-    quotient = (fl[..., :, None] - fm[..., None, :]) / safe_gap
-    diag = np.asarray(f_prime((lam + mu) / 2.0), dtype=np.complex128)
-    values = np.where(near, diag, quotient)
+    fl = evaluate(f, pair.left.eigenvalues, "eigenvalue")
+    fm = evaluate(f, pair.right.eigenvalues, "eigenvalue")
+    with np.errstate(over="ignore", invalid="ignore"):
+        quotient = (fl[..., :, None] - fm[..., None, :]) / safe_gap
+    values = np.where(near, evaluate(f_prime, (lam + mu) / 2.0, "midpoint"), quotient)
     if not np.isfinite(values).all():
         raise InputDomainError("divided difference not finite on the spectra")
     return SymbolGrid(values=values)
@@ -194,7 +194,7 @@ class Decomposition:
     """Finite family phi(l, m) = sum_t weights[t] alphas[t](l) betas[t](m),
     or a stack of them: alphas (..., terms, n_left), betas (..., terms,
     n_right) and weights (..., terms).  Members of a stack with fewer terms
-    fill the rest with terms of weight 0."""
+    fill the rest with terms of weight 0, which change no consumer's bits."""
 
     alphas: np.ndarray  # (terms, n_left)
     betas: np.ndarray   # (terms, n_right)

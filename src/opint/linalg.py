@@ -268,15 +268,16 @@ def evaluate(f, x: np.ndarray, point: str = "point") -> np.ndarray:
     stack are one (k, n) array), as complex128.
 
     Raises EvaluationError naming the first bad `point` of x in C order:
-    the first point if f raises or returns another shape, else the first
-    point f is not finite at.
+    the first point (none of an empty x) if f raises or returns another
+    shape, else the first point f is not finite at.
     """
+    first = next(x.flat, "(none)")
     try:
         values = np.asarray(f(x), dtype=np.complex128)
     except Exception as exc:
-        raise EvaluationError(f"function failed at {point} {x.flat[0]}: {exc}") from exc
+        raise EvaluationError(f"function failed at {point} {first}: {exc}") from exc
     if values.shape != x.shape:
-        raise EvaluationError(f"function gave shape {values.shape} at {point} {x.flat[0]}")
+        raise EvaluationError(f"function gave shape {values.shape} at {point} {first}")
     bad = ~np.isfinite(values)
     if bad.any():
         raise EvaluationError(f"function not finite at {point} {x.flat[np.argmax(bad)]}")

@@ -64,7 +64,7 @@ class QuadratureRule:
         rows, cols = _split(n_nodes)
         (p1, p0), (q1, q0) = _split(rows), _split(cols)
         if isinstance(h, bool) or not isinstance(h, Real) or not (
-                2 * sys.float_info.min <= h <= sys.float_info.max
+                _normal_step(h) and h <= sys.float_info.max
                 and float(h) * (cols * p0) * max(p1 - 1, 1) <= sys.float_info.max):
             raise ConfigError(f"h: expected a real >= 2 min normal float whose {n_nodes}-node "
                               f"steps are finite, got {h!r}")
@@ -212,19 +212,30 @@ def _node_count(n_nodes) -> int:
     return int(n_nodes)
 
 
-def _rule_arguments(half_width, n_nodes) -> tuple[float, int]:
-    """The builders' one argument check, made before any array is built."""
+def _normal_step(h) -> bool:  # a smaller step than 2 min normal float could round a node to 0
+    return h >= 2 * sys.float_info.min
+
+
+def _builder_rule(half_width, n_nodes, open_rule: bool) -> QuadratureRule:
+    """The builders' one argument check, made before any array is built, and their
+    rule: of step 2 half_width / M on an even count M if open_rule, else / (M - 1)."""
     if isinstance(half_width, bool) or not isinstance(half_width, Real) or not (
             0 < half_width <= sys.float_info.max / 4):  # `steps` reach 4 half_width
         raise ConfigError(f"half_width: expected a real in (0, max float / 4], got {half_width!r}")
-    return float(half_width), _node_count(n_nodes)
+    n_nodes = _node_count(n_nodes)
+    if open_rule and n_nodes % 2:
+        raise ConfigError(f"n_nodes: expected an even count, got {n_nodes}")
+    h = 2.0 * float(half_width) / (n_nodes if open_rule else n_nodes - 1)
+    if not _normal_step(h):
+        raise ConfigError(f"half_width: expected a real whose {n_nodes}-node step is >= 2 min "
+                          f"normal float, got {half_width!r}")
+    return QuadratureRule(h, n_nodes)
 
 
 def trapezoid_rule(half_width: float, n_nodes: int) -> QuadratureRule:
     """The rule of step 2W / (M - 1) on [-half_width, half_width]; its end
     nodes +/-fl(h (M - 1)/2) are within 2u W of +/-W."""
-    half_width, n_nodes = _rule_arguments(half_width, n_nodes)
-    return QuadratureRule(2.0 * half_width / (n_nodes - 1), n_nodes)
+    return _builder_rule(half_width, n_nodes, open_rule=False)
 
 
 def symmetric_open_rule(half_width: float, n_nodes: int) -> QuadratureRule:
@@ -235,7 +246,4 @@ def symmetric_open_rule(half_width: float, n_nodes: int) -> QuadratureRule:
     width h/2 are dropped, which only matters for integrands that have not
     decayed by +/-W.
     """
-    half_width, n_nodes = _rule_arguments(half_width, n_nodes)
-    if n_nodes % 2:
-        raise ConfigError(f"n_nodes: expected an even count, got {n_nodes}")
-    return QuadratureRule(2.0 * half_width / n_nodes, n_nodes)
+    return _builder_rule(half_width, n_nodes, open_rule=True)

@@ -15,9 +15,10 @@ sequences phi (..., n) is a stack of `SequenceBimeasure`s, which
 `bimeasure_integrate_grid`, `semivariation` and `l1_norm` take the same
 way; `grothendieck_norm` takes a stacked `doi.Decomposition`, as
 `doi.peller_bound` does, and `polymeasure_eval` a stacked `EigenSystem`
-with a stack of vectors in each slot.  Each member of a stack gets the
-bits of its own call.  The projectors and `cotlar_stein_bound` take one
-subset or term list at a time.
+with a stack of vectors in each slot.  Each member of a stack, and each
+decomposition padded with terms of weight 0, gets the bits of its own
+call.  The projectors and `cotlar_stein_bound` take one subset or term
+list at a time.
 """
 
 from __future__ import annotations
@@ -301,7 +302,9 @@ def bimeasure_eval(b: SequenceBimeasure, e, f):
 
 
 def bimeasure_integrate(b: SequenceBimeasure, d: Decomposition):
-    """Integral of the symbol sum_t w_t a_t (x) b_t against the bimeasure."""
+    """Integral of the symbol sum_t w_t a_t (x) b_t against the bimeasure,
+    each term paired with the signed sequence by a sum over the sequence:
+    a term of weight 0 adds exactly 0, whatever the term count."""
     if d.alphas.shape[-1] != b.n or d.betas.shape[-1] != b.n:
         raise InputDomainError(
             f"decomposition vectors sized ({d.alphas.shape[-1]}, {d.betas.shape[-1]}), "
@@ -309,9 +312,9 @@ def bimeasure_integrate(b: SequenceBimeasure, d: Decomposition):
     if d.weights.shape[:-1] != b.stack:
         raise InputDomainError(f"decomposition stack {d.weights.shape[:-1]} does not match "
                                f"the bimeasure stack {b.stack}")
-    signed = b.signed[..., :, None]
-    left = (d.alphas @ signed)[..., 0]
-    right = (d.betas @ signed)[..., 0]
+    signed = b.signed[..., None, :]
+    left = (d.alphas * signed).sum(axis=-1)
+    right = (d.betas * signed).sum(axis=-1)
     return per_matrix(np.sum(d.weights * left * right, axis=-1))
 
 
@@ -352,9 +355,9 @@ def polymeasure_eval(f_list, times, eh: EigenSystem) -> np.ndarray:
         diag(f_n) e^{-i (t_n - t_{n-1}) H} ... diag(f_1) e^{-i t_1 H} diag(f_0)
 
     for strictly increasing positive times, from the eigensystem `eh` of H;
-    separately additive in every multiplication slot.  For a stacked `eh`
-    each slot is a stack of vectors, one per matrix, and the times are
-    shared.
+    separately additive in every multiplication slot; each slot after f_0
+    scales rows.  For a stacked `eh` each slot is a stack of vectors, one
+    per matrix, and the times are shared.
     """
     f_list = [_symbol_vector(eh.eigenvalues.shape, f, f"slot {k}")
               for k, f in enumerate(f_list)]
@@ -365,18 +368,9 @@ def polymeasure_eval(f_list, times, eh: EigenSystem) -> np.ndarray:
         raise InputDomainError(f"{len(f_list)} slots need {len(f_list) - 1} times, got {times.size}")
     if times.size and (times[0] <= 0 or (np.diff(times) <= 0).any()):
         raise InputDomainError("times must be strictly increasing and positive")
-    out = _diagonal(f_list[0])
+    out = f_list[0][..., :, None] * np.eye(eh.dim)
     gaps = np.diff(np.concatenate([[0.0], times]))
     for f, dt in zip(f_list[1:], gaps):
         evolution = apply_function(eh, lambda x: np.exp(-1j * dt * x))
-        out = _diagonal(f) @ evolution @ out
+        out = f[..., :, None] * (evolution @ out)
     return out
-
-
-def _diagonal(v: np.ndarray) -> np.ndarray:
-    """diag(v) of a vector v, or of each vector of a stack."""
-    n = v.shape[-1]
-    d = np.zeros(v.shape + (n,), dtype=v.dtype)
-    d[..., np.arange(n), np.arange(n)] = v
-    return d
-

@@ -32,14 +32,16 @@ phase error.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from numbers import Complex, Real
 
 import numpy as np
 
 from .doi import SpectralPair
 from .errors import IllPosedError, InputDomainError
 from .linalg import (EigenSystem, apply_function, as_finite_array, as_finite_vectors,
-                     as_numeric_array, per_matrix, scalar_abs, trace_norm)
+                     as_numeric_array, evaluate, per_matrix, scalar_abs, trace_norm)
 from .quadrature import QuadratureRule, symmetric_open_rule
 
 DEFAULT_FOURIER_QUAD = (200.0, 8000)   # half-width, node count
@@ -118,8 +120,8 @@ class ShiftFunction:
     def integrate_derivative(self, f):
         """Exact integral of f' against this function: telescoped
         antiderivative differences over each constancy interval.  f is
-        called once, on the breakpoints."""
-        fb = np.asarray(f(self.breakpoints), dtype=np.complex128)
+        called once, on the breakpoints (`linalg.evaluate`)."""
+        fb = evaluate(f, self.breakpoints, "breakpoint")
         return per_matrix((self.values * (fb[..., 1:] - fb[..., :-1])).sum(axis=-1))
 
     def resolvent_integral(self, z: complex):
@@ -239,6 +241,7 @@ def far_from_spectra(pair: SpectralPair, grid, distance: float) -> np.ndarray:
     """Mask of the grid points at distance >= `distance` from the joint
     spectrum of A and B, where a regularized xi is compared with xi_counting."""
     pair.require_one()
+    _require_positive(distance, "distance")
     g = _as_grid(grid)
     evs = np.concatenate([pair.left.eigenvalues, pair.right.eigenvalues])
     return np.abs(g[:, None] - evs).min(axis=1) >= distance
@@ -252,7 +255,7 @@ def _arctan_trace(wa: np.ndarray, wb: np.ndarray, s, eps: float):
 
 
 def _require_positive(x, name: str) -> None:
-    if not (x > 0 and np.isfinite(x)):
+    if isinstance(x, bool) or not isinstance(x, Real) or not 0 < x <= sys.float_info.max:
         raise InputDomainError(f"need finite {name} > 0, got {x}")
 
 
@@ -441,9 +444,9 @@ def resolvent_identity_check(pair: SpectralPair, z: complex):
     """Gap in tr((A-z)^-1 - (B-z)^-1) = -int xi(l)/(l-z)^2 dl, both sides
     in closed form, for the pair or each pair of a stack.  Requires a
     finite z with Im z != 0."""
-    z = complex(z)
-    if not (np.isfinite(z) and z.imag != 0.0):
+    if isinstance(z, bool) or not isinstance(z, Complex) or not (z.imag != 0 and np.isfinite(z)):
         raise InputDomainError(f"z must be finite with nonzero imaginary part, got {z}")
+    z = complex(z)
     wa, wb = pair.left.eigenvalues, pair.right.eigenvalues
     lhs = np.sum(1.0 / (wa - z), axis=-1) - np.sum(1.0 / (wb - z), axis=-1)
     rhs = -xi_counting(pair).resolvent_integral(z)

@@ -36,10 +36,9 @@ Every check that draws per trial takes its per-trial errors as arrays,
 one library call per block and dimension: a stacked `doi.SpectralPair`,
 `sylvester.solve_gap_pair` on the stacked eigensystems, stacked Schatten
 norms, a stack of shift functions, measures, symbols or bimeasures.  The
-Peller and bimeasure checks draw 1 to 3 decomposition terms per trial:
-the Peller check pads them with terms of weight 0, and the bimeasure
-check integrates the trials of each term count as one stack, since a
-padded term count changes how BLAS sums the terms.  Frobenius norms stay
+Peller and bimeasure checks draw 1 to 3 decomposition terms per trial and
+pad them with terms of weight 0, which change no bit of any
+`doi.Decomposition` consumer (its padding rule).  Frobenius norms stay
 per matrix, since a norm over a stack's axes rounds differently, and a
 value that a one-trial run took from one number (a modulus, a complex
 product, a power) is taken with `linalg.scalar_abs`, `scalar_mul` or
@@ -466,25 +465,28 @@ def check_doi_fourier_norm_mass(cfg):
         yield operator_norm(doi.doi_fourier(pair, lambda s: np.exp(-np.abs(s)), t, quad)) - 2.0
 
 
-# decomposition terms per trial of the Peller check: 1 to PELLER_TERMS, and
-# a stack fills each trial's unused terms with weight 0
-PELLER_TERMS = 3
+DECOMPOSITION_TERMS = 3  # at most, per trial of the Peller and bimeasure checks
+
+
+def _decompositions(rngs, dim) -> doi.Decomposition:
+    """One decomposition per generator, stacked: each draws its term count, its
+    alphas and betas, then its weights, and fills its unused terms with weight 0."""
+    alphas = np.zeros((len(rngs), DECOMPOSITION_TERMS, dim), dtype=complex)
+    betas = np.zeros_like(alphas)
+    weights = np.zeros((len(rngs), DECOMPOSITION_TERMS))
+    for trial, rng in enumerate(rngs):
+        terms = int(rng.integers(1, DECOMPOSITION_TERMS + 1))
+        drawn = complex_stacks([rng], 2, (terms, dim))[:, 0]
+        alphas[trial, :terms], betas[trial, :terms] = drawn
+        weights[trial, :terms] = rng.uniform(0.1, 2.0, terms)
+    return doi.Decomposition(alphas=alphas, betas=betas, weights=weights)
 
 
 @_check("doi.peller_bound_dominates_sampled_c1", 0.0, floor=-np.inf)
 def check_peller_bound(cfg):
     for rngs, _, _, pair in _pairs(cfg, "suite-peller"):
-        k, dim = len(rngs), pair.dim
-        alphas = np.zeros((k, PELLER_TERMS, dim), dtype=complex)
-        betas = np.zeros_like(alphas)
-        weights = np.zeros((k, PELLER_TERMS))
-        for trial, rng in enumerate(rngs):
-            terms = int(rng.integers(1, PELLER_TERMS + 1))
-            drawn = complex_stacks([rng], 2, (terms, dim))[:, 0]
-            alphas[trial, :terms], betas[trial, :terms] = drawn
-            weights[trial, :terms] = rng.uniform(0.1, 2.0, terms)
-        t = _complex_stack(rngs, (dim, dim))  # each trial's T after its weights
-        d = doi.Decomposition(alphas=alphas, betas=betas, weights=weights)
+        d = _decompositions(rngs, pair.dim)
+        t = _complex_stack(rngs, (pair.dim, pair.dim))  # each trial's T after its weights
         sym = doi.symbol_from_decomposition(pair, d)
         t /= trace_norm(t)[:, None, None]
         yield trace_norm(doi.doi_apply(pair, sym, t)) - doi.peller_bound(d) * (1 + doi.PELLER_SLACK)
@@ -656,19 +658,10 @@ def check_bimeasure_structure(cfg):
         rhs = quantization.bimeasure_eval(b, e1, f) + quantization.bimeasure_eval(b, e2, f)
         yield scalar_abs(lhs - rhs)
         yield np.abs(quantization.semivariation(b) - scalar_pow(b.l1_norm(), 2))
-        # each trial's 1 to 3 terms; the trials of one term count integrate as one stack
-        terms = {}
-        for trial, rng in enumerate(rngs):
-            k = int(rng.integers(1, 4))
-            terms.setdefault(k, []).append((trial, *complex_stacks([rng], 2, (k, n))[:, 0],
-                                            rng.uniform(0.1, 2.0, k)))
-        for group in terms.values():
-            trials, alphas, betas, weights = (np.stack(x) for x in zip(*group))
-            d = doi.Decomposition(alphas=alphas, betas=betas, weights=weights)
-            psi = np.einsum("...t,...ti,...tj->...ij", d.weights.astype(complex), d.alphas, d.betas)
-            part = quantization.SequenceBimeasure(b.phi[trials])
-            yield scalar_abs(quantization.bimeasure_integrate(part, d)
-                             - quantization.bimeasure_integrate_grid(part, psi))
+        d = _decompositions(rngs, n)
+        psi = np.einsum("...t,...ti,...tj->...ij", d.weights.astype(complex), d.alphas, d.betas)
+        yield scalar_abs(quantization.bimeasure_integrate(b, d)
+                         - quantization.bimeasure_integrate_grid(b, psi))
 
 
 @_check("quantization.polymeasure_additivity_and_concatenation", "algebraic")

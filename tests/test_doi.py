@@ -145,6 +145,29 @@ def test_divided_difference_coincident_nodes_use_derivative():
     np.testing.assert_allclose(sym.values, [[4.0]], atol=0)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("f, f_prime, message", [
+    (lambda x: 1.0, lambda x: 2 * x, r"^function gave shape \(\) at eigenvalue"),
+    (lambda x: 1 / 0, lambda x: 2 * x, "^function failed at eigenvalue"),
+    (lambda x: np.full(x.shape, np.inf), lambda x: 2 * x, "^function not finite at eigenvalue"),
+    (lambda x: x**2, lambda x: 2.0, r"^function gave shape \(\) at midpoint"),
+    (lambda x: x**2, lambda x: np.full(x.shape, np.nan), "^function not finite at midpoint"),
+])
+def test_divided_difference_refuses_a_bad_f_naming_the_point(f, f_prime, message):
+    # an EvaluationError naming the point: no IndexError, no exception of
+    # f's own and no RuntimeWarning
+    pair = doi.make_spectral_pair(np.diag([0.0, 1.0]), np.diag([0.0, 2.0]))
+    with pytest.raises(errors.EvaluationError, match=message):
+        doi.divided_difference_symbol(pair, f, f_prime)
+
+
+@pytest.mark.filterwarnings("error")
+def test_divided_difference_whose_quotient_overflows_is_refused_without_warnings():
+    pair = doi.make_spectral_pair(np.diag([0.0, 1.0]), np.diag([0.5, 2.0]))
+    with pytest.raises(errors.InputDomainError, match="^divided difference not finite"):
+        doi.divided_difference_symbol(pair, lambda x: 1e308 * np.sign(x - 0.7), lambda x: 0 * x)
+
+
 def test_hs_multiplier_norm_constant():
     a, b = seeded_pair(9, 3)
     pair = doi.make_spectral_pair(a, b)

@@ -300,6 +300,9 @@ def test_the_constructor_takes_every_step_whose_largest_product_is_finite(nodes)
     (trapezoid_rule, (np.nan, 10), "half_width"),
     (trapezoid_rule, (0, 10), "half_width"),
     (symmetric_open_rule, (-1.0, 10), "half_width"),
+    (trapezoid_rule, (1e-310, 8000), "half_width"),
+    (symmetric_open_rule, (1e-310, 8000), "half_width"),
+    (trapezoid_rule, (5e-324, 2), "half_width"),
 ])
 def test_rule_builders_refuse_bad_arguments_naming_them(rule, args, name):
     # a ConfigError before any array is built: no bare TypeError, no numpy
@@ -323,6 +326,24 @@ def test_rule_builders_take_half_widths_up_to_a_quarter_of_the_largest_float(rul
         assert np.isfinite(quad.steps).all() and np.isfinite(quad.weights).all()
         with pytest.raises(errors.ConfigError, match="^half_width: expected"):
             rule(np.nextafter(limit, np.inf), nodes)
+
+
+@pytest.mark.parametrize("rule, nodes, intervals", [
+    *((trapezoid_rule, m, m - 1) for m in (2, 3, 4001, 8001)),
+    *((symmetric_open_rule, m, m) for m in (2, 4000, 8000)),
+])
+def test_rule_builders_take_half_widths_down_to_a_step_of_twice_the_smallest_normal_float(
+        rule, nodes, intervals):
+    # the constructor's lower bound on h, reached by the builders' own step
+    # 2W / intervals: below it the builders name half_width, not h
+    smallest = sys.float_info.min * intervals  # exact: a power of 2 times a small integer
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        quad = rule(smallest, nodes)
+        assert quad.h == 2 * sys.float_info.min
+        assert np.count_nonzero(quad.nodes) == nodes - nodes % 2
+        with pytest.raises(errors.ConfigError, match="^half_width: expected"):
+            rule(math.nextafter(smallest, 0.0), nodes)
 
 
 def test_rule_builders_read_integer_and_numpy_arguments_alike():

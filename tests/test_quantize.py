@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 import opint.quantization as qz
 from opint import errors, linalg
-from opint.doi import Decomposition
+from opint.doi import Decomposition, make_spectral_pair, peller_bound, symbol_from_decomposition
 from opint.linalg import apply_function, eig_hermitian, operator_norm
 from opint.rng import random_complex, random_hermitian, substream
 
@@ -635,6 +636,35 @@ def test_grothendieck_norm_of_a_stack_is_each_decompositions_norm(terms, n):
         assert norms[i].tobytes() == np.float64(alone).tobytes()
 
 
+DECOMPOSITION_CONSUMERS = {
+    "symbol_from_decomposition": lambda pair, b, d: symbol_from_decomposition(pair, d).values,
+    "peller_bound": lambda pair, b, d: peller_bound(d),
+    "grothendieck_norm": lambda pair, b, d: qz.grothendieck_norm(d),
+    "bimeasure_integrate": lambda pair, b, d: qz.bimeasure_integrate(b, d),
+}
+
+
+@pytest.mark.parametrize("terms", [1, 2])
+@pytest.mark.parametrize("consumer", sorted(DECOMPOSITION_CONSUMERS))
+def test_terms_of_weight_0_padding_a_decomposition_change_no_bit_of_any_consumer(consumer, terms):
+    # `Decomposition`'s padding rule, at the suite's n = 6 and 3 terms; the
+    # padded terms have arbitrary vectors, not only zeros
+    consume, n = DECOMPOSITION_CONSUMERS[consumer], 6
+    for trial in range(100):
+        rng = substream(21, f"quant-pad-{terms}", trial)
+        pair = make_spectral_pair(random_hermitian(rng, n), random_hermitian(rng, n))
+        b = qz.SequenceBimeasure(random_complex(rng, n))
+        alphas, betas = random_complex(rng, (3, n)), random_complex(rng, (3, n))
+        if trial % 2:
+            alphas[terms:] = betas[terms:] = 0.0
+        weights = np.concatenate([rng.uniform(0.1, 2.0, terms), np.zeros(3 - terms)])
+        alone = consume(pair, b, Decomposition(alphas=alphas[:terms], betas=betas[:terms],
+                                               weights=weights[:terms]))
+        padded = consume(pair, b, Decomposition(alphas=alphas, betas=betas, weights=weights))
+        assert type(padded) is type(alone)
+        assert np.asarray(padded).tobytes() == np.asarray(alone).tobytes(), trial
+
+
 def test_grothendieck_ratio_experiment_reports_only():
     ratios = []
     for trial in range(30):
@@ -694,6 +724,24 @@ def test_polymeasure_concatenates_time_intervals():
     direct = qz.polymeasure_eval([f0, f_end], [2.0], eh)
     threaded = qz.polymeasure_eval([f0, ones, f_end], [0.8, 2.0], eh)
     np.testing.assert_allclose(threaded, direct, atol=1e-11)
+
+
+@pytest.mark.parametrize("stack", [(), (3,)])
+def test_polymeasure_matches_the_product_of_diagonal_and_evolution_matrices(stack):
+    rng = substream(20, f"quant-poly-product-{len(stack)}")
+    h = np.stack([random_hermitian(rng, 5) for _ in range(math.prod(stack))])
+    eh = linalg.eig_hermitians(h, ["H"] * len(h))
+    eh = linalg.EigenSystem(eh.eigenvalues.reshape(stack + (5,)),
+                            eh.unitary.reshape(stack + (5, 5)))
+    slots = [random_complex(rng, stack + (5,)) for _ in range(4)]
+    times = [0.3, 1.1, 2.5]
+    expected = slots[0][..., :, None] * np.eye(5)
+    for f, dt in zip(slots[1:], np.diff([0.0, *times])):
+        diagonal = f[..., :, None] * np.eye(5)
+        expected = diagonal @ apply_function(eh, lambda x: np.exp(-1j * dt * x)) @ expected
+    out = qz.polymeasure_eval(slots, times, eh)
+    assert out.shape == stack + (5, 5)
+    np.testing.assert_allclose(out, expected, rtol=0, atol=1e-13 * np.abs(expected).max())
 
 
 def test_polymeasure_rejects_bad_times():

@@ -171,6 +171,16 @@ def test_far_from_spectra_keeps_points_at_least_the_distance_away():
     assert keep.tolist() == [True, False, True, True, False, False, True]
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("distance", [True, "0.1", 0.1 + 0j, None, -1.0, 0.0, np.nan, np.inf])
+def test_far_from_spectra_refuses_a_distance_that_is_not_finite_and_positive(distance):
+    # no boolean read as 1, no numpy UFuncTypeError, and no distance that
+    # keeps every point (-1) or none (NaN)
+    pair = make_spectral_pair(np.diag([0.0, 1.0]), np.diag([3.0, 3.0]))
+    with pytest.raises(errors.InputDomainError, match="^need finite distance > 0, got"):
+        shift.far_from_spectra(pair, np.array([-0.5, 0.5]), distance)
+
+
 def test_xi_counting_support_inside_joint_interval():
     for trial in range(50):
         dim = 2 + trial % 5
@@ -533,14 +543,28 @@ def _xi_route_with(name, value):
     }[name]()
 
 
-@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, 0.0, -1.0])
-@pytest.mark.parametrize("route, parameter", [
+XI_PARAMETERS = [
     ("xi_arctan", "epsilon"), ("xi_arctan_extrapolated", "epsilon"), ("xi_fourier", "epsilon"),
     ("eta", "eta"), ("alpha", "alpha"),
-])
+]
+
+
+# no boolean read as 1, and no bare TypeError for a str or complex
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, 0.0, -1.0,
+                                   True, np.True_, "0.1", 0.1 + 0j, None,
+                                   pytest.param(10 ** 400, id="10**400")])
+@pytest.mark.parametrize("route, parameter", XI_PARAMETERS)
 def test_xi_routes_refuse_a_parameter_that_is_not_finite_and_positive(route, parameter, value):
     with pytest.raises(errors.InputDomainError, match=f"^need finite {parameter} > 0, got"):
         _xi_route_with(route, value)
+
+
+@pytest.mark.parametrize("route", [route for route, _ in XI_PARAMETERS])
+def test_xi_routes_read_integer_and_numpy_parameters_alike(route):
+    want = _xi_route_with(route, 1.0).ordinates
+    for value in (1, np.float64(1.0), np.int64(1)):
+        assert _xi_route_with(route, value).ordinates.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("shape", [(3,), (2, 1), (1, 2), ()])
@@ -683,6 +707,31 @@ def test_trace_formula_admissible_f_property(seed):
     assert res.gap <= 1e-9 * (1.0 + abs(res.lhs))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("f, message", [
+    (lambda x: np.full(x.shape, np.nan), "^function not finite at breakpoint"),
+    (lambda x: 1.0, r"^function gave shape \(\) at breakpoint"),
+    (lambda x: 1 / 0, "^function failed at breakpoint"),
+])
+def test_integrate_derivative_refuses_a_bad_f_naming_a_breakpoint(f, message):
+    # no NaN integral and no IndexError
+    xi = shift.xi_counting(make_spectral_pair(np.diag([0.0, 1.0]), np.diag([0.5, 2.0])))
+    with pytest.raises(errors.EvaluationError, match=message):
+        xi.integrate_derivative(f)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("f, message", [
+    (lambda x: 1.0, r"^function gave shape \(\) at breakpoint \(none\)$"),
+    (lambda x: 1 / 0, r"^function failed at breakpoint \(none\): division by zero$"),
+])
+def test_integrate_derivative_of_the_zero_function_refuses_a_bad_f(f, message):
+    # no IndexError from naming the first of no breakpoints
+    xi = shift.ShiftFunction(breakpoints=[], values=[])
+    with pytest.raises(errors.EvaluationError, match=message):
+        xi.integrate_derivative(f)
+
+
 # ---------------------------------------------------------------- resolvent
 
 
@@ -714,6 +763,21 @@ def test_resolvent_identity_rejects_real_z():
 def test_resolvent_identity_refuses_a_non_finite_z_naming_it(z):
     with pytest.raises(errors.InputDomainError, match="^z must be finite"):
         shift.resolvent_identity_check(make_spectral_pair(np.eye(2), 2 * np.eye(2)), z)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("z", ["0.3+0.7j", True, None, [0.3 + 0.7j]])
+def test_resolvent_identity_refuses_a_z_that_is_not_a_number(z):
+    # a str is not parsed by complex(z)
+    with pytest.raises(errors.InputDomainError, match="^z must be finite"):
+        shift.resolvent_identity_check(make_spectral_pair(np.eye(2), 2 * np.eye(2)), z)
+
+
+def test_resolvent_identity_reads_python_and_numpy_z_alike():
+    pair = make_spectral_pair(*seeded_pair(26, 5))
+    want = shift.resolvent_identity_check(pair, 0.3 + 0.7j)
+    assert shift.resolvent_identity_check(pair, np.complex128(0.3 + 0.7j)) == want
+    assert shift.resolvent_identity_check(pair, 1j) == shift.resolvent_identity_check(pair, 1.0j)
 
 
 # ---------------------------------------------------------------- arctan rep

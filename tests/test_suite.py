@@ -297,7 +297,9 @@ def test_cli_oversized_dims_n_or_terms_is_refused_before_drawing(monkeypatch, ca
 @pytest.mark.parametrize("argv", [
     ["--command", "shift", "--route", "fourier", "--quad-half-width", "1e308"],
     ["--command", "suite", "--trials", "1", "--quad-half-width", "1e308"],
-], ids=["shift", "suite"])
+    ["--command", "shift", "--route", "fourier", "--quad-half-width", "1e-310"],
+    ["--command", "suite", "--trials", "1", "--quad-half-width", "1e-310"],
+], ids=["shift", "suite", "shift-1e-310", "suite-1e-310"])
 def test_cli_quadrature_half_width_whose_double_overflows_exits_2_without_warnings(
         tmp_path, capsys, argv):
     with warnings.catch_warnings(record=True) as caught:
